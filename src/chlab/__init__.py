@@ -19,159 +19,4 @@ kernel), :mod:`chlab.weights` (moderate weights and their certificates),
 :mod:`chlab.cli`, and the executable claim suite :mod:`chlab.acceptance`.
 """
 
-from chlab.config import (
-    CertificationWarning,
-    ConfigError,
-    Scenario,
-    TrackedWeight,
-    load_scenario,
-    parse_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
-from chlab.diagnostics import (
-    McKeanClass,
-    McKeanVerdict,
-    PersistenceReport,
-    PersistenceTrace,
-    RateCapResult,
-    decay_blowup_predict,
-    energy,
-    h1_norm,
-    mass,
-    mckean_classify,
-    min_slope,
-    peakon_rate_cap_check,
-    persistence_check,
-    slope_criterion_predict,
-    sup_norms,
-    weighted_pair_norm,
-)
-from chlab.field import (
-    Field,
-    Grid,
-    Spectrum,
-    convolve,
-    derivative,
-    from_spectrum,
-    helmholtz_inverse,
-    helmholtz_inverse_dx,
-    integral,
-    momentum_of,
-    peakon,
-    reflect,
-    shift_samples,
-    source_term,
-    to_spectrum,
-    velocity_of,
-)
-from chlab.initial_data import initial_data_from_dict, initial_data_to_dict
-from chlab.profiles import (
-    ProfileAccumulator,
-    ProfileReport,
-    phi0_psi0,
-    phi_psi,
-    profile_bounds_check,
-    reconstruct,
-    tail_remainder,
-    tail_residual,
-    tail_window,
-)
-from chlab.runner import ScenarioResult, apply_axis, run_scenario, sweep
-from chlab.scenarios import builtin_names, builtin_scenario, describe_builtins
-from chlab.solver import RunLog, SolverConfig, SolverState, Status, rhs, run
-from chlab.weights import (
-    CertifyConfig,
-    StandardFamily,
-    Weight,
-    WeightCertificate,
-    certify_admissible,
-    check_weighted_young,
-    eval_weight,
-    threshold_weight,
-    truncate_weight,
-    weight_from_dict,
-    weight_to_dict,
-    weighted_lp_norm,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CertificationWarning",
-    "CertifyConfig",
-    "ConfigError",
-    "Field",
-    "Grid",
-    "McKeanClass",
-    "McKeanVerdict",
-    "PersistenceReport",
-    "PersistenceTrace",
-    "ProfileAccumulator",
-    "ProfileReport",
-    "RateCapResult",
-    "RunLog",
-    "Scenario",
-    "ScenarioResult",
-    "SolverConfig",
-    "SolverState",
-    "Spectrum",
-    "StandardFamily",
-    "Status",
-    "TrackedWeight",
-    "Weight",
-    "WeightCertificate",
-    "apply_axis",
-    "builtin_names",
-    "builtin_scenario",
-    "certify_admissible",
-    "check_weighted_young",
-    "convolve",
-    "decay_blowup_predict",
-    "derivative",
-    "describe_builtins",
-    "energy",
-    "eval_weight",
-    "from_spectrum",
-    "h1_norm",
-    "helmholtz_inverse",
-    "helmholtz_inverse_dx",
-    "initial_data_from_dict",
-    "initial_data_to_dict",
-    "integral",
-    "load_scenario",
-    "mass",
-    "mckean_classify",
-    "min_slope",
-    "momentum_of",
-    "parse_scenario",
-    "peakon",
-    "peakon_rate_cap_check",
-    "persistence_check",
-    "phi0_psi0",
-    "phi_psi",
-    "profile_bounds_check",
-    "reconstruct",
-    "reflect",
-    "rhs",
-    "run",
-    "run_scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "shift_samples",
-    "slope_criterion_predict",
-    "source_term",
-    "sup_norms",
-    "sweep",
-    "tail_remainder",
-    "tail_residual",
-    "tail_window",
-    "threshold_weight",
-    "to_spectrum",
-    "truncate_weight",
-    "velocity_of",
-    "weight_from_dict",
-    "weight_to_dict",
-    "weighted_lp_norm",
-    "weighted_pair_norm",
-]

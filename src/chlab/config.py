@@ -7,9 +7,12 @@ dicts; both go through the same validator, which fills every default in
 and echoes the *effective* configuration back, so a run can always be
 reproduced from its summary alone.
 
-Validation errors carry the dotted path of the offending field
-("solver.cfl", "weights_to_track[1].p") so a typo in a config file points
-at the line that caused it, not at a traceback.
+The dataclasses are the schema: one codec walks their fields, checks each
+value against the field's annotation, and fills the field's default when
+the key is absent; the inverse walk produces the echo.  Validation errors
+carry the dotted path of the offending field ("solver.cfl",
+"weights_to_track[1].weight.a") so a typo in a config file points at the
+line that caused it, not at a traceback.
 """
 
 from __future__ import annotations
@@ -18,16 +21,20 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Tuple
+from typing import Any, Mapping, Optional, Sequence, Tuple, Union, get_type_hints
 
+import numpy as np
 import yaml
 
 from .field import Field, Grid
-from .initial_data import InitialData, initial_data_from_dict, initial_data_to_dict
+from .initial_data import (FromFile, FromPotential, Gaussian, GaussianShape,
+                           InitialData, MollifiedExponential, MollifiedPeakon,
+                           OddGaussianDerivative, TanhGaussianShape)
 from .solver import SolverConfig, boundary_fraction
-from .weights import Weight, weight_from_dict, weight_to_dict
+from .weights import OneSided, StandardFamily, Tabulated, Truncated, Weight
 
 __all__ = [
     "ConfigError",
@@ -69,7 +76,7 @@ class TrackedWeight:
     p: float
 
     def as_dict(self) -> dict:
-        return {"weight": weight_to_dict(self.weight), "p": _p_to_json(self.p)}
+        return {"weight": _encode(self.weight), "p": _p_to_json(self.p)}
 
 
 @dataclass(frozen=True)
@@ -167,92 +174,101 @@ def _reject_unknown(data: Mapping, allowed: Sequence[str], path: str) -> None:
         )
 
 
-_SOLVER_KEYS = ("t_end", "cfl", "dt_max", "dt_floor", "slope_stop",
-                "snapshot_stride", "dealias", "boundary_tol")
+def _string(raw: Any, path: str) -> str:
+    if not isinstance(raw, str):
+        raise ConfigError(path, f"expected a string, got {type(raw).__name__} {raw!r}")
+    return raw
 
-_INITIAL_KEYS = {
-    "mollified_peakon": ("kind", "c", "x0", "mollify_width"),
-    "mollified_exponential": ("kind", "amplitude", "rate", "center",
-                              "mollify_width"),
-    "gaussian": ("kind", "amplitude", "width", "center"),
-    "odd_gaussian_derivative": ("kind", "amplitude", "width"),
-    "from_potential": ("kind", "m0"),
-    "from_file": ("kind", "path"),
+
+def _numbers(raw: Any, path: str) -> np.ndarray:
+    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
+        raise ConfigError(path, f"expected a list of numbers, got {type(raw).__name__}")
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(raw)])
+
+
+# kind (or shape) -> class: the only per-family tables.  Each class's
+# dataclass fields are its schema.
+INITIAL_KINDS = {
+    "mollified_peakon": MollifiedPeakon,
+    "mollified_exponential": MollifiedExponential,
+    "gaussian": Gaussian,
+    "odd_gaussian_derivative": OddGaussianDerivative,
+    "from_potential": FromPotential,
+    "from_file": FromFile,
+}
+POTENTIAL_SHAPES = {"gaussian": GaussianShape, "tanh_gaussian": TanhGaussianShape}
+WEIGHT_KINDS = {
+    "standard": StandardFamily,
+    "one_sided": OneSided,
+    "truncated": Truncated,
+    "tabulated": Tabulated,
 }
 
-_POTENTIAL_KEYS = {
-    "gaussian": ("shape", "amplitude", "width", "center"),
-    "tanh_gaussian": ("shape", "amplitude", "slope_width", "envelope_width"),
+# field annotation -> (tag key, what the tag names, registry)
+_FAMILIES = {
+    InitialData: ("kind", "initial-data kind", INITIAL_KINDS),
+    Union[tuple(POTENTIAL_SHAPES.values())]: ("shape", "potential shape",
+                                              POTENTIAL_SHAPES),
+    Weight: ("kind", "weight kind", WEIGHT_KINDS),
 }
-
-_WEIGHT_KEYS = {
-    "standard": ("kind", "a", "b", "c", "d"),
-    "one_sided": ("kind", "a"),
-    "truncated": ("kind", "cap", "base"),
-    "tabulated": ("kind", "x", "samples"),
-}
-
-_TOP_KEYS = ("name", "grid", "initial_data", "solver", "weights_to_track",
-             "profiles_enabled", "predictors_enabled", "rate_cap_factor")
+_TAGS = {cls: (tag, name) for tag, _, registry in _FAMILIES.values()
+         for name, cls in registry.items()}
+_SCALARS = {float: _number, int: _integer, bool: _boolean, str: _string,
+            np.ndarray: _numbers}
 
 
-def _parse_grid(raw: Any, path: str) -> Grid:
+def _decode_value(hint: Any, raw: Any, path: str) -> Any:
+    """Check one value against a field annotation; family members recurse."""
+    if hint not in _FAMILIES:
+        return _SCALARS[hint](raw, path)
+    tag, noun, registry = _FAMILIES[hint]
     data = _mapping(raw, path)
-    _reject_unknown(data, ("L", "N"), path)
-    if "L" not in data:
-        raise ConfigError(f"{path}.L", "required (half-width of the domain)")
-    if "N" not in data:
-        raise ConfigError(f"{path}.N", "required (number of grid points)")
-    L = _number(data["L"], f"{path}.L")
-    N = _integer(data["N"], f"{path}.N")
+    name = data.get(tag)
+    if not isinstance(name, str) or name not in registry:
+        raise ConfigError(f"{path}.{tag}", f"unknown {noun} {name!r}; "
+                                           f"one of: {', '.join(sorted(registry))}")
+    return _decode(registry[name], data, path, tag=tag)
+
+
+@lru_cache(maxsize=None)
+def _schema(cls: type) -> Tuple[Tuple[str, Any, bool], ...]:
+    """(name, resolved annotation, required) for each dataclass field."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name],
+                  f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls))
+
+
+def _decode(cls: type, raw: Any, path: str, tag: Optional[str] = None) -> Any:
+    """Build dataclass ``cls`` from a mapping with one key per field (plus
+    the family ``tag``); absent keys take the field default."""
+    data = _mapping(raw, path)
+    names = [name for name, _, _ in _schema(cls)]
+    _reject_unknown(data, names + [tag] if tag else names, path)
+    kwargs = {}
+    for name, hint, required in _schema(cls):
+        if name in data:
+            kwargs[name] = _decode_value(hint, data[name], f"{path}.{name}")
+        elif required:
+            raise ConfigError(f"{path}.{name}", "required")
     try:
-        return Grid(L=L, N=N)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _parse_initial(raw: Any, path: str) -> InitialData:
-    data = _mapping(raw, path)
-    kind = data.get("kind")
-    if kind not in _INITIAL_KEYS:
-        raise ConfigError(
-            f"{path}.kind",
-            f"unknown initial-data kind {kind!r}; "
-            f"one of: {', '.join(sorted(_INITIAL_KEYS))}",
-        )
-    _reject_unknown(data, _INITIAL_KEYS[kind], path)
-    if kind == "from_potential":
-        m0 = _mapping(data.get("m0", {}), f"{path}.m0")
-        shape = m0.get("shape")
-        if shape not in _POTENTIAL_KEYS:
-            raise ConfigError(
-                f"{path}.m0.shape",
-                f"unknown potential shape {shape!r}; "
-                f"one of: {', '.join(sorted(_POTENTIAL_KEYS))}",
-            )
-        _reject_unknown(m0, _POTENTIAL_KEYS[shape], f"{path}.m0")
-    try:
-        return initial_data_from_dict(dict(data))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _parse_weight(raw: Any, path: str) -> Weight:
-    data = _mapping(raw, path)
-    kind = data.get("kind")
-    if kind not in _WEIGHT_KEYS:
-        raise ConfigError(
-            f"{path}.kind",
-            f"unknown weight kind {kind!r}; one of: "
-            f"{', '.join(sorted(_WEIGHT_KEYS))}",
-        )
-    _reject_unknown(data, _WEIGHT_KEYS[kind], path)
-    if kind == "truncated":
-        _parse_weight(data.get("base"), f"{path}.base")
-    try:
-        return weight_from_dict(dict(data))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+def _encode(obj: Any) -> dict:
+    """Inverse of ``_decode``: every field spelled out, family tag first."""
+    tag = _TAGS.get(type(obj))
+    out = {tag[0]: tag[1]} if tag else {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif type(value) in _TAGS:
+            value = _encode(value)
+        out[f.name] = value
+    return out
 
 
 def _parse_tracked(raw: Any, path: str) -> Tuple[TrackedWeight, ...]:
@@ -267,7 +283,7 @@ def _parse_tracked(raw: Any, path: str) -> Tuple[TrackedWeight, ...]:
         _reject_unknown(data, ("weight", "p"), entry_path)
         if "weight" not in data:
             raise ConfigError(f"{entry_path}.weight", "required")
-        weight = _parse_weight(data["weight"], f"{entry_path}.weight")
+        weight = _decode_value(Weight, data["weight"], f"{entry_path}.weight")
         p = _parse_p(data.get("p", "inf"), f"{entry_path}.p")
         if not getattr(weight, "certifiable", True):
             warnings.warn(
@@ -279,36 +295,17 @@ def _parse_tracked(raw: Any, path: str) -> Tuple[TrackedWeight, ...]:
     return tuple(out)
 
 
-def _parse_solver(raw: Any, path: str) -> SolverConfig:
-    data = _mapping(raw, path)
-    _reject_unknown(data, _SOLVER_KEYS, path)
-    if "t_end" not in data:
-        raise ConfigError(f"{path}.t_end", "required (end time of the run)")
-    kwargs: dict = {"t_end": _number(data["t_end"], f"{path}.t_end")}
-    for key in ("cfl", "dt_max", "dt_floor", "slope_stop", "boundary_tol"):
-        if key in data:
-            kwargs[key] = _number(data[key], f"{path}.{key}")
-    if "snapshot_stride" in data:
-        kwargs["snapshot_stride"] = _integer(
-            data["snapshot_stride"], f"{path}.snapshot_stride")
-    if "dealias" in data:
-        kwargs["dealias"] = _boolean(data["dealias"], f"{path}.dealias")
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
 def scenario_from_dict(data: Mapping, *, default_name: Optional[str] = None,
                        check_initial: bool = True) -> Scenario:
     """Validate a raw config mapping into a Scenario.
 
-    Fills defaults, rejects unknown keys with their dotted path, and
-    (unless ``check_initial`` is disabled) builds the initial datum once
-    to verify it is not boundary-contaminated on the requested grid.
+    Fills defaults, rejects unknown or ill-typed keys with their dotted
+    path, and (unless ``check_initial`` is disabled) builds the initial
+    datum once to verify that its samples are finite and that it is not
+    boundary-contaminated on the requested grid.
     """
     data = _mapping(data, "")
-    _reject_unknown(data, _TOP_KEYS, "")
+    _reject_unknown(data, [f.name for f in fields(Scenario)], "")
 
     name = data.get("name", default_name)
     if not isinstance(name, str) or not name:
@@ -320,9 +317,9 @@ def scenario_from_dict(data: Mapping, *, default_name: Optional[str] = None,
         if key not in data:
             raise ConfigError(key, "required section")
 
-    grid = _parse_grid(data["grid"], "grid")
-    initial = _parse_initial(data["initial_data"], "initial_data")
-    solver = _parse_solver(data["solver"], "solver")
+    grid = _decode(Grid, data["grid"], "grid")
+    initial = _decode_value(InitialData, data["initial_data"], "initial_data")
+    solver = _decode(SolverConfig, data["solver"], "solver")
     tracked = _parse_tracked(data.get("weights_to_track"), "weights_to_track")
 
     profiles = data.get("profiles_enabled", False)
@@ -349,13 +346,18 @@ def scenario_from_dict(data: Mapping, *, default_name: Optional[str] = None,
             u0 = scenario.build_initial()
         except (ValueError, OSError) as exc:
             raise ConfigError("initial_data", str(exc)) from exc
+        if not np.all(np.isfinite(u0.values)):
+            raise ConfigError("initial_data", f"non-finite samples on grid "
+                                              f"L={grid.L}, N={grid.N}")
+        # the solver would stop at step 0 above its own boundary_tol
+        tol = min(INITIAL_BOUNDARY_TOL, solver.boundary_tol)
         edge = boundary_fraction(u0)
-        if edge > INITIAL_BOUNDARY_TOL:
+        if edge > tol:
             raise ConfigError(
                 "initial_data",
                 f"boundary-contaminated on grid L={grid.L}, N={grid.N}: "
                 f"relative edge magnitude {edge:.3e} exceeds "
-                f"{INITIAL_BOUNDARY_TOL:.0e} (enlarge L or shrink the tails)",
+                f"{tol:.0e} (enlarge L or shrink the tails)",
             )
     return scenario
 
@@ -391,21 +393,11 @@ def load_scenario(path, *, check_initial: bool = True) -> Scenario:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Serialize a Scenario to its effective (fully defaulted) dict."""
-    solver = scenario.solver
     return {
         "name": scenario.name,
-        "grid": {"L": scenario.grid.L, "N": scenario.grid.N},
-        "initial_data": initial_data_to_dict(scenario.initial_data),
-        "solver": {
-            "t_end": solver.t_end,
-            "cfl": solver.cfl,
-            "dt_max": solver.dt_max,
-            "dt_floor": solver.dt_floor,
-            "slope_stop": solver.slope_stop,
-            "snapshot_stride": solver.snapshot_stride,
-            "dealias": solver.dealias,
-            "boundary_tol": solver.boundary_tol,
-        },
+        "grid": _encode(scenario.grid),
+        "initial_data": _encode(scenario.initial_data),
+        "solver": _encode(scenario.solver),
         "weights_to_track": [tw.as_dict() for tw in scenario.weights_to_track],
         "profiles_enabled": scenario.profiles_enabled,
         "predictors_enabled": scenario.predictors_enabled,

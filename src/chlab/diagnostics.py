@@ -45,7 +45,6 @@ __all__ = [
     "RateCapResult",
     "peakon_rate_cap_check",
     "weighted_pair_norm",
-    "BlowupReport",
 ]
 
 
@@ -295,6 +294,19 @@ def persistence_check(trace: PersistenceTrace, W0: Optional[float] = None,
     )
 
 
+def peak_band(magnitude: np.ndarray, threshold: float) -> Tuple[int, int]:
+    """Inclusive index range (left, right) of the contiguous run of samples
+    above ``threshold`` around the peak of ``magnitude``; it stops short of
+    the first sample on each side at or below the threshold."""
+    i_peak = int(np.argmax(magnitude))
+    gaps = np.flatnonzero(~(magnitude > threshold))
+    k_left = int(np.searchsorted(gaps, i_peak, side="left"))
+    k_right = int(np.searchsorted(gaps, i_peak, side="right"))
+    left = int(gaps[k_left - 1]) + 1 if k_left > 0 else 0
+    right = int(gaps[k_right]) - 1 if k_right < gaps.size else magnitude.size - 1
+    return left, right
+
+
 @dataclass(frozen=True)
 class RateCapResult:
     """Outcome of the critical-decay cap sup e^{|x|}(|u| + |u_x|) <= C."""
@@ -322,13 +334,7 @@ def peakon_rate_cap_check(u: Field, C: float,
     peak = float(np.max(values))
     if peak == 0.0:
         return RateCapResult(True, 0.0, C, (0.0, 0.0))
-    above = values > noise_floor_rel * peak
-    i_peak = int(np.argmax(values))
-    left, right = i_peak, i_peak
-    while left - 1 >= 0 and above[left - 1]:
-        left -= 1
-    while right + 1 < values.size and above[right + 1]:
-        right += 1
+    left, right = peak_band(values, noise_floor_rel * peak)
     band = slice(left, right + 1)
     x = u.grid.x[band]
     magnitude = values[band] + np.abs(local_derivative(u)[band])
@@ -339,30 +345,3 @@ def peakon_rate_cap_check(u: Field, C: float,
         cap=C,
         region=(float(x[0]), float(x[-1])),
     )
-
-
-@dataclass
-class BlowupReport:
-    """Predictions vs observation for one run: the a priori predictor
-    table, and — when the run ended in breaking — the T* bracket with the
-    slope at stop."""
-
-    predicted: List[PredictorResult]
-    t_star_bracket: Optional[Tuple[float, float]] = None
-    min_slope_at_stop: Optional[float] = None
-
-    def as_record(self) -> dict:
-        return {
-            "predicted": [
-                {"criterion": p.name, "fired": p.fired, "evidence": p.evidence}
-                for p in self.predicted
-            ],
-            "observed": (
-                None
-                if self.t_star_bracket is None
-                else {
-                    "t_star_bracket": list(self.t_star_bracket),
-                    "min_slope_at_stop": self.min_slope_at_stop,
-                }
-            ),
-        }

@@ -37,15 +37,11 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "Spectrum",
-    "to_spectrum",
-    "from_spectrum",
     "derivative",
     "helmholtz_inverse",
     "helmholtz_inverse_dx",
     "source_term",
     "momentum_of",
-    "velocity_of",
     "peakon",
     "convolve",
     "reflect",
@@ -142,32 +138,6 @@ class Field:
         return Field(self.grid, self.values.copy())
 
 
-@dataclass
-class Spectrum:
-    """Real-FFT coefficients of a Field (length N/2 + 1, complex)."""
-
-    grid: Grid
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coefficients, dtype=complex)
-        if c.shape != (self.grid.N // 2 + 1,):
-            raise ValueError(
-                f"coefficient shape {c.shape} does not match grid with N={self.grid.N}"
-            )
-        self.coefficients = c
-
-
-def to_spectrum(u: Field) -> Spectrum:
-    """Forward real FFT of the samples."""
-    return Spectrum(u.grid, np.fft.rfft(u.values))
-
-
-def from_spectrum(s: Spectrum) -> Field:
-    """Inverse real FFT back to samples."""
-    return Field(s.grid, np.fft.irfft(s.coefficients, n=s.grid.N))
-
-
 def _apply_symbol(u: Field, symbol: np.ndarray) -> Field:
     return Field(u.grid, np.fft.irfft(np.fft.rfft(u.values) * symbol, n=u.grid.N))
 
@@ -213,11 +183,6 @@ def source_term(u: Field, dealias: bool = True) -> Field:
 def momentum_of(u: Field) -> Field:
     """Momentum density m = u - u_xx (symbol 1 + k^2)."""
     return _apply_symbol(u, u.grid._sym_momentum)
-
-
-def velocity_of(m: Field) -> Field:
-    """Velocity u from momentum density m: the inverse of momentum_of."""
-    return helmholtz_inverse(m)
 
 
 def peakon(c: float, x0: float, grid: Grid) -> Field:

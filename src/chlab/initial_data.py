@@ -48,8 +48,6 @@ __all__ = [
     "FromPotential",
     "FromFile",
     "InitialData",
-    "initial_data_to_dict",
-    "initial_data_from_dict",
 ]
 
 
@@ -247,77 +245,3 @@ class FromFile(InitialData):
                 raise ValueError(f"{p}: x column does not match the run grid")
             return Field(grid, data[:, 1])
         raise ValueError(f"{p}: unsupported initial-data format {p.suffix!r}")
-
-
-def initial_data_to_dict(data: InitialData) -> dict:
-    """Serializable description (inverse of initial_data_from_dict)."""
-    if isinstance(data, MollifiedPeakon):
-        return {"kind": "mollified_peakon", "c": data.c, "x0": data.x0,
-                "mollify_width": data.mollify_width}
-    if isinstance(data, MollifiedExponential):
-        return {"kind": "mollified_exponential", "amplitude": data.amplitude,
-                "rate": data.rate, "center": data.center,
-                "mollify_width": data.mollify_width}
-    if isinstance(data, Gaussian):
-        return {"kind": "gaussian", "amplitude": data.amplitude,
-                "width": data.width, "center": data.center}
-    if isinstance(data, OddGaussianDerivative):
-        return {"kind": "odd_gaussian_derivative", "amplitude": data.amplitude,
-                "width": data.width}
-    if isinstance(data, FromPotential):
-        if isinstance(data.m0, GaussianShape):
-            m0 = {"shape": "gaussian", "amplitude": data.m0.amplitude,
-                  "width": data.m0.width, "center": data.m0.center}
-        elif isinstance(data.m0, TanhGaussianShape):
-            m0 = {"shape": "tanh_gaussian", "amplitude": data.m0.amplitude,
-                  "slope_width": data.m0.slope_width,
-                  "envelope_width": data.m0.envelope_width}
-        else:
-            raise TypeError(f"unknown potential shape {type(data.m0).__name__}")
-        return {"kind": "from_potential", "m0": m0}
-    if isinstance(data, FromFile):
-        return {"kind": "from_file", "path": data.path}
-    raise TypeError(f"cannot serialize initial data {type(data).__name__}")
-
-
-def initial_data_from_dict(spec: dict) -> InitialData:
-    """Build initial data from its serialized description."""
-    kind = spec.get("kind")
-    if kind == "mollified_peakon":
-        return MollifiedPeakon(
-            c=float(spec.get("c", 1.0)), x0=float(spec.get("x0", 0.0)),
-            mollify_width=float(spec.get("mollify_width", 0.05)))
-    if kind == "mollified_exponential":
-        return MollifiedExponential(
-            amplitude=float(spec.get("amplitude", 1.0)),
-            rate=float(spec.get("rate", 1.0)),
-            center=float(spec.get("center", 0.0)),
-            mollify_width=float(spec.get("mollify_width", 0.05)))
-    if kind == "gaussian":
-        return Gaussian(
-            amplitude=float(spec.get("amplitude", 1.0)),
-            width=float(spec.get("width", 1.0)),
-            center=float(spec.get("center", 0.0)))
-    if kind == "odd_gaussian_derivative":
-        return OddGaussianDerivative(
-            amplitude=float(spec.get("amplitude", 1.0)),
-            width=float(spec.get("width", 1.0)))
-    if kind == "from_potential":
-        m0 = spec.get("m0", {})
-        shape = m0.get("shape")
-        if shape == "gaussian":
-            built = GaussianShape(
-                amplitude=float(m0.get("amplitude", 1.0)),
-                width=float(m0.get("width", 1.0)),
-                center=float(m0.get("center", 0.0)))
-        elif shape == "tanh_gaussian":
-            built = TanhGaussianShape(
-                amplitude=float(m0.get("amplitude", 1.0)),
-                slope_width=float(m0.get("slope_width", 1.0)),
-                envelope_width=float(m0.get("envelope_width", 10.0)))
-        else:
-            raise ValueError(f"unknown potential shape: {shape!r}")
-        return FromPotential(m0=built)
-    if kind == "from_file":
-        return FromFile(path=str(spec["path"]))
-    raise ValueError(f"unknown initial-data kind: {kind!r}")

@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .diagnostics import peak_band
 from .field import (
     Field,
     Grid,
@@ -102,14 +103,6 @@ class ProfileAccumulator:
         self.n_snapshots += 1
         return self
 
-    def observer(self):
-        """Adapter for the solver's observer interface."""
-
-        def observe(state):
-            self.accumulate(state.u, state.t)
-
-        return observe
-
     def h(self, t: float) -> np.ndarray:
         """The time average h = H / t at the accumulator's current time."""
         self._require_time(t)
@@ -145,13 +138,7 @@ def _weighted_half_integral(values: np.ndarray, grid: Grid, sign: float,
     peak = float(magnitude.max())
     if peak == 0.0:
         return 0.0
-    above = magnitude > floor_rel * peak
-    i_peak = int(np.argmax(magnitude))
-    left, right = i_peak, i_peak
-    while left - 1 >= 0 and above[left - 1]:
-        left -= 1
-    while right + 1 < magnitude.size and above[right + 1]:
-        right += 1
+    left, right = peak_band(magnitude, floor_rel * peak)
     band = slice(left, right + 1)
     integrand = np.exp(sign * grid.x[band]) * values[band]
     if left == 0 or right == magnitude.size - 1:

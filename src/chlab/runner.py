@@ -37,7 +37,6 @@ from .io import (PROFILE_CSV, RUN_CSV, SCHEMA_VERSION, SNAPSHOT_CSV,
 from .profiles import (ProfileAccumulator, phi0_psi0, phi_psi,
                        profile_bounds_check, profile_report, reconstruct)
 from .solver import RunLog, SolverState, Status, run
-from .weights import weight_to_dict
 
 __all__ = ["ScenarioResult", "run_scenario", "sweep", "apply_axis"]
 
@@ -169,10 +168,11 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
     state, log = run(u0, solver, observers=observers, extra_log=extra_log)
 
     # --- condense ----------------------------------------------------------
+    config = scenario.effective_config()
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario.name,
-        "config": scenario.effective_config(),
+        "config": config,
         "config_hash": scenario.content_hash(),
         "seed": int(seed),
         "status": state.status.value,
@@ -194,12 +194,13 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
                              if scenario.predictors_enabled else None)
 
     persistence = []
-    for tw, trace in zip(scenario.weights_to_track, traces):
+    for tw, trace, echo in zip(scenario.weights_to_track, traces,
+                               config["weights_to_track"]):
         report = persistence_check(trace)
         persistence.append({
-            "weight": weight_to_dict(tw.weight),
+            "weight": echo["weight"],
             "weight_str": str(tw.weight),
-            "p": "inf" if math.isinf(tw.p) else tw.p,
+            "p": echo["p"],
             "W0": report.W0,
             "sup_W": report.sup_W,
             "C_fit": report.C_fit,

@@ -43,8 +43,6 @@ __all__ = [
     "CertifyConfig",
     "WeightCertificate",
     "YoungReport",
-    "eval_weight",
-    "truncate_weight",
     "submultiplicative_ratio",
     "moderate_ratio",
     "check_submultiplicative",
@@ -52,8 +50,6 @@ __all__ = [
     "certify_admissible",
     "weighted_lp_norm",
     "check_weighted_young",
-    "weight_to_dict",
-    "weight_from_dict",
     "threshold_weight",
 ]
 
@@ -156,22 +152,26 @@ class OneSided(Weight):
         return f"exp({self.a}*max(x,0))"
 
 
+@dataclass(frozen=True, eq=False)
 class Tabulated(Weight):
     """Weight given by strictly positive samples on a grid, linearly
     interpolated between nodes; evaluation outside the tabulated range is a
-    domain error."""
+    domain error.  Equality is identity (the fields are arrays)."""
 
-    def __init__(self, x: np.ndarray, samples: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        samples = np.asarray(samples, dtype=float)
+    x: np.ndarray
+    samples: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=float)
+        samples = np.asarray(self.samples, dtype=float)
         if x.ndim != 1 or x.shape != samples.shape or x.size < 2:
             raise ValueError("tabulated weight needs matching 1-d x and samples")
         if not np.all(np.diff(x) > 0):
             raise ValueError("tabulated x must be strictly increasing")
         if not np.all(samples > 0):
             raise ValueError("tabulated weight samples must be strictly positive")
-        self.x = x
-        self.samples = samples
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "samples", samples)
 
     def _check_domain(self, x):
         if np.any(x < self.x[0]) or np.any(x > self.x[-1]):
@@ -222,16 +222,6 @@ class Truncated(Weight):
 
     def __str__(self):
         return f"min({self.base}, {self.cap})"
-
-
-def eval_weight(weight: Weight, x):
-    """Evaluate phi(x) (> 0; +inf if the value overflows float range)."""
-    return weight.value(x)
-
-
-def truncate_weight(weight: Weight, cap: float) -> Truncated:
-    """The truncation min(phi, cap)."""
-    return Truncated(weight, cap)
 
 
 def submultiplicative_ratio(v: Weight, x, y):
@@ -534,39 +524,6 @@ def check_weighted_young(
     rhs = C0 * weighted_lp_norm(f1, v, 1.0) * weighted_lp_norm(f2, phi, p)
     passed = lhs <= rhs * (1.0 + slack)
     return YoungReport(lhs=lhs, rhs=rhs, passed=passed, slack=slack)
-
-
-def weight_to_dict(weight: Weight) -> dict:
-    """Serializable description of a weight (inverse of weight_from_dict)."""
-    if isinstance(weight, StandardFamily):
-        return {"kind": "standard", "a": weight.a, "b": weight.b,
-                "c": weight.c, "d": weight.d}
-    if isinstance(weight, OneSided):
-        return {"kind": "one_sided", "a": weight.a}
-    if isinstance(weight, Truncated):
-        return {"kind": "truncated", "cap": weight.cap,
-                "base": weight_to_dict(weight.base)}
-    if isinstance(weight, Tabulated):
-        return {"kind": "tabulated", "x": weight.x.tolist(),
-                "samples": weight.samples.tolist()}
-    raise TypeError(f"cannot serialize weight of type {type(weight).__name__}")
-
-
-def weight_from_dict(data: dict) -> Weight:
-    """Build a weight from its serialized description."""
-    kind = data.get("kind")
-    if kind == "standard":
-        return StandardFamily(
-            a=float(data.get("a", 0.0)), b=float(data.get("b", 0.0)),
-            c=float(data.get("c", 0.0)), d=float(data.get("d", 0.0)))
-    if kind == "one_sided":
-        return OneSided(a=float(data["a"]))
-    if kind == "truncated":
-        return Truncated(weight_from_dict(data["base"]), float(data["cap"]))
-    if kind == "tabulated":
-        return Tabulated(np.asarray(data["x"], float),
-                         np.asarray(data["samples"], float))
-    raise ValueError(f"unknown weight kind: {kind!r}")
 
 
 def threshold_weight(d: float = 1.0) -> StandardFamily:

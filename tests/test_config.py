@@ -4,9 +4,13 @@ echo, content hashing, and YAML loading."""
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from chlab.config import (
+    INITIAL_KINDS,
+    POTENTIAL_SHAPES,
+    WEIGHT_KINDS,
     CertificationWarning,
     ConfigError,
     Scenario,
@@ -15,6 +19,7 @@ from chlab.config import (
     parse_scenario,
     scenario_from_dict,
 )
+from chlab.field import Grid
 from chlab.scenarios import builtin_names, builtin_scenario, describe_builtins
 from chlab.weights import StandardFamily
 
@@ -152,6 +157,56 @@ class TestValidation:
         s = scenario_from_dict(bad, check_initial=False)
         assert isinstance(s, Scenario)
 
+    def test_boundary_check_honours_a_tighter_solver_tol(self):
+        # edge ~1.5e-11: under the 1e-10 default, over boundary_tol 1e-12
+        data = tiny(grid={"L": 25.0, "N": 1024},
+                    initial_data={"kind": "mollified_exponential", "rate": 1})
+        scenario_from_dict(data)
+        data["solver"] = {"t_end": 0.1, "boundary_tol": 1.0e-12}
+        with pytest.raises(ConfigError, match="exceeds 1e-12"):
+            scenario_from_dict(data)
+
+    def test_non_finite_initial_samples_rejected(self):
+        bad = tiny(initial_data={"kind": "odd_gaussian_derivative",
+                                 "width": 0.0})
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ConfigError, match="initial_data: non-finite"):
+            scenario_from_dict(bad)
+
+    @pytest.mark.parametrize("initial, match", [
+        ("{kind: gaussian, amplitude: true}",
+         "initial_data.amplitude: expected a number, got bool True"),
+        ("{kind: gaussian, amplitude: big}",
+         "initial_data.amplitude: expected a number, got str 'big'"),
+        ("{kind: gaussian, amplitude: .nan}",
+         "initial_data.amplitude: expected a finite number"),
+        ("{kind: from_potential, m0: {shape: gaussian, width: x}}",
+         "initial_data.m0.width: expected a number"),
+        ("{kind: from_file, path: 5}",
+         "initial_data.path: expected a string, got int 5"),
+    ], ids=["bool", "str", "nan", "potential-field", "path"])
+    def test_nested_initial_fields_are_type_checked(self, initial, match):
+        text = (f"name: t\ngrid: {{L: 20.0, N: 256}}\n"
+                f"initial_data: {initial}\nsolver: {{t_end: 0.1}}\n")
+        with pytest.raises(ConfigError, match=match):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("weight, match", [
+        ("{kind: standard, a: true}", r"\.weight\.a: expected a number"),
+        ("{kind: standard, a: .inf}", r"\.weight\.a: expected a finite"),
+        ("{kind: one_sided}", r"\.weight\.a: required"),
+        ("{kind: truncated, cap: 5.0, base: {kind: one_sided, a: yes}}",
+         r"\.weight\.base\.a: expected a number"),
+        ("{kind: tabulated, x: [0, 1], samples: [1, one]}",
+         r"\.weight\.samples\[1\]: expected a number"),
+    ], ids=["bool", "inf", "missing", "truncated-base", "tabulated-sample"])
+    def test_nested_weight_fields_are_type_checked(self, weight, match):
+        text = (f"name: t\ngrid: {{L: 20.0, N: 256}}\n"
+                f"initial_data: {{kind: gaussian}}\nsolver: {{t_end: 0.1}}\n"
+                f"weights_to_track:\n  - weight: {weight}\n")
+        with pytest.raises(ConfigError, match=r"weights_to_track\[0\]" + match):
+            parse_scenario(text)
+
 
 class TestEffectiveConfigAndHash:
     def test_echo_spells_out_every_default(self):
@@ -212,6 +267,66 @@ class TestEffectiveConfigAndHash:
         assert s.weights_to_track[1].p == math.inf
         again = scenario_from_dict(s.effective_config())
         assert again.weights_to_track == s.weights_to_track
+
+
+# One non-default example per registered kind and shape.  The echo test
+# below is parametrized over the registries, so a kind added without an
+# entry here fails instead of shipping without echo coverage.
+EXAMPLES = {
+    "initial_data": {
+        "mollified_peakon": {"c": 1.5, "x0": -2.0, "mollify_width": 0.1},
+        "mollified_exponential": {"amplitude": 0.5, "rate": 1.2,
+                                  "center": 1.0, "mollify_width": 0.2},
+        "gaussian": {"amplitude": 2.0, "width": 0.7, "center": -1.0},
+        "odd_gaussian_derivative": {"amplitude": 3.0, "width": 1.1},
+        "from_potential": {"m0": {"shape": "gaussian", "width": 2.0}},
+        "from_file": {"path": "u0.npy"},
+    },
+    "potential": {
+        "gaussian": {"amplitude": 0.5, "width": 2.0, "center": 1.0},
+        "tanh_gaussian": {"amplitude": 1.0, "slope_width": 0.5,
+                          "envelope_width": 4.0},
+    },
+    "weight": {
+        "standard": {"a": 0.5, "b": 1.0, "c": 0.5, "d": 1.0},
+        "one_sided": {"a": 0.25},
+        "truncated": {"cap": 50.0, "base": {"kind": "standard", "c": 2.0}},
+        "tabulated": {"x": [-50.0, 0.0, 50.0], "samples": [3.0, 1.0, 3.0]},
+    },
+}
+
+REGISTERED = ([("initial_data", k) for k in INITIAL_KINDS]
+              + [("potential", k) for k in POTENTIAL_SHAPES]
+              + [("weight", k) for k in WEIGHT_KINDS])
+
+
+@pytest.mark.parametrize("family, name", REGISTERED,
+                         ids=[f"{f}-{n}" for f, n in REGISTERED])
+def test_every_registered_kind_echoes_exactly(family, name, tmp_path,
+                                              monkeypatch):
+    example = EXAMPLES[family][name]
+    data = tiny(grid={"L": 40.0, "N": 512})
+    if family == "initial_data":
+        data["initial_data"] = {"kind": name, **example}
+    elif family == "potential":
+        data["initial_data"] = {"kind": "from_potential",
+                                "m0": {"shape": name, **example}}
+    else:
+        data["weights_to_track"] = [{"weight": {"kind": name, **example},
+                                     "p": 2}]
+    monkeypatch.chdir(tmp_path)
+    x = Grid(40.0, 512).x
+    np.save("u0.npy", np.exp(-x * x))
+
+    s = scenario_from_dict(data)
+    again = scenario_from_dict(s.effective_config())
+    assert again.effective_config() == s.effective_config()
+    if name != "tabulated":  # array fields: equality is identity
+        assert again == s
+    assert np.array_equal(again.build_initial().values,
+                          s.build_initial().values)
+    for ours, theirs in zip(again.weights_to_track, s.weights_to_track):
+        assert np.array_equal(ours.weight.value(x), theirs.weight.value(x))
 
 
 class TestYamlFront:

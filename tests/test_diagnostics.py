@@ -18,6 +18,7 @@ from chlab.diagnostics import (
     mass,
     mckean_classify,
     min_slope,
+    peak_band,
     peakon_rate_cap_check,
     persistence_check,
     slope_criterion_predict,
@@ -319,3 +320,30 @@ class TestRateCap:
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             peakon_rate_cap_check(GAUSSIAN, C=0.0)
+
+
+def _peak_band_loop(magnitude, threshold):
+    """Reference: grow the band outward from the peak one sample at a time."""
+    above = magnitude > threshold
+    left = right = int(np.argmax(magnitude))
+    while left - 1 >= 0 and above[left - 1]:
+        left -= 1
+    while right + 1 < magnitude.size and above[right + 1]:
+        right += 1
+    return left, right
+
+
+class TestPeakBand:
+    @given(st.lists(st.sampled_from([0.0, 1e-9, 0.3, 1.0, math.nan]),
+                    min_size=1, max_size=40),
+           st.sampled_from([0.0, 1e-8, 0.5, 1.0, 2.0]))
+    def test_matches_the_outward_scan(self, samples, rel):
+        magnitude = np.array(samples)
+        threshold = rel * float(np.max(magnitude))
+        assert (peak_band(magnitude, threshold)
+                == _peak_band_loop(magnitude, threshold))
+
+    def test_stops_at_the_first_crossing(self):
+        magnitude = np.array([1.0, 0.0, 2.0, 3.0, 2.0, 0.0, 1.0])
+        assert peak_band(magnitude, 0.5) == (2, 4)
+        assert peak_band(magnitude, -1.0) == (0, 6)

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from chlab.field import (
     Field,
     Grid,
-    Spectrum,
     convolve,
     derivative,
-    from_spectrum,
     helmholtz_inverse,
     helmholtz_inverse_dx,
     integral,
@@ -22,8 +20,6 @@ from chlab.field import (
     reflect,
     shift_samples,
     source_term,
-    to_spectrum,
-    velocity_of,
 )
 from helpers import field_from_seed
 
@@ -56,18 +52,8 @@ class TestGrid:
         with pytest.raises(ValueError, match="shape"):
             Field(GRID, np.zeros(GRID.N + 1))
 
-    def test_spectrum_shape_must_match_grid(self):
-        with pytest.raises(ValueError, match="shape"):
-            Spectrum(GRID, np.zeros(GRID.N, dtype=complex))
-
 
 class TestTransforms:
-    @given(seeds)
-    def test_spectrum_roundtrip_is_identity(self, seed):
-        u = field_from_seed(GRID, seed)
-        back = from_spectrum(to_spectrum(u))
-        assert np.max(np.abs(back.values - u.values)) < 1e-13
-
     def test_single_mode_derivative_is_exact(self):
         k = 2.0 * math.pi * 3 / (2.0 * GRID.L)
         u = Field(GRID, np.sin(k * GRID.x))
@@ -108,9 +94,9 @@ class TestHelmholtz:
         assert np.max(np.abs(back.values - f.values)) < 1e-10
 
     @given(seeds)
-    def test_velocity_of_inverts_momentum_of(self, seed):
+    def test_helmholtz_inverse_inverts_momentum_of(self, seed):
         u = field_from_seed(GRID, seed)
-        back = velocity_of(momentum_of(u))
+        back = helmholtz_inverse(momentum_of(u))
         assert np.max(np.abs(back.values - u.values)) < 1e-10
 
     @given(seeds)

@@ -1,6 +1,7 @@
 """Closed-form initial data against independent quadrature oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from chlab.config import ConfigError, scenario_from_dict
 from chlab.field import Field, Grid, derivative, momentum_of
 from chlab.initial_data import (
     FromFile,
@@ -18,8 +20,6 @@ from chlab.initial_data import (
     MollifiedPeakon,
     OddGaussianDerivative,
     TanhGaussianShape,
-    initial_data_from_dict,
-    initial_data_to_dict,
     smoothed_exponential,
 )
 
@@ -206,6 +206,24 @@ class TestFromFile:
 
 
 class TestSerialization:
+    """Initial data survives the scenario config echo (the only
+    serializer)."""
+
+    base = scenario_from_dict({
+        "name": "echo", "grid": {"L": 20.0, "N": 1024},
+        "initial_data": {"kind": "gaussian"}, "solver": {"t_end": 0.1}})
+
+    def echoed(self, data):
+        s = replace(self.base, initial_data=data)
+        return scenario_from_dict(s.effective_config(),
+                                  check_initial=False).initial_data
+
+    def rejects(self, initial_data, match):
+        config = self.base.effective_config()
+        config["initial_data"] = initial_data
+        with pytest.raises(ConfigError, match=match):
+            scenario_from_dict(config)
+
     cases = [
         MollifiedPeakon(c=1.5, x0=-2.0, mollify_width=0.1),
         MollifiedExponential(amplitude=0.5, rate=1.2, center=1.0,
@@ -220,20 +238,18 @@ class TestSerialization:
 
     @pytest.mark.parametrize("data", cases, ids=lambda d: type(d).__name__)
     def test_dict_round_trip(self, data):
-        assert initial_data_from_dict(initial_data_to_dict(data)) == data
+        assert self.echoed(data) == data
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            initial_data_from_dict({"kind": "mystery"})
+        self.rejects({"kind": "mystery"}, "initial_data.kind")
 
     def test_unknown_potential_shape_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            initial_data_from_dict({"kind": "from_potential",
-                                    "m0": {"shape": "spiral"}})
+        self.rejects({"kind": "from_potential", "m0": {"shape": "spiral"}},
+                     "initial_data.m0.shape")
 
     @given(st.floats(0.2, 3.0), st.floats(-5.0, 5.0), st.floats(0.01, 0.5))
     def test_round_trip_preserves_samples(self, rate, center, width):
         data = MollifiedExponential(amplitude=1.0, rate=rate, center=center,
                                     mollify_width=width)
-        back = initial_data_from_dict(initial_data_to_dict(data))
+        back = self.echoed(data)
         assert np.array_equal(back.build(GRID).values, data.build(GRID).values)

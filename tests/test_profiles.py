@@ -2,7 +2,6 @@
 automatic asymptotic windows, residuals, and the evolution identity."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,13 +55,6 @@ class TestAccumulator:
         F = source_term(GAUSSIAN, dealias=True).values
         assert np.array_equal(acc.h(2.0), F)
         assert phi_psi(acc, 2.0) == phi0_psi0(GAUSSIAN, dealias=True)
-
-    def test_observer_adapter_feeds_accumulate(self):
-        acc = ProfileAccumulator(GRID)
-        observe = acc.observer()
-        observe(SimpleNamespace(u=GAUSSIAN, t=0.0))
-        observe(SimpleNamespace(u=GAUSSIAN, t=1.0))
-        assert acc.n_snapshots == 2 and acc.t_last == 1.0
 
 
 class TestInitialAmplitudes:

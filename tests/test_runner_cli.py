@@ -387,6 +387,27 @@ class TestCli:
         assert main(["simulate", str(path), "--quiet"]) == 2
         assert "power of two" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "classify"])
+    def test_non_finite_initial_data_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "flat.yaml"
+        path.write_text("name: flat\ngrid: {L: 20.0, N: 512}\n"
+                        "initial_data: {kind: odd_gaussian_derivative, "
+                        "width: 0.0}\nsolver: {t_end: 0.1}\n")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert main([command, str(path), "--quiet"]) == 2
+        assert "non-finite samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "classify"])
+    def test_edge_above_solver_boundary_tol_exits_2(self, command, tmp_path,
+                                                    capsys):
+        path = tmp_path / "edge.yaml"
+        path.write_text("name: edge\ngrid: {L: 25.0, N: 1024}\n"
+                        "initial_data: {kind: mollified_exponential, "
+                        "rate: 1}\n"
+                        "solver: {t_end: 0.1, boundary_tol: 1.0e-12}\n")
+        assert main([command, str(path), "--quiet"]) == 2
+        assert "boundary-contaminated" in capsys.readouterr().err
+
     def test_wave_breaking_still_exits_0(self, tmp_path, capsys):
         path = tmp_path / "steep.yaml"
         path.write_text(

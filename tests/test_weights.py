@@ -1,6 +1,7 @@
 """Moderate weights: evaluation, certification, and the convolution bound."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from chlab.config import ConfigError, TrackedWeight, scenario_from_dict
 from chlab.field import Field, Grid
 from chlab.weights import (
     CertifyConfig,
@@ -19,13 +21,9 @@ from chlab.weights import (
     check_submultiplicative,
     check_weighted_young,
     estimate_moderate_constant,
-    eval_weight,
     moderate_ratio,
     submultiplicative_ratio,
     threshold_weight,
-    truncate_weight,
-    weight_from_dict,
-    weight_to_dict,
     weighted_lp_norm,
 )
 from helpers import compact_random
@@ -50,7 +48,7 @@ class TestEvaluation:
                 * (1.0 + abs(x)) ** 2
                 * math.log(math.e + abs(x))
             )
-            assert eval_weight(w, x) == pytest.approx(expected, rel=1e-12)
+            assert w.value(x) == pytest.approx(expected, rel=1e-12)
 
     @given(a=st.floats(0.0, 1.0), b=st.floats(0.1, 1.0),
            c=st.floats(0.0, 4.0), d=st.floats(0.0, 3.0))
@@ -74,7 +72,7 @@ class TestEvaluation:
 
     def test_huge_weight_overflows_to_inf_not_garbage(self):
         w = StandardFamily(a=1.0, b=1.0)
-        assert eval_weight(w, 1e4) == math.inf
+        assert w.value(1e4) == math.inf
 
 
 class TestTabulated:
@@ -101,7 +99,7 @@ class TestTruncation:
     base = StandardFamily(a=0.5, b=1.0, c=1.0)
 
     def test_clamps_exactly_at_cap(self):
-        t = truncate_weight(self.base, 10.0)
+        t = Truncated(self.base, 10.0)
         big = self.base.value(30.0)
         assert big > 10.0
         assert t.value(30.0) == 10.0
@@ -109,7 +107,7 @@ class TestTruncation:
 
     @given(points)
     def test_never_exceeds_cap_or_base(self, x):
-        t = truncate_weight(self.base, 7.5)
+        t = Truncated(self.base, 7.5)
         v = t.value(x)
         assert v <= 7.5 + 1e-12
         assert v <= self.base.value(x) + 1e-12
@@ -118,8 +116,8 @@ class TestTruncation:
     def test_monotone_in_the_cap(self, x, cap1, cap2):
         lo, hi = sorted((cap1, cap2))
         assert (
-            truncate_weight(self.base, lo).value(x)
-            <= truncate_weight(self.base, hi).value(x) + 1e-12
+            Truncated(self.base, lo).value(x)
+            <= Truncated(self.base, hi).value(x) + 1e-12
         )
 
     def test_log_derivative_vanishes_where_clamped(self):
@@ -129,7 +127,7 @@ class TestTruncation:
 
     def test_nonpositive_cap_rejected(self):
         with pytest.raises(ValueError, match="cap"):
-            truncate_weight(self.base, 0.0)
+            Truncated(self.base, 0.0)
 
 
 class TestSubmultiplicativity:
@@ -284,6 +282,16 @@ class TestWeightedYoung:
 
 
 class TestSerialization:
+    """Weights survive the scenario config echo (the only serializer)."""
+
+    base = scenario_from_dict({
+        "name": "echo", "grid": {"L": 20.0, "N": 256},
+        "initial_data": {"kind": "gaussian"}, "solver": {"t_end": 0.1}})
+
+    def echoed(self, w):
+        s = replace(self.base, weights_to_track=(TrackedWeight(w, 2.0),))
+        return scenario_from_dict(s.effective_config()).weights_to_track[0].weight
+
     round_trip_weights = [
         StandardFamily(a=0.5, b=1.0, c=0.5, d=1.0),
         OneSided(a=0.25),
@@ -292,19 +300,22 @@ class TestSerialization:
 
     @pytest.mark.parametrize("w", round_trip_weights)
     def test_dict_round_trip(self, w):
-        back = weight_from_dict(weight_to_dict(w))
+        back = self.echoed(w)
+        assert back == w
         xs = np.linspace(-20.0, 20.0, 101)
-        assert np.allclose(back.value(xs), w.value(xs), rtol=1e-12)
+        assert np.array_equal(back.value(xs), w.value(xs))
 
     def test_tabulated_round_trip(self):
         w = Tabulated(np.array([-2.0, 0.0, 2.0]), np.array([3.0, 1.0, 3.0]))
-        back = weight_from_dict(weight_to_dict(w))
+        back = self.echoed(w)
         xs = np.linspace(-2.0, 2.0, 41)
-        assert np.allclose(back.value(xs), w.value(xs), rtol=1e-12)
+        assert np.array_equal(back.value(xs), w.value(xs))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            weight_from_dict({"kind": "mystery"})
+        config = self.base.effective_config()
+        config["weights_to_track"] = [{"weight": {"kind": "mystery"}}]
+        with pytest.raises(ConfigError, match="kind"):
+            scenario_from_dict(config)
 
 
 class TestThresholdWeight:
