@@ -19,11 +19,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .field import Field, derivative, integral
+from .field import Field, Grid, integral
 from .weights import Weight, weighted_lp_norm
 
 __all__ = [
@@ -52,13 +52,13 @@ def sup_norms(u: Field) -> Tuple[float, float, float]:
     """(||u||_inf, ||u_x||_inf, their sum): the instantaneous value of the
     quantity M that controls persistence growth e^{C M t}."""
     u_inf = float(np.max(np.abs(u.values)))
-    ux_inf = float(np.max(np.abs(derivative(u).values)))
+    ux_inf = float(np.max(np.abs(u.derivative_values)))
     return u_inf, ux_inf, u_inf + ux_inf
 
 
 def min_slope(u: Field) -> float:
     """min_x of the spectral derivative — the wave-breaking monitor."""
-    return float(np.min(derivative(u).values))
+    return float(np.min(u.derivative_values))
 
 
 def local_derivative(u: Field) -> np.ndarray:
@@ -74,13 +74,13 @@ def local_derivative(u: Field) -> np.ndarray:
 
 def h1_norm(u: Field) -> float:
     """sqrt of the rectangle-rule integral of u^2 + u_x^2."""
-    du = derivative(u).values
+    du = u.derivative_values
     return math.sqrt(float(np.sum(u.values**2 + du**2)) * u.grid.dx)
 
 
 def energy(u: Field) -> float:
     """The conserved H^1 energy integral of u^2 + u_x^2."""
-    du = derivative(u).values
+    du = u.derivative_values
     return float(np.sum(u.values**2 + du**2)) * u.grid.dx
 
 
@@ -191,9 +191,11 @@ def decay_blowup_predict(
     )
 
 
-def weighted_pair_norm(u: Field, weight: Weight, p: float) -> float:
+def weighted_pair_norm(u: Field, weight: Union[Weight, np.ndarray],
+                       p: float) -> float:
     """W = ||u phi||_p + ||u_x phi||_p with u_x by local central
-    differences (growing weights would amplify the spectral noise floor)."""
+    differences (growing weights would amplify the spectral noise floor).
+    ``weight`` is the weight or its samples on u's grid."""
     du = Field(u.grid, local_derivative(u))
     return weighted_lp_norm(u, weight, p) + weighted_lp_norm(du, weight, p)
 
@@ -206,6 +208,8 @@ class PersistenceTrace:
     p: float
     samples: List[Tuple[float, float]] = dc_field(default_factory=list)
     M_samples: List[Tuple[float, float]] = dc_field(default_factory=list)
+    _sampled: Optional[Tuple[Grid, np.ndarray]] = dc_field(
+        default=None, init=False, repr=False)
 
     def append(self, t: float, W: float, M: float) -> None:
         if self.samples and t <= self.samples[-1][0]:
@@ -215,11 +219,19 @@ class PersistenceTrace:
         self.samples.append((t, W))
         self.M_samples.append((t, M))
 
-    def record(self, state) -> None:
-        """Observer hook: append from a solver state."""
-        W = weighted_pair_norm(state.u, self.weight, self.p)
-        _, _, M = sup_norms(state.u)
+    def record(self, state) -> float:
+        """Observer hook: append W and M from a solver state, and return W.
+
+        The weight is sampled once per grid, and M reads the derivative
+        the state already holds, so a record costs no transform.
+        """
+        u = state.u
+        if self._sampled is None or self._sampled[0] != u.grid:
+            self._sampled = (u.grid, self.weight.value(u.grid.x))
+        W = weighted_pair_norm(u, self._sampled[1], self.p)
+        _, _, M = sup_norms(u)
         self.append(state.t, W, M)
+        return W
 
 
 @dataclass(frozen=True)

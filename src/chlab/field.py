@@ -9,7 +9,9 @@ with G(x) = exp(-|x|)/2 the Green's function of the Helmholtz operator
 differentiation, the Helmholtz solve G*, its gradient (G*)_x, the quadratic
 source F(u), the momentum density m = u - u_xx and its inverse, plus exact
 reference profiles (peakons) and small structural helpers (reflection,
-grid-aligned shifts, discrete line convolution).
+grid-aligned shifts, discrete line convolution).  A Field carries its
+samples, its spectrum and its spectral derivative, each computed once on
+first use, so the solver and the diagnostics share one set of transforms.
 
 The line is truncated to a periodic box [-L, L).  Every reference scenario
 uses data decaying at least exponentially, so for L >= 20 the mismatch
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -106,29 +109,92 @@ class Grid:
         """2/3-rule mask in rfft layout: keep modes j <= N/3."""
         return (np.arange(self.N // 2 + 1) <= self.N // 3).astype(float)
 
+    @cached_property
+    def _sym_rhs_aliased(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Fused output symbols (A, B) of the evolution's right-hand side,
+        rhs^ = A (u^2)^ + B (u_x^2)^: the advection -(1/2) ik (u^2)^ and
+        the nonlocal term -ik/(1+k^2) (u^2 + u_x^2/2)^ in one pair."""
+        a = -(0.5 * self._sym_derivative + self._sym_helmholtz_dx)
+        b = -0.5 * self._sym_helmholtz_dx
+        return a, b
+
+    @cached_property
+    def _sym_rhs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The fused right-hand-side symbols with the 2/3-rule mask."""
+        a, b = self._sym_rhs_aliased
+        keep = self._dealias_keep
+        return a * keep, b * keep
+
     def dealias_values(self, values: np.ndarray) -> np.ndarray:
         """Project sample values onto the 2/3-rule band."""
         return np.fft.irfft(np.fft.rfft(values) * self._dealias_keep, n=self.N)
 
 
-@dataclass
 class Field:
-    """Real samples of a function of x on a Grid.
+    """Real samples of a function of x on a Grid, with their spectrum.
+
+    A Field is built from samples, ``Field(grid, values)``, or from its
+    real-FFT spectrum, ``Field.from_spectrum(grid, spectrum)``.  It holds
+    three views of one function: ``values``, ``spectrum`` and
+    ``derivative_values`` (samples of the spectral d/dx).  Each is computed
+    at most once, on first use, and every operator in this module reads
+    them from the Field, so a derivative taken by the solver is reused by
+    the diagnostics that look at the same state.
 
     Fields are value-semantic snapshots: operators return fresh fields and
-    never mutate their input.
+    never mutate their input.  Writing into ``values`` after the spectrum
+    or the derivative has been read leaves those views stale.
     """
 
-    grid: Grid
-    values: np.ndarray
+    __slots__ = ("grid", "_values", "_spectrum", "_derivative")
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.N,):
+    def __init__(self, grid: Grid, values: np.ndarray) -> None:
+        v = np.asarray(values, dtype=float)
+        if v.shape != (grid.N,):
             raise ValueError(
-                f"values shape {v.shape} does not match grid with N={self.grid.N}"
+                f"values shape {v.shape} does not match grid with N={grid.N}"
             )
-        self.values = v
+        self.grid = grid
+        self._values: Optional[np.ndarray] = v
+        self._spectrum: Optional[np.ndarray] = None
+        self._derivative: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_spectrum(cls, grid: Grid, spectrum: np.ndarray) -> "Field":
+        """The Field whose rfft is ``spectrum`` (N/2 + 1 coefficients);
+        its samples are transformed back only when first read."""
+        s = np.asarray(spectrum, dtype=complex)
+        if s.shape != (grid.N // 2 + 1,):
+            raise ValueError(
+                f"spectrum shape {s.shape} does not match grid with N={grid.N}"
+            )
+        field = cls.__new__(cls)
+        field.grid = grid
+        field._values = None
+        field._spectrum = s
+        field._derivative = None
+        return field
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = np.fft.irfft(self._spectrum, n=self.grid.N)
+        return self._values
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """rfft of the samples."""
+        if self._spectrum is None:
+            self._spectrum = np.fft.rfft(self._values)
+        return self._spectrum
+
+    @property
+    def derivative_values(self) -> np.ndarray:
+        """Samples of the spectral derivative (symbol i k, Nyquist zeroed)."""
+        if self._derivative is None:
+            self._derivative = np.fft.irfft(
+                self.spectrum * self.grid._sym_derivative, n=self.grid.N)
+        return self._derivative
 
     @property
     def x(self) -> np.ndarray:
@@ -137,9 +203,12 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 
+    def __repr__(self) -> str:
+        return f"Field(grid={self.grid!r})"
+
 
 def _apply_symbol(u: Field, symbol: np.ndarray) -> Field:
-    return Field(u.grid, np.fft.irfft(np.fft.rfft(u.values) * symbol, n=u.grid.N))
+    return Field.from_spectrum(u.grid, u.spectrum * symbol)
 
 
 def derivative(u: Field) -> Field:
@@ -149,7 +218,7 @@ def derivative(u: Field) -> Field:
     carries localized Gibbs oscillations near the kink; tests that consume
     it exclude a few grid spacings around the kink.
     """
-    return _apply_symbol(u, u.grid._sym_derivative)
+    return Field(u.grid, u.derivative_values)
 
 
 def helmholtz_inverse(f: Field) -> Field:
@@ -173,7 +242,7 @@ def source_term(u: Field, dealias: bool = True) -> Field:
     ``dealias`` (the default) the result is projected onto the 2/3-rule
     band, the standard guard against quadratic aliasing.
     """
-    ux = derivative(u).values
+    ux = u.derivative_values
     f = u.values * u.values + 0.5 * ux * ux
     if dealias:
         f = u.grid.dealias_values(f)

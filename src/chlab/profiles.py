@@ -13,8 +13,10 @@ F(u) = u^2 + (1/2) u_x^2, and
 The accumulator also integrates the advection term, so the evolution
 identity u(t) = u0 - (G * int F)_x - int u u_x (time-trapezoid over the
 snapshots) can be checked against the solver state directly; both running
-integrals use exactly the rhs pipeline (same dealiasing), leaving time
-quadrature as the only error source.
+integrals use the rhs's symbols and dealiasing (the rhs fuses them, so
+they agree with it to rounding), leaving time quadrature as the only
+error source.  F reads u_x from the snapshot's Field, where the solver
+already computed it.
 
 The limit x -> infinity is operationalized as an automatic window: samples
 where |u0| sits between 10x the spectral noise floor and the contamination
@@ -28,22 +30,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .diagnostics import peak_band
-from .field import (
-    Field,
-    Grid,
-    derivative,
-    helmholtz_inverse_dx,
-    source_term,
-)
+from .field import Field, Grid, helmholtz_inverse_dx, source_term
 
 __all__ = [
     "ProfileAccumulator",
     "ProfileReport",
+    "TailReference",
     "phi_psi",
     "phi0_psi0",
     "tail_window",
@@ -63,7 +60,9 @@ _WINDOW_CEILING_REL = 1e-4
 
 
 def _advection_term(u: Field, dealias: bool) -> np.ndarray:
-    """(1/2) d/dx (u^2) exactly as the solver's rhs evaluates it."""
+    """(1/2) d/dx (u^2) with the rhs's dealiasing.  The rhs applies the
+    same symbol fused with the nonlocal one, so the two agree to rounding
+    error, not bit for bit."""
     grid = u.grid
     u2_hat = np.fft.rfft(u.values * u.values)
     if dealias:
@@ -212,32 +211,54 @@ def tail_window(
     return candidates & (ax >= inner_cut)
 
 
+@dataclass(frozen=True, eq=False)
+class TailReference:
+    """What the tail statistics use of the initial datum u0, fixed for a
+    run: (Phi(0), Psi(0)) and the automatic window on each side."""
+
+    u0: Field
+    Phi0: float
+    Psi0: float
+    window_plus: np.ndarray
+    window_minus: np.ndarray
+
+    @classmethod
+    def of(cls, u0: Field) -> "TailReference":
+        Phi0, Psi0 = phi0_psi0(u0)
+        return cls(u0, Phi0, Psi0, tail_window(u0, "plus"),
+                   tail_window(u0, "minus"))
+
+
 def tail_residual(
     acc: ProfileAccumulator,
     u: Field,
-    u0: Field,
+    reference: TailReference,
     t: float,
     side: str,
+    amplitude: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(x, eps(x,t)) over the automatic window on the requested side.
 
     side 'plus':  eps = e^{x} (u - u0 + UUx)/t - Phi(t)
     side 'minus': eps = -e^{-x} (u - u0 + UUx)/t - Psi(t)
 
-    An empty window (tails contaminated or below noise) is returned as
-    empty arrays rather than an error: the caller reports it explicitly.
+    ``amplitude`` is Phi(t) for 'plus' and Psi(t) for 'minus', as
+    ``phi_psi`` gives them at t.  An empty window (tails contaminated or
+    below noise) is returned as empty arrays rather than an error: the
+    caller reports it explicitly.
     """
+    if side not in ("plus", "minus"):
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     acc._require_time(t)
-    window = tail_window(u0, side)
+    window = reference.window_plus if side == "plus" else reference.window_minus
     x = u.grid.x[window]
     if x.size == 0:
         return x, x
-    Phi, Psi = phi_psi(acc, t)
-    drift = (u.values - u0.values + acc.UUx)[window] / t
+    drift = (u.values - reference.u0.values + acc.UUx)[window] / t
     if side == "plus":
-        eps = np.exp(x) * drift - Phi
+        eps = np.exp(x) * drift - amplitude
     else:
-        eps = -np.exp(-x) * drift - Psi
+        eps = -np.exp(-x) * drift - amplitude
     return x, eps
 
 
@@ -315,34 +336,32 @@ def profile_bounds_check(
 def profile_report(
     acc: ProfileAccumulator,
     u: Field,
-    u0: Field,
+    reference: TailReference,
     t: float,
-    amplitude_series: Optional[Sequence[Tuple[float, float]]] = None,
+    amplitude_series: Sequence[Tuple[float, float]],
 ) -> ProfileReport:
     """Assemble the full profile observation at time t.
 
-    ``amplitude_series`` is the (Phi, Psi) history collected so far (this
-    time included); when omitted, the bounds degenerate to the current
-    pair.  Empty residual windows surface as empty arrays / NaN extremes.
+    ``amplitude_series`` is the (Phi, Psi) history collected so far; its
+    last pair is the one at t.  Empty residual windows surface as empty
+    arrays / NaN extremes.
     """
-    Phi, Psi = phi_psi(acc, t)
-    Phi0, Psi0 = phi0_psi0(u0)
-    series = list(amplitude_series) if amplitude_series else [(Phi, Psi)]
-    c1, c2, _ = profile_bounds_check(series)
+    Phi, Psi = amplitude_series[-1]
+    c1, c2, _ = profile_bounds_check(amplitude_series)
 
     def _window_span(xs: np.ndarray) -> Tuple[float, float]:
         if xs.size == 0:
             return (math.nan, math.nan)
         return (float(xs.min()), float(xs.max()))
 
-    residual_plus = tail_residual(acc, u, u0, t, "plus")
-    residual_minus = tail_residual(acc, u, u0, t, "minus")
+    residual_plus = tail_residual(acc, u, reference, t, "plus", Phi)
+    residual_minus = tail_residual(acc, u, reference, t, "minus", Psi)
     return ProfileReport(
         t=t,
         Phi=Phi,
         Psi=Psi,
-        Phi0=Phi0,
-        Psi0=Psi0,
+        Phi0=reference.Phi0,
+        Psi0=reference.Psi0,
         residual_plus=residual_plus,
         residual_minus=residual_minus,
         window_plus=_window_span(residual_plus[0]),

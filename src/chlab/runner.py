@@ -7,17 +7,20 @@ single JSON-able summary.  Terminal statuses (wave breaking included) are
 results, not errors: the function only raises for genuinely broken inputs.
 
 ``sweep`` repeats a base scenario across values of one config field, each
-run in its own process, with per-run failure isolation: one bad run
-becomes an error row, not an aborted sweep.
+run in its own process, with per-run failure isolation: a run that raises,
+or a worker process that dies, becomes an error row, not an aborted sweep.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -28,13 +31,12 @@ from .config import (ConfigError, Scenario, canonical_json, scenario_from_dict,
                      scenario_to_dict)
 from .diagnostics import (PersistenceTrace, decay_blowup_predict,
                           mckean_classify, peakon_rate_cap_check,
-                          persistence_check, slope_criterion_predict,
-                          weighted_pair_norm)
+                          persistence_check, slope_criterion_predict)
 from .field import Field, momentum_of
 from .io import (PROFILE_CSV, RUN_CSV, SCHEMA_VERSION, SNAPSHOT_CSV,
                  SUMMARY_JSON, write_profile_csv, write_run_csv,
                  write_snapshot_csv, write_summary)
-from .profiles import (ProfileAccumulator, phi0_psi0, phi_psi,
+from .profiles import (ProfileAccumulator, TailReference, phi_psi,
                        profile_bounds_check, profile_report, reconstruct)
 from .solver import RunLog, SolverState, Status, run
 
@@ -113,13 +115,12 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
     solver = scenario.solver
 
     # --- observers -------------------------------------------------------
+    # Each tracked weight is evaluated once per snapshot: its trace records
+    # W (and M), and the log column W_i is the value the trace recorded.
     traces = [PersistenceTrace(weight=tw.weight, p=tw.p)
               for tw in scenario.weights_to_track]
-    observers = [trace.record for trace in traces]
-    extra_log = [
-        (f"W_{i}", lambda s, tw=tw: weighted_pair_norm(s.u, tw.weight, tw.p))
-        for i, tw in enumerate(scenario.weights_to_track)
-    ]
+    observers = []
+    extra_log = [(f"W_{i}", trace.record) for i, trace in enumerate(traces)]
 
     rate_cap_cap = None
     rate_cap_samples: List[Tuple[float, float]] = []
@@ -139,6 +140,7 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
     profile_error: List[str] = []
     if scenario.profiles_enabled:
         acc = ProfileAccumulator(grid)
+        reference = TailReference.of(u0)
         profile_rows = []
 
         def profile_observer(s: SolverState):
@@ -156,10 +158,9 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
                 profile_error.append(f"profiles stopped at t={s.t:.6g}: {exc}")
                 return
             amplitude_series.append((Phi, Psi))
-            c1, c2, _ = profile_bounds_check(amplitude_series)
-            report = profile_report(acc, s.u, u0, s.t,
-                                    amplitude_series=amplitude_series)
-            profile_rows.append((s.t, Phi, Psi, c1, c2,
+            report = profile_report(acc, s.u, reference, s.t,
+                                    amplitude_series)
+            profile_rows.append((s.t, Phi, Psi, report.c1, report.c2,
                                  report.max_eps_plus, report.max_eps_minus))
 
         observers.append(profile_observer)
@@ -226,7 +227,6 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
         summary["rate_cap"] = None
 
     if acc is not None and profile_rows:
-        Phi0, Psi0 = phi0_psi0(u0)
         c1, c2, positive = profile_bounds_check(amplitude_series)
         last = profile_rows[-1]
         if profile_error:
@@ -238,8 +238,8 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
             recon_err = float(np.max(np.abs(recon.values - state.u.values))
                               / max(np.max(np.abs(state.u.values)), 1e-300))
         summary["profiles"] = {
-            "Phi0": Phi0,
-            "Psi0": Psi0,
+            "Phi0": reference.Phi0,
+            "Psi0": reference.Psi0,
             "snapshots": len(profile_rows),
             "c1": c1,
             "c2": c2,
@@ -322,12 +322,16 @@ def apply_axis(config: Mapping, axis: str, value) -> dict:
     return out
 
 
+def _error_row(axis: str, value, error: Optional[str]) -> dict:
+    return {"axis": axis, "value": value, "status": "Error", "t_final": None,
+            "t_star_bracket": None, "config_hash": None, "predictors": None,
+            "dir": None, "error": error}
+
+
 def _sweep_worker(args) -> dict:
     """One sweep run in a child process; never raises."""
     base, axis, value, out_root, seed = args
-    row = {"axis": axis, "value": value, "status": "Error", "t_final": None,
-           "t_star_bracket": None, "config_hash": None, "predictors": None,
-           "dir": None, "error": None}
+    row = _error_row(axis, value, None)
     try:
         scenario = scenario_from_dict(apply_axis(base, axis, value))
         result = run_scenario(scenario, out_root=out_root, seed=seed)
@@ -341,11 +345,66 @@ def _sweep_worker(args) -> dict:
     return row
 
 
+def _send_row(conn, job) -> None:
+    conn.send(_sweep_worker(job))
+    conn.close()
+
+
+def _exit_cause(exitcode: Optional[int]) -> str:
+    if exitcode is not None and exitcode < 0:
+        try:
+            return f"killed by {signal.Signals(-exitcode).name}"
+        except ValueError:
+            return f"killed by signal {-exitcode}"
+    return f"exit status {exitcode}"
+
+
+def _run_alone(job) -> dict:
+    """Rerun one sweep value in a fresh worker of its own.  A worker that
+    dies before it sends its row becomes an error row naming the exit
+    cause (exit status or signal)."""
+    ctx = multiprocessing.get_context()
+    reader, writer = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_send_row, args=(writer, job))
+    proc.start()
+    writer.close()
+    try:
+        row = reader.recv()
+    except EOFError:
+        row = None
+    finally:
+        reader.close()
+    proc.join()
+    if row is None:
+        _, axis, value, _, _ = job
+        row = _error_row(axis, value,
+                         f"worker died: {_exit_cause(proc.exitcode)}")
+    return row
+
+
+def _run_pool(jobs: List[tuple], n_workers: int) -> List[dict]:
+    """One future per job.  A worker that dies breaks the pool and fails
+    every job still in flight without saying which one killed it, so each
+    of those jobs is rerun once, alone."""
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        futures = [pool.submit(_sweep_worker, job) for job in jobs]
+        rows: List[Optional[dict]] = []
+        for future in futures:
+            try:
+                rows.append(future.result())
+            except BrokenProcessPool:
+                rows.append(None)
+    return [row if row is not None else _run_alone(job)
+            for row, job in zip(rows, jobs)]
+
+
 def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
           workers: Optional[int] = None, seed: int = 0) -> dict:
     """Run the base scenario once per axis value, in parallel.
 
-    Returns a sweep summary with one row per value in input order.  When
+    Returns a sweep summary with one row per value in input order.  A run
+    that raises, and a worker process that dies (out of memory, a crash),
+    each become an error row; the other values complete.  When
     ``out_root`` is given, each run writes its usual artifact directory and
     the sweep table lands in ``out_root/<name>-sweep-<hash>/``.
     """
@@ -362,8 +421,7 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
     if n_workers <= 1:
         rows = [_sweep_worker(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
+        rows = _run_pool(jobs, n_workers)
 
     digest = hashlib.sha256(canonical_json(
         {"base": base_dict, "axis": axis, "values": values}).encode())

@@ -11,7 +11,18 @@ cancels the leading spectral ringing of the derivative (the ringing is
 linear in the derivative jump, so c * Du and (1/2) D(u^2) ring in exact
 proportion for a peakon).
 
-Stepping is classical RK4 with dt = min(dt_max, cfl * dx / max(|u|, eps)).
+Stepping is classical RK4 with dt = min(dt_max, cfl * dx / max(|u|, eps)),
+carried out in Fourier space.  The state is a Field built from its real-FFT
+spectrum u^, and every stage input is formed as u^ + c dt k^ from the
+spectra the stages return.  Each stage evaluates rhs^ = A (u^2)^ + B (u_x^2)^
+with two output symbols cached on the grid, A = -(ik/2 + ik/(1+k^2)) keep
+and B = -(1/2) ik/(1+k^2) keep, where keep is the 2/3-rule mask.  In steady
+state a step therefore costs 16 real transforms: 2 forward in the first
+stage (its u and u_x are the state's, already computed), 4 in each of the
+other three (u, u_x back, and the two quadratic products forward), and 2
+inverse for the new state's u and u_x.  Classification, the log row, the
+observers and the next step's first stage all read those cached samples.
+
 Wave breaking (slope -> -infinity while u stays bounded) is detected by a
 slope threshold plus a dt floor, and reported as a time bracket, never a
 point estimate.  Runs never raise on blowup: breaking is an expected
@@ -27,7 +38,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .field import Field, Grid
+from .field import Field
 
 __all__ = [
     "Status",
@@ -106,29 +117,18 @@ class SolverState:
 def rhs(u: Field, dealias: bool = True) -> Field:
     """Right-hand side -(1/2)(u^2)_x - (G * (u^2 + (1/2) u_x^2))_x.
 
-    All transforms are fused: one forward transform of u, one of each
-    quadratic product, one inverse for the derivative and one for the
-    combined output symbol.
+    Both terms are applied in Fourier space through the grid's two fused
+    output symbols, rhs^ = A (u^2)^ + B (u_x^2)^, and the result is
+    returned as a Field built from that spectrum.  It reads u and u_x from
+    the Field's cache, so the only transforms of its own are the two
+    forward transforms of the quadratic products.
     """
     grid = u.grid
-    u_hat = np.fft.rfft(u.values)
-    du = np.fft.irfft(u_hat * grid._sym_derivative, n=grid.N)
-    u2_hat = np.fft.rfft(u.values * u.values)
-    dusq_hat = np.fft.rfft(du * du)
-    if dealias:
-        keep = grid._dealias_keep
-        u2_hat = u2_hat * keep
-        dusq_hat = dusq_hat * keep
-    source_hat = u2_hat + 0.5 * dusq_hat
-    out_hat = -(0.5 * grid._sym_derivative * u2_hat
-                + grid._sym_helmholtz_dx * source_hat)
-    return Field(grid, np.fft.irfft(out_hat, n=grid.N))
-
-
-def _min_slope(u: Field) -> float:
-    grid = u.grid
-    du = np.fft.irfft(np.fft.rfft(u.values) * grid._sym_derivative, n=grid.N)
-    return float(np.min(du))
+    v = u.values
+    du = u.derivative_values
+    a, b = grid._sym_rhs if dealias else grid._sym_rhs_aliased
+    return Field.from_spectrum(
+        grid, a * np.fft.rfft(v * v) + b * np.fft.rfft(du * du))
 
 
 def boundary_fraction(u: Field) -> float:
@@ -155,7 +155,7 @@ def _classify(u_new: Field, t_new: float, config: SolverConfig) -> Status:
     """Post-step status, most severe condition first."""
     if not np.all(np.isfinite(u_new.values)):
         return Status.NON_FINITE
-    if _min_slope(u_new) < config.slope_stop:
+    if float(np.min(u_new.derivative_values)) < config.slope_stop:
         return Status.WAVE_BREAKING
     if boundary_fraction(u_new) > config.boundary_tol:
         return Status.BOUNDARY_CONTAMINATED
@@ -165,7 +165,14 @@ def _classify(u_new: Field, t_new: float, config: SolverConfig) -> Status:
 
 
 def step(state: SolverState, config: SolverConfig) -> SolverState:
-    """One adaptive classical RK4 step; never steps a terminal state."""
+    """One adaptive classical RK4 step; never steps a terminal state.
+
+    The stage inputs and the new state are formed in Fourier space,
+    u^ + c dt k^, from the spectra the stages return.  The new state is a
+    Field built from its spectrum; classification reads its samples and
+    derivative, which then serve the observers and the next step's first
+    stage without another transform.
+    """
     if state.status.terminal:
         raise RuntimeError(f"cannot step a terminal state ({state.status.value})")
     dt = _propose_dt(state.u, config)
@@ -175,13 +182,14 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
         dt = config.t_end - state.t
 
     grid = state.u.grid
-    u = state.u.values
     dealias = config.dealias
-    k1 = rhs(Field(grid, u), dealias).values
-    k2 = rhs(Field(grid, u + 0.5 * dt * k1), dealias).values
-    k3 = rhs(Field(grid, u + 0.5 * dt * k2), dealias).values
-    k4 = rhs(Field(grid, u + dt * k3), dealias).values
-    u_new = Field(grid, u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    u_hat = state.u.spectrum
+    k1 = rhs(state.u, dealias).spectrum
+    k2 = rhs(Field.from_spectrum(grid, u_hat + 0.5 * dt * k1), dealias).spectrum
+    k3 = rhs(Field.from_spectrum(grid, u_hat + 0.5 * dt * k2), dealias).spectrum
+    k4 = rhs(Field.from_spectrum(grid, u_hat + dt * k3), dealias).spectrum
+    u_new = Field.from_spectrum(
+        grid, u_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
     t_new = state.t + dt
     return SolverState(
@@ -232,7 +240,7 @@ def _log_row(state: SolverState, config: SolverConfig,
              ) -> LogRow:
     grid = state.u.grid
     u = state.u.values
-    du = np.fft.irfft(np.fft.rfft(u) * grid._sym_derivative, n=grid.N)
+    du = state.u.derivative_values
     dt = state.dt if state.dt > 0.0 else _propose_dt(state.u, config)
     return LogRow(
         t=state.t,

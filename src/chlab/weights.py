@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
@@ -469,14 +469,17 @@ def certify_admissible(
     )
 
 
-def weighted_lp_norm(u: Field, phi: Weight, p: float) -> float:
+def weighted_lp_norm(u: Field, phi: Union[Weight, np.ndarray],
+                     p: float) -> float:
     """Rectangle-rule weighted norm: (sum |u_i phi(x_i)|^p dx)^(1/p), or
     max_i |u_i phi(x_i)| for p = infinity; evaluated with max-rescaling so
-    large p does not overflow."""
+    large p does not overflow.  ``phi`` is the weight, or its samples
+    phi(x_i) on u's grid when the caller evaluates it once for many norms."""
     if not (p >= 1.0):
         raise ValueError(f"p must be >= 1 (or inf), got {p}")
+    phi_x = phi if isinstance(phi, np.ndarray) else phi.value(u.grid.x)
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = np.abs(u.values) * phi.value(u.grid.x)
+        weighted = np.abs(u.values) * phi_x
     peak = float(np.max(weighted)) if weighted.size else 0.0
     if peak == 0.0:
         return 0.0

@@ -80,6 +80,57 @@ class TestTransforms:
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+class TestFieldViews:
+    """A Field holds samples, spectrum and derivative samples, each
+    computed at most once and consistent with the others."""
+
+    @given(seeds)
+    def test_from_samples_round_trip(self, seed):
+        u = field_from_seed(GRID, seed)
+        back = Field.from_spectrum(GRID, u.spectrum).values
+        assert np.max(np.abs(back - u.values)) < 1e-14
+
+    @given(seeds)
+    def test_from_spectrum_round_trip(self, seed):
+        spectrum = field_from_seed(GRID, seed).spectrum
+        u = Field.from_spectrum(GRID, spectrum)
+        assert u.spectrum is spectrum
+        again = Field(GRID, u.values).spectrum
+        assert np.max(np.abs(again - spectrum)) < 1e-13 * np.max(np.abs(spectrum))
+
+    @given(seeds)
+    def test_cached_derivative_is_the_spectral_derivative(self, seed):
+        u = field_from_seed(GRID, seed)
+        direct = np.fft.irfft(GRID._sym_derivative * np.fft.rfft(u.values),
+                              n=GRID.N)
+        assert np.max(np.abs(u.derivative_values - direct)) <= 1e-14
+        assert np.array_equal(derivative(u).values, u.derivative_values)
+
+    def test_each_view_is_computed_once(self, monkeypatch):
+        calls = []
+        for name in ("rfft", "irfft"):
+            fn = getattr(np.fft, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        u = Field(GRID, np.exp(-GRID.x**2))
+        for _ in range(2):
+            u.spectrum, u.derivative_values, u.values
+        assert calls == ["rfft", "irfft"]
+        calls.clear()
+        v = Field.from_spectrum(GRID, u.spectrum)
+        for _ in range(2):
+            v.values, v.derivative_values, v.spectrum
+        assert calls == ["irfft", "irfft"]
+
+    def test_spectrum_shape_must_match_grid(self):
+        with pytest.raises(ValueError, match="spectrum shape"):
+            Field.from_spectrum(GRID, np.zeros(GRID.N // 2, dtype=complex))
+
+
 class TestHelmholtz:
     def test_single_mode_symbol(self):
         k = 2.0 * math.pi * 5 / (2.0 * GRID.L)

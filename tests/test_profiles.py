@@ -11,6 +11,7 @@ from chlab.initial_data import Gaussian, MollifiedExponential, MollifiedPeakon
 from chlab.profiles import (
     ProfileAccumulator,
     ProfileReport,
+    TailReference,
     phi0_psi0,
     phi_psi,
     profile_bounds_check,
@@ -196,16 +197,18 @@ class TestEvolutionRun:
     def test_residuals_are_small_against_the_amplitude(self, evolved):
         acc, state, series = evolved
         Phi, Psi = series[-1]
-        x, eps = tail_residual(acc, state.u, GAUSSIAN, state.t, "plus")
+        reference = TailReference.of(GAUSSIAN)
+        x, eps = tail_residual(acc, state.u, reference, state.t, "plus", Phi)
         assert x.size > 0
         assert float(np.max(np.abs(eps))) < 0.01 * Phi
-        _, eps_m = tail_residual(acc, state.u, GAUSSIAN, state.t, "minus")
+        _, eps_m = tail_residual(acc, state.u, reference, state.t, "minus",
+                                 Psi)
         assert float(np.max(np.abs(eps_m))) < 0.01 * Psi
 
     def test_report_assembles_the_observation(self, evolved):
         acc, state, series = evolved
-        report = profile_report(acc, state.u, GAUSSIAN, state.t,
-                                amplitude_series=series)
+        report = profile_report(acc, state.u, TailReference.of(GAUSSIAN),
+                                state.t, series)
         assert report.t == state.t
         assert (report.Phi, report.Psi) == series[-1]
         assert report.Phi0 == pytest.approx(1.1539050833, rel=1e-9)
@@ -218,9 +221,10 @@ class TestEvolutionRun:
     def test_empty_window_returns_empty_residuals(self, evolved):
         # reference data that skips the magnitude band entirely yields an
         # empty window, reported as empty arrays rather than an error
-        acc, state, _ = evolved
+        acc, state, series = evolved
         step = Field(GRID, np.where(np.abs(GRID.x) < 5.0, 0.5, 0.0))
-        x, eps = tail_residual(acc, state.u, step, state.t, "plus")
+        x, eps = tail_residual(acc, state.u, TailReference.of(step), state.t,
+                               "plus", series[-1][0])
         assert x.size == 0 and eps.size == 0
 
     def test_report_extremes_degrade_to_nan_on_empty_windows(self):

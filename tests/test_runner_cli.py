@@ -3,6 +3,8 @@ reproducibility, parameter sweeps, and the command-line interface."""
 
 import json
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from chlab.cli import main
 from chlab.config import ConfigError, scenario_from_dict
 from chlab.io import read_csv, read_summary
+from chlab import runner
 from chlab.runner import apply_axis, run_scenario, sweep
 
 # N = 256 at this box size carries a dealiasing-cut floor near 1e-8 of
@@ -312,6 +315,31 @@ class TestSweep:
             assert (Path(tmp_path / "a") / row["dir"] / "run.csv").is_file()
         table = read_summary(d1 / "sweep.json")
         assert table["rows"][0]["status"] == "ReachedTEnd"
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the crash is injected into forked workers")
+    def test_dying_worker_is_an_error_row(self, monkeypatch):
+        # The worker of one value exits abruptly, which breaks the pool for
+        # every value in flight; each is rerun alone, and only the value
+        # whose worker dies again becomes an error row.
+        real_run = runner.run_scenario
+
+        def crash_on_value(scenario, **kwargs):
+            if scenario.initial_data.amplitude == 0.7:
+                os._exit(1)
+            return real_run(scenario, **kwargs)
+
+        monkeypatch.setattr(runner, "run_scenario", crash_on_value)
+        table = sweep(tiny_scenario(), "initial_data.amplitude",
+                      [0.5, 0.7, 0.9, 1.1], workers=2)
+        rows = table["rows"]
+        assert [row["value"] for row in rows] == [0.5, 0.7, 0.9, 1.1]
+        dead = rows[1]
+        assert dead["status"] == "Error"
+        assert dead["error"] == "worker died: exit status 1"
+        for row in rows[:1] + rows[2:]:
+            assert row["status"] == "ReachedTEnd" and row["error"] is None
+            assert row["t_final"] == pytest.approx(0.1, abs=1e-12)
 
     def test_breakdown_rows_carry_brackets(self, tmp_path):
         base = scenario_from_dict(BREAKDOWN)

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chlab.field import Field, Grid, derivative, reflect, shift_samples
-from chlab.initial_data import Gaussian, MollifiedPeakon, OddGaussianDerivative
+from chlab.initial_data import (FromPotential, Gaussian, GaussianShape,
+                                MollifiedPeakon, OddGaussianDerivative)
 from chlab.solver import (
     RunLog,
     SolverConfig,
@@ -64,6 +65,94 @@ class TestRhs:
                   - helmholtz_inverse_dx(source_term(u, dealias=False)).values)
         got = rhs(u, dealias=False).values
         assert np.max(np.abs(got - manual)) < 1e-13
+
+
+class TestSpectralPipeline:
+    """RK4 in Fourier space: the transform budget per step, the reuse of
+    the state's u_x by the observers, and agreement with the same RK4
+    taken in physical space."""
+
+    @staticmethod
+    def _count_transforms(monkeypatch):
+        calls = [0]
+        for name in ("rfft", "irfft"):
+            fn = getattr(np.fft, name)
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls[0] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    def test_steady_state_step_makes_16_transforms(self, monkeypatch):
+        # 2 forward in stage 1, 4 in each of stages 2-4, 2 inverse for the
+        # new state's samples and derivative
+        config = SolverConfig(t_end=10.0)
+        state = step(new_state(Gaussian(1.0, 1.0, 0.0).build(GRID), config),
+                     config)
+        calls = self._count_transforms(monkeypatch)
+        for _ in range(3):
+            before = calls[0]
+            state = step(state, config)
+            assert calls[0] - before == 16
+
+    def test_observed_snapshots_add_no_transform(self, monkeypatch):
+        from chlab.diagnostics import (PersistenceTrace, energy, h1_norm,
+                                       min_slope, peakon_rate_cap_check,
+                                       sup_norms)
+        from chlab.weights import StandardFamily
+
+        u0 = Gaussian(1.0, 1.0, 0.0).build(GRID)
+        trace = PersistenceTrace(weight=StandardFamily(c=2.0), p=2.0)
+
+        def observe(s):
+            peakon_rate_cap_check(s.u, C=math.inf)
+            sup_norms(s.u), min_slope(s.u), energy(s.u), h1_norm(s.u)
+
+        calls = self._count_transforms(monkeypatch)
+        state, log = run(u0, SolverConfig(t_end=0.2, snapshot_stride=1),
+                         observers=[observe], extra_log=[("W", trace.record)])
+        assert len(log.rows) == state.step_count + 1
+        assert len(trace.samples) == len(log.rows)
+        # the datum's spectrum and derivative once, then 16 per step
+        assert calls[0] == 2 + 16 * state.step_count
+
+    @pytest.mark.parametrize("datum", [
+        Gaussian(1.0, 1.0, 0.0),
+        OddGaussianDerivative(amplitude=1.0, width=1.0),
+        FromPotential(m0=GaussianShape(amplitude=1.0, width=0.7, center=-1.0)),
+    ], ids=["gaussian", "odd", "from_potential"])
+    def test_matches_physical_space_rk4(self, datum):
+        u0 = datum.build(GRID)
+        config = SolverConfig(t_end=10.0, dt_max=0.005, boundary_tol=1.0)
+        state = new_state(u0, config)
+        dts = []
+        for _ in range(200):
+            state = step(state, config)
+            assert state.status is Status.RUNNING
+            dts.append(state.dt)
+
+        def f(v):
+            return rhs(Field(GRID, v)).values
+
+        u = u0.values.copy()
+        for dt in dts:
+            k1 = f(u)
+            k2 = f(u + 0.5 * dt * k1)
+            k3 = f(u + 0.5 * dt * k2)
+            k4 = f(u + dt * k3)
+            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        err = np.max(np.abs(state.u.values - u)) / np.max(np.abs(u))
+        assert err <= 1e-12
+
+    @given(seeds)
+    def test_rhs_of_a_spectrum_built_field_matches_its_samples(self, seed):
+        spectrum = field_from_seed(GRID, seed).spectrum
+        from_spectrum = rhs(Field.from_spectrum(GRID, spectrum)).values
+        from_samples = rhs(
+            Field(GRID, Field.from_spectrum(GRID, spectrum).values)).values
+        assert np.max(np.abs(from_spectrum - from_samples)) < 1e-13
 
 
 class TestConfigValidation:
