@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, metavar="V1,V2,...",
                          help="comma-separated values for the axis")
     p_sweep.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="parallel worker processes (default: one per "
+                         help="run at most N values at a time, each in a "
+                              "child process of its own (default: one per "
                               "value, capped at the CPU count)")
     _common_flags(p_sweep)
 
@@ -214,7 +215,7 @@ def _cmd_certify(args, out_root, seed, quiet) -> int:
         cert = certify_admissible(tw.weight, tw.weight,
                                   CertifyConfig(seed=seed))
         records.append({"index": i, "weight": str(tw.weight),
-                        "p": "inf" if math.isinf(tw.p) else tw.p,
+                        "p": tw.as_dict()["p"],
                         "certificate": cert.as_record()})
         _say(quiet, f"W_{i}: {tw.weight}")
         _say(quiet, f"  admissible: {cert.admissible}")

@@ -6,9 +6,10 @@ rate cap, tail-profile accumulation — and condenses the outcome into a
 single JSON-able summary.  Terminal statuses (wave breaking included) are
 results, not errors: the function only raises for genuinely broken inputs.
 
-``sweep`` repeats a base scenario across values of one config field, each
-run in its own process, with per-run failure isolation: a run that raises,
-or a worker process that dies, becomes an error row, not an aborted sweep.
+``sweep`` repeats a base scenario across values of one config field.
+Every value, at any ``workers`` count, runs in a child process of its own,
+so a run that raises, or a child that dies, becomes an error row, not an
+aborted sweep.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import multiprocessing
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -139,7 +139,7 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
     amplitude_series: List[Tuple[float, float]] = []
     profile_error: List[str] = []
     if scenario.profiles_enabled:
-        acc = ProfileAccumulator(grid)
+        acc = ProfileAccumulator(grid, dealias=solver.dealias)
         reference = TailReference.of(u0)
         profile_rows = []
 
@@ -328,9 +328,10 @@ def _error_row(axis: str, value, error: Optional[str]) -> dict:
             "dir": None, "error": error}
 
 
-def _sweep_worker(args) -> dict:
-    """One sweep run in a child process; never raises."""
-    base, axis, value, out_root, seed = args
+def _sweep_worker(conn, base, axis, value, out_root, seed) -> None:
+    """Run one sweep value in a child process and send its row.  A run
+    that raises is sent as an error row; a child that dies before it
+    sends is turned into one by the parent."""
     row = _error_row(axis, value, None)
     try:
         scenario = scenario_from_dict(apply_axis(base, axis, value))
@@ -342,11 +343,7 @@ def _sweep_worker(args) -> dict:
                    dir=scenario.run_dirname())
     except Exception as exc:  # isolation: a bad run is a row, not a crash
         row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _send_row(conn, job) -> None:
-    conn.send(_sweep_worker(job))
+    conn.send(row)
     conn.close()
 
 
@@ -359,69 +356,70 @@ def _exit_cause(exitcode: Optional[int]) -> str:
     return f"exit status {exitcode}"
 
 
-def _run_alone(job) -> dict:
-    """Rerun one sweep value in a fresh worker of its own.  A worker that
-    dies before it sends its row becomes an error row naming the exit
-    cause (exit status or signal)."""
+def _run_children(jobs: List[tuple], n_workers: int) -> List[dict]:
+    """Run each job once in a child process of its own, with at most
+    ``n_workers`` alive at a time, and return the rows in input order.
+    A child that dies before it sends its row becomes an error row naming
+    the exit cause (exit status or signal)."""
     ctx = multiprocessing.get_context()
-    reader, writer = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_send_row, args=(writer, job))
-    proc.start()
-    writer.close()
+    rows: List[Optional[dict]] = [None] * len(jobs)
+    pending = list(enumerate(jobs))
+    running = {}  # pipe reader -> (job index, child)
     try:
-        row = reader.recv()
-    except EOFError:
-        row = None
+        while pending or running:
+            while pending and len(running) < n_workers:
+                index, job = pending.pop(0)
+                reader, writer = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_sweep_worker, args=(writer, *job))
+                child.start()
+                writer.close()
+                running[reader] = (index, child)
+            for reader in wait(list(running)):
+                index, child = running.pop(reader)
+                try:
+                    rows[index] = reader.recv()
+                except (EOFError, OSError):  # died before it sent
+                    pass
+                reader.close()
+                child.join()
+                if rows[index] is None:
+                    _, axis, value, _, _ = jobs[index]
+                    rows[index] = _error_row(
+                        axis, value,
+                        f"worker died: {_exit_cause(child.exitcode)}")
     finally:
-        reader.close()
-    proc.join()
-    if row is None:
-        _, axis, value, _, _ = job
-        row = _error_row(axis, value,
-                         f"worker died: {_exit_cause(proc.exitcode)}")
-    return row
-
-
-def _run_pool(jobs: List[tuple], n_workers: int) -> List[dict]:
-    """One future per job.  A worker that dies breaks the pool and fails
-    every job still in flight without saying which one killed it, so each
-    of those jobs is rerun once, alone."""
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(_sweep_worker, job) for job in jobs]
-        rows: List[Optional[dict]] = []
-        for future in futures:
-            try:
-                rows.append(future.result())
-            except BrokenProcessPool:
-                rows.append(None)
-    return [row if row is not None else _run_alone(job)
-            for row, job in zip(rows, jobs)]
+        for reader, (_, child) in running.items():
+            child.kill()
+            child.join()
+            reader.close()
+    return rows
 
 
 def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
           workers: Optional[int] = None, seed: int = 0) -> dict:
-    """Run the base scenario once per axis value, in parallel.
+    """Run the base scenario once per axis value.
 
-    Returns a sweep summary with one row per value in input order.  A run
-    that raises, and a worker process that dies (out of memory, a crash),
-    each become an error row; the other values complete.  When
-    ``out_root`` is given, each run writes its usual artifact directory and
-    the sweep table lands in ``out_root/<name>-sweep-<hash>/``.
+    Every value, at any ``workers`` count, runs in a child process of its
+    own, with at most ``workers`` children alive at a time (default: one
+    per value, capped at the CPU count).  Returns a sweep summary with one
+    row per value in input order.  A run that raises, and a child process
+    that dies (out of memory, a crash), each become an error row; the
+    other values complete.  When ``out_root`` is given, each run writes
+    its usual artifact directory and the sweep table lands in
+    ``out_root/<name>-sweep-<hash>/``.
     """
     values = list(values)
     if not values:
         raise ConfigError("values", "empty sweep value list")
+    if workers is not None and workers < 1:
+        raise ConfigError("workers", f"need at least 1 worker, got {workers}")
     base_dict = scenario_to_dict(base)
-    # Validate the axis (and surface bad paths) before spawning workers.
+    # Validate the axis (and surface bad paths) before starting children.
     apply_axis(base_dict, axis, values[0])
 
     out_root_str = str(out_root) if out_root is not None else None
     jobs = [(base_dict, axis, value, out_root_str, seed) for value in values]
-    n_workers = workers or min(len(jobs), os.cpu_count() or 1)
-    if n_workers <= 1:
-        rows = [_sweep_worker(job) for job in jobs]
-    else:
-        rows = _run_pool(jobs, n_workers)
+    rows = _run_children(jobs, workers or min(len(jobs), os.cpu_count() or 1))
 
     digest = hashlib.sha256(canonical_json(
         {"base": base_dict, "axis": axis, "values": values}).encode())

@@ -45,8 +45,6 @@ __all__ = [
     "YoungReport",
     "submultiplicative_ratio",
     "moderate_ratio",
-    "check_submultiplicative",
-    "estimate_moderate_constant",
     "certify_admissible",
     "weighted_lp_norm",
     "check_weighted_young",
@@ -240,34 +238,6 @@ def moderate_ratio(phi: Weight, v: Weight, x, y):
     with np.errstate(over="ignore"):
         out = np.exp(phi._log_value(x + y) - v._log_value(x) - phi._log_value(y))
     return float(out) if out.ndim == 0 else out
-
-
-def _sample_pairs(sample_range: float, sample_count: int, seed: int):
-    rng = np.random.default_rng(seed)
-    pairs = rng.uniform(-sample_range, sample_range, size=(sample_count, 2))
-    return pairs[:, 0], pairs[:, 1]
-
-
-def check_submultiplicative(
-    v: Weight, sample_range: float, sample_count: int, seed: int
-) -> float:
-    """Sampled supremum of v(x+y)/(v(x)v(y)) over uniform pairs in
-    [-sample_range, sample_range]^2; a value <= 1 + tol certifies
-    sub-multiplicativity with C0 = 1 on the sampled set."""
-    if sample_count < 2:
-        raise ValueError("sample_count must be >= 2")
-    x, y = _sample_pairs(sample_range, sample_count, seed)
-    return float(np.max(submultiplicative_ratio(v, x, y)))
-
-
-def estimate_moderate_constant(
-    phi: Weight, v: Weight, sample_range: float, sample_count: int, seed: int
-) -> float:
-    """Sampled supremum of phi(x+y)/(v(x)phi(y)): the empirical C0."""
-    if sample_count < 2:
-        raise ValueError("sample_count must be >= 2")
-    x, y = _sample_pairs(sample_range, sample_count, seed)
-    return float(np.max(moderate_ratio(phi, v, x, y)))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,25 @@ class TestRunScenario:
         assert p["Phi0"] == pytest.approx(1.1539050833, rel=1e-9)
         assert p["reconstruction_error_rel"] < 1e-4
         assert p["max_eps_plus"] < 0.01 * p["Phi_final"]
+
+    def test_profiles_follow_the_solver_dealias(self):
+        # Accumulated with the dealiased source while the solver runs
+        # aliased, the profiles stopped at t = 0.68 on a boundary-
+        # contaminated integrand; with the solver's setting all 33 stay.
+        scenario = scenario_from_dict({
+            "name": "aliased-profiles", "grid": {"L": 20.0, "N": 1024},
+            "initial_data": {"kind": "odd_gaussian_derivative",
+                             "amplitude": 1.0, "width": 1.0},
+            "solver": {"t_end": 1.0, "snapshot_stride": 1, "dealias": False,
+                       "boundary_tol": 1e-3},
+            "profiles_enabled": True,
+        })
+        result = run_scenario(scenario)
+        p = result.summary["profiles"]
+        assert result.summary["status"] == "ReachedTEnd"
+        assert p["error"] is None
+        assert p["snapshots"] == len(result.log.rows) - 1 == 33
+        assert p["reconstruction_error_rel"] < 1e-3
 
     def test_noncertifiable_weight_warning_recorded(self):
         with pytest.warns(UserWarning):
@@ -316,27 +336,38 @@ class TestSweep:
         table = read_summary(d1 / "sweep.json")
         assert table["rows"][0]["status"] == "ReachedTEnd"
 
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -1):
+            with pytest.raises(ConfigError, match="workers"):
+                sweep(tiny_scenario(), "solver.t_end", [0.05], workers=workers)
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the crash is injected into forked workers")
-    def test_dying_worker_is_an_error_row(self, monkeypatch):
-        # The worker of one value exits abruptly, which breaks the pool for
-        # every value in flight; each is rerun alone, and only the value
-        # whose worker dies again becomes an error row.
+    @pytest.mark.parametrize("workers", [1, 2], ids=lambda w: f"workers{w}")
+    @pytest.mark.parametrize("death,cause", [
+        (lambda: os._exit(1), "exit status 1"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by SIGKILL"),
+    ], ids=["exit", "sigkill"])
+    def test_dying_worker_is_an_error_row(self, monkeypatch, workers, death,
+                                          cause):
+        # Every value runs in a child of its own, at any worker count: the
+        # child of one value dies before it sends its row, and only that
+        # value becomes an error row naming the exit cause.
         real_run = runner.run_scenario
 
         def crash_on_value(scenario, **kwargs):
             if scenario.initial_data.amplitude == 0.7:
-                os._exit(1)
+                death()
             return real_run(scenario, **kwargs)
 
         monkeypatch.setattr(runner, "run_scenario", crash_on_value)
         table = sweep(tiny_scenario(), "initial_data.amplitude",
-                      [0.5, 0.7, 0.9, 1.1], workers=2)
+                      [0.5, 0.7, 0.9, 1.1], workers=workers)
         rows = table["rows"]
         assert [row["value"] for row in rows] == [0.5, 0.7, 0.9, 1.1]
         dead = rows[1]
         assert dead["status"] == "Error"
-        assert dead["error"] == "worker died: exit status 1"
+        assert dead["error"] == f"worker died: {cause}"
         for row in rows[:1] + rows[2:]:
             assert row["status"] == "ReachedTEnd" and row["error"] is None
             assert row["t_final"] == pytest.approx(0.1, abs=1e-12)
@@ -501,6 +532,11 @@ class TestCli:
         sweep_dirs = [d for d in out.iterdir() if "sweep" in d.name]
         assert len(sweep_dirs) == 1
         assert (sweep_dirs[0] / "sweep.csv").is_file()
+
+    def test_sweep_workers_below_one_exit_2(self, tiny_yaml, capsys):
+        assert main(["sweep", str(tiny_yaml), "--axis", "solver.t_end",
+                     "--values", "0.05", "--workers", "-1", "--quiet"]) == 2
+        assert "workers" in capsys.readouterr().err
 
     def test_sweep_bad_values_exit_2(self, tiny_yaml, capsys):
         assert main(["sweep", str(tiny_yaml), "--axis", "solver.t_end",
