@@ -27,8 +27,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .config import ConfigError, Scenario, load_scenario
-from .diagnostics import mckean_classify
-from .field import momentum_of
+from .diagnostics import predictor_table
 from .io import write_summary
 from .runner import run_scenario, sweep
 from .scenarios import builtin_names, builtin_scenario, describe_builtins
@@ -238,11 +237,8 @@ def _cmd_certify(args, out_root, seed, quiet) -> int:
 
 
 def _cmd_classify(args, out_root, seed, quiet) -> int:
-    from .runner import _predictor_table
-
     scenario = _resolve_scenario(args.config)
-    u0 = scenario.build_initial()
-    table = _predictor_table(u0)
+    table = predictor_table(scenario.build_initial())
     mc = table["momentum_sign"]
     _say(quiet, f"{scenario.name}: a-priori classification of the initial "
                 f"datum")

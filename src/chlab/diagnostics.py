@@ -2,6 +2,10 @@
 growth, slope tracking, sign-pattern classification of the potential
 m = u - u_xx, weighted-norm persistence fits, and decay-rate caps.
 
+The monitors that watch a run are probes for ``solver.run``: each has
+``columns`` (the run-log columns it adds), ``observe(state)`` (one value
+per column) and ``summary()`` (its block of the run summary).
+
 Conventions that matter numerically:
 
 * Spectral derivatives carry a flat ~1e-16 * ||u|| noise floor.  Any
@@ -23,7 +27,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .field import Field, Grid, integral
+from .field import Field, Grid, integral, momentum_of
 from .weights import Weight, weighted_lp_norm
 
 __all__ = [
@@ -39,11 +43,13 @@ __all__ = [
     "PredictorResult",
     "slope_criterion_predict",
     "decay_blowup_predict",
+    "predictor_table",
     "PersistenceTrace",
     "PersistenceReport",
     "persistence_check",
     "RateCapResult",
     "peakon_rate_cap_check",
+    "RateCapTrace",
     "weighted_pair_norm",
 ]
 
@@ -191,6 +197,26 @@ def decay_blowup_predict(
     )
 
 
+def predictor_table(u0: Field) -> dict:
+    """All a-priori verdicts on the initial datum.
+
+    These are one-directional sufficient conditions: a fired predictor
+    means breakdown is guaranteed; a silent one promises nothing.
+    """
+    mc = mckean_classify(momentum_of(u0))
+    slope = slope_criterion_predict(u0)
+    decay = decay_blowup_predict(u0)
+    return {
+        "momentum_sign": {
+            "verdict": mc.verdict.value,
+            "x0": mc.x0,
+            "predicts_global": mc.predicts_global,
+        },
+        "slope_criterion": {"fired": slope.fired, "evidence": slope.evidence},
+        "decay_blowup": {"fired": decay.fired, "evidence": decay.evidence},
+    }
+
+
 def weighted_pair_norm(u: Field, weight: Union[Weight, np.ndarray],
                        p: float) -> float:
     """W = ||u phi||_p + ||u_x phi||_p with u_x by local central
@@ -202,10 +228,12 @@ def weighted_pair_norm(u: Field, weight: Union[Weight, np.ndarray],
 
 @dataclass
 class PersistenceTrace:
-    """Time series of one tracked weighted norm W(t) and of M(t)."""
+    """Time series of one tracked weighted norm W(t) and of M(t); as a
+    probe it adds the log column ``name`` (W at each snapshot)."""
 
     weight: Weight
     p: float
+    name: str = "W"
     samples: List[Tuple[float, float]] = dc_field(default_factory=list)
     M_samples: List[Tuple[float, float]] = dc_field(default_factory=list)
     _sampled: Optional[Tuple[Grid, np.ndarray]] = dc_field(
@@ -232,6 +260,26 @@ class PersistenceTrace:
         _, _, M = sup_norms(u)
         self.append(state.t, W, M)
         return W
+
+    @property
+    def columns(self) -> Tuple[str]:
+        return (self.name,)
+
+    def observe(self, state) -> Tuple[float]:
+        return (self.record(state),)
+
+    def summary(self) -> dict:
+        """The persistence fit of the trace, as the run summary reports it."""
+        report = persistence_check(self)
+        return {
+            "weight_str": str(self.weight),
+            "W0": report.W0,
+            "sup_W": report.sup_W,
+            "C_fit": report.C_fit,
+            "passed": report.passed,
+            "diverged": report.diverged,
+            "t_valid": list(report.t_valid),
+        }
 
 
 @dataclass(frozen=True)
@@ -357,3 +405,32 @@ def peakon_rate_cap_check(u: Field, C: float,
         cap=C,
         region=(float(x[0]), float(x[-1])),
     )
+
+
+class RateCapTrace:
+    """Probe: the critical-decay statistic sup e^{|x|} (|u| + |u_x|) at
+    every snapshot, against the cap ``factor`` times its value on u0."""
+
+    columns = ()
+
+    def __init__(self, u0: Field, factor: float):
+        self.factor = factor
+        self.cap = factor * peakon_rate_cap_check(u0, C=math.inf).sup_value
+        self.samples: List[Tuple[float, float]] = []
+
+    def observe(self, state) -> Tuple[()]:
+        result = peakon_rate_cap_check(state.u, C=self.cap)
+        self.samples.append((state.t, result.sup_value))
+        return ()
+
+    def summary(self) -> dict:
+        times, sups = np.array(self.samples).T
+        i = int(np.argmax(sups))
+        return {
+            "factor": self.factor,
+            "sup_initial": float(sups[0]),
+            "cap": self.cap,
+            "max_sup": float(sups[i]),
+            "t_max_sup": float(times[i]),
+            "passed": bool(sups[i] <= self.cap),
+        }

@@ -24,7 +24,6 @@ __all__ = [
     "PROFILE_CSV",
     "SNAPSHOT_CSV",
     "SUMMARY_JSON",
-    "PROFILE_HEADER",
     "format_number",
     "write_run_csv",
     "write_profile_csv",
@@ -48,17 +47,14 @@ PROFILE_HEADER = ("t", "Phi", "Psi", "c1", "c2", "max_eps_plus",
 
 
 def format_number(value: float) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return repr(value)
+    """Shortest decimal string that round-trips to the same float
+    (``nan``, ``inf`` and ``-inf`` for the non-finite ones)."""
+    return repr(float(value))
 
 
 def _write_table(path: Path, header: Sequence[str],
                  rows: Iterable[Sequence[float]]) -> None:
+    """Write rows of Python floats (numpy tables pass ``.tolist()``)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -82,8 +78,8 @@ def write_profile_csv(path, rows: Iterable[Sequence[float]]) -> None:
 
 def write_snapshot_csv(path, grid, u_initial, u_final) -> None:
     """Write initial and terminal solution samples on the run grid."""
-    rows = zip(grid.x, np.asarray(u_initial, float), np.asarray(u_final, float))
-    _write_table(Path(path), ("x", "u_initial", "u_final"), rows)
+    rows = np.column_stack((grid.x, u_initial, u_final))
+    _write_table(Path(path), ("x", "u_initial", "u_final"), rows.tolist())
 
 
 def write_summary(path, summary: Mapping) -> None:

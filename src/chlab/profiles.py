@@ -1,8 +1,8 @@
 """Asymptotic tail profiles: the time-averaged source h, the amplitude
 pair (Phi, Psi), and the tail residuals that make the profile statement
 
-    u(x,t) = u0(x) - e^{-x} t [Phi(t) + eps(x,t)]   (x -> +infinity)
-    u(x,t) = u0(x) + e^{+x} t [Psi(t) + eps(x,t)]   (x -> -infinity)
+    u(x,t) = u0(x) + e^{-x} t [Phi(t) + eps(x,t)]   (x -> +infinity)
+    u(x,t) = u0(x) - e^{+x} t [Psi(t) + eps(x,t)]   (x -> -infinity)
 
 checkable on a finite grid.  Here h(x,t) = (1/t) int_0^t F(u)(x,s) ds with
 F(u) = u^2 + (1/2) u_x^2, and
@@ -24,13 +24,16 @@ threshold, restricted to the outer fraction of that band.  Inside it the
 residual eps(x,t) = e^{x}(u - u0 + UUx)/t - Phi(t) must be small compared
 to Phi; the advection correction UUx is subtracted explicitly since at
 finite x it is merely bounded, not negligible.
+
+``ProfileTrace`` is the probe for ``solver.run`` that does all of this
+along a run and condenses it into the run summary's profile block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,12 +43,12 @@ from .field import Field, Grid, helmholtz_inverse_dx, source_term
 __all__ = [
     "ProfileAccumulator",
     "ProfileReport",
+    "ProfileTrace",
     "TailReference",
     "phi_psi",
     "phi0_psi0",
     "tail_window",
     "tail_residual",
-    "tail_remainder",
     "reconstruct",
     "profile_bounds_check",
 ]
@@ -262,28 +265,6 @@ def tail_residual(
     return x, eps
 
 
-def tail_remainder(
-    acc: ProfileAccumulator, t: float, side: str = "plus"
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(x, R(x)) with R(x) = int_x^{edge} e^{+-y} h(y,t) dy over the
-    requested half-line: the dominated-convergence bracket that must
-    decrease monotonically in |x| (its integrand is nonnegative up to
-    roundoff)."""
-    h = acc.h(t)
-    x = acc.grid.x
-    if side == "plus":
-        mask = x > 0
-        integrand = np.exp(x[mask]) * h[mask]
-        suffix = np.cumsum(integrand[::-1])[::-1] * acc.grid.dx
-        return x[mask], suffix
-    if side == "minus":
-        mask = x < 0
-        integrand = np.exp(-x[mask]) * h[mask]
-        suffix = np.cumsum(integrand) * acc.grid.dx
-        return x[mask], suffix
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-
-
 def reconstruct(acc: ProfileAccumulator, u0: Field) -> Field:
     """u0 - (G * H)_x - UUx: the accumulated evolution identity.  Matches
     the solver state at acc.t_last up to time-quadrature error."""
@@ -369,3 +350,70 @@ def profile_report(
         c1=c1,
         c2=c2,
     )
+
+
+class ProfileTrace:
+    """Probe: folds every snapshot into a ProfileAccumulator and, past
+    t = 0, collects one profile row (t, Phi, Psi, c1, c2, max_eps_plus,
+    max_eps_minus).  When the weighted integrals sink to the contamination
+    guard (tails off the grid, or noise floor reached) it keeps the rows
+    collected so far, records why they stop, and observes no further."""
+
+    columns = ()
+
+    def __init__(self, u0: Field, dealias: bool):
+        self.acc = ProfileAccumulator(u0.grid, dealias=dealias)
+        self.reference = TailReference.of(u0)
+        self.rows: List[Tuple[float, ...]] = []
+        self.amplitudes: List[Tuple[float, float]] = []
+        self.error: Optional[str] = None
+        self._last_u = u0
+
+    def observe(self, state) -> Tuple[()]:
+        if self.error is not None:
+            return ()
+        self._last_u = state.u
+        self.acc.accumulate(state.u, state.t)
+        if state.t <= 0.0:
+            return ()
+        try:
+            Phi, Psi = phi_psi(self.acc, state.t)
+        except ValueError as exc:
+            self.error = f"profiles stopped at t={state.t:.6g}: {exc}"
+            return ()
+        self.amplitudes.append((Phi, Psi))
+        report = profile_report(self.acc, state.u, self.reference, state.t,
+                                self.amplitudes)
+        self.rows.append((state.t, Phi, Psi, report.c1, report.c2,
+                          report.max_eps_plus, report.max_eps_minus))
+        return ()
+
+    def summary(self) -> dict:
+        """The profile block of the run summary.  The reconstruction error
+        compares the evolution identity with the last observed state, so
+        it is None when the rows stopped before the run did."""
+        if not self.rows:
+            return {"snapshots": 0,
+                    "error": self.error or "no snapshots past t=0"}
+        c1, c2, positive = profile_bounds_check(self.amplitudes)
+        _, Phi, Psi, _, _, eps_plus, eps_minus = self.rows[-1]
+        recon_err = None
+        if self.error is None:
+            u = self._last_u.values
+            recon = reconstruct(self.acc, self.reference.u0).values
+            recon_err = float(np.max(np.abs(recon - u))
+                              / max(np.max(np.abs(u)), 1e-300))
+        return {
+            "Phi0": self.reference.Phi0,
+            "Psi0": self.reference.Psi0,
+            "snapshots": len(self.rows),
+            "c1": c1,
+            "c2": c2,
+            "c1_positive": positive,
+            "Phi_final": Phi,
+            "Psi_final": Psi,
+            "max_eps_plus": eps_plus,
+            "max_eps_minus": eps_minus,
+            "reconstruction_error_rel": recon_err,
+            "error": self.error,
+        }

@@ -1,9 +1,10 @@
 """Scenario execution: one run or a parameter sweep, with artifacts.
 
-``run_scenario`` wires the solver to every diagnostic layer the scenario
-enables — weighted-norm traces, breakdown predictors, the critical-decay
-rate cap, tail-profile accumulation — and condenses the outcome into a
-single JSON-able summary.  Terminal statuses (wave breaking included) are
+``run_scenario`` hands the solver one probe per diagnostic layer the
+scenario enables — weighted-norm traces, the critical-decay rate cap,
+tail-profile accumulation — adds the breakdown predictors, and condenses
+the outcome, each probe's summary block included, into a single JSON-able
+summary.  Terminal statuses (wave breaking included) are
 results, not errors: the function only raises for genuinely broken inputs.
 
 ``sweep`` repeats a base scenario across values of one config field.
@@ -29,15 +30,11 @@ import numpy as np
 
 from .config import (ConfigError, Scenario, canonical_json, scenario_from_dict,
                      scenario_to_dict)
-from .diagnostics import (PersistenceTrace, decay_blowup_predict,
-                          mckean_classify, peakon_rate_cap_check,
-                          persistence_check, slope_criterion_predict)
-from .field import Field, momentum_of
+from .diagnostics import PersistenceTrace, RateCapTrace, predictor_table
 from .io import (PROFILE_CSV, RUN_CSV, SCHEMA_VERSION, SNAPSHOT_CSV,
                  SUMMARY_JSON, write_profile_csv, write_run_csv,
                  write_snapshot_csv, write_summary)
-from .profiles import (ProfileAccumulator, TailReference, phi_psi,
-                       profile_bounds_check, profile_report, reconstruct)
+from .profiles import ProfileTrace
 from .solver import RunLog, SolverState, Status, run
 
 __all__ = ["ScenarioResult", "run_scenario", "sweep", "apply_axis"]
@@ -58,26 +55,6 @@ class ScenarioResult:
     log: RunLog
     profile_rows: Optional[List[Tuple[float, ...]]]
     outdir: Optional[Path]
-
-
-def _predictor_table(u0: Field) -> dict:
-    """All a-priori verdicts on the initial datum.
-
-    These are one-directional sufficient conditions: a fired predictor
-    means breakdown is guaranteed; a silent one promises nothing.
-    """
-    mc = mckean_classify(momentum_of(u0))
-    slope = slope_criterion_predict(u0)
-    decay = decay_blowup_predict(u0)
-    return {
-        "momentum_sign": {
-            "verdict": mc.verdict.value,
-            "x0": mc.x0,
-            "predicts_global": mc.predicts_global,
-        },
-        "slope_criterion": {"fired": slope.fired, "evidence": slope.evidence},
-        "decay_blowup": {"fired": decay.fired, "evidence": decay.evidence},
-    }
 
 
 def _weight_warnings(scenario: Scenario) -> List[str]:
@@ -110,66 +87,21 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
     under ``out_root/<name>-<content hash>/``.
     """
     t_wall = time.perf_counter()
-    grid = scenario.grid
     u0 = scenario.build_initial()
     solver = scenario.solver
 
-    # --- observers -------------------------------------------------------
-    # Each tracked weight is evaluated once per snapshot: its trace records
-    # W (and M), and the log column W_i is the value the trace recorded.
-    traces = [PersistenceTrace(weight=tw.weight, p=tw.p)
-              for tw in scenario.weights_to_track]
-    observers = []
-    extra_log = [(f"W_{i}", trace.record) for i, trace in enumerate(traces)]
+    traces = [PersistenceTrace(weight=tw.weight, p=tw.p, name=f"W_{i}")
+              for i, tw in enumerate(scenario.weights_to_track)]
+    rate_cap = (RateCapTrace(u0, scenario.rate_cap_factor)
+                if scenario.rate_cap_factor is not None else None)
+    profiles = (ProfileTrace(u0, solver.dealias)
+                if scenario.profiles_enabled else None)
+    probes = traces + [p for p in (rate_cap, profiles) if p is not None]
 
-    rate_cap_cap = None
-    rate_cap_samples: List[Tuple[float, float]] = []
-    if scenario.rate_cap_factor is not None:
-        sup0 = peakon_rate_cap_check(u0, C=math.inf).sup_value
-        rate_cap_cap = scenario.rate_cap_factor * sup0
+    state, log = run(u0, solver, probes)
 
-        def rate_cap_observer(s: SolverState, cap=rate_cap_cap):
-            result = peakon_rate_cap_check(s.u, C=cap)
-            rate_cap_samples.append((s.t, result.sup_value))
-
-        observers.append(rate_cap_observer)
-
-    acc: Optional[ProfileAccumulator] = None
-    profile_rows: Optional[List[Tuple[float, ...]]] = None
-    amplitude_series: List[Tuple[float, float]] = []
-    profile_error: List[str] = []
-    if scenario.profiles_enabled:
-        acc = ProfileAccumulator(grid, dealias=solver.dealias)
-        reference = TailReference.of(u0)
-        profile_rows = []
-
-        def profile_observer(s: SolverState):
-            if profile_error:
-                return
-            acc.accumulate(s.u, s.t)
-            if s.t <= 0.0:
-                return
-            try:
-                Phi, Psi = phi_psi(acc, s.t)
-            except ValueError as exc:
-                # The weighted integrals have sunk to the contamination
-                # guard (tails off the grid, or noise floor reached); keep
-                # the rows collected so far and record why they stop.
-                profile_error.append(f"profiles stopped at t={s.t:.6g}: {exc}")
-                return
-            amplitude_series.append((Phi, Psi))
-            report = profile_report(acc, s.u, reference, s.t,
-                                    amplitude_series)
-            profile_rows.append((s.t, Phi, Psi, report.c1, report.c2,
-                                 report.max_eps_plus, report.max_eps_minus))
-
-        observers.append(profile_observer)
-
-    # --- integrate ---------------------------------------------------------
-    state, log = run(u0, solver, observers=observers, extra_log=extra_log)
-
-    # --- condense ----------------------------------------------------------
     config = scenario.effective_config()
+    breakdown = state.status in _BREAKDOWN_STATUSES and len(log.rows) >= 2
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario.name,
@@ -184,82 +116,16 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
             "mass_drift_rel": _drift(log.column("mass")),
         },
         "weight_warnings": _weight_warnings(scenario),
+        "t_star_bracket": ([log.rows[-2].t, log.rows[-1].t]
+                           if breakdown else None),
+        "predictors": (predictor_table(u0)
+                       if scenario.predictors_enabled else None),
+        # the config echo gives each tracked weight's "weight" and "p"
+        "persistence": [{**echo, **trace.summary()} for echo, trace
+                        in zip(config["weights_to_track"], traces)],
+        "rate_cap": rate_cap.summary() if rate_cap is not None else None,
+        "profiles": profiles.summary() if profiles is not None else None,
     }
-
-    if state.status in _BREAKDOWN_STATUSES and len(log.rows) >= 2:
-        summary["t_star_bracket"] = [log.rows[-2].t, log.rows[-1].t]
-    else:
-        summary["t_star_bracket"] = None
-
-    summary["predictors"] = (_predictor_table(u0)
-                             if scenario.predictors_enabled else None)
-
-    persistence = []
-    for tw, trace, echo in zip(scenario.weights_to_track, traces,
-                               config["weights_to_track"]):
-        report = persistence_check(trace)
-        persistence.append({
-            "weight": echo["weight"],
-            "weight_str": str(tw.weight),
-            "p": echo["p"],
-            "W0": report.W0,
-            "sup_W": report.sup_W,
-            "C_fit": report.C_fit,
-            "passed": report.passed,
-            "diverged": report.diverged,
-            "t_valid": list(report.t_valid),
-        })
-    summary["persistence"] = persistence
-
-    if rate_cap_cap is not None:
-        sups = np.array([s for _, s in rate_cap_samples])
-        max_sup = float(np.max(sups)) if sups.size else math.nan
-        summary["rate_cap"] = {
-            "factor": scenario.rate_cap_factor,
-            "sup_initial": rate_cap_samples[0][1] if rate_cap_samples else math.nan,
-            "cap": rate_cap_cap,
-            "max_sup": max_sup,
-            "t_max_sup": (float(rate_cap_samples[int(np.argmax(sups))][0])
-                          if sups.size else math.nan),
-            "passed": bool(max_sup <= rate_cap_cap),
-        }
-    else:
-        summary["rate_cap"] = None
-
-    if acc is not None and profile_rows:
-        c1, c2, positive = profile_bounds_check(amplitude_series)
-        last = profile_rows[-1]
-        if profile_error:
-            # The accumulator stopped before the terminal state, so the
-            # reconstruction identity has no state to compare against.
-            recon_err = None
-        else:
-            recon = reconstruct(acc, u0)
-            recon_err = float(np.max(np.abs(recon.values - state.u.values))
-                              / max(np.max(np.abs(state.u.values)), 1e-300))
-        summary["profiles"] = {
-            "Phi0": reference.Phi0,
-            "Psi0": reference.Psi0,
-            "snapshots": len(profile_rows),
-            "c1": c1,
-            "c2": c2,
-            "c1_positive": positive,
-            "Phi_final": last[1],
-            "Psi_final": last[2],
-            "max_eps_plus": last[5],
-            "max_eps_minus": last[6],
-            "reconstruction_error_rel": recon_err,
-            "error": profile_error[0] if profile_error else None,
-        }
-    elif acc is not None:
-        summary["profiles"] = {
-            "snapshots": 0,
-            "error": profile_error[0] if profile_error
-            else "no snapshots past t=0",
-        }
-    else:
-        summary["profiles"] = None
-
     summary["timing_seconds"] = round(time.perf_counter() - t_wall, 6)
 
     # --- artifacts ---------------------------------------------------------
@@ -270,16 +136,18 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
         artifacts = {"run_csv": RUN_CSV, "snapshot_csv": SNAPSHOT_CSV,
                      "summary_json": SUMMARY_JSON}
         write_run_csv(outdir / RUN_CSV, log)
-        write_snapshot_csv(outdir / SNAPSHOT_CSV, grid, u0.values,
+        write_snapshot_csv(outdir / SNAPSHOT_CSV, scenario.grid, u0.values,
                            state.u.values)
-        if profile_rows is not None:
-            write_profile_csv(outdir / PROFILE_CSV, profile_rows)
+        if profiles is not None:
+            write_profile_csv(outdir / PROFILE_CSV, profiles.rows)
             artifacts["profile_csv"] = PROFILE_CSV
         summary["artifacts"] = artifacts
         write_summary(outdir / SUMMARY_JSON, summary)
 
-    return ScenarioResult(scenario=scenario, summary=summary, state=state,
-                          log=log, profile_rows=profile_rows, outdir=outdir)
+    return ScenarioResult(
+        scenario=scenario, summary=summary, state=state, log=log,
+        profile_rows=profiles.rows if profiles is not None else None,
+        outdir=outdir)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from typing import Dict, List, Tuple
 
 from .config import Scenario, scenario_from_dict
 
-__all__ = ["BUILTIN_SCENARIOS", "builtin_scenario", "builtin_names",
-           "describe_builtins"]
+__all__ = ["builtin_scenario", "builtin_names", "describe_builtins"]
 
 
 def _peakon_travel() -> dict:

@@ -21,7 +21,7 @@ state a step therefore costs 16 real transforms: 2 forward in the first
 stage (its u and u_x are the state's, already computed), 4 in each of the
 other three (u, u_x back, and the two quadratic products forward), and 2
 inverse for the new state's u and u_x.  Classification, the log row, the
-observers and the next step's first stage all read those cached samples.
+probes and the next step's first stage all read those cached samples.
 
 Wave breaking (slope -> -infinity while u stays bounded) is detected by a
 slope threshold plus a dt floor, and reported as a time bracket, never a
@@ -32,9 +32,8 @@ terminal status.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -170,7 +169,7 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
     The stage inputs and the new state are formed in Fourier space,
     u^ + c dt k^, from the spectra the stages return.  The new state is a
     Field built from its spectrum; classification reads its samples and
-    derivative, which then serve the observers and the next step's first
+    derivative, which then serve the probes and the next step's first
     stage without another transform.
     """
     if state.status.terminal:
@@ -217,7 +216,7 @@ class LogRow:
 
 @dataclass
 class RunLog:
-    """Observation log: fixed columns plus caller-defined extras."""
+    """Observation log: fixed columns plus the probes' columns."""
 
     extra_names: Tuple[str, ...]
     rows: List[LogRow]
@@ -236,8 +235,7 @@ class RunLog:
 
 
 def _log_row(state: SolverState, config: SolverConfig,
-             extra_log: Sequence[Tuple[str, Callable[[SolverState], float]]]
-             ) -> LogRow:
+             extra: Tuple[float, ...]) -> LogRow:
     grid = state.u.grid
     u = state.u.values
     du = state.u.derivative_values
@@ -250,22 +248,21 @@ def _log_row(state: SolverState, config: SolverConfig,
         ux_inf=float(np.max(np.abs(du))),
         energy=float(np.sum(u * u + du * du) * grid.dx),
         mass=float(np.sum(u) * grid.dx),
-        extra=tuple(fn(state) for _, fn in extra_log),
+        extra=extra,
     )
 
 
-def run(
-    u0: Field,
-    config: SolverConfig,
-    observers: Sequence[Callable[[SolverState], None]] = (),
-    extra_log: Sequence[Tuple[str, Callable[[SolverState], float]]] = (),
-) -> Tuple[SolverState, RunLog]:
+def run(u0: Field, config: SolverConfig, probes: Sequence = ()
+        ) -> Tuple[SolverState, RunLog]:
     """Integrate from u0 until t_end or a terminal condition.
 
-    Observers are called (and a log row is recorded) on the initial state,
-    after every snapshot_stride-th accepted step, and on the terminal
-    state.  Deterministic given inputs; wave breaking terminates the run
-    cleanly rather than raising.
+    A log row is recorded, and every probe observes the state, on the
+    initial state, after every snapshot_stride-th accepted step, and on
+    the terminal state.  A probe has ``columns``, the names of the log
+    columns it adds (possibly none), and ``observe(state)``, which returns
+    one value per column; the probes' columns follow the fixed ones in
+    probe order.  Deterministic given inputs; wave breaking terminates
+    the run cleanly rather than raising.
     """
     if not np.all(np.isfinite(u0.values)):
         raise ValueError("initial data contains non-finite samples")
@@ -277,12 +274,12 @@ def run(
         )
 
     state = new_state(u0, config)
-    log = RunLog(extra_names=tuple(name for name, _ in extra_log), rows=[])
+    log = RunLog(extra_names=tuple(name for probe in probes
+                                   for name in probe.columns), rows=[])
 
     def observe(s: SolverState):
-        log.rows.append(_log_row(s, config, extra_log))
-        for obs in observers:
-            obs(s)
+        extra = tuple(v for probe in probes for v in probe.observe(s))
+        log.rows.append(_log_row(s, config, extra))
 
     observe(state)
     steps_since_snapshot = 0

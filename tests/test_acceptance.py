@@ -2,8 +2,9 @@
 suite, one test per criterion, each printing its pass/fail detail lines.
 
 One criterion is currently an honest failure: the traveling-wave residual
-check (criterion 2) measures a grid-scale ringing floor at the peakon kink
-of about 3.3e-3, above its stated 1e-3 tolerance.  The check is kept at
+check (criterion 2) measures the spectral ringing at the peakon kink at
+3.3e-3 for N = 4096, above its stated 1e-3 tolerance; the residual is
+first order in dx.  The check is kept at
 its stated tolerance rather than loosened to make this suite green; see
 the companion note in the criterion's detail line.
 """

@@ -17,7 +17,6 @@ from chlab.profiles import (
     profile_bounds_check,
     profile_report,
     reconstruct,
-    tail_remainder,
     tail_residual,
     tail_window,
 )
@@ -134,19 +133,28 @@ class TestTailWindow:
         assert not tail_window(Field(GRID, values), "plus").any()
 
 
+class _AmplitudeProbe:
+    """Accumulates every snapshot and collects (Phi, Psi) past t = 0."""
+
+    columns = ()
+
+    def __init__(self):
+        self.acc = ProfileAccumulator(GRID)
+        self.series = []
+
+    def observe(self, state):
+        self.acc.accumulate(state.u, state.t)
+        if self.acc.n_snapshots >= 2:
+            self.series.append(phi_psi(self.acc, state.t))
+        return ()
+
+
 def _evolved_gaussian():
     """Short production-style run with per-step accumulation."""
-    acc = ProfileAccumulator(GRID)
-    series = []
-
-    def observe(state):
-        acc.accumulate(state.u, state.t)
-        if acc.n_snapshots >= 2:
-            series.append(phi_psi(acc, state.t))
-
+    probe = _AmplitudeProbe()
     config = SolverConfig(t_end=0.25, snapshot_stride=1)
-    state, _ = run(GAUSSIAN, config, observers=[observe])
-    return acc, state, series
+    state, _ = run(GAUSSIAN, config, [probe])
+    return probe.acc, state, probe.series
 
 
 @pytest.fixture(scope="module")
@@ -178,21 +186,6 @@ class TestEvolutionRun:
         err = float(np.max(np.abs(recon.values - state.u.values)))
         assert err < 1e-4
         assert err == pytest.approx(2.84182026e-05, rel=1e-6)
-
-    def test_tail_remainder_decreases_outward(self, evolved):
-        acc, state, _ = evolved
-        x, R = tail_remainder(acc, state.t, "plus")
-        assert x.size > 0 and np.all(np.diff(x) > 0)
-        scale = float(R.max())
-        assert np.max(np.diff(R)) < 1e-9 * scale
-        xm, Rm = tail_remainder(acc, state.t, "minus")
-        # on the minus side the remainder grows toward the left edge
-        assert np.max(np.diff(Rm[::-1])) < 1e-8 * float(Rm.max())
-
-    def test_tail_remainder_side_validated(self, evolved):
-        acc, state, _ = evolved
-        with pytest.raises(ValueError, match="side must be"):
-            tail_remainder(acc, state.t, "both")
 
     def test_residuals_are_small_against_the_amplitude(self, evolved):
         acc, state, series = evolved

@@ -173,6 +173,33 @@ class TestRunScenario:
         assert p["snapshots"] == len(result.log.rows) - 1 == 33
         assert p["reconstruction_error_rel"] < 1e-3
 
+    def test_profiles_stop_at_the_contamination_guard(self):
+        # On L = 20 the Gaussian's weighted source reaches the edge of the
+        # box before the wave breaks: the profile rows collected so far
+        # stay, the error names the snapshot time where they stopped, and
+        # there is no state left to check the reconstruction against.
+        scenario = scenario_from_dict({
+            "name": "profiles-stop", "grid": {"L": 20.0, "N": 2048},
+            "initial_data": {"kind": "gaussian", "amplitude": 1.0,
+                             "width": 1.0, "center": 0.0},
+            "solver": {"t_end": 6.0, "slope_stop": -4.0,
+                       "boundary_tol": 1e-3},
+            "profiles_enabled": True,
+        })
+        result = run_scenario(scenario)
+        p = result.summary["profiles"]
+        rows = result.profile_rows
+        times = [r.t for r in result.log.rows]
+        assert result.summary["status"] == "WaveBreaking"
+        assert 0 < p["snapshots"] == len(rows) < len(times) - 1
+        assert [r[0] for r in rows] == times[1:len(rows) + 1]
+        stop = times[len(rows) + 1]
+        assert p["error"].startswith(
+            f"profiles stopped at t={stop:.6g}: weighted profile integrand "
+            f"is boundary-contaminated")
+        assert (p["Phi_final"], p["Psi_final"]) == rows[-1][1:3]
+        assert p["reconstruction_error_rel"] is None
+
     def test_noncertifiable_weight_warning_recorded(self):
         with pytest.warns(UserWarning):
             scenario = tiny_scenario(weights_to_track=[

@@ -67,9 +67,17 @@ class TestRhs:
         assert np.max(np.abs(got - manual)) < 1e-13
 
 
+class _Probe:
+    """A probe from its column names and its observe function."""
+
+    def __init__(self, columns, observe):
+        self.columns = columns
+        self.observe = observe
+
+
 class TestSpectralPipeline:
     """RK4 in Fourier space: the transform budget per step, the reuse of
-    the state's u_x by the observers, and agreement with the same RK4
+    the state's u_x by the probes, and agreement with the same RK4
     taken in physical space."""
 
     @staticmethod
@@ -109,10 +117,11 @@ class TestSpectralPipeline:
         def observe(s):
             peakon_rate_cap_check(s.u, C=math.inf)
             sup_norms(s.u), min_slope(s.u), energy(s.u), h1_norm(s.u)
+            return ()
 
         calls = self._count_transforms(monkeypatch)
         state, log = run(u0, SolverConfig(t_end=0.2, snapshot_stride=1),
-                         observers=[observe], extra_log=[("W", trace.record)])
+                         [trace, _Probe((), observe)])
         assert len(log.rows) == state.step_count + 1
         assert len(trace.samples) == len(log.rows)
         # the datum's spectrum and derivative once, then 16 per step
@@ -287,24 +296,32 @@ class TestLogging:
         u0 = Gaussian(1.0, 1.0, 0.0).build(GRID)
         seen = []
         state, log = run(u0, SolverConfig(t_end=0.2, snapshot_stride=4),
-                         observers=[lambda s: seen.append(s.t)])
+                         [_Probe((), lambda s: seen.append(s.t) or ())])
         assert seen[0] == 0.0
         assert seen[-1] == pytest.approx(state.t)
         assert seen == [r.t for r in log.rows]
         # stride 4: initial, every 4th step, terminal
         assert len(seen) == 2 + (state.step_count - 1) // 4
 
-    def test_extra_log_columns(self):
+    def test_probe_columns_follow_the_fixed_ones(self):
+        # probes of 0, 1 and 2 columns: their columns follow the fixed
+        # ones in probe order, and each row holds what they returned
         u0 = Gaussian(1.0, 1.0, 0.0).build(GRID)
-        _, log = run(
-            u0,
-            SolverConfig(t_end=0.1, snapshot_stride=1),
-            extra_log=[("peak", lambda s: float(np.max(s.u.values)))],
-        )
-        assert log.header[-1] == "peak"
+        silent = _Probe((), lambda s: ())
+        peak = _Probe(("peak",), lambda s: (float(np.max(s.u.values)),))
+        clock = _Probe(("t2", "step"), lambda s: (2.0 * s.t,
+                                                  float(s.step_count)))
+        state, log = run(u0, SolverConfig(t_end=0.1, snapshot_stride=1),
+                         [silent, peak, clock])
+        assert log.header == ("t", "dt", "min_slope", "u_inf", "ux_inf",
+                              "energy", "mass", "peak", "t2", "step")
         peaks = log.column("peak")
         assert peaks[0] == pytest.approx(1.0)
         assert np.all(peaks > 0.9)
+        assert peaks[-1] == float(np.max(state.u.values))
+        assert np.array_equal(log.column("t2"), 2.0 * log.column("t"))
+        assert np.array_equal(log.column("step"),
+                              np.arange(state.step_count + 1))
 
     def test_column_lookup_errors_on_unknown_name(self):
         log = RunLog(extra_names=(), rows=[])
