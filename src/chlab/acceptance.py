@@ -307,9 +307,9 @@ def _criterion_weights() -> CriterionResult:
     sup_route = cert_full.lp_v_exp.get(math.inf, math.nan)
 
     checks = [
-        (cert_half.admissible and abs(cert_half.integral_v_exp - 4.0) < 1e-8,
+        (cert_half.admissible and abs(cert_half.integral_v_exp - 4.0) < 1e-12,
          f"e^(|x|/2): admissible, decay integral "
-         f"{cert_half.integral_v_exp!r} = 4 within 1e-8"),
+         f"{cert_half.integral_v_exp!r} = 4 within 1e-12"),
         (not cert_full.quadrature_converged,
          f"e^|x|: decay integral correctly reported divergent "
          f"(reached R = {cert_full.quadrature_range:.0f})"),

@@ -20,7 +20,6 @@ for bad configs, unreadable files, and failed selftests.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path

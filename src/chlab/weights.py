@@ -244,13 +244,13 @@ def moderate_ratio(phi: Weight, v: Weight, x, y):
 class CertifyConfig:
     """Knobs for empirical weight certification.
 
-    The admissibility integral of v(x) e^{-|x|} runs adaptive trapezoid
+    The admissibility integral of v(x) e^{-|x|} runs adaptive Gauss-Kronrod
     quadrature on [-R, R] with R doubling from ``quad_range0`` until the
     increment drops below ``quad_tol`` or ``max_doublings`` is exhausted
     (then the integral is reported divergent — the correct verdict for
-    weights growing at least like e^{|x|}).  Each fixed-R integral is
-    refined by uniform halving until successive trapezoid values differ by
-    less than ``quad_inner_tol``.
+    weights growing at least like e^{|x|}).  ``quad_inner_tol`` is the
+    absolute tolerance of each fixed-R piece ([-R, 0], [0, R] and each
+    added [R, 2R]), which bisects only its unconverged subintervals.
     """
 
     sample_range: float = 32.0
@@ -302,48 +302,85 @@ class WeightCertificate:
         }
 
 
-def _trapezoid_refined(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                       tol: float, n0: int = 129, max_halvings: int = 18) -> float:
-    """Composite trapezoid on [lo, hi], uniformly refined until successive
-    values differ by < tol; returns the finest value (+inf on overflow)."""
-    xs = np.linspace(lo, hi, n0)
-    ys = f(xs)
-    if not np.all(np.isfinite(ys)):
-        return math.inf
-    h = (hi - lo) / (n0 - 1)
-    total = h * (np.sum(ys) - 0.5 * (ys[0] + ys[-1]))
-    for _ in range(max_halvings):
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        fm = f(mids)
-        if not np.all(np.isfinite(fm)):
+# 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule embedded in
+# it (QUADPACK's qk15: Piessens et al., 1983).  The Gauss nodes are every
+# other Kronrod node, so _G7_WEIGHTS is zero on the Kronrod-only ones.
+_K15_HALF = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245])
+_K15_NODES = np.concatenate([-_K15_HALF, [0.0], _K15_HALF[::-1]])
+_K15_WEIGHTS_HALF = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649])
+_K15_WEIGHTS = np.concatenate(
+    [_K15_WEIGHTS_HALF, [0.209482141084727828012999174891714],
+     _K15_WEIGHTS_HALF[::-1]])
+_G7_WEIGHTS_HALF = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0,
+    0.279705391489276667901467771423780, 0.0,
+    0.381830050505118944950369775488975, 0.0])
+_G7_WEIGHTS = np.concatenate(
+    [_G7_WEIGHTS_HALF, [0.417959183673469387755102040816327],
+     _G7_WEIGHTS_HALF[::-1]])
+
+
+def _gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                   tol: float, max_rounds: int = 80, max_live: int = 2048) -> float:
+    """Adaptive G7/K15 quadrature of f on [lo, hi] to absolute tolerance tol.
+
+    Each round evaluates f once, on the 15 Kronrod nodes of every live
+    subinterval.  A subinterval is accepted when |K15 - G7| is at most its
+    share tol * width / (hi - lo); the others are bisected.  The work is
+    bounded: after ``max_rounds`` rounds, or when bisection would exceed
+    ``max_live`` subintervals, the K15 values of the live ones are taken
+    as they are.  Returns +inf if any sample is not finite."""
+    a = np.array([lo])
+    b = np.array([hi])
+    accepted = []
+    for round_ in range(max_rounds):
+        centre = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        ys = f((centre[:, None] + half[:, None] * _K15_NODES).ravel())
+        if not np.all(np.isfinite(ys)):
             return math.inf
-        refined = 0.5 * total + 0.5 * h * np.sum(fm)
-        done = abs(refined - total) < tol
-        xs = np.sort(np.concatenate([xs, mids]))
-        h *= 0.5
-        total = refined
-        if done:
+        ys = ys.reshape(a.size, _K15_NODES.size)
+        kronrod = half * (ys @ _K15_WEIGHTS)
+        gauss = half * (ys @ _G7_WEIGHTS)
+        done = np.abs(kronrod - gauss) <= tol * (b - a) / (hi - lo)
+        accepted.append(kronrod[done])
+        live = ~done
+        if not live.any():
             break
-    return float(total)
+        if round_ == max_rounds - 1 or 2 * np.count_nonzero(live) > max_live:
+            accepted.append(kronrod[live])
+            break
+        a, centre, b = a[live], centre[live], b[live]
+        a, b = np.concatenate([a, centre]), np.concatenate([centre, b])
+    return math.fsum(np.concatenate(accepted))
 
 
 def _integral_with_doubling(
     f: Callable[[np.ndarray], np.ndarray], config: CertifyConfig
 ) -> Tuple[float, bool, float]:
-    """integral of f over the line: adaptive trapezoid on [-R, R] with R
+    """integral of f over the line: adaptive Gauss-Kronrod on [-R, R] with R
     doubling until the increment is below quad_tol.  The integrand is split
-    at 0 (weights usually kink there).  Returns (value, converged, R)."""
+    at 0 (weights usually kink there); each fixed-R piece is integrated to
+    the absolute tolerance quad_inner_tol.  Returns (value, converged, R)."""
     R = config.quad_range0
-    total = _trapezoid_refined(f, -R, 0.0, config.quad_inner_tol) + _trapezoid_refined(
+    total = _gauss_kronrod(f, -R, 0.0, config.quad_inner_tol) + _gauss_kronrod(
         f, 0.0, R, config.quad_inner_tol
     )
     converged = False
     for _ in range(config.max_doublings):
         if not math.isfinite(total):
             break
-        increment = _trapezoid_refined(
+        increment = _gauss_kronrod(
             f, -2 * R, -R, config.quad_inner_tol
-        ) + _trapezoid_refined(f, R, 2 * R, config.quad_inner_tol)
+        ) + _gauss_kronrod(f, R, 2 * R, config.quad_inner_tol)
         R *= 2
         total += increment
         if math.isfinite(increment) and abs(increment) < config.quad_tol:

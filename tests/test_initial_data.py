@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chlab.config import ConfigError, scenario_from_dict
-from chlab.field import Field, Grid, derivative, momentum_of
+from chlab.field import Grid, derivative, momentum_of
 from chlab.initial_data import (
     FromFile,
     FromPotential,

@@ -1,8 +1,6 @@
 """Scenario execution end to end: run summaries, artifact layout and
 reproducibility, parameter sweeps, and the command-line interface."""
 
-import json
-import math
 import multiprocessing
 import os
 import signal

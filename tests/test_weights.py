@@ -18,6 +18,8 @@ from chlab.weights import (
     StandardFamily,
     Tabulated,
     Truncated,
+    Weight,
+    _gauss_kronrod,
     certify_admissible,
     check_weighted_young,
     moderate_ratio,
@@ -190,6 +192,7 @@ class TestCertification:
         assert not cert.admissible
         assert not cert.quadrature_converged
         assert cert.integral_v_exp == math.inf
+        assert cert.quadrature_range == 131072.0
         # sup of v(x) e^{-|x|} = 1 survives: the L^infinity route stays open
         assert cert.lp_v_exp[math.inf] == pytest.approx(1.0, abs=1e-12)
 
@@ -198,12 +201,107 @@ class TestCertification:
         assert cert.admissible
         assert cert.C0 == pytest.approx(1.0, abs=1e-9)
 
+    def test_supercritical_exponential_is_rejected_at_overflow(self):
+        # v e^{-|x|} = e^{0.2|x|} overflows on the piece [2048, 4096]
+        w = StandardFamily(a=1.2, b=1.0)
+        cert = certify_admissible(w, w)
+        assert not cert.admissible
+        assert not cert.quadrature_converged
+        assert cert.quadrature_range == 4096.0
+
     def test_certificate_record_is_bit_reproducible(self):
         w = threshold_weight(1.0)
         cfg = CertifyConfig(sample_count=2000)
         a = certify_admissible(w, w, cfg).as_record()
         b = certify_admissible(w, w, cfg).as_record()
         assert a == b
+
+
+# (v, integral of v(x) e^{-|x|} dx, L^2 norm of v(x) e^{-|x|}) in closed form
+CLOSED_FORMS = [
+    (StandardFamily(c=2.0), 10.0, math.sqrt(10.5)),
+    (StandardFamily(a=0.5, b=1.0), 4.0, math.sqrt(2.0)),
+    (OneSided(a=0.5), 3.0, math.sqrt(1.5)),
+    (Truncated(StandardFamily(a=1.0, b=1.0), 1e4),
+     2.0 * (math.log(1e4) + 1.0), math.sqrt(2.0 * math.log(1e4) + 1.0)),
+    # 2 + (a/2) sqrt(pi) e^{a^2/4} (1 + erf(a/2)) at a = 1/2
+    (StandardFamily(a=0.5, b=0.5),
+     2.0 + 0.5 * math.sqrt(math.pi) * math.exp(1.0 / 16.0)
+     * (1.0 + math.erf(0.25)), None),
+    # the threshold weights have no closed form: these are the integrals
+    # computed with mpmath at 30 digits, rounded to double
+    (threshold_weight(1.0), 10.534874382931908, None),
+    (threshold_weight(0.75), 9.329665613964913, None),
+]
+
+
+class CountingWeight(Weight):
+    """Delegates to ``base`` and counts the points its log is taken at."""
+
+    def __init__(self, base):
+        self.base = base
+        self.points = 0
+
+    def _log_value(self, x):
+        self.points += np.size(x)
+        return self.base._log_value(x)
+
+    def _log_derivative(self, x):
+        return self.base._log_derivative(x)
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("v,integral,l2", CLOSED_FORMS,
+                             ids=[str(row[0]) for row in CLOSED_FORMS])
+    def test_certificate_matches_closed_form(self, v, integral, l2):
+        cert = certify_admissible(v, v, CertifyConfig(sample_count=100))
+        assert cert.quadrature_converged
+        assert cert.integral_v_exp == pytest.approx(integral, rel=1e-12)
+        if l2 is not None:
+            assert cert.lp_v_exp[2.0] == pytest.approx(l2, rel=1e-12)
+
+    def test_cusp_certificate_does_bounded_work(self):
+        # e^{|x|^{1/2}/2} has a |x|^{1/2} cusp at 0: only the subintervals
+        # next to it need bisecting, a few thousand points in all
+        base = StandardFamily(a=0.5, b=0.5)
+        counting = CountingWeight(base)
+        cert = certify_admissible(
+            base, counting, CertifyConfig(sample_count=100, p_values=(2.0,)))
+        assert cert.admissible
+        # 5 * sample_count of these points are the sampled constants
+        assert counting.points <= 10**5
+
+    def test_overflowing_sample_gives_inf(self):
+        with np.errstate(over="ignore"):
+            value = _gauss_kronrod(np.exp, 0.0, 1000.0, 1e-9)
+        assert value == math.inf
+
+    def test_live_interval_cap_bounds_the_work(self):
+        # e^x reaches 1e304 on [0, 700]: an absolute tolerance of 1e-9 is
+        # never met, so every subinterval is bisected until the cap
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(x)
+
+        value = _gauss_kronrod(f, 0.0, 700.0, 1e-9)
+        assert value == pytest.approx(math.expm1(700.0), rel=1e-12)
+        assert max(sizes) <= 2048 * 15
+        assert len(sizes) < 80
+
+    def test_round_cap_bounds_the_work(self):
+        # on [0, w], |K15 - G7| of x^{-1/2} scales like w^{1/2}, so the
+        # subinterval at 0 never meets its share tol * w of the tolerance
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return 1.0 / np.sqrt(x)
+
+        value = _gauss_kronrod(f, 0.0, 1.0, 1e-9)
+        assert len(calls) == 80
+        assert value == pytest.approx(2.0, rel=1e-9)
 
 
 class TestWeightedNorms:
