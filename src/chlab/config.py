@@ -301,8 +301,8 @@ def scenario_from_dict(data: Mapping, *, default_name: Optional[str] = None,
 
     Fills defaults, rejects unknown or ill-typed keys with their dotted
     path, and (unless ``check_initial`` is disabled) builds the initial
-    datum once to verify that its samples are finite and that it is not
-    boundary-contaminated on the requested grid.
+    datum once to verify that its samples are finite, not all zero, and
+    not boundary-contaminated on the requested grid.
     """
     data = _mapping(data, "")
     _reject_unknown(data, [f.name for f in fields(Scenario)], "")
@@ -348,6 +348,9 @@ def scenario_from_dict(data: Mapping, *, default_name: Optional[str] = None,
             raise ConfigError("initial_data", str(exc)) from exc
         if not np.all(np.isfinite(u0.values)):
             raise ConfigError("initial_data", f"non-finite samples on grid "
+                                              f"L={grid.L}, N={grid.N}")
+        if not np.any(u0.values):
+            raise ConfigError("initial_data", f"all samples are zero on grid "
                                               f"L={grid.L}, N={grid.N}")
         # the solver would stop at step 0 above its own boundary_tol
         tol = min(INITIAL_BOUNDARY_TOL, solver.boundary_tol)

@@ -53,6 +53,14 @@ __all__ = [
     "weighted_pair_norm",
 ]
 
+# The decay predictor fires below this fraction of ||u0||_inf.
+_DECAY_THRESHOLD_REL = 1e-6
+# Slack on log W against the fitted persistence bound.
+_CONSISTENCY_TOL = 1e-8
+# The rate cap's trustworthy band ends where |u| falls below this
+# fraction of its peak.
+_RATE_CAP_FLOOR_REL = 1e-8
+
 
 def sup_norms(u: Field) -> Tuple[float, float, float]:
     """(||u||_inf, ||u_x||_inf, their sum): the instantaneous value of the
@@ -80,8 +88,7 @@ def local_derivative(u: Field) -> np.ndarray:
 
 def h1_norm(u: Field) -> float:
     """sqrt of the rectangle-rule integral of u^2 + u_x^2."""
-    du = u.derivative_values
-    return math.sqrt(float(np.sum(u.values**2 + du**2)) * u.grid.dx)
+    return math.sqrt(energy(u))
 
 
 def energy(u: Field) -> float:
@@ -169,18 +176,14 @@ def slope_criterion_predict(u0: Field) -> PredictorResult:
     return PredictorResult("slope_criterion", fired=margin < 0.0, evidence=margin)
 
 
-def decay_blowup_predict(
-    u0: Field,
-    tail_window: float = 0.2,
-    threshold_rel: float = 1e-6,
-) -> PredictorResult:
+def decay_blowup_predict(u0: Field, tail_window: float = 0.2) -> PredictorResult:
     """Fires when the tail decay beats the critical rate e^{-|x|}.
 
     Evidence is the minimum of e^{|x|} (|u0| + |u0'|) over the outer
     ``tail_window`` fraction of the domain (both sides), with u0' by local
     central differences; fires when the evidence drops below
-    threshold_rel * ||u0||_inf.  A grid cannot take liminf at infinity —
-    the window makes "large x" operational and explicit.
+    _DECAY_THRESHOLD_REL * ||u0||_inf.  A grid cannot take liminf at
+    infinity — the window makes "large x" operational and explicit.
     """
     peak = float(np.max(np.abs(u0.values)))
     if peak == 0.0:
@@ -192,9 +195,9 @@ def decay_blowup_predict(
     window = np.abs(x) >= cut
     magnitude = np.abs(u0.values) + np.abs(local_derivative(u0))
     evidence = float(np.min(np.exp(np.abs(x[window])) * magnitude[window]))
-    return PredictorResult(
-        "decay_blowup", fired=evidence < threshold_rel * peak, evidence=evidence
-    )
+    return PredictorResult("decay_blowup",
+                           fired=evidence < _DECAY_THRESHOLD_REL * peak,
+                           evidence=evidence)
 
 
 def predictor_table(u0: Field) -> dict:
@@ -300,12 +303,12 @@ class PersistenceReport:
     sup_W: float
 
 
-def persistence_check(trace: PersistenceTrace, W0: Optional[float] = None,
-                      consistency_tol: float = 1e-8) -> PersistenceReport:
+def persistence_check(trace: PersistenceTrace) -> PersistenceReport:
     """Fit C in W(t) <= W(0) e^{C int_0^t M ds} and verify self-consistency.
 
-    The integral of M uses trapezoid on the trace times.  W identically
-    zero passes trivially with C_fit = 0.  Non-finite W values truncate the
+    The integral of M uses trapezoid on the trace times, and log W may
+    exceed the fitted bound by _CONSISTENCY_TOL.  W identically zero
+    passes trivially with C_fit = 0.  Non-finite W values truncate the
     valid range and set the divergence flag (expected near wave breaking).
     """
     if not trace.samples:
@@ -323,8 +326,7 @@ def persistence_check(trace: PersistenceTrace, W0: Optional[float] = None,
             return PersistenceReport(math.inf, False, True, (0.0, 0.0),
                                      math.nan, math.inf)
 
-    if W0 is None:
-        W0 = float(W[0])
+    W0 = float(W[0])
     if W0 == 0.0 and np.all(W == 0.0):
         return PersistenceReport(0.0, True, diverged,
                                  (float(times[0]), float(times[-1])),
@@ -342,7 +344,7 @@ def persistence_check(trace: PersistenceTrace, W0: Optional[float] = None,
 
     bound = math.log(W0) + C_fit * integral_M
     with np.errstate(divide="ignore"):
-        consistent = bool(np.all(np.log(W) <= bound + consistency_tol))
+        consistent = bool(np.all(np.log(W) <= bound + _CONSISTENCY_TOL))
     passed = math.isfinite(C_fit) and consistent
     return PersistenceReport(
         C_fit=C_fit,
@@ -377,12 +379,11 @@ class RateCapResult:
     region: Tuple[float, float]
 
 
-def peakon_rate_cap_check(u: Field, C: float,
-                          noise_floor_rel: float = 1e-8) -> RateCapResult:
+def peakon_rate_cap_check(u: Field, C: float) -> RateCapResult:
     """Verify sup_x e^{|x|} (|u| + |u_x|) <= C over the trustworthy region.
 
     The region is the contiguous band around the crest out to the first
-    sample (on each side) where |u| drops below noise_floor_rel * peak.
+    sample (on each side) where |u| drops below _RATE_CAP_FLOOR_REL * peak.
     Stopping at the first crossing matters: spectral tails carry an
     oscillatory noise floor that can sit above any fixed threshold, and
     e^{|x|} times that floor — or worse, times its derivative — would
@@ -394,7 +395,7 @@ def peakon_rate_cap_check(u: Field, C: float,
     peak = float(np.max(values))
     if peak == 0.0:
         return RateCapResult(True, 0.0, C, (0.0, 0.0))
-    left, right = peak_band(values, noise_floor_rel * peak)
+    left, right = peak_band(values, _RATE_CAP_FLOOR_REL * peak)
     band = slice(left, right + 1)
     x = u.grid.x[band]
     magnitude = values[band] + np.abs(local_derivative(u)[band])

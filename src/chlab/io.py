@@ -16,6 +16,7 @@ from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .profiles import PROFILE_HEADER
 from .solver import RunLog
 
 __all__ = [
@@ -41,9 +42,6 @@ RUN_CSV = "run.csv"
 PROFILE_CSV = "profile.csv"
 SNAPSHOT_CSV = "snapshots.csv"
 SUMMARY_JSON = "summary.json"
-
-PROFILE_HEADER = ("t", "Phi", "Psi", "c1", "c2", "max_eps_plus",
-                  "max_eps_minus")
 
 
 def format_number(value: float) -> str:
@@ -71,8 +69,7 @@ def write_run_csv(path, log: RunLog) -> None:
 
 
 def write_profile_csv(path, rows: Iterable[Sequence[float]]) -> None:
-    """Write per-snapshot profile functionals:
-    t,Phi,Psi,c1,c2,max_eps_plus,max_eps_minus."""
+    """Write ProfileTrace rows under ``profiles.PROFILE_HEADER``."""
     _write_table(Path(path), PROFILE_HEADER, rows)
 
 

@@ -26,14 +26,14 @@ to Phi; the advection correction UUx is subtracted explicitly since at
 finite x it is merely bounded, not negligible.
 
 ``ProfileTrace`` is the probe for ``solver.run`` that does all of this
-along a run and condenses it into the run summary's profile block.
+along a run, one ``PROFILE_HEADER`` row per snapshot past t = 0, and
+condenses the rows into the run summary's profile block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -42,24 +42,30 @@ from .field import Field, Grid, helmholtz_inverse_dx, source_term
 
 __all__ = [
     "ProfileAccumulator",
-    "ProfileReport",
     "ProfileTrace",
-    "TailReference",
     "phi_psi",
     "phi0_psi0",
     "tail_window",
-    "tail_residual",
     "reconstruct",
-    "profile_bounds_check",
+    "profile_report",
 ]
+
+#: Columns of a ProfileTrace row, as ``profile.csv`` writes them.
+PROFILE_HEADER = ("t", "Phi", "Psi", "c1", "c2", "max_eps_plus",
+                  "max_eps_minus")
 
 # Automatic-window band for tail residuals, relative to the initial peak.
 # The ceiling keeps the window deep in the asymptotic regime; the floor
 # keeps it well above the numeric tail floor an evolved field carries
 # (masked-band leak, observed around 1e-9 of peak on production grids), so
-# that e^{|x|}-weighted residuals measure signal rather than floor.
+# that e^{|x|}-weighted residuals measure signal rather than floor.  The
+# window is the outer fraction of that band in |x|.
 _WINDOW_FLOOR_REL = 1e-7
 _WINDOW_CEILING_REL = 1e-4
+_WINDOW_OUTER_FRACTION = 0.2
+
+# Crop of the weighted half integrals, relative to the integrand's peak.
+_INTEGRAND_FLOOR_REL = 1e-7
 
 
 def _advection_term(u: Field, dealias: bool) -> np.ndarray:
@@ -119,15 +125,15 @@ class ProfileAccumulator:
             )
 
 
-def _weighted_half_integral(values: np.ndarray, grid: Grid, sign: float,
-                            floor_rel: float = 1e-7) -> float:
+def _weighted_half_integral(values: np.ndarray, grid: Grid,
+                            sign: float) -> float:
     """(1/2) int e^{sign * y} values dy by the rectangle rule.
 
     The integrand is cropped to the contiguous band around the peak of
-    |values| where |values| > floor_rel * peak: beyond the first crossing
-    the samples are numeric floor, and e^{|y|} times floor would swamp the
-    genuine statistic.  The floor must sit above the dealiasing mask's
-    leakage floor in evolved fields (about 1e-9 of the peak, growing
+    |values| where |values| > _INTEGRAND_FLOOR_REL * peak: beyond the first
+    crossing the samples are numeric floor, and e^{|y|} times floor would
+    swamp the genuine statistic.  The floor must sit above the dealiasing
+    mask's leakage floor in evolved fields (about 1e-9 of the peak, growing
     slowly with step count), hence 1e-7; cropping a true exponential tail
     there truncates the weighted integral at relative ~3e-4, and
     faster-decaying tails lose far less.
@@ -140,7 +146,7 @@ def _weighted_half_integral(values: np.ndarray, grid: Grid, sign: float,
     peak = float(magnitude.max())
     if peak == 0.0:
         return 0.0
-    left, right = peak_band(magnitude, floor_rel * peak)
+    left, right = peak_band(magnitude, _INTEGRAND_FLOOR_REL * peak)
     band = slice(left, right + 1)
     integrand = np.exp(sign * grid.x[band]) * values[band]
     if left == 0 or right == magnitude.size - 1:
@@ -178,20 +184,15 @@ def phi0_psi0(u0: Field, dealias: bool = False) -> Tuple[float, float]:
     )
 
 
-def tail_window(
-    u0: Field,
-    side: str,
-    floor_rel: float = _WINDOW_FLOOR_REL,
-    ceiling_rel: float = _WINDOW_CEILING_REL,
-    outer_fraction: float = 0.2,
-) -> np.ndarray:
+def tail_window(u0: Field, side: str) -> np.ndarray:
     """Boolean mask of the automatic asymptotic window on one side.
 
-    Candidates are samples with floor_rel * peak < |u0| < ceiling_rel *
-    peak on the requested side (x > 0 for 'plus', x < 0 for 'minus'); the
-    window is the outer ``outer_fraction`` of the candidate band in |x|.
-    Empty when the tails never enter the band (e.g. compactly supported
-    samples that jump straight from O(peak) to roundoff).
+    Candidates are samples with _WINDOW_FLOOR_REL * peak < |u0| <
+    _WINDOW_CEILING_REL * peak on the requested side (x > 0 for 'plus',
+    x < 0 for 'minus'); the window is the outer _WINDOW_OUTER_FRACTION of
+    the candidate band in |x|.  Empty when the tails never enter the band
+    (e.g. compactly supported samples that jump straight from O(peak) to
+    roundoff).
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
@@ -201,8 +202,8 @@ def tail_window(
     if peak == 0.0:
         return np.zeros(u0.grid.N, dtype=bool)
     candidates = (
-        (magnitude > floor_rel * peak)
-        & (magnitude < ceiling_rel * peak)
+        (magnitude > _WINDOW_FLOOR_REL * peak)
+        & (magnitude < _WINDOW_CEILING_REL * peak)
         & ((x > 0) if side == "plus" else (x < 0))
     )
     if not candidates.any():
@@ -210,59 +211,8 @@ def tail_window(
     ax = np.abs(x)
     hi = float(np.max(ax[candidates]))
     lo = float(np.min(ax[candidates]))
-    inner_cut = hi - outer_fraction * (hi - lo)
+    inner_cut = hi - _WINDOW_OUTER_FRACTION * (hi - lo)
     return candidates & (ax >= inner_cut)
-
-
-@dataclass(frozen=True, eq=False)
-class TailReference:
-    """What the tail statistics use of the initial datum u0, fixed for a
-    run: (Phi(0), Psi(0)) and the automatic window on each side."""
-
-    u0: Field
-    Phi0: float
-    Psi0: float
-    window_plus: np.ndarray
-    window_minus: np.ndarray
-
-    @classmethod
-    def of(cls, u0: Field) -> "TailReference":
-        Phi0, Psi0 = phi0_psi0(u0)
-        return cls(u0, Phi0, Psi0, tail_window(u0, "plus"),
-                   tail_window(u0, "minus"))
-
-
-def tail_residual(
-    acc: ProfileAccumulator,
-    u: Field,
-    reference: TailReference,
-    t: float,
-    side: str,
-    amplitude: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(x, eps(x,t)) over the automatic window on the requested side.
-
-    side 'plus':  eps = e^{x} (u - u0 + UUx)/t - Phi(t)
-    side 'minus': eps = -e^{-x} (u - u0 + UUx)/t - Psi(t)
-
-    ``amplitude`` is Phi(t) for 'plus' and Psi(t) for 'minus', as
-    ``phi_psi`` gives them at t.  An empty window (tails contaminated or
-    below noise) is returned as empty arrays rather than an error: the
-    caller reports it explicitly.
-    """
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    acc._require_time(t)
-    window = reference.window_plus if side == "plus" else reference.window_minus
-    x = u.grid.x[window]
-    if x.size == 0:
-        return x, x
-    drift = (u.values - reference.u0.values + acc.UUx)[window] / t
-    if side == "plus":
-        eps = np.exp(x) * drift - amplitude
-    else:
-        eps = -np.exp(-x) * drift - amplitude
-    return x, eps
 
 
 def reconstruct(acc: ProfileAccumulator, u0: Field) -> Field:
@@ -272,100 +222,47 @@ def reconstruct(acc: ProfileAccumulator, u0: Field) -> Field:
     return Field(acc.grid, u0.values - correction - acc.UUx)
 
 
-@dataclass(frozen=True)
-class ProfileReport:
-    """One profile observation row plus its residual tables."""
+def profile_report(acc: ProfileAccumulator, u: Field, u0: Field, t: float,
+                   amplitudes: Tuple[float, float],
+                   windows: Tuple[np.ndarray, np.ndarray]
+                   ) -> Tuple[float, float]:
+    """(max|eps_plus|, max|eps_minus|) at time t over the automatic windows
+    (plus, minus) of u0, where ``amplitudes`` is (Phi(t), Psi(t)) and
 
-    t: float
-    Phi: float
-    Psi: float
-    Phi0: float
-    Psi0: float
-    residual_plus: Tuple[np.ndarray, np.ndarray]
-    residual_minus: Tuple[np.ndarray, np.ndarray]
-    window_plus: Tuple[float, float]
-    window_minus: Tuple[float, float]
-    c1: float
-    c2: float
+        eps_plus  =  e^{x} (u - u0 + UUx)/t - Phi(t),
+        eps_minus = -e^{-x} (u - u0 + UUx)/t - Psi(t).
 
-    @property
-    def max_eps_plus(self) -> float:
-        _, eps = self.residual_plus
-        return float(np.max(np.abs(eps))) if eps.size else math.nan
-
-    @property
-    def max_eps_minus(self) -> float:
-        _, eps = self.residual_minus
-        return float(np.max(np.abs(eps))) if eps.size else math.nan
-
-
-def profile_bounds_check(
-    amplitudes: Sequence[Tuple[float, float]]
-) -> Tuple[float, float, bool]:
-    """(c1, c2, passed) over a series of (Phi, Psi) pairs: c1 the smallest
-    and c2 the largest amplitude seen; passes iff c1 > 0 (the two-sided
-    time-uniform positivity that pins the tail profiles)."""
-    if not amplitudes:
-        raise ValueError("no amplitude samples")
-    lows = [min(phi, psi) for phi, psi in amplitudes]
-    highs = [max(phi, psi) for phi, psi in amplitudes]
-    c1 = float(min(lows))
-    c2 = float(max(highs))
-    return c1, c2, c1 > 0.0
-
-
-def profile_report(
-    acc: ProfileAccumulator,
-    u: Field,
-    reference: TailReference,
-    t: float,
-    amplitude_series: Sequence[Tuple[float, float]],
-) -> ProfileReport:
-    """Assemble the full profile observation at time t.
-
-    ``amplitude_series`` is the (Phi, Psi) history collected so far; its
-    last pair is the one at t.  Empty residual windows surface as empty
-    arrays / NaN extremes.
+    A side whose window is empty (tails contaminated or below noise)
+    reports NaN rather than an error.
     """
-    Phi, Psi = amplitude_series[-1]
-    c1, c2, _ = profile_bounds_check(amplitude_series)
-
-    def _window_span(xs: np.ndarray) -> Tuple[float, float]:
-        if xs.size == 0:
-            return (math.nan, math.nan)
-        return (float(xs.min()), float(xs.max()))
-
-    residual_plus = tail_residual(acc, u, reference, t, "plus", Phi)
-    residual_minus = tail_residual(acc, u, reference, t, "minus", Psi)
-    return ProfileReport(
-        t=t,
-        Phi=Phi,
-        Psi=Psi,
-        Phi0=reference.Phi0,
-        Psi0=reference.Psi0,
-        residual_plus=residual_plus,
-        residual_minus=residual_minus,
-        window_plus=_window_span(residual_plus[0]),
-        window_minus=_window_span(residual_minus[0]),
-        c1=c1,
-        c2=c2,
-    )
+    acc._require_time(t)
+    change = u.values - u0.values + acc.UUx
+    extremes = []
+    for sign, amplitude, window in zip((1.0, -1.0), amplitudes, windows):
+        x = u.grid.x[window]
+        eps = sign * np.exp(sign * x) * (change[window] / t) - amplitude
+        extremes.append(float(np.max(np.abs(eps))) if x.size else math.nan)
+    return extremes[0], extremes[1]
 
 
 class ProfileTrace:
     """Probe: folds every snapshot into a ProfileAccumulator and, past
-    t = 0, collects one profile row (t, Phi, Psi, c1, c2, max_eps_plus,
-    max_eps_minus).  When the weighted integrals sink to the contamination
-    guard (tails off the grid, or noise floor reached) it keeps the rows
-    collected so far, records why they stop, and observes no further."""
+    t = 0, collects one ``PROFILE_HEADER`` row: t, Phi, Psi, the running
+    extremes c1 = min and c2 = max of Phi and Psi so far, and the residual
+    extremes of ``profile_report``.  When the weighted integrals sink to
+    the contamination guard (tails off the grid, or noise floor reached)
+    it keeps the rows collected so far, records why they stop, and
+    observes no further."""
 
     columns = ()
 
     def __init__(self, u0: Field, dealias: bool):
         self.acc = ProfileAccumulator(u0.grid, dealias=dealias)
-        self.reference = TailReference.of(u0)
+        self.u0 = u0
+        self.Phi0, self.Psi0 = phi0_psi0(u0)
+        self.windows = (tail_window(u0, "plus"), tail_window(u0, "minus"))
+        self.c1, self.c2 = math.inf, -math.inf
         self.rows: List[Tuple[float, ...]] = []
-        self.amplitudes: List[Tuple[float, float]] = []
         self.error: Optional[str] = None
         self._last_u = u0
 
@@ -381,35 +278,37 @@ class ProfileTrace:
         except ValueError as exc:
             self.error = f"profiles stopped at t={state.t:.6g}: {exc}"
             return ()
-        self.amplitudes.append((Phi, Psi))
-        report = profile_report(self.acc, state.u, self.reference, state.t,
-                                self.amplitudes)
-        self.rows.append((state.t, Phi, Psi, report.c1, report.c2,
-                          report.max_eps_plus, report.max_eps_minus))
+        self.c1 = min(self.c1, Phi, Psi)
+        self.c2 = max(self.c2, Phi, Psi)
+        eps_plus, eps_minus = profile_report(self.acc, state.u, self.u0,
+                                             state.t, (Phi, Psi), self.windows)
+        self.rows.append((state.t, Phi, Psi, self.c1, self.c2, eps_plus,
+                          eps_minus))
         return ()
 
     def summary(self) -> dict:
-        """The profile block of the run summary.  The reconstruction error
-        compares the evolution identity with the last observed state, so
-        it is None when the rows stopped before the run did."""
+        """The profile block of the run summary.  c1_positive is the
+        two-sided time-uniform positivity c1 > 0 that pins the tail
+        profiles.  The reconstruction error compares the evolution
+        identity with the last observed state, so it is None when the
+        rows stopped before the run did."""
         if not self.rows:
             return {"snapshots": 0,
                     "error": self.error or "no snapshots past t=0"}
-        c1, c2, positive = profile_bounds_check(self.amplitudes)
         _, Phi, Psi, _, _, eps_plus, eps_minus = self.rows[-1]
         recon_err = None
         if self.error is None:
             u = self._last_u.values
-            recon = reconstruct(self.acc, self.reference.u0).values
+            recon = reconstruct(self.acc, self.u0).values
             recon_err = float(np.max(np.abs(recon - u))
                               / max(np.max(np.abs(u)), 1e-300))
         return {
-            "Phi0": self.reference.Phi0,
-            "Psi0": self.reference.Psi0,
+            "Phi0": self.Phi0,
+            "Psi0": self.Psi0,
             "snapshots": len(self.rows),
-            "c1": c1,
-            "c2": c2,
-            "c1_positive": positive,
+            "c1": self.c1,
+            "c2": self.c2,
+            "c1_positive": self.c1 > 0.0,
             "Phi_final": Phi,
             "Psi_final": Psi,
             "max_eps_plus": eps_plus,

@@ -43,7 +43,6 @@ __all__ = [
     "CertifyConfig",
     "WeightCertificate",
     "YoungReport",
-    "submultiplicative_ratio",
     "moderate_ratio",
     "certify_admissible",
     "weighted_lp_norm",
@@ -222,17 +221,9 @@ class Truncated(Weight):
         return f"min({self.base}, {self.cap})"
 
 
-def submultiplicative_ratio(v: Weight, x, y):
-    """v(x+y) / (v(x) v(y)), evaluated in log space."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore"):
-        out = np.exp(v._log_value(x + y) - v._log_value(x) - v._log_value(y))
-    return float(out) if out.ndim == 0 else out
-
-
 def moderate_ratio(phi: Weight, v: Weight, x, y):
-    """phi(x+y) / (v(x) phi(y)), evaluated in log space."""
+    """phi(x+y) / (v(x) phi(y)), evaluated in log space; with phi = v it is
+    the submultiplicativity ratio v(x+y) / (v(x) v(y))."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore"):
@@ -414,7 +405,7 @@ def certify_admissible(
 
     xs, ys = pairs[:, 0], pairs[:, 1]
     C0 = float(np.max(moderate_ratio(phi, v, xs, ys)))
-    sub_ratio = float(np.max(submultiplicative_ratio(v, xs, ys)))
+    sub_ratio = float(np.max(moderate_ratio(v, v, xs, ys)))
     A = float(np.max(np.abs(phi.log_derivative(singles))))
     v_vals = v.value(singles)
     inf_v = float(np.min(v_vals))

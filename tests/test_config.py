@@ -173,6 +173,17 @@ class TestValidation:
                 pytest.raises(ConfigError, match="initial_data: non-finite"):
             scenario_from_dict(bad)
 
+    def test_zero_initial_samples_rejected(self):
+        # the predictors and the rate cap are relative to u0, so zero data
+        # would otherwise fail inside the run
+        bad = tiny(grid={"L": 20.0, "N": 256},
+                   initial_data={"kind": "gaussian", "amplitude": 0.0})
+        with pytest.raises(ConfigError,
+                           match="initial_data: all samples are zero"):
+            scenario_from_dict(bad)
+        assert isinstance(scenario_from_dict(bad, check_initial=False),
+                          Scenario)
+
     @pytest.mark.parametrize("initial, match", [
         ("{kind: gaussian, amplitude: true}",
          "initial_data.amplitude: expected a number, got bool True"),

@@ -1,0 +1,103 @@
+"""Source hygiene, checked from the syntax tree alone.
+
+* No module of the package, the tests or the scripts imports a name it
+  never uses.  A name counts as used when it is read anywhere in the
+  module, listed in its ``__all__``, or named in a string annotation.
+* Every name in a ``chlab`` module's ``__all__`` is bound in that module.
+
+Nothing is imported or run, so a module that fails to import still gets
+its hygiene checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "chlab"
+SOURCES = sorted(
+    [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+     *(ROOT / "scripts").glob("*.py")])
+
+
+def _ids(paths):
+    return [str(p.relative_to(ROOT)) for p in paths]
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree: ast.Module) -> list:
+    """The string entries of a module-level ``__all__``, if any."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _imported(tree: ast.Module) -> dict:
+    """Bound name -> line of every import outside ``__future__``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _used(tree: ast.Module) -> set:
+    used = set(_exported(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        for annotation in (getattr(node, "annotation", None),
+                           getattr(node, "returns", None)):
+            if (isinstance(annotation, ast.Constant)
+                    and isinstance(annotation.value, str)):
+                used.update(n.id for n in ast.walk(ast.parse(annotation.value))
+                            if isinstance(n, ast.Name))
+    return used
+
+
+def test_sources_are_found():
+    assert PACKAGE / "__init__.py" in SOURCES
+    assert Path(__file__).resolve() in SOURCES
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_ids(SOURCES))
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = _used(tree)
+    unused = [f"{name} (line {line})"
+              for name, line in sorted(_imported(tree).items())
+              if name not in used]
+    assert not unused, f"{path.name} imports but never uses: {unused}"
+
+
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_ids(MODULES))
+def test_all_names_exist(path):
+    tree = _tree(path)
+    bound = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            bound.add(node.target.id)
+    missing = [name for name in _exported(tree) if name not in bound]
+    assert not missing, f"{path.name} __all__ lists unbound names: {missing}"

@@ -1,7 +1,9 @@
 """Tail-profile machinery: time-averaged source, amplitude pair,
-automatic asymptotic windows, residuals, and the evolution identity."""
+automatic asymptotic windows, the ProfileTrace rows with their running
+bounds and residual extremes, and the evolution identity."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,14 +12,11 @@ from chlab.field import Field, Grid, peakon, source_term
 from chlab.initial_data import Gaussian, MollifiedExponential, MollifiedPeakon
 from chlab.profiles import (
     ProfileAccumulator,
-    ProfileReport,
-    TailReference,
+    ProfileTrace,
     phi0_psi0,
     phi_psi,
-    profile_bounds_check,
     profile_report,
     reconstruct,
-    tail_residual,
     tail_window,
 )
 from chlab.solver import SolverConfig, run
@@ -133,116 +132,108 @@ class TestTailWindow:
         assert not tail_window(Field(GRID, values), "plus").any()
 
 
-class _AmplitudeProbe:
-    """Accumulates every snapshot and collects (Phi, Psi) past t = 0."""
-
-    columns = ()
-
-    def __init__(self):
-        self.acc = ProfileAccumulator(GRID)
-        self.series = []
-
-    def observe(self, state):
-        self.acc.accumulate(state.u, state.t)
-        if self.acc.n_snapshots >= 2:
-            self.series.append(phi_psi(self.acc, state.t))
-        return ()
-
-
-def _evolved_gaussian():
-    """Short production-style run with per-step accumulation."""
-    probe = _AmplitudeProbe()
-    config = SolverConfig(t_end=0.25, snapshot_stride=1)
-    state, _ = run(GAUSSIAN, config, [probe])
-    return probe.acc, state, probe.series
-
-
 @pytest.fixture(scope="module")
 def evolved():
-    return _evolved_gaussian()
+    """Short production-style run with a profile row at every step."""
+    trace = ProfileTrace(GAUSSIAN, dealias=True)
+    config = SolverConfig(t_end=0.25, snapshot_stride=1)
+    state, _ = run(GAUSSIAN, config, [trace])
+    return trace, state
+
+
+def _observe(trace, u, times):
+    for t in times:
+        trace.observe(SimpleNamespace(t=t, u=u))
+    return trace
 
 
 class TestEvolutionRun:
     def test_amplitudes_stay_pinned_between_positive_bounds(self, evolved):
-        _, _, series = evolved
-        c1, c2, passed = profile_bounds_check(series)
-        assert passed
-        assert c1 == pytest.approx(1.0310717598, rel=1e-9)
-        assert c2 == pytest.approx(1.3017917083, rel=1e-9)
+        trace, _ = evolved
+        summary = trace.summary()
+        assert summary["c1_positive"]
+        assert summary["c1"] == pytest.approx(1.0310717598, rel=1e-9)
+        assert summary["c2"] == pytest.approx(1.3017917083, rel=1e-9)
+        assert trace.rows[-1][3:5] == (summary["c1"], summary["c2"])
         # the lower bound stays a healthy fraction of the initial amplitude
-        Phi0, _ = phi0_psi0(GAUSSIAN)
-        assert c1 > 0.75 * Phi0
+        assert summary["c1"] > 0.75 * trace.Phi0
 
     def test_first_interval_amplitudes(self, evolved):
-        _, _, series = evolved
-        assert series[0][0] == pytest.approx(1.1602500160, rel=1e-9)
-        assert series[0][1] == pytest.approx(1.1476390199, rel=1e-9)
+        trace, _ = evolved
+        assert trace.rows[0][1] == pytest.approx(1.1602500160, rel=1e-9)
+        assert trace.rows[0][2] == pytest.approx(1.1476390199, rel=1e-9)
 
     def test_evolution_identity_reconstructs_the_state(self, evolved):
         # u0 - (G * int F)_x - int u u_x agrees with the integrated state
         # up to time-quadrature error of the snapshot trapezoid
-        acc, state, _ = evolved
-        recon = reconstruct(acc, GAUSSIAN)
+        trace, state = evolved
+        recon = reconstruct(trace.acc, GAUSSIAN)
         err = float(np.max(np.abs(recon.values - state.u.values)))
         assert err < 1e-4
         assert err == pytest.approx(2.84182026e-05, rel=1e-6)
 
     def test_residuals_are_small_against_the_amplitude(self, evolved):
-        acc, state, series = evolved
-        Phi, Psi = series[-1]
-        reference = TailReference.of(GAUSSIAN)
-        x, eps = tail_residual(acc, state.u, reference, state.t, "plus", Phi)
-        assert x.size > 0
-        assert float(np.max(np.abs(eps))) < 0.01 * Phi
-        _, eps_m = tail_residual(acc, state.u, reference, state.t, "minus",
-                                 Psi)
-        assert float(np.max(np.abs(eps_m))) < 0.01 * Psi
+        trace, state = evolved
+        t, Phi, Psi = trace.rows[-1][:3]
+        assert trace.windows[0].any() and trace.windows[1].any()
+        eps_plus, eps_minus = profile_report(trace.acc, state.u, GAUSSIAN, t,
+                                             (Phi, Psi), trace.windows)
+        assert eps_plus < 0.01 * Phi
+        assert eps_minus < 0.01 * Psi
 
     def test_report_assembles_the_observation(self, evolved):
-        acc, state, series = evolved
-        report = profile_report(acc, state.u, TailReference.of(GAUSSIAN),
-                                state.t, series)
-        assert report.t == state.t
-        assert (report.Phi, report.Psi) == series[-1]
-        assert report.Phi0 == pytest.approx(1.1539050833, rel=1e-9)
-        assert (report.c1, report.c2) == profile_bounds_check(series)[:2]
-        assert report.max_eps_plus == pytest.approx(7.035067e-4, rel=1e-5)
-        assert report.max_eps_minus == pytest.approx(4.921778e-4, rel=1e-5)
-        lo, hi = report.window_plus
-        assert 3.0 < lo < hi < 5.0
+        trace, state = evolved
+        t, Phi, Psi, _, _, eps_plus, eps_minus = trace.rows[-1]
+        assert t == state.t
+        assert (trace.Phi0, trace.Psi0) == phi0_psi0(GAUSSIAN)
+        assert trace.Phi0 == pytest.approx(1.1539050833, rel=1e-9)
+        assert (eps_plus, eps_minus) == profile_report(
+            trace.acc, state.u, GAUSSIAN, t, (Phi, Psi), trace.windows)
+        assert eps_plus == pytest.approx(7.035067e-4, rel=1e-5)
+        assert eps_minus == pytest.approx(4.921778e-4, rel=1e-5)
+        x = GRID.x[trace.windows[0]]
+        assert 3.0 < x.min() < x.max() < 5.0
 
-    def test_empty_window_returns_empty_residuals(self, evolved):
-        # reference data that skips the magnitude band entirely yields an
-        # empty window, reported as empty arrays rather than an error
-        acc, state, series = evolved
+    def test_report_extremes_degrade_to_nan_on_empty_windows(self, evolved):
+        # reference data that skips the magnitude band entirely has empty
+        # windows; each empty side reports NaN rather than an error
+        trace, state = evolved
+        t, Phi, Psi = trace.rows[-1][:3]
         step = Field(GRID, np.where(np.abs(GRID.x) < 5.0, 0.5, 0.0))
-        x, eps = tail_residual(acc, state.u, TailReference.of(step), state.t,
-                               "plus", series[-1][0])
-        assert x.size == 0 and eps.size == 0
-
-    def test_report_extremes_degrade_to_nan_on_empty_windows(self):
-        empty = np.array([])
-        report = ProfileReport(
-            t=1.0, Phi=1.0, Psi=1.0, Phi0=1.0, Psi0=1.0,
-            residual_plus=(empty, empty), residual_minus=(empty, empty),
-            window_plus=(math.nan, math.nan),
-            window_minus=(math.nan, math.nan), c1=1.0, c2=1.0,
-        )
-        assert math.isnan(report.max_eps_plus)
-        assert math.isnan(report.max_eps_minus)
+        empty = tail_window(step, "plus")
+        assert not empty.any()
+        both = profile_report(trace.acc, state.u, step, t, (Phi, Psi),
+                              (empty, empty))
+        assert all(math.isnan(eps) for eps in both)
+        eps_plus, eps_minus = profile_report(trace.acc, state.u, GAUSSIAN, t,
+                                             (Phi, Psi),
+                                             (trace.windows[0], empty))
+        assert eps_plus == trace.rows[-1][5]
+        assert math.isnan(eps_minus)
 
 
 class TestBoundsCheck:
     def test_empty_series_rejected(self):
-        with pytest.raises(ValueError, match="no amplitude samples"):
-            profile_bounds_check([])
+        # a trace with no snapshot past t = 0 has no bounds to report
+        trace = _observe(ProfileTrace(GAUSSIAN, dealias=True), GAUSSIAN, [0.0])
+        assert trace.rows == []
+        assert trace.summary() == {"snapshots": 0,
+                                   "error": "no snapshots past t=0"}
 
-    def test_extremes_span_both_components(self):
-        c1, c2, passed = profile_bounds_check([(1.0, 3.0), (2.0, 0.5)])
-        assert (c1, c2) == (0.5, 3.0)
-        assert passed
+    def test_extremes_span_both_components(self, evolved):
+        # c1 and c2 are the running min and max over Phi and Psi together
+        rows = np.array(evolved[0].rows)
+        lows = np.minimum.accumulate(np.minimum(rows[:, 1], rows[:, 2]))
+        highs = np.maximum.accumulate(np.maximum(rows[:, 1], rows[:, 2]))
+        assert np.array_equal(rows[:, 3], lows)
+        assert np.array_equal(rows[:, 4], highs)
+        # on this run the lower bound comes from Psi, the upper from Phi
+        assert rows[-1, 3] == rows[:, 2].min() < rows[:, 1].min()
+        assert rows[-1, 4] == rows[:, 1].max() > rows[:, 2].max()
 
-    def test_positivity_is_the_pass_rule(self):
-        assert profile_bounds_check([(1.0, 2.0)])[2]
-        assert not profile_bounds_check([(0.0, 1.0)])[2]
-        assert not profile_bounds_check([(1.0, -0.1)])[2]
+    def test_positivity_is_the_pass_rule(self, evolved):
+        assert evolved[0].summary()["c1_positive"]
+        zero = Field(GRID, np.zeros(GRID.N))
+        summary = _observe(ProfileTrace(zero, dealias=True), zero,
+                           [0.0, 0.1]).summary()
+        assert summary["c1"] == 0.0 and not summary["c1_positive"]

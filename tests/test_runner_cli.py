@@ -471,15 +471,28 @@ class TestCli:
         assert main(["simulate", str(path), "--quiet"]) == 2
         assert "power of two" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "classify"])
-    def test_non_finite_initial_data_exits_2(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("command, grid, initial, message", [
+        ("simulate", "{L: 20.0, N: 512}",
+         "{kind: odd_gaussian_derivative, width: 0.0}", "non-finite samples"),
+        ("classify", "{L: 20.0, N: 512}",
+         "{kind: odd_gaussian_derivative, width: 0.0}", "non-finite samples"),
+        ("simulate", "{L: 20.0, N: 256}", "{kind: gaussian, amplitude: 0.0}",
+         "all samples are zero"),
+        ("classify", "{L: 20.0, N: 256}", "{kind: gaussian, amplitude: 0.0}",
+         "all samples are zero"),
+        ("simulate", "{L: 20.0, N: 256}", "{kind: gaussian, amplitude: 0.0}\n"
+         "predictors_enabled: false\nrate_cap_factor: 2.0",
+         "all samples are zero"),
+    ], ids=["simulate", "classify", "simulate-zero", "classify-zero",
+            "simulate-zero-rate-cap"])
+    def test_non_finite_initial_data_exits_2(self, command, grid, initial,
+                                             message, tmp_path, capsys):
         path = tmp_path / "flat.yaml"
-        path.write_text("name: flat\ngrid: {L: 20.0, N: 512}\n"
-                        "initial_data: {kind: odd_gaussian_derivative, "
-                        "width: 0.0}\nsolver: {t_end: 0.1}\n")
+        path.write_text(f"name: flat\ngrid: {grid}\ninitial_data: {initial}"
+                        "\nsolver: {t_end: 0.1}\n")
         with np.errstate(divide="ignore", invalid="ignore"):
             assert main([command, str(path), "--quiet"]) == 2
-        assert "non-finite samples" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "classify"])
     def test_edge_above_solver_boundary_tol_exits_2(self, command, tmp_path,
