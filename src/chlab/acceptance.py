@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import scenario_from_dict
+from .config import ConfigError, scenario_from_dict
 from .field import (Field, Grid, derivative, helmholtz_inverse,
                     helmholtz_inverse_dx, momentum_of, peakon)
 from .profiles import phi0_psi0
@@ -414,6 +414,10 @@ def run_suite(include_slow: bool = False,
               report: Optional[Callable[[CriterionResult], None]] = None
               ) -> List[CriterionResult]:
     """Run the selected criteria in order, reporting each as it finishes."""
+    known = [c.number for c in CRITERIA]
+    unknown = sorted(set(numbers or ()) - set(known))
+    if unknown:
+        raise ConfigError("criterion", f"no criterion {unknown}; valid: {known}")
     results = []
     for criterion in CRITERIA:
         if numbers is not None and criterion.number not in numbers:

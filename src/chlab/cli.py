@@ -209,11 +209,12 @@ def _cmd_certify(args, out_root, seed, quiet) -> int:
         _say(quiet, f"{scenario.name}: no weights_to_track in this scenario")
         return _EXIT_OK
     records = []
+    echo = scenario.effective_config()["weights_to_track"]
     for i, tw in enumerate(scenario.weights_to_track):
         cert = certify_admissible(tw.weight, tw.weight,
                                   CertifyConfig(seed=seed))
         records.append({"index": i, "weight": str(tw.weight),
-                        "p": tw.as_dict()["p"],
+                        "p": echo[i]["p"],
                         "certificate": cert.as_record()})
         _say(quiet, f"W_{i}: {tw.weight}")
         _say(quiet, f"  admissible: {cert.admissible}")

@@ -7,12 +7,13 @@ dicts; both go through the same validator, which fills every default in
 and echoes the *effective* configuration back, so a run can always be
 reproduced from its summary alone.
 
-The dataclasses are the schema: one codec walks their fields, checks each
-value against the field's annotation, and fills the field's default when
-the key is absent; the inverse walk produces the echo.  Validation errors
-carry the dotted path of the offending field ("solver.cfl",
-"weights_to_track[1].weight.a") so a typo in a config file points at the
-line that caused it, not at a traceback.
+The dataclasses are the schema, ``Scenario`` at the top level included:
+one codec walks their fields, checks each value against the field's
+annotation, and fills the field's default when the key is absent; the
+inverse walk produces the echo.  Value checks beyond the type live in each
+dataclass's ``__post_init__``.  Validation errors carry the dotted path of
+the offending field ("solver.cfl", "weights_to_track[1].weight.a") so a
+typo in a config file points at the line that caused it, not at a traceback.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Tuple, Union, get_type_hints
+from typing import (Any, List, Mapping, NewType, Optional, Sequence, Tuple,
+                    Union, get_args, get_origin, get_type_hints)
 
 import numpy as np
 import yaml
@@ -44,7 +46,6 @@ __all__ = [
     "scenario_from_dict",
     "parse_scenario",
     "load_scenario",
-    "scenario_to_dict",
     "canonical_json",
 ]
 
@@ -52,6 +53,9 @@ __all__ = [
 #: stay below this fraction of the peak at t = 0 (runs on a periodic grid
 #: only stand in for the line while wrap-around influence is negligible).
 INITIAL_BOUNDARY_TOL = 1e-10
+
+#: A norm exponent p >= 1; the config spells the sup norm "inf".
+Exponent = NewType("Exponent", float)
 
 
 class ConfigError(ValueError):
@@ -73,10 +77,16 @@ class TrackedWeight:
     and exponent p (math.inf for the sup norm)."""
 
     weight: Weight
-    p: float
+    p: Exponent = math.inf
 
-    def as_dict(self) -> dict:
-        return {"weight": _encode(self.weight), "p": _p_to_json(self.p)}
+    @property
+    def warning(self) -> Optional[str]:
+        """Why no persistence guarantee attaches to this norm, if none does."""
+        if getattr(self.weight, "certifiable", True):
+            return None
+        return (f"{self.weight} grows faster than exponential (b > 1); it is "
+                f"tracked, but moderateness cannot be certified and the "
+                f"tracked norm has no persistence guarantee")
 
 
 @dataclass(frozen=True)
@@ -92,10 +102,19 @@ class Scenario:
     predictors_enabled: bool = True
     rate_cap_factor: Optional[float] = None
 
+    def __post_init__(self):
+        if not self.name or any(ch in self.name for ch in "/\\ \t\n"):
+            raise ConfigError("name", f"must be non-empty, without spaces or "
+                                      f"slashes: {self.name!r}")
+        if self.rate_cap_factor is not None and self.rate_cap_factor <= 1.0:
+            raise ConfigError("rate_cap_factor",
+                              f"must exceed 1 (cap relative to the initial "
+                              f"value), got {self.rate_cap_factor}")
+
     def effective_config(self) -> dict:
         """Complete config echo: parsing this dict again reproduces the
         scenario exactly (every default is spelled out)."""
-        return scenario_to_dict(self)
+        return _encode(self)
 
     def content_hash(self) -> str:
         """Hash of the effective configuration (first 12 hex digits)."""
@@ -114,17 +133,18 @@ class Scenario:
     def with_profiles(self) -> "Scenario":
         return replace(self, profiles_enabled=True)
 
+    def weight_warnings(self) -> List[str]:
+        """One message per tracked weight that cannot be certified."""
+        return [f"weights_to_track[{i}]: {tw.warning}"
+                for i, tw in enumerate(self.weights_to_track) if tw.warning]
+
 
 def canonical_json(data: Any) -> str:
     """Deterministic JSON encoding (sorted keys, no whitespace)."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _p_to_json(p: float) -> Any:
-    return "inf" if math.isinf(p) else p
-
-
-def _parse_p(raw: Any, path: str) -> float:
+def _exponent(raw: Any, path: str) -> float:
     if isinstance(raw, str):
         if raw.strip().lower() in ("inf", "infinity"):
             return math.inf
@@ -180,10 +200,15 @@ def _string(raw: Any, path: str) -> str:
     return raw
 
 
-def _numbers(raw: Any, path: str) -> np.ndarray:
+def _sequence(raw: Any, path: str, noun: str) -> Sequence:
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-        raise ConfigError(path, f"expected a list of numbers, got {type(raw).__name__}")
-    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(raw)])
+        raise ConfigError(path, f"expected {noun}, got {type(raw).__name__}")
+    return raw
+
+
+def _numbers(raw: Any, path: str) -> np.ndarray:
+    items = _sequence(raw, path, "a list of numbers")
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(items)])
 
 
 # kind (or shape) -> class: the only per-family tables.  Each class's
@@ -214,20 +239,29 @@ _FAMILIES = {
 _TAGS = {cls: (tag, name) for tag, _, registry in _FAMILIES.values()
          for name, cls in registry.items()}
 _SCALARS = {float: _number, int: _integer, bool: _boolean, str: _string,
-            np.ndarray: _numbers}
+            np.ndarray: _numbers, Exponent: _exponent}
 
 
 def _decode_value(hint: Any, raw: Any, path: str) -> Any:
-    """Check one value against a field annotation; family members recurse."""
-    if hint not in _FAMILIES:
-        return _SCALARS[hint](raw, path)
-    tag, noun, registry = _FAMILIES[hint]
-    data = _mapping(raw, path)
-    name = data.get(tag)
-    if not isinstance(name, str) or name not in registry:
-        raise ConfigError(f"{path}.{tag}", f"unknown {noun} {name!r}; "
-                                           f"one of: {', '.join(sorted(registry))}")
-    return _decode(registry[name], data, path, tag=tag)
+    """Check one value against a field annotation; family members,
+    dataclasses, ``Tuple[X, ...]`` and ``Optional[X]`` recurse."""
+    if hint in _FAMILIES:
+        tag, noun, registry = _FAMILIES[hint]
+        data = _mapping(raw, path)
+        name = data.get(tag)
+        if not isinstance(name, str) or name not in registry:
+            raise ConfigError(f"{path}.{tag}", f"unknown {noun} {name!r}; one "
+                                               f"of: {', '.join(sorted(registry))}")
+        return _decode(registry[name], data, path, tag=tag)
+    if is_dataclass(hint):
+        return _decode(hint, raw, path)
+    if get_origin(hint) is tuple:  # a null list (bare YAML key) is empty
+        items = () if raw is None else _sequence(raw, path, "a list")
+        return tuple(_decode_value(get_args(hint)[0], v, f"{path}[{i}]")
+                     for i, v in enumerate(items))
+    if get_origin(hint) is Union:  # Optional[X]
+        return None if raw is None else _decode_value(get_args(hint)[0], raw, path)
+    return _SCALARS[hint](raw, path)
 
 
 @lru_cache(maxsize=None)
@@ -247,105 +281,61 @@ def _decode(cls: type, raw: Any, path: str, tag: Optional[str] = None) -> Any:
     _reject_unknown(data, names + [tag] if tag else names, path)
     kwargs = {}
     for name, hint, required in _schema(cls):
+        field_path = f"{path}.{name}" if path else name
         if name in data:
-            kwargs[name] = _decode_value(hint, data[name], f"{path}.{name}")
+            kwargs[name] = _decode_value(hint, data[name], field_path)
         elif required:
-            raise ConfigError(f"{path}.{name}", "required")
+            raise ConfigError(field_path, "required")
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
+
+
+def _encode_value(value: Any) -> Any:
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_encode_value(v) for v in value]
+    if is_dataclass(value):
+        return _encode(value)
+    return "inf" if value == math.inf else value
 
 
 def _encode(obj: Any) -> dict:
     """Inverse of ``_decode``: every field spelled out, family tag first."""
     tag = _TAGS.get(type(obj))
     out = {tag[0]: tag[1]} if tag else {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif type(value) in _TAGS:
-            value = _encode(value)
-        out[f.name] = value
+    out.update((f.name, _encode_value(getattr(obj, f.name)))
+               for f in fields(obj))
     return out
-
-
-def _parse_tracked(raw: Any, path: str) -> Tuple[TrackedWeight, ...]:
-    if raw is None:
-        return ()
-    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-        raise ConfigError(path, "expected a list of {weight, p} entries")
-    out = []
-    for i, entry in enumerate(raw):
-        entry_path = f"{path}[{i}]"
-        data = _mapping(entry, entry_path)
-        _reject_unknown(data, ("weight", "p"), entry_path)
-        if "weight" not in data:
-            raise ConfigError(f"{entry_path}.weight", "required")
-        weight = _decode_value(Weight, data["weight"], f"{entry_path}.weight")
-        p = _parse_p(data.get("p", "inf"), f"{entry_path}.p")
-        if not getattr(weight, "certifiable", True):
-            warnings.warn(
-                f"{entry_path}.weight: {weight} grows faster than "
-                f"exponential; it will be tracked, but admissibility cannot "
-                f"be certified for it",
-                CertificationWarning, stacklevel=2)
-        out.append(TrackedWeight(weight=weight, p=p))
-    return tuple(out)
 
 
 def scenario_from_dict(data: Mapping, *, default_name: Optional[str] = None,
                        check_initial: bool = True) -> Scenario:
     """Validate a raw config mapping into a Scenario.
 
-    Fills defaults, rejects unknown or ill-typed keys with their dotted
-    path, and (unless ``check_initial`` is disabled) builds the initial
-    datum once to verify that its samples are finite, not all zero, and
-    not boundary-contaminated on the requested grid.
+    Fills defaults (``default_name`` stands in for an absent ``name``),
+    rejects unknown or ill-typed keys with their dotted path, warns once
+    per uncertifiable tracked weight, and (unless ``check_initial`` is
+    disabled) builds the initial datum once to verify that its samples are
+    finite, not all zero, and not boundary-contaminated on the grid.
     """
     data = _mapping(data, "")
-    _reject_unknown(data, [f.name for f in fields(Scenario)], "")
-
-    name = data.get("name", default_name)
-    if not isinstance(name, str) or not name:
-        raise ConfigError("name", "required (a non-empty string)")
-    if any(ch in name for ch in "/\\ \t\n"):
-        raise ConfigError("name", f"must not contain spaces or slashes: {name!r}")
-
-    for key in ("grid", "initial_data", "solver"):
-        if key not in data:
-            raise ConfigError(key, "required section")
-
-    grid = _decode(Grid, data["grid"], "grid")
-    initial = _decode_value(InitialData, data["initial_data"], "initial_data")
-    solver = _decode(SolverConfig, data["solver"], "solver")
-    tracked = _parse_tracked(data.get("weights_to_track"), "weights_to_track")
-
-    profiles = data.get("profiles_enabled", False)
-    predictors = data.get("predictors_enabled", True)
-    profiles = _boolean(profiles, "profiles_enabled")
-    predictors = _boolean(predictors, "predictors_enabled")
-
-    rate_cap = data.get("rate_cap_factor")
-    if rate_cap is not None:
-        rate_cap = _number(rate_cap, "rate_cap_factor")
-        if rate_cap <= 1.0:
-            raise ConfigError("rate_cap_factor",
-                              f"must exceed 1 (cap relative to the initial "
-                              f"value), got {rate_cap}")
-
-    scenario = Scenario(
-        name=name, grid=grid, initial_data=initial, solver=solver,
-        weights_to_track=tracked, profiles_enabled=profiles,
-        predictors_enabled=predictors, rate_cap_factor=rate_cap,
-    )
+    if default_name is not None and "name" not in data:
+        data = {**data, "name": default_name}
+    scenario = _decode(Scenario, data, "")
+    for message in scenario.weight_warnings():
+        warnings.warn(message, CertificationWarning, stacklevel=2)
 
     if check_initial:
         try:
             u0 = scenario.build_initial()
         except (ValueError, OSError) as exc:
             raise ConfigError("initial_data", str(exc)) from exc
+        grid = scenario.grid
         if not np.all(np.isfinite(u0.values)):
             raise ConfigError("initial_data", f"non-finite samples on grid "
                                               f"L={grid.L}, N={grid.N}")
@@ -353,7 +343,7 @@ def scenario_from_dict(data: Mapping, *, default_name: Optional[str] = None,
             raise ConfigError("initial_data", f"all samples are zero on grid "
                                               f"L={grid.L}, N={grid.N}")
         # the solver would stop at step 0 above its own boundary_tol
-        tol = min(INITIAL_BOUNDARY_TOL, solver.boundary_tol)
+        tol = min(INITIAL_BOUNDARY_TOL, scenario.solver.boundary_tol)
         edge = boundary_fraction(u0)
         if edge > tol:
             raise ConfigError(
@@ -393,16 +383,3 @@ def load_scenario(path, *, check_initial: bool = True) -> Scenario:
     return parse_scenario(text, default_name=p.stem,
                           check_initial=check_initial)
 
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Serialize a Scenario to its effective (fully defaulted) dict."""
-    return {
-        "name": scenario.name,
-        "grid": _encode(scenario.grid),
-        "initial_data": _encode(scenario.initial_data),
-        "solver": _encode(scenario.solver),
-        "weights_to_track": [tw.as_dict() for tw in scenario.weights_to_track],
-        "profiles_enabled": scenario.profiles_enabled,
-        "predictors_enabled": scenario.predictors_enabled,
-        "rate_cap_factor": scenario.rate_cap_factor,
-    }

@@ -28,8 +28,7 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import (ConfigError, Scenario, canonical_json, scenario_from_dict,
-                     scenario_to_dict)
+from .config import ConfigError, Scenario, canonical_json, scenario_from_dict
 from .diagnostics import PersistenceTrace, RateCapTrace, predictor_table
 from .io import (PROFILE_CSV, RUN_CSV, SCHEMA_VERSION, SNAPSHOT_CSV,
                  SUMMARY_JSON, write_profile_csv, write_run_csv,
@@ -55,18 +54,6 @@ class ScenarioResult:
     log: RunLog
     profile_rows: Optional[List[Tuple[float, ...]]]
     outdir: Optional[Path]
-
-
-def _weight_warnings(scenario: Scenario) -> List[str]:
-    out = []
-    for i, tw in enumerate(scenario.weights_to_track):
-        if not getattr(tw.weight, "certifiable", True):
-            out.append(
-                f"weights_to_track[{i}]: {tw.weight} grows faster than "
-                f"exponential (b > 1); moderateness cannot be certified and "
-                f"the tracked norm has no persistence guarantee"
-            )
-    return out
 
 
 def _drift(column: np.ndarray) -> float:
@@ -115,7 +102,7 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
             "energy_drift_rel": _drift(log.column("energy")),
             "mass_drift_rel": _drift(log.column("mass")),
         },
-        "weight_warnings": _weight_warnings(scenario),
+        "weight_warnings": scenario.weight_warnings(),
         "t_star_bracket": ([log.rows[-2].t, log.rows[-1].t]
                            if breakdown else None),
         "predictors": (predictor_table(u0)
@@ -279,9 +266,11 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
     values = list(values)
     if not values:
         raise ConfigError("values", "empty sweep value list")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError("values", f"sweep values must be finite, got {values}")
     if workers is not None and workers < 1:
         raise ConfigError("workers", f"need at least 1 worker, got {workers}")
-    base_dict = scenario_to_dict(base)
+    base_dict = base.effective_config()
     # Validate the axis (and surface bad paths) before starting children.
     apply_axis(base_dict, axis, values[0])
 

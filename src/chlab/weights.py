@@ -67,10 +67,6 @@ class Weight:
     def _log_derivative(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def log_value(self, x):
-        arr = self._log_value(np.asarray(x, dtype=float))
-        return float(arr) if np.isscalar(x) else arr
-
     def value(self, x):
         with np.errstate(over="ignore"):
             arr = np.exp(self._log_value(np.asarray(x, dtype=float)))
@@ -80,9 +76,6 @@ class Weight:
         """a.e. value of phi'(x)/phi(x); may be +-inf at isolated points."""
         arr = self._log_derivative(np.asarray(x, dtype=float))
         return float(arr) if np.isscalar(x) else arr
-
-    def __call__(self, x):
-        return self.value(x)
 
 
 @dataclass(frozen=True)

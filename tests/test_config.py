@@ -3,6 +3,8 @@ echo, content hashing, and YAML loading."""
 
 import math
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +54,7 @@ class TestValidation:
     def test_required_sections(self, section):
         data = tiny()
         del data[section]
-        with pytest.raises(ConfigError, match=f"{section}: required section"):
+        with pytest.raises(ConfigError, match=rf"^{section}: required$"):
             scenario_from_dict(data)
 
     def test_name_required_and_clean(self):
@@ -133,6 +135,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match="expected a number or 'inf'"):
             scenario_from_dict(tiny(weights_to_track=[
                 {"weight": {"kind": "standard"}, "p": "sup"}]))
+
+    # null is what YAML gives for the key left with nothing under it
+    @pytest.mark.parametrize("tracked", [{}, {"weights_to_track": None},
+                                         {"weights_to_track": []}],
+                             ids=["omitted", "null", "empty"])
+    def test_no_tracked_weights(self, tracked):
+        s = scenario_from_dict(tiny(**tracked))
+        assert s.weights_to_track == ()
+        assert s.effective_config()["weights_to_track"] == []
+
+    def test_null_rate_cap_factor_is_none(self):
+        assert scenario_from_dict(tiny(rate_cap_factor=None)).rate_cap_factor is None
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", "a b"), ("name", ""), ("rate_cap_factor", 1.0)])
+    def test_scenario_checks_its_own_fields(self, field, value):
+        s = scenario_from_dict(TINY)
+        with pytest.raises(ConfigError) as info:
+            replace(s, **{field: value})
+        assert info.value.path == field
 
     def test_rate_cap_factor_must_exceed_one(self):
         with pytest.raises(ConfigError, match="rate_cap_factor: must exceed 1"):
@@ -338,6 +360,21 @@ def test_every_registered_kind_echoes_exactly(family, name, tmp_path,
                           s.build_initial().values)
     for ours, theirs in zip(again.weights_to_track, s.weights_to_track):
         assert np.array_equal(ours.weight.value(x), theirs.weight.value(x))
+
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["gaussian-hump", "peakon-rate-cap",
+                                  "steepening-breakdown"])
+def test_shipped_config_loads_and_echoes(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = load_scenario(CONFIGS / f"{name}.yaml")
+    assert s.name == name
+    again = scenario_from_dict(s.effective_config())
+    assert again == s
+    assert again.content_hash() == s.content_hash()
 
 
 class TestYamlFront:

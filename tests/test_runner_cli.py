@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from chlab.cli import main
-from chlab.config import ConfigError, scenario_from_dict
+from chlab.config import CertificationWarning, ConfigError, scenario_from_dict
 from chlab.io import read_csv, read_summary
 from chlab import runner
 from chlab.runner import apply_axis, run_scenario, sweep
@@ -206,6 +206,15 @@ class TestRunScenario:
             ])
         warnings_ = run_scenario(scenario).summary["weight_warnings"]
         assert len(warnings_) == 1 and "certified" in warnings_[0]
+
+    def test_weight_warning_text_matches_the_parse_warning(self):
+        with pytest.warns(CertificationWarning) as record:
+            scenario = tiny_scenario(weights_to_track=[
+                {"weight": {"kind": "standard", "c": 2.0}},
+                {"weight": {"kind": "standard", "a": 0.1, "b": 2.0}}])
+        assert [str(w.message) for w in record] == scenario.weight_warnings()
+        assert scenario.weight_warnings()[0].startswith(
+            "weights_to_track[1]: ")
 
 
 @pytest.fixture(scope="module")
@@ -576,6 +585,17 @@ class TestCli:
                      "--values", "0.05", "--workers", "-1", "--quiet"]) == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis, value", [
+        ("grid.N", "inf"), ("grid.N", "nan"), ("solver.t_end", "nan"),
+        ("solver.t_end", "-inf")])
+    def test_sweep_non_finite_values_exit_2(self, tiny_yaml, tmp_path, axis,
+                                            value, capsys):
+        out = tmp_path / "runs"
+        assert main(["sweep", str(tiny_yaml), "--axis", axis, "--values",
+                     f"0.05,{value}", "--out", str(out), "--quiet"]) == 2
+        assert "values: sweep values must be finite" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any run
+
     def test_sweep_bad_values_exit_2(self, tiny_yaml, capsys):
         assert main(["sweep", str(tiny_yaml), "--axis", "solver.t_end",
                      "--values", "a,b", "--quiet"]) == 2
@@ -585,6 +605,12 @@ class TestCli:
         assert main(["selftest", "--criterion", "1"]) == 0
         text = capsys.readouterr().out
         assert "1/1 criteria passed" in text
+
+    def test_selftest_unknown_criterion_exits_2(self, capsys):
+        assert main(["selftest", "--criterion", "11"]) == 2
+        captured = capsys.readouterr()
+        assert "criterion: no criterion [11]; valid: [1, 2," in captured.err
+        assert "criteria passed" not in captured.out
 
     def test_selftest_reports_honest_failure(self, capsys):
         # the traveling-wave residual criterion currently fails (grid-scale
