@@ -52,12 +52,14 @@ def format_number(value: float) -> str:
 
 def _write_table(path: Path, header: Sequence[str],
                  rows: Iterable[Sequence[float]]) -> None:
-    """Write rows of Python floats (numpy tables pass ``.tolist()``)."""
+    """Write a header and rows of numbers, each as ``format_number`` gives
+    it (numpy tables pass ``.tolist()``).  No header name and no float
+    ``repr`` holds a comma, quote or newline, so no field needs CSV
+    quoting and the lines are joined directly."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(repr, map(float, row))) for row in rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_number(v) for v in row])
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_run_csv(path, log: RunLog) -> None:

@@ -17,11 +17,14 @@ spectrum u^, and every stage input is formed as u^ + c dt k^ from the
 spectra the stages return.  Each stage evaluates rhs^ = A (u^2)^ + B (u_x^2)^
 with two output symbols cached on the grid, A = -(ik/2 + ik/(1+k^2)) keep
 and B = -(1/2) ik/(1+k^2) keep, where keep is the 2/3-rule mask.  In steady
-state a step therefore costs 16 real transforms: 2 forward in the first
-stage (its u and u_x are the state's, already computed), 4 in each of the
-other three (u, u_x back, and the two quadratic products forward), and 2
-inverse for the new state's u and u_x.  Classification, the log row, the
-probes and the next step's first stage all read those cached samples.
+state a step therefore costs 16 transforms in 8 batched calls, each a
+numpy.fft call on a stacked pair: one forward call of (u^2, u_x^2) in the
+first stage (its u and u_x are the state's, already computed), one
+inverse call of (u^, ik u^) and one forward call of the squares in each
+of the other three, and one inverse call of (u^, ik u^) for the new
+state.  The rows of a batched call equal the separate calls bit for bit.
+Classification, the log row, the probes and the next step's first stage
+all read those cached samples.
 
 Wave breaking (slope -> -infinity while u stays bounded) is detected by a
 slope threshold plus a dt floor, and reported as a time bracket, never a
@@ -119,15 +122,16 @@ def rhs(u: Field, dealias: bool = True) -> Field:
     Both terms are applied in Fourier space through the grid's two fused
     output symbols, rhs^ = A (u^2)^ + B (u_x^2)^, and the result is
     returned as a Field built from that spectrum.  It reads u and u_x from
-    the Field's cache, so the only transforms of its own are the two
-    forward transforms of the quadratic products.
+    the Field's cache, so its only transforms are the two forward
+    transforms of the quadratic products, made in one call on the stacked
+    pair.
     """
     grid = u.grid
     v = u.values
     du = u.derivative_values
     a, b = grid._sym_rhs if dealias else grid._sym_rhs_aliased
-    return Field.from_spectrum(
-        grid, a * np.fft.rfft(v * v) + b * np.fft.rfft(du * du))
+    p = np.fft.rfft(np.stack((v * v, du * du)))
+    return Field.from_spectrum(grid, a * p[0] + b * p[1])
 
 
 def boundary_fraction(u: Field) -> float:

@@ -30,3 +30,33 @@ def field_from_seed(grid: Grid, seed: int) -> Field:
     """Deterministic band-limited field keyed by an integer seed (the shape
     hypothesis draws; shrinking a seed shrinks to simpler RNG streams)."""
     return band_limited(grid, np.random.default_rng(seed))
+
+
+class TransformCounter:
+    """The numpy.fft.rfft/irfft calls made since ``count_transforms``, as
+    (name, transforms) pairs: a call on a stacked (m, n) array makes m."""
+
+    def __init__(self):
+        self.log = []
+
+    @property
+    def calls(self) -> int:
+        return len(self.log)
+
+    @property
+    def transforms(self) -> int:
+        return sum(n for _, n in self.log)
+
+
+def count_transforms(monkeypatch) -> TransformCounter:
+    """Wrap numpy.fft.rfft and irfft so that every call is counted."""
+    counter = TransformCounter()
+    for name in ("rfft", "irfft"):
+        fn = getattr(np.fft, name)
+
+        def counted(a, *args, _fn=fn, _name=name, **kwargs):
+            counter.log.append((_name, int(np.prod(np.shape(a)[:-1]))))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counter

@@ -21,7 +21,7 @@ from chlab.field import (
     shift_samples,
     source_term,
 )
-from helpers import field_from_seed
+from helpers import count_transforms, field_from_seed
 
 GRID = Grid(20.0, 512)
 
@@ -107,24 +107,29 @@ class TestFieldViews:
         assert np.array_equal(derivative(u).values, u.derivative_values)
 
     def test_each_view_is_computed_once(self, monkeypatch):
-        calls = []
-        for name in ("rfft", "irfft"):
-            fn = getattr(np.fft, name)
-
-            def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        counter = count_transforms(monkeypatch)
         u = Field(GRID, np.exp(-GRID.x**2))
         for _ in range(2):
             u.spectrum, u.derivative_values, u.values
-        assert calls == ["rfft", "irfft"]
-        calls.clear()
-        v = Field.from_spectrum(GRID, u.spectrum)
-        for _ in range(2):
-            v.values, v.derivative_values, v.spectrum
-        assert calls == ["irfft", "irfft"]
+        assert counter.log == [("rfft", 1), ("irfft", 1)]
+        # a spectrum-built Field gets its samples and derivative from one
+        # irfft of the stacked pair, whichever it is asked for first
+        for first in ("values", "derivative_values"):
+            counter.log.clear()
+            v = Field.from_spectrum(GRID, u.spectrum)
+            getattr(v, first)
+            for _ in range(2):
+                v.values, v.derivative_values, v.spectrum
+            assert counter.log == [("irfft", 2)]
+
+    @given(seeds)
+    def test_batched_views_equal_the_separate_transforms(self, seed):
+        spectrum = field_from_seed(GRID, seed).spectrum
+        u = Field.from_spectrum(GRID, spectrum)
+        assert np.array_equal(u.values, np.fft.irfft(spectrum, n=GRID.N))
+        assert np.array_equal(
+            u.derivative_values,
+            np.fft.irfft(spectrum * GRID._sym_derivative, n=GRID.N))
 
     def test_spectrum_shape_must_match_grid(self):
         with pytest.raises(ValueError, match="spectrum shape"):

@@ -20,6 +20,7 @@ from chlab.profiles import (
     tail_window,
 )
 from chlab.solver import SolverConfig, run
+from helpers import count_transforms
 
 GRID = Grid(20.0, 1024)
 GAUSSIAN = Gaussian(1.0, 1.0, 0.0).build(GRID)
@@ -54,6 +55,35 @@ class TestAccumulator:
         F = source_term(GAUSSIAN, dealias=True).values
         assert np.array_equal(acc.h(2.0), F)
         assert phi_psi(acc, 2.0) == phi0_psi0(GAUSSIAN, dealias=True)
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_integrands_equal_the_separate_transforms(self, dealias):
+        # batched transforms give the unbatched layer's F(u) and
+        # (1/2) d/dx (u^2) bit for bit; the trapezoid over [0, 2] of a
+        # constant snapshot is exactly twice each
+        u = Gaussian(1.0, 1.0, 0.5).build(GRID)
+        acc = ProfileAccumulator(GRID, dealias=dealias)
+        acc.accumulate(u, 0.0).accumulate(u, 2.0)
+        u2_hat = np.fft.rfft(u.values * u.values)
+        if dealias:
+            u2_hat = u2_hat * GRID._dealias_keep
+        adv = np.fft.irfft(0.5 * GRID._sym_derivative * u2_hat, n=GRID.N)
+        F = source_term(u, dealias=dealias).values
+        assert np.array_equal(acc.H, F + F)
+        assert np.array_equal(acc.UUx, adv + adv)
+
+    @pytest.mark.parametrize("dealias, transforms", [(True, 4), (False, 2)])
+    def test_snapshot_makes_two_calls(self, monkeypatch, dealias, transforms):
+        # a solver state arrives with u and u_x cached; dealiased, F and
+        # the advection term take one forward and one inverse call
+        u = Gaussian(1.0, 1.0, 0.5).build(GRID)
+        u.values, u.derivative_values
+        acc = ProfileAccumulator(GRID, dealias=dealias)
+        counter = count_transforms(monkeypatch)
+        for snapshots, t in enumerate((0.0, 0.5, 1.0), start=1):
+            acc.accumulate(u, t)
+            assert counter.calls == 2 * snapshots
+            assert counter.transforms == transforms * snapshots
 
 
 class TestInitialAmplitudes:

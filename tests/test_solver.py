@@ -20,7 +20,7 @@ from chlab.solver import (
     run,
     step,
 )
-from helpers import field_from_seed
+from helpers import count_transforms, field_from_seed
 
 GRID = Grid(20.0, 512)
 
@@ -77,33 +77,26 @@ class _Probe:
 
 class TestSpectralPipeline:
     """RK4 in Fourier space: the transform budget per step, the reuse of
-    the state's u_x by the probes, and agreement with the same RK4
-    taken in physical space."""
-
-    @staticmethod
-    def _count_transforms(monkeypatch):
-        calls = [0]
-        for name in ("rfft", "irfft"):
-            fn = getattr(np.fft, name)
-
-            def counted(*args, _fn=fn, **kwargs):
-                calls[0] += 1
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
-        return calls
+    the state's u_x by the probes, bit-identity with the same step made
+    with unbatched transforms, and agreement with the same RK4 taken in
+    physical space."""
 
     def test_steady_state_step_makes_16_transforms(self, monkeypatch):
-        # 2 forward in stage 1, 4 in each of stages 2-4, 2 inverse for the
-        # new state's samples and derivative
+        # stage 1: one rfft of (u^2, u_x^2); stages 2-4: one irfft of
+        # (u^, ik u^) and one rfft of the squares; the new state: one
+        # irfft of (u^, ik u^)
         config = SolverConfig(t_end=10.0)
         state = step(new_state(Gaussian(1.0, 1.0, 0.0).build(GRID), config),
                      config)
-        calls = self._count_transforms(monkeypatch)
+        counter = count_transforms(monkeypatch)
         for _ in range(3):
-            before = calls[0]
+            counter.log.clear()
             state = step(state, config)
-            assert calls[0] - before == 16
+            assert counter.calls == 8
+            assert counter.transforms == 16
+            assert counter.log == [("rfft", 2)] + 3 * [("irfft", 2),
+                                                       ("rfft", 2)] + [
+                ("irfft", 2)]
 
     def test_observed_snapshots_add_no_transform(self, monkeypatch):
         from chlab.diagnostics import (PersistenceTrace, energy, h1_norm,
@@ -119,13 +112,67 @@ class TestSpectralPipeline:
             sup_norms(s.u), min_slope(s.u), energy(s.u), h1_norm(s.u)
             return ()
 
-        calls = self._count_transforms(monkeypatch)
+        counter = count_transforms(monkeypatch)
         state, log = run(u0, SolverConfig(t_end=0.2, snapshot_stride=1),
                          [trace, _Probe((), observe)])
         assert len(log.rows) == state.step_count + 1
         assert len(trace.samples) == len(log.rows)
-        # the datum's spectrum and derivative once, then 16 per step
-        assert calls[0] == 2 + 16 * state.step_count
+        # the datum's spectrum and derivative once, then 8 calls making
+        # 16 transforms per step
+        assert counter.calls == 2 + 8 * state.step_count
+        assert counter.transforms == 2 + 16 * state.step_count
+
+    @pytest.mark.parametrize("n", [1024, 2048, 4096, 8192])
+    def test_batched_numpy_fft_rows_equal_separate_calls(self, n):
+        # the pipeline batches each pair of transforms into one call and
+        # relies on numpy returning the rows bit for bit
+        pair = np.random.default_rng(n).standard_normal((2, n))
+        forward = np.fft.rfft(pair)
+        for row, samples in zip(forward, pair):
+            assert np.array_equal(row, np.fft.rfft(samples))
+        spectra = forward * (1.0 + 0.5j)
+        back = np.fft.irfft(spectra, n=n)
+        for row, spectrum in zip(back, spectra):
+            assert np.array_equal(row, np.fft.irfft(spectrum, n=n))
+
+    @pytest.mark.parametrize("n", [512, 4096])
+    @pytest.mark.parametrize("datum", [
+        Gaussian(1.0, 1.0, 0.0),
+        OddGaussianDerivative(amplitude=1.0, width=1.0),
+        FromPotential(m0=GaussianShape(amplitude=1.0, width=0.7, center=-1.0)),
+    ], ids=["gaussian", "odd", "from_potential"])
+    def test_bit_identical_to_unbatched_stepper(self, datum, n):
+        grid = Grid(20.0, n)
+        config = SolverConfig(t_end=10.0, boundary_tol=1.0)
+        a, b = grid._sym_rhs
+        ik = grid._sym_derivative
+
+        def samples(u_hat):
+            return (np.fft.irfft(u_hat, n=n), np.fft.irfft(u_hat * ik, n=n))
+
+        def rhs_hat(u, ux):
+            return a * np.fft.rfft(u * u) + b * np.fft.rfft(ux * ux)
+
+        state = new_state(datum.build(grid), config)
+        u = state.u.values.copy()
+        u_hat = np.fft.rfft(u)
+        ux = np.fft.irfft(u_hat * ik, n=n)
+        for _ in range(50):
+            dt = min(config.dt_max,
+                     config.cfl * grid.dx / max(float(np.max(np.abs(u))),
+                                                1e-12))
+            k1 = rhs_hat(u, ux)
+            k2 = rhs_hat(*samples(u_hat + 0.5 * dt * k1))
+            k3 = rhs_hat(*samples(u_hat + 0.5 * dt * k2))
+            k4 = rhs_hat(*samples(u_hat + dt * k3))
+            u_hat = u_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u, ux = samples(u_hat)
+            state = step(state, config)
+            assert state.status is Status.RUNNING
+            assert state.dt == dt
+            assert np.array_equal(state.u.spectrum, u_hat)
+            assert np.array_equal(state.u.values, u)
+            assert np.array_equal(state.u.derivative_values, ux)
 
     @pytest.mark.parametrize("datum", [
         Gaussian(1.0, 1.0, 0.0),
