@@ -15,6 +15,7 @@ aborted sweep.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 import multiprocessing
@@ -31,8 +32,8 @@ import numpy as np
 from .config import ConfigError, Scenario, canonical_json, scenario_from_dict
 from .diagnostics import PersistenceTrace, RateCapTrace, predictor_table
 from .io import (PROFILE_CSV, RUN_CSV, SCHEMA_VERSION, SNAPSHOT_CSV,
-                 SUMMARY_JSON, write_profile_csv, write_run_csv,
-                 write_snapshot_csv, write_summary)
+                 SUMMARY_JSON, format_number, write_profile_csv,
+                 write_run_csv, write_snapshot_csv, write_summary)
 from .profiles import ProfileTrace
 from .solver import RunLog, SolverState, Status, run
 
@@ -300,19 +301,23 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
     return summary
 
 
+#: The predictors whose verdicts become ``sweep.csv`` columns.
+_SWEEP_PREDICTORS = ("decay_blowup", "slope_criterion")
+
+
 def _write_sweep_csv(path: Path, rows: Iterable[Mapping]) -> None:
-    import csv
-
-    from .io import format_number
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("value", "status", "t_final", "bracket_lo",
-                         "bracket_hi", "error"))
+                         "bracket_hi", *_SWEEP_PREDICTORS, "error"))
         for row in rows:
             bracket = row["t_star_bracket"] or (math.nan, math.nan)
             t_final = math.nan if row["t_final"] is None else row["t_final"]
+            # no predictors (disabled, or an error row): empty cells
+            predictors = row["predictors"]
+            verdicts = [("fired" if predictors[name]["fired"] else "silent")
+                        if predictors else "" for name in _SWEEP_PREDICTORS]
             writer.writerow((
                 format_number(row["value"]), row["status"],
                 format_number(t_final), format_number(bracket[0]),
-                format_number(bracket[1]), row["error"] or ""))
+                format_number(bracket[1]), *verdicts, row["error"] or ""))

@@ -32,7 +32,7 @@ from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
-from .field import Field
+from .field import Field, convolve
 
 __all__ = [
     "Weight",
@@ -510,8 +510,6 @@ def check_weighted_young(
     domain, so the moderateness inequality applies to every unwrapped pair
     of grid points entering the circular convolution.
     """
-    from .field import convolve
-
     if f1.grid is not f2.grid and f1.grid != f2.grid:
         raise ValueError("fields must share a grid")
     lhs = weighted_lp_norm(convolve(f1, f2), phi, p)

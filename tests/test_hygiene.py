@@ -1,24 +1,26 @@
-"""Source hygiene, checked from the syntax tree alone.
+"""Source hygiene.
 
-* No module of the package, the tests or the scripts imports a name it
-  never uses.  A name counts as used when it is read anywhere in the
-  module, listed in its ``__all__``, or named in a string annotation.
+* No module of the package or the tests imports a name it never uses.
+  A name counts as used when it is read anywhere in the module, listed
+  in its ``__all__``, or named in a string annotation.
 * Every name in a ``chlab`` module's ``__all__`` is bound in that module.
+* The CLI path loads no scipy module: scipy is a test-only dependency.
 
-Nothing is imported or run, so a module that fails to import still gets
-its hygiene checked.
+The first two are checked from the syntax tree alone, so a module that
+fails to import still gets its hygiene checked.  The last runs a fresh
+interpreter.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "chlab"
-SOURCES = sorted(
-    [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
-     *(ROOT / "scripts").glob("*.py")])
+SOURCES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def _ids(paths):
@@ -101,3 +103,25 @@ def test_all_names_exist(path):
             bound.add(node.target.id)
     missing = [name for name in _exported(tree) if name not in bound]
     assert not missing, f"{path.name} __all__ lists unbound names: {missing}"
+
+
+# Imports the CLI and builds both erfc-based initial-data kinds, as a CLI
+# run of such a scenario does, then prints every scipy module loaded.
+_CLI_PATH = f"""
+import sys
+sys.path.insert(0, {str(PACKAGE.parent)!r})
+import chlab.cli
+from chlab.config import scenario_from_dict
+for kind in ("mollified_peakon", "mollified_exponential"):
+    scenario_from_dict({{"name": "probe", "grid": {{"L": 40.0, "N": 1024}},
+                        "initial_data": {{"kind": kind}},
+                        "solver": {{"t_end": 0.1}}}}).build_initial()
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_cli_path_loads_no_scipy():
+    done = subprocess.run([sys.executable, "-c", _CLI_PATH],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]", f"scipy loaded: {done.stdout}"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc, erfcx
 
 from chlab.config import ConfigError, scenario_from_dict
 from chlab.field import Grid, derivative, momentum_of
@@ -20,6 +21,8 @@ from chlab.initial_data import (
     MollifiedPeakon,
     OddGaussianDerivative,
     TanhGaussianShape,
+    _erfc,
+    _erfcx,
     smoothed_exponential,
 )
 
@@ -94,6 +97,46 @@ class TestSmoothedExponential:
     def test_rejects_nonpositive_parameters(self, rate, width):
         with pytest.raises(ValueError):
             smoothed_exponential(np.zeros(3), rate, width)
+
+
+# erfcx: both sides of the switch to the asymptotic series at z = 26, then
+# out to 1e6; erfc: [-30, 26], where erfc(26) ~ 5.7e-296 is still normal
+ERFCX_POINTS = np.concatenate([
+    np.linspace(0.0, 40.0, 801), 26.0 + np.linspace(-1e-6, 1e-6, 21),
+    np.geomspace(1e-8, 1e6, 400)])
+ERFC_POINTS = np.linspace(-30.0, 26.0, 1121)
+
+
+def _max_rel(values, reference):
+    return float(np.max(np.abs(values - reference) / np.abs(reference)))
+
+
+class TestErrorFunctions:
+    """The numpy/math erfc and erfcx behind the mollified data, against
+    scipy.special and, where mpmath imports, 40-digit references."""
+
+    def test_erfcx_matches_scipy(self):
+        assert _max_rel(_erfcx(ERFCX_POINTS), erfcx(ERFCX_POINTS)) < 2e-15
+
+    def test_erfc_matches_scipy(self):
+        # scipy's own error on this range is 5.7e-14
+        assert _max_rel(_erfc(ERFC_POINTS), erfc(ERFC_POINTS)) < 1e-13
+
+    def test_both_match_40_digit_references(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref_x = [float(mpmath.exp(mpmath.mpf(z) ** 2)
+                           * mpmath.erfc(mpmath.mpf(z)))
+                     for z in ERFCX_POINTS[::4]]
+            ref_c = [float(mpmath.erfc(mpmath.mpf(z)))
+                     for z in ERFC_POINTS[::4]]
+        assert _max_rel(_erfcx(ERFCX_POINTS[::4]), np.array(ref_x)) < 1e-15
+        assert _max_rel(_erfc(ERFC_POINTS[::4]), np.array(ref_c)) < 1e-15
+
+    def test_erfcx_limits(self):
+        assert _erfcx(np.array([0.0]))[0] == 1.0
+        assert np.array_equal(_erfcx(np.array([np.inf])), [0.0])
+        assert _erfcx(np.array([], dtype=float)).shape == (0,)
 
 
 class TestClosedFormData:

@@ -362,13 +362,20 @@ class TestSweep:
         csv1 = (d1 / "sweep.csv").read_text()
         assert csv1 == (d2 / "sweep.csv").read_text()
         lines = csv1.splitlines()
-        assert lines[0] == "value,status,t_final,bracket_lo,bracket_hi,error"
-        assert lines[1] == "0.05,ReachedTEnd,0.05,nan,nan,"
+        assert lines[0] == ("value,status,t_final,bracket_lo,bracket_hi,"
+                            "decay_blowup,slope_criterion,error")
+        assert lines[1] == "0.05,ReachedTEnd,0.05,nan,nan,fired,silent,"
         # each run also wrote its own artifact directory
         for row in t1["rows"]:
             assert (Path(tmp_path / "a") / row["dir"] / "run.csv").is_file()
         table = read_summary(d1 / "sweep.json")
         assert table["rows"][0]["status"] == "ReachedTEnd"
+
+    def test_predictor_cells_empty_when_disabled(self, tmp_path):
+        table = sweep(tiny_scenario(predictors_enabled=False),
+                      "solver.t_end", [0.05], workers=1, out_root=tmp_path)
+        lines = (Path(table["dir"]) / "sweep.csv").read_text().splitlines()
+        assert lines[1] == "0.05,ReachedTEnd,0.05,nan,nan,,,"
 
     def test_workers_below_one_rejected(self):
         for workers in (0, -1):
