@@ -304,15 +304,16 @@ def _criterion_weights() -> CriterionResult:
 
     full = StandardFamily(a=1.0, b=1.0)
     cert_full = certify_admissible(full, full)
-    sup_route = cert_full.lp_v_exp.get(math.inf, math.nan)
+    sup_route = cert_full["lp_v_exp"].get("inf", math.nan)
 
     checks = [
-        (cert_half.admissible and abs(cert_half.integral_v_exp - 4.0) < 1e-12,
+        (cert_half["admissible"]
+         and abs(cert_half["integral_v_exp"] - 4.0) < 1e-12,
          f"e^(|x|/2): admissible, decay integral "
-         f"{cert_half.integral_v_exp!r} = 4 within 1e-12"),
-        (not cert_full.quadrature_converged,
+         f"{cert_half['integral_v_exp']!r} = 4 within 1e-12"),
+        (not cert_full["quadrature_converged"],
          f"e^|x|: decay integral correctly reported divergent "
-         f"(reached R = {cert_full.quadrature_range:.0f})"),
+         f"(reached R = {cert_full['quadrature_range']:.0f})"),
         (math.isfinite(sup_route) and abs(sup_route - 1.0) < 1e-6,
          f"e^|x|: sup-norm route still available, "
          f"sup v e^-|x| = {sup_route:.6f}"),
@@ -321,13 +322,13 @@ def _criterion_weights() -> CriterionResult:
     grid = Grid(16.0, 512)
     rng = np.random.default_rng(7)
     pairs = [
-        (half, half, 2.0, cert_half.C0),
+        (half, half, 2.0, cert_half["C0"]),
         (StandardFamily(c=2.0), StandardFamily(c=2.0), math.inf, None),
         (threshold_weight(1.0), threshold_weight(1.0), math.inf, None),
     ]
     for phi, v, p, C0 in pairs:
         if C0 is None:
-            C0 = certify_admissible(phi, v).C0
+            C0 = certify_admissible(phi, v)["C0"]
         violations = 0
         worst = 0.0
         for _ in range(1000):

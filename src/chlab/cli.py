@@ -20,7 +20,6 @@ for bad configs, unreadable files, and failed selftests.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -214,16 +213,15 @@ def _cmd_certify(args, out_root, seed, quiet) -> int:
         cert = certify_admissible(tw.weight, tw.weight,
                                   CertifyConfig(seed=seed))
         records.append({"index": i, "weight": str(tw.weight),
-                        "p": echo[i]["p"],
-                        "certificate": cert.as_record()})
+                        "p": echo[i]["p"], "certificate": cert})
         _say(quiet, f"W_{i}: {tw.weight}")
-        _say(quiet, f"  admissible: {cert.admissible}")
-        _say(quiet, f"  moderateness C0 = {cert.C0:.6g}, "
-                    f"log-derivative bound A = {cert.A:.6g}")
-        integral = ("divergent" if not cert.quadrature_converged
-                    else f"{cert.integral_v_exp:.12g}")
+        _say(quiet, f"  admissible: {cert['admissible']}")
+        _say(quiet, f"  moderateness C0 = {cert['C0']:.6g}, "
+                    f"log-derivative bound A = {cert['A']:.6g}")
+        integral = ("divergent" if not cert["quadrature_converged"]
+                    else f"{cert['integral_v_exp']:.12g}")
         _say(quiet, f"  decay integral of v e^-|x|: {integral}")
-        sup_route = cert.lp_v_exp.get(math.inf)
+        sup_route = cert["lp_v_exp"].get("inf")
         if sup_route is not None:
             _say(quiet, f"  sup v e^-|x| = {sup_route:.6g}")
     if out_root is not None:

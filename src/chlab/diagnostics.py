@@ -4,7 +4,9 @@ m = u - u_xx, weighted-norm persistence fits, and decay-rate caps.
 
 The monitors that watch a run are probes for ``solver.run``: each has
 ``columns`` (the run-log columns it adds), ``observe(state)`` (one value
-per column) and ``summary()`` (its block of the run summary).
+per column) and ``summary()`` (its block of the run summary).  The
+a priori predictors and the persistence fit return the JSON blocks the
+artifacts store, so each field name is written once.
 
 Conventions that matter numerically:
 
@@ -12,7 +14,7 @@ Conventions that matter numerically:
   diagnostic multiplied by e^{|x|} therefore uses second-order central
   differences instead (the error then scales with the *local* magnitude of
   u, which is what an exponentially weighted tail statistic needs).
-* Sign tests on m use a tolerance relative to max |m| (default 1e-10),
+* Sign tests on m use a tolerance relative to max |m| (_SIGN_TOL_REL),
   since the (1 + k^2) multiplier amplifies roundoff by ~N^2 / L^2.
 * Blowup is never reported as a point time: observed breakdown carries a
   [last-running, terminal] bracket (threshold-dependent by construction).
@@ -20,7 +22,6 @@ Conventions that matter numerically:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Tuple, Union
@@ -37,17 +38,12 @@ __all__ = [
     "h1_norm",
     "energy",
     "mass",
-    "McKeanVerdict",
-    "McKeanClass",
     "mckean_classify",
-    "PredictorResult",
     "slope_criterion_predict",
     "decay_blowup_predict",
     "predictor_table",
     "PersistenceTrace",
-    "PersistenceReport",
     "persistence_check",
-    "RateCapResult",
     "peakon_rate_cap_check",
     "RateCapTrace",
     "weighted_pair_norm",
@@ -55,6 +51,10 @@ __all__ = [
 
 # The decay predictor fires below this fraction of ||u0||_inf.
 _DECAY_THRESHOLD_REL = 1e-6
+# The decay predictor reads this outer fraction of the box on each side.
+_DECAY_TAIL_WINDOW = 0.2
+# Samples of m within this fraction of max |m| count as zero.
+_SIGN_TOL_REL = 1e-10
 # Slack on log W against the fitted persistence bound.
 _CONSISTENCY_TOL = 1e-8
 # The rate cap's trustworthy band ends where |u| falls below this
@@ -102,102 +102,70 @@ def mass(u: Field) -> float:
     return integral(u)
 
 
-class McKeanVerdict(enum.Enum):
-    CONSTANT_SIGN_NONNEG = "ConstantSignNonneg"
-    CONSTANT_SIGN_NONPOS = "ConstantSignNonpos"
-    SIMPLE_CHANGE_NEG_TO_POS = "SimpleChangeNegToPos"
-    OTHER = "Other"
+def mckean_classify(m0: Field) -> dict:
+    """The ``momentum_sign`` block: the sign pattern of the initial
+    potential m0, with samples inside +-_SIGN_TOL_REL * max|m0| counted as
+    zero.
 
-
-@dataclass(frozen=True)
-class McKeanClass:
-    """Sign-pattern classification of the initial potential m0.
-
+    ``verdict`` is ConstantSignNonneg, ConstantSignNonpos,
+    SimpleChangeNegToPos (``x0`` then locates the change) or Other.
     Constant sign and a single change from negative to positive both
     predict global existence; any other pattern predicts breakdown (the
     contrapositive of the dichotomy for m0 = u0 - u0'').
     """
-
-    verdict: McKeanVerdict
-    x0: Optional[float]
-    tolerance: float
-
-    @property
-    def predicts_global(self) -> bool:
-        return self.verdict is not McKeanVerdict.OTHER
-
-
-def mckean_classify(m0: Field, tol: Optional[float] = None) -> McKeanClass:
-    """Classify the sign pattern of m0 samples with a relative tolerance
-    (default 1e-10 * max|m0|): values inside [-tol, tol] count as zero."""
     values = m0.values
     if not np.all(np.isfinite(values)):
         raise ValueError("m0 contains non-finite samples")
-    peak = float(np.max(np.abs(values)))
-    if tol is None:
-        tol = 1e-10 * peak
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    tol = _SIGN_TOL_REL * float(np.max(np.abs(values)))
 
     pos = values > tol
     neg = values < -tol
+    x0 = None
     if not neg.any():
-        return McKeanClass(McKeanVerdict.CONSTANT_SIGN_NONNEG, None, tol)
-    if not pos.any():
-        return McKeanClass(McKeanVerdict.CONSTANT_SIGN_NONPOS, None, tol)
-    last_neg = int(np.max(np.nonzero(neg)[0]))
-    first_pos = int(np.min(np.nonzero(pos)[0]))
-    if last_neg < first_pos:
-        x0 = 0.5 * (m0.grid.x[last_neg] + m0.grid.x[first_pos])
-        return McKeanClass(McKeanVerdict.SIMPLE_CHANGE_NEG_TO_POS, float(x0), tol)
-    return McKeanClass(McKeanVerdict.OTHER, None, tol)
+        verdict = "ConstantSignNonneg"
+    elif not pos.any():
+        verdict = "ConstantSignNonpos"
+    else:
+        last_neg = int(np.max(np.nonzero(neg)[0]))
+        first_pos = int(np.min(np.nonzero(pos)[0]))
+        if last_neg < first_pos:
+            verdict = "SimpleChangeNegToPos"
+            x0 = float(0.5 * (m0.grid.x[last_neg] + m0.grid.x[first_pos]))
+        else:
+            verdict = "Other"
+    return {"verdict": verdict, "x0": x0,
+            "predicts_global": verdict != "Other"}
 
 
-@dataclass(frozen=True)
-class PredictorResult:
-    """Outcome of one a priori breakdown predictor.
-
-    ``evidence`` is the scalar the decision was made on; its meaning is
-    predictor-specific and documented at the producing function.
-    """
-
-    name: str
-    fired: bool
-    evidence: float
-
-
-def slope_criterion_predict(u0: Field) -> PredictorResult:
+def slope_criterion_predict(u0: Field) -> dict:
     """Fires when min u0' < -(1/sqrt 2) ||u0||_{H^1} (sufficient breakdown
     condition).  Evidence is the signed margin
     min_slope + ||u0||_{H^1}/sqrt(2): negative means fired."""
     slope = min_slope(u0)
     threshold = -h1_norm(u0) / math.sqrt(2.0)
     margin = slope - threshold
-    return PredictorResult("slope_criterion", fired=margin < 0.0, evidence=margin)
+    return {"fired": margin < 0.0, "evidence": margin}
 
 
-def decay_blowup_predict(u0: Field, tail_window: float = 0.2) -> PredictorResult:
+def decay_blowup_predict(u0: Field) -> dict:
     """Fires when the tail decay beats the critical rate e^{-|x|}.
 
     Evidence is the minimum of e^{|x|} (|u0| + |u0'|) over the outer
-    ``tail_window`` fraction of the domain (both sides), with u0' by local
-    central differences; fires when the evidence drops below
+    _DECAY_TAIL_WINDOW fraction of the domain (both sides), with u0' by
+    local central differences; fires when the evidence drops below
     _DECAY_THRESHOLD_REL * ||u0||_inf.  A grid cannot take liminf at
     infinity — the window makes "large x" operational and explicit.
     """
     peak = float(np.max(np.abs(u0.values)))
     if peak == 0.0:
         raise ValueError("decay predictor needs nonzero initial data")
-    if not (0.0 < tail_window < 1.0):
-        raise ValueError("tail_window must be a fraction in (0, 1)")
     x = u0.grid.x
-    cut = (1.0 - tail_window) * u0.grid.L
+    cut = (1.0 - _DECAY_TAIL_WINDOW) * u0.grid.L
     window = np.abs(x) >= cut
     magnitude = np.abs(u0.values) + np.abs(local_derivative(u0))
     evidence = float(np.min(np.exp(np.abs(x[window])) * magnitude[window]))
-    return PredictorResult("decay_blowup",
-                           fired=evidence < _DECAY_THRESHOLD_REL * peak,
-                           evidence=evidence)
+    return {"fired": evidence < _DECAY_THRESHOLD_REL * peak,
+            "evidence": evidence}
 
 
 def predictor_table(u0: Field) -> dict:
@@ -206,17 +174,10 @@ def predictor_table(u0: Field) -> dict:
     These are one-directional sufficient conditions: a fired predictor
     means breakdown is guaranteed; a silent one promises nothing.
     """
-    mc = mckean_classify(momentum_of(u0))
-    slope = slope_criterion_predict(u0)
-    decay = decay_blowup_predict(u0)
     return {
-        "momentum_sign": {
-            "verdict": mc.verdict.value,
-            "x0": mc.x0,
-            "predicts_global": mc.predicts_global,
-        },
-        "slope_criterion": {"fired": slope.fired, "evidence": slope.evidence},
-        "decay_blowup": {"fired": decay.fired, "evidence": decay.evidence},
+        "momentum_sign": mckean_classify(momentum_of(u0)),
+        "slope_criterion": slope_criterion_predict(u0),
+        "decay_blowup": decay_blowup_predict(u0),
     }
 
 
@@ -273,38 +234,17 @@ class PersistenceTrace:
 
     def summary(self) -> dict:
         """The persistence fit of the trace, as the run summary reports it."""
-        report = persistence_check(self)
-        return {
-            "weight_str": str(self.weight),
-            "W0": report.W0,
-            "sup_W": report.sup_W,
-            "C_fit": report.C_fit,
-            "passed": report.passed,
-            "diverged": report.diverged,
-            "t_valid": list(report.t_valid),
-        }
+        return {"weight_str": str(self.weight), **persistence_check(self)}
 
 
-@dataclass(frozen=True)
-class PersistenceReport:
-    """Fitted growth constant and self-consistency verdict.
-
-    C_fit is the smallest constant making W(t) <= W(0) e^{C int M ds} hold
-    over the trace (so the check is self-consistent by construction); its
-    value is the cross-scenario regression quantity.  ``t_valid`` is the
-    time range actually used (shortened when W overflows near breaking).
-    """
-
-    C_fit: float
-    passed: bool
-    diverged: bool
-    t_valid: Tuple[float, float]
-    W0: float
-    sup_W: float
-
-
-def persistence_check(trace: PersistenceTrace) -> PersistenceReport:
+def persistence_check(trace: PersistenceTrace) -> dict:
     """Fit C in W(t) <= W(0) e^{C int_0^t M ds} and verify self-consistency.
+
+    Returns the block ``W0``, ``sup_W``, ``C_fit``, ``passed``,
+    ``diverged`` and ``t_valid``.  C_fit is the smallest constant making
+    the bound hold over the trace (so the check is self-consistent by
+    construction); its value is the cross-scenario regression quantity.
+    ``t_valid`` is the [first, last] time actually used.
 
     The integral of M uses trapezoid on the trace times, and log W may
     exceed the fitted bound by _CONSISTENCY_TOL.  W identically zero
@@ -322,38 +262,31 @@ def persistence_check(trace: PersistenceTrace) -> PersistenceReport:
     if diverged:
         last_ok = int(np.min(np.nonzero(~finite)[0]))
         times, W, M = times[:last_ok], W[:last_ok], M[:last_ok]
-        if times.size == 0:
-            return PersistenceReport(math.inf, False, True, (0.0, 0.0),
-                                     math.nan, math.inf)
+    if times.size == 0:
+        return {"W0": math.nan, "sup_W": math.inf, "C_fit": math.inf,
+                "passed": False, "diverged": True, "t_valid": [0.0, 0.0]}
 
     W0 = float(W[0])
     if W0 == 0.0 and np.all(W == 0.0):
-        return PersistenceReport(0.0, True, diverged,
-                                 (float(times[0]), float(times[-1])),
-                                 0.0, 0.0)
-    if not (W0 > 0.0):
+        C_fit, passed = 0.0, True
+    elif not (W0 > 0.0):
         raise ValueError("W0 must be positive for a nonzero trace")
+    else:
+        integral_M = np.concatenate(
+            [[0.0], np.cumsum(0.5 * (M[1:] + M[:-1]) * np.diff(times))]
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.log(W[1:] / W0) / integral_M[1:]
+        ratios = ratios[np.isfinite(ratios)]
+        C_fit = float(np.max(ratios)) if ratios.size else 0.0
 
-    integral_M = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (M[1:] + M[:-1]) * np.diff(times))]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.log(W[1:] / W0) / integral_M[1:]
-    ratios = ratios[np.isfinite(ratios)]
-    C_fit = float(np.max(ratios)) if ratios.size else 0.0
-
-    bound = math.log(W0) + C_fit * integral_M
-    with np.errstate(divide="ignore"):
-        consistent = bool(np.all(np.log(W) <= bound + _CONSISTENCY_TOL))
-    passed = math.isfinite(C_fit) and consistent
-    return PersistenceReport(
-        C_fit=C_fit,
-        passed=passed,
-        diverged=diverged,
-        t_valid=(float(times[0]), float(times[-1])),
-        W0=W0,
-        sup_W=float(np.max(W)),
-    )
+        bound = math.log(W0) + C_fit * integral_M
+        with np.errstate(divide="ignore"):
+            consistent = bool(np.all(np.log(W) <= bound + _CONSISTENCY_TOL))
+        passed = math.isfinite(C_fit) and consistent
+    return {"W0": W0, "sup_W": float(np.max(W)), "C_fit": C_fit,
+            "passed": passed, "diverged": diverged,
+            "t_valid": [float(times[0]), float(times[-1])]}
 
 
 def peak_band(magnitude: np.ndarray, threshold: float) -> Tuple[int, int]:
@@ -369,43 +302,25 @@ def peak_band(magnitude: np.ndarray, threshold: float) -> Tuple[int, int]:
     return left, right
 
 
-@dataclass(frozen=True)
-class RateCapResult:
-    """Outcome of the critical-decay cap sup e^{|x|}(|u| + |u_x|) <= C."""
-
-    passed: bool
-    sup_value: float
-    cap: float
-    region: Tuple[float, float]
-
-
-def peakon_rate_cap_check(u: Field, C: float) -> RateCapResult:
-    """Verify sup_x e^{|x|} (|u| + |u_x|) <= C over the trustworthy region.
+def peakon_rate_cap_check(u: Field) -> float:
+    """The critical-decay statistic sup_x e^{|x|} (|u| + |u_x|) over the
+    trustworthy region (0 for u = 0).
 
     The region is the contiguous band around the crest out to the first
     sample (on each side) where |u| drops below _RATE_CAP_FLOOR_REL * peak.
     Stopping at the first crossing matters: spectral tails carry an
     oscillatory noise floor that can sit above any fixed threshold, and
     e^{|x|} times that floor — or worse, times its derivative — would
-    swamp the genuine statistic.  u = 0 passes for any C > 0.
+    swamp the genuine statistic.
     """
-    if not (C > 0):
-        raise ValueError("cap C must be positive")
     values = np.abs(u.values)
     peak = float(np.max(values))
     if peak == 0.0:
-        return RateCapResult(True, 0.0, C, (0.0, 0.0))
+        return 0.0
     left, right = peak_band(values, _RATE_CAP_FLOOR_REL * peak)
     band = slice(left, right + 1)
-    x = u.grid.x[band]
     magnitude = values[band] + np.abs(local_derivative(u)[band])
-    sup_value = float(np.max(np.exp(np.abs(x)) * magnitude))
-    return RateCapResult(
-        passed=sup_value <= C,
-        sup_value=sup_value,
-        cap=C,
-        region=(float(x[0]), float(x[-1])),
-    )
+    return float(np.max(np.exp(np.abs(u.grid.x[band])) * magnitude))
 
 
 class RateCapTrace:
@@ -416,12 +331,11 @@ class RateCapTrace:
 
     def __init__(self, u0: Field, factor: float):
         self.factor = factor
-        self.cap = factor * peakon_rate_cap_check(u0, C=math.inf).sup_value
+        self.cap = factor * peakon_rate_cap_check(u0)
         self.samples: List[Tuple[float, float]] = []
 
     def observe(self, state) -> Tuple[()]:
-        result = peakon_rate_cap_check(state.u, C=self.cap)
-        self.samples.append((state.t, result.sup_value))
+        self.samples.append((state.t, peakon_rate_cap_check(state.u)))
         return ()
 
     def summary(self) -> dict:

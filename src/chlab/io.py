@@ -8,11 +8,10 @@ artifact directories is a meaningful regression signal.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,8 +29,6 @@ __all__ = [
     "write_profile_csv",
     "write_snapshot_csv",
     "write_summary",
-    "read_csv",
-    "read_summary",
 ]
 
 #: Version of the summary-JSON layout; bump on any backwards-incompatible
@@ -64,10 +61,8 @@ def _write_table(path: Path, header: Sequence[str],
 
 def write_run_csv(path, log: RunLog) -> None:
     """Write the observation log: t,dt,min_slope,u_inf,ux_inf,energy,mass
-    plus one W_<i> column per tracked weight."""
-    rows = ((r.t, r.dt, r.min_slope, r.u_inf, r.ux_inf, r.energy, r.mass)
-            + tuple(r.extra) for r in log.rows)
-    _write_table(Path(path), log.header, rows)
+    plus the probes' columns (one W_<i> per tracked weight)."""
+    _write_table(Path(path), log.header, log.rows)
 
 
 def write_profile_csv(path, rows: Iterable[Sequence[float]]) -> None:
@@ -106,16 +101,3 @@ def _jsonable(value):
     if isinstance(value, np.bool_):
         return bool(value)
     return value
-
-
-def read_csv(path) -> Tuple[List[str], np.ndarray]:
-    """Read a CSV table back: (header, data) with data shaped (rows, cols)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = np.array([[float(v) for v in row] for row in reader], float)
-    return header, data
-
-
-def read_summary(path) -> dict:
-    return json.loads(Path(path).read_text())

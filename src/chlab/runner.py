@@ -57,12 +57,10 @@ class ScenarioResult:
     outdir: Optional[Path]
 
 
-def _drift(column: np.ndarray) -> float:
-    """Largest relative excursion of a conserved quantity from its t=0
-    value."""
-    ref = float(column[0])
-    scale = max(abs(ref), 1e-300)
-    return float(np.max(np.abs(column - ref)) / scale)
+def _drift(column: np.ndarray, scale: float) -> float:
+    """Largest excursion of a conserved quantity from its t=0 value,
+    divided by ``scale`` (floored at 1e-300)."""
+    return float(np.max(np.abs(column - column[0])) / max(scale, 1e-300))
 
 
 def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
@@ -72,7 +70,9 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
     ``seed`` is recorded for provenance; the integration itself is
     deterministic, so identical effective config and seed reproduce every
     CSV byte-for-byte.  When ``out_root`` is given, artifacts are written
-    under ``out_root/<name>-<content hash>/``.
+    under ``out_root/<name>-<content hash>/``.  The conservation drifts
+    are divided by the initial energy and by ||u0||_1; mass(0) would not
+    do, since it is roundoff for odd data.
     """
     t_wall = time.perf_counter()
     u0 = scenario.build_initial()
@@ -90,6 +90,8 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
 
     config = scenario.effective_config()
     breakdown = state.status in _BREAKDOWN_STATUSES and len(log.rows) >= 2
+    energy = log.column("energy")
+    u0_l1 = float(np.sum(np.abs(u0.values)) * u0.grid.dx)
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario.name,
@@ -100,11 +102,11 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
         "t_final": state.t,
         "steps": state.step_count,
         "conservation": {
-            "energy_drift_rel": _drift(log.column("energy")),
-            "mass_drift_rel": _drift(log.column("mass")),
+            "energy_drift_rel": _drift(energy, energy[0]),
+            "mass_drift_rel": _drift(log.column("mass"), u0_l1),
         },
         "weight_warnings": scenario.weight_warnings(),
-        "t_star_bracket": ([log.rows[-2].t, log.rows[-1].t]
+        "t_star_bracket": ([log.rows[-2][0], log.rows[-1][0]]
                            if breakdown else None),
         "predictors": (predictor_table(u0)
                        if scenario.predictors_enabled else None),

@@ -46,7 +46,6 @@ __all__ = [
     "Status",
     "SolverConfig",
     "SolverState",
-    "LogRow",
     "RunLog",
     "rhs",
     "new_state",
@@ -204,26 +203,13 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
     )
 
 
-@dataclass(frozen=True)
-class LogRow:
-    """One observation record of the run log (the CSV row)."""
-
-    t: float
-    dt: float
-    min_slope: float
-    u_inf: float
-    ux_inf: float
-    energy: float
-    mass: float
-    extra: Tuple[float, ...] = ()
-
-
 @dataclass
 class RunLog:
-    """Observation log: fixed columns plus the probes' columns."""
+    """Observation log: one tuple per row, in ``header`` order — the fixed
+    columns, then the probes' columns."""
 
     extra_names: Tuple[str, ...]
-    rows: List[LogRow]
+    rows: List[Tuple[float, ...]]
 
     @property
     def header(self) -> Tuple[str, ...]:
@@ -231,29 +217,25 @@ class RunLog:
                 "mass") + self.extra_names
 
     def column(self, name: str) -> np.ndarray:
-        base = ["t", "dt", "min_slope", "u_inf", "ux_inf", "energy", "mass"]
-        if name in base:
-            return np.array([getattr(r, name) for r in self.rows])
-        idx = self.extra_names.index(name)
-        return np.array([r.extra[idx] for r in self.rows])
+        idx = self.header.index(name)
+        return np.array([r[idx] for r in self.rows])
 
 
 def _log_row(state: SolverState, config: SolverConfig,
-             extra: Tuple[float, ...]) -> LogRow:
+             extra: Tuple[float, ...]) -> Tuple[float, ...]:
     grid = state.u.grid
     u = state.u.values
     du = state.u.derivative_values
     dt = state.dt if state.dt > 0.0 else _propose_dt(state.u, config)
-    return LogRow(
-        t=state.t,
-        dt=dt,
-        min_slope=float(np.min(du)),
-        u_inf=float(np.max(np.abs(u))),
-        ux_inf=float(np.max(np.abs(du))),
-        energy=float(np.sum(u * u + du * du) * grid.dx),
-        mass=float(np.sum(u) * grid.dx),
-        extra=extra,
-    )
+    return (
+        state.t,
+        dt,
+        float(np.min(du)),
+        float(np.max(np.abs(u))),
+        float(np.max(np.abs(du))),
+        float(np.sum(u * u + du * du) * grid.dx),
+        float(np.sum(u) * grid.dx),
+    ) + extra
 
 
 def run(u0: Field, config: SolverConfig, probes: Sequence = ()

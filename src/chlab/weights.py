@@ -19,9 +19,11 @@ constant for the log factor), and v-moderate with
 Certification here is empirical: the constants ``C0``, ``A`` and ``inf v``
 are suprema over seeded uniform samples (plus analytic log-derivatives
 where closed forms exist), and each certificate records its sample set so
-results reproduce bit-for-bit under a fixed seed.  Evaluations that
-overflow float range are reported as ``+inf`` and poison the certificate
-rather than silently saturating.
+results reproduce bit-for-bit under a fixed seed.  ``certify_admissible``
+returns the certificate as the plain record that
+``weight_certificates.json`` stores, with the L^p norms keyed by
+``str(p)``.  Evaluations that overflow float range are reported as
+``+inf`` and poison the certificate rather than silently saturating.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "Tabulated",
     "Truncated",
     "CertifyConfig",
-    "WeightCertificate",
     "YoungReport",
     "moderate_ratio",
     "certify_admissible",
@@ -247,45 +248,6 @@ class CertifyConfig:
     max_doublings: int = 12
 
 
-@dataclass
-class WeightCertificate:
-    """Empirical admissibility certificate; all constants are suprema over
-    the recorded sample set (range, count, seed), so certificates reproduce
-    bit-for-bit."""
-
-    C0: float
-    A: float
-    inf_v: float
-    integral_v_exp: float
-    lp_v_exp: Dict[float, float]
-    admissible: bool
-    sample_range: float
-    sample_count: int
-    seed: int
-    v_submultiplicative_ratio: float
-    quadrature_converged: bool
-    quadrature_range: float
-    overflowed: bool
-
-    def as_record(self) -> dict:
-        """JSON-compatible key/value record."""
-        return {
-            "C0": self.C0,
-            "A": self.A,
-            "inf_v": self.inf_v,
-            "integral_v_exp": self.integral_v_exp,
-            "lp_v_exp": {str(p): val for p, val in self.lp_v_exp.items()},
-            "admissible": self.admissible,
-            "sample_range": self.sample_range,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "v_submultiplicative_ratio": self.v_submultiplicative_ratio,
-            "quadrature_converged": self.quadrature_converged,
-            "quadrature_range": self.quadrature_range,
-            "overflowed": self.overflowed,
-        }
-
-
 # 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule embedded in
 # it (QUADPACK's qk15: Piessens et al., 1983).  The Gauss nodes are every
 # other Kronrod node, so _G7_WEIGHTS is zero on the Kronrod-only ones.
@@ -377,16 +339,20 @@ def _integral_with_doubling(
 
 def certify_admissible(
     phi: Weight, v: Weight, config: CertifyConfig = CertifyConfig()
-) -> WeightCertificate:
-    """Empirical admissibility certificate for phi with majorant v.
+) -> dict:
+    """Empirical admissibility certificate for phi with majorant v, as the
+    record ``weight_certificates.json`` stores.
 
     Checks, over the seeded sample set and by quadrature:
-    its log-derivative bound A = sup |phi'|/phi, moderateness constant
-    C0 = sup phi(x+y)/(v(x)phi(y)), inf v, sub-multiplicativity of v, and
-    the decay integral of v(x) e^{-|x|} (divergence reported honestly —
+    its log-derivative bound ``A`` = sup |phi'|/phi, moderateness constant
+    ``C0`` = sup phi(x+y)/(v(x)phi(y)), ``inf_v``, sub-multiplicativity of
+    v (``v_submultiplicative_ratio``), and the decay integral
+    ``integral_v_exp`` of v(x) e^{-|x|} (divergence reported honestly —
     e.g. v = e^{|x|} diverges but still offers the L^infinity route since
-    sup v(x) e^{-|x|} = 1).  The L^p norms of v(x) e^{-|x|} are computed
-    for each requested p.
+    sup v(x) e^{-|x|} = 1).  ``lp_v_exp`` holds the L^p norm of
+    v(x) e^{-|x|} for each requested p, keyed by ``str(p)`` ("2.0",
+    "inf").  The record also carries the sample set (``sample_range``,
+    ``sample_count``, ``seed``), so certificates reproduce bit-for-bit.
     """
     rng = np.random.default_rng(config.seed)
     pairs = rng.uniform(
@@ -414,7 +380,7 @@ def certify_admissible(
 
     integral, converged, R_final = _integral_with_doubling(integrand, config)
 
-    lp: Dict[float, float] = {}
+    lp: Dict[str, float] = {}
     for p in config.p_values:
         if math.isinf(p):
             # dense scan: linear resolution near the origin plus a
@@ -425,14 +391,15 @@ def certify_admissible(
             grid = np.concatenate([-far[::-1], -near[::-1], near, far])
             grid = grid[np.abs(grid) <= R_max]
             with np.errstate(over="ignore"):
-                lp[p] = float(np.max(np.exp(v._log_value(grid) - np.abs(grid))))
+                lp[str(p)] = float(
+                    np.max(np.exp(v._log_value(grid) - np.abs(grid))))
         else:
             def integrand_p(x, p=p):
                 with np.errstate(over="ignore"):
                     return np.exp(p * (v._log_value(x) - np.abs(x)))
 
             val, conv_p, _ = _integral_with_doubling(integrand_p, config)
-            lp[p] = float(val ** (1.0 / p)) if conv_p else math.inf
+            lp[str(p)] = float(val ** (1.0 / p)) if conv_p else math.inf
 
     admissible = (
         inf_v > 0
@@ -443,21 +410,21 @@ def certify_admissible(
         and math.isfinite(integral)
         and not overflowed
     )
-    return WeightCertificate(
-        C0=C0,
-        A=A,
-        inf_v=inf_v,
-        integral_v_exp=integral,
-        lp_v_exp=lp,
-        admissible=admissible,
-        sample_range=config.sample_range,
-        sample_count=config.sample_count,
-        seed=config.seed,
-        v_submultiplicative_ratio=sub_ratio,
-        quadrature_converged=converged,
-        quadrature_range=R_final,
-        overflowed=overflowed,
-    )
+    return {
+        "C0": C0,
+        "A": A,
+        "inf_v": inf_v,
+        "integral_v_exp": integral,
+        "lp_v_exp": lp,
+        "admissible": admissible,
+        "sample_range": config.sample_range,
+        "sample_count": config.sample_count,
+        "seed": config.seed,
+        "v_submultiplicative_ratio": sub_ratio,
+        "quadrature_converged": converged,
+        "quadrature_range": R_final,
+        "overflowed": overflowed,
+    }
 
 
 def weighted_lp_norm(u: Field, phi: Union[Weight, np.ndarray],

@@ -1,4 +1,8 @@
-"""Shared field builders for the test suite."""
+"""Shared field builders and artifact readers for the test suite."""
+
+import csv
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -60,3 +64,16 @@ def count_transforms(monkeypatch) -> TransformCounter:
 
         monkeypatch.setattr(np.fft, name, counted)
     return counter
+
+
+def read_csv(path):
+    """Read a CSV table back: (header, data) with data shaped (rows, cols)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        data = np.array([[float(v) for v in row] for row in reader], float)
+    return header, data
+
+
+def read_summary(path) -> dict:
+    return json.loads(Path(path).read_text())

@@ -1,6 +1,7 @@
 """Scenario execution end to end: run summaries, artifact layout and
 reproducibility, parameter sweeps, and the command-line interface."""
 
+import math
 import multiprocessing
 import os
 import signal
@@ -10,10 +11,16 @@ import numpy as np
 import pytest
 
 from chlab.cli import main
-from chlab.config import CertificationWarning, ConfigError, scenario_from_dict
-from chlab.io import read_csv, read_summary
+from chlab.config import (CertificationWarning, ConfigError, load_scenario,
+                          scenario_from_dict)
 from chlab import runner
+from chlab.diagnostics import (PersistenceTrace, decay_blowup_predict,
+                               mckean_classify, peakon_rate_cap_check,
+                               persistence_check, slope_criterion_predict)
+from chlab.field import momentum_of
 from chlab.runner import apply_axis, run_scenario, sweep
+from chlab.weights import CertifyConfig, certify_admissible
+from helpers import read_csv, read_summary
 
 # N = 256 at this box size carries a dealiasing-cut floor near 1e-8 of
 # peak at the boundary, which trips the contamination guard mid-run; 512
@@ -88,6 +95,15 @@ class TestRunScenario:
         cons = result.summary["conservation"]
         assert cons["energy_drift_rel"] < 1e-6
         assert cons["mass_drift_rel"] < 1e-10
+
+    def test_mass_drift_is_relative_to_the_l1_norm(self):
+        # an odd datum has mass(0) = 0 up to roundoff: divided by that
+        # roundoff (or its 1e-300 floor) the drift read 2.0 to 1e285;
+        # divided by ||u0||_1 it is roundoff itself
+        result = run_scenario(scenario_from_dict(
+            {**BREAKDOWN, "solver": {"t_end": 0.05}}))
+        cons = result.summary["conservation"]
+        assert cons["mass_drift_rel"] < 1e-14
 
     def test_predictor_block(self, result):
         pred = result.summary["predictors"]
@@ -187,7 +203,7 @@ class TestRunScenario:
         result = run_scenario(scenario)
         p = result.summary["profiles"]
         rows = result.profile_rows
-        times = [r.t for r in result.log.rows]
+        times = result.log.column("t").tolist()
         assert result.summary["status"] == "WaveBreaking"
         assert 0 < p["snapshots"] == len(rows) < len(times) - 1
         assert [r[0] for r in rows] == times[1:len(rows) + 1]
@@ -215,6 +231,44 @@ class TestRunScenario:
         assert [str(w.message) for w in record] == scenario.weight_warnings()
         assert scenario.weight_warnings()[0].startswith(
             "weights_to_track[1]: ")
+
+
+class TestDiagnosticBlocks:
+    """Each diagnostic returns the very block its artifact stores."""
+
+    def test_returns_equal_the_stored_blocks(self, tmp_path):
+        path = tmp_path / "tiny.yaml"
+        path.write_text(TINY_YAML + "rate_cap_factor: 3.0\n")
+        scenario = load_scenario(path)
+        u0 = scenario.build_initial()
+        result = run_scenario(scenario)
+        summary = result.summary
+
+        predictors = {"momentum_sign": mckean_classify(momentum_of(u0)),
+                      "slope_criterion": slope_criterion_predict(u0),
+                      "decay_blowup": decay_blowup_predict(u0)}
+        assert summary["predictors"] == predictors
+        assert summary["rate_cap"]["sup_initial"] == peakon_rate_cap_check(u0)
+        # the run's trace, rebuilt from its log: W_0 and M = u_inf + ux_inf
+        trace = PersistenceTrace(scenario.weights_to_track[0].weight, math.inf)
+        for t, W, u_inf, ux_inf in zip(*map(result.log.column, (
+                "t", "W_0", "u_inf", "ux_inf"))):
+            trace.append(float(t), float(W), float(u_inf + ux_inf))
+        block = persistence_check(trace)
+        row = summary["persistence"][0]
+        assert {key: row[key] for key in block} == block
+
+        out = tmp_path / "runs"
+        for command in (["classify"], ["weights", "certify"]):
+            assert main(command + [str(path), "--out", str(out),
+                                   "--quiet"]) == 0
+        rundir = out / scenario.run_dirname()
+        stored = read_summary(rundir / "classification.json")
+        assert stored["predictors"] == predictors
+        weight = scenario.weights_to_track[0].weight
+        stored = read_summary(rundir / "weight_certificates.json")
+        assert (stored["certificates"][0]["certificate"]
+                == certify_admissible(weight, weight, CertifyConfig(seed=0)))
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +302,12 @@ class TestArtifacts:
         assert np.all(np.diff(t) > 0)
         W = data[:, 7]
         assert np.all(W > 0)
+
+    def test_run_csv_rows_are_the_log_rows(self, tmp_path):
+        result = run_scenario(tiny_scenario(), out_root=tmp_path)
+        header, data = read_csv(result.outdir / "run.csv")
+        assert header == list(result.log.header)
+        assert np.array_equal(data, np.array(result.log.rows))
 
     def test_snapshot_csv_matches_initial_datum(self, outdir):
         header, data = read_csv(outdir / "snapshots.csv")
