@@ -209,9 +209,13 @@ def _cmd_certify(args, out_root, seed, quiet) -> int:
         return _EXIT_OK
     records = []
     echo = scenario.effective_config()["weights_to_track"]
+    # a weight tracked at several p gets one certificate, shared by its records
+    certs = {}
     for i, tw in enumerate(scenario.weights_to_track):
-        cert = certify_admissible(tw.weight, tw.weight,
-                                  CertifyConfig(seed=seed))
+        cert = certs.get(tw.weight)
+        if cert is None:
+            cert = certs[tw.weight] = certify_admissible(
+                tw.weight, tw.weight, CertifyConfig(seed=seed))
         records.append({"index": i, "weight": str(tw.weight),
                         "p": echo[i]["p"], "certificate": cert})
         _say(quiet, f"W_{i}: {tw.weight}")

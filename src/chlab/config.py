@@ -54,6 +54,10 @@ __all__ = [
 #: only stand in for the line while wrap-around influence is negligible).
 INITIAL_BOUNDARY_TOL = 1e-10
 
+#: libyaml's safe loader where PyYAML was built with it: the same safe
+#: constructor as yaml.SafeLoader, with a C scanner and parser.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 #: A norm exponent p >= 1; the config spells the sup norm "inf".
 Exponent = NewType("Exponent", float)
 
@@ -359,7 +363,7 @@ def parse_scenario(text: str, *, default_name: Optional[str] = None,
                    check_initial: bool = True) -> Scenario:
     """Parse YAML text into a validated Scenario."""
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
@@ -337,6 +338,43 @@ def _integral_with_doubling(
     return total, converged, R
 
 
+#: Points per block of the sup scan: each block's temporaries stay small
+#: enough to be reused from the allocator instead of faulting in fresh pages.
+_SCAN_BLOCK = 8192
+
+
+@lru_cache(maxsize=4)
+def _sup_scan_grid(quad_range0: float,
+                   max_doublings: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The dense grid of the sup scan and its |x|, both read-only: linear
+    resolution near the origin plus a geometric extension out to the
+    maximal quadrature range quad_range0 * 2**max_doublings."""
+    R_max = quad_range0 * 2**max_doublings
+    near = np.linspace(0.0, quad_range0, 65537)
+    far = quad_range0 * 2 ** np.linspace(0.0, max_doublings, 8193)
+    grid = np.concatenate([-far[::-1], -near[::-1], near, far])
+    grid = grid[np.abs(grid) <= R_max]
+    abs_grid = np.abs(grid)
+    grid.flags.writeable = False
+    abs_grid.flags.writeable = False
+    return grid, abs_grid
+
+
+def _sup_v_exp(v: Weight, quad_range0: float, max_doublings: int) -> float:
+    """max of v(x) e^{-|x|} over the scan grid, block by block.  The block
+    maxima are reduced with np.max, so a NaN or +inf anywhere comes out as
+    the whole-grid np.max would give it."""
+    grid, abs_grid = _sup_scan_grid(quad_range0, max_doublings)
+    starts = range(0, grid.size, _SCAN_BLOCK)
+    peaks = np.empty(len(starts))
+    with np.errstate(over="ignore"):
+        for k, start in enumerate(starts):
+            block = slice(start, start + _SCAN_BLOCK)
+            peaks[k] = np.max(
+                np.exp(v._log_value(grid[block]) - abs_grid[block]))
+    return float(np.max(peaks))
+
+
 def certify_admissible(
     phi: Weight, v: Weight, config: CertifyConfig = CertifyConfig()
 ) -> dict:
@@ -364,7 +402,9 @@ def certify_admissible(
 
     xs, ys = pairs[:, 0], pairs[:, 1]
     C0 = float(np.max(moderate_ratio(phi, v, xs, ys)))
-    sub_ratio = float(np.max(moderate_ratio(v, v, xs, ys)))
+    # with phi = v, C0 is already the submultiplicativity ratio
+    sub_ratio = (C0 if phi is v
+                 else float(np.max(moderate_ratio(v, v, xs, ys))))
     A = float(np.max(np.abs(phi.log_derivative(singles))))
     v_vals = v.value(singles)
     inf_v = float(np.min(v_vals))
@@ -383,16 +423,7 @@ def certify_admissible(
     lp: Dict[str, float] = {}
     for p in config.p_values:
         if math.isinf(p):
-            # dense scan: linear resolution near the origin plus a
-            # geometric extension out to the maximal quadrature range
-            R_max = config.quad_range0 * 2**config.max_doublings
-            near = np.linspace(0.0, config.quad_range0, 65537)
-            far = config.quad_range0 * 2 ** np.linspace(0.0, config.max_doublings, 8193)
-            grid = np.concatenate([-far[::-1], -near[::-1], near, far])
-            grid = grid[np.abs(grid) <= R_max]
-            with np.errstate(over="ignore"):
-                lp[str(p)] = float(
-                    np.max(np.exp(v._log_value(grid) - np.abs(grid))))
+            lp[str(p)] = _sup_v_exp(v, config.quad_range0, config.max_doublings)
         else:
             def integrand_p(x, p=p):
                 with np.errstate(over="ignore"):

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from chlab import config
 from chlab.config import (
     INITIAL_KINDS,
     POTENTIAL_SHAPES,
@@ -392,6 +394,22 @@ class TestYamlFront:
     def test_yaml_error_reports_position(self):
         with pytest.raises(ConfigError, match=r"invalid YAML at line \d+"):
             parse_scenario("name: [unclosed\ngrid: {L: 1}\n: ]]")
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("source", sorted(
+        [f"configs/{p.name}" for p in CONFIGS.glob("*.yaml")]
+        + [f"builtin:{name}" for name in builtin_names()]))
+    def test_libyaml_and_python_loaders_agree(self, source):
+        if source.startswith("builtin:"):
+            name = source.split(":", 1)[1]
+            text = yaml.safe_dump(builtin_scenario(name).effective_config())
+        else:
+            text = (CONFIGS.parent / source).read_text()
+        assert config._YAML_LOADER is yaml.CSafeLoader
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        slow = yaml.load(text, Loader=yaml.SafeLoader)
+        assert isinstance(fast, dict) and fast == slow
 
     def test_empty_and_non_mapping(self):
         with pytest.raises(ConfigError, match="empty config"):

@@ -13,13 +13,13 @@ import pytest
 from chlab.cli import main
 from chlab.config import (CertificationWarning, ConfigError, load_scenario,
                           scenario_from_dict)
-from chlab import runner
+from chlab import cli, runner
 from chlab.diagnostics import (PersistenceTrace, decay_blowup_predict,
                                mckean_classify, peakon_rate_cap_check,
                                persistence_check, slope_criterion_predict)
 from chlab.field import momentum_of
 from chlab.runner import apply_axis, run_scenario, sweep
-from chlab.weights import CertifyConfig, certify_admissible
+from chlab.weights import CertifyConfig, StandardFamily, certify_admissible
 from helpers import read_csv, read_summary
 
 # N = 256 at this box size carries a dealiasing-cut floor near 1e-8 of
@@ -619,6 +619,30 @@ class TestCli:
         assert cert["admissible"] is True
         # sampled estimate of the exact moderateness constant 1
         assert cert["C0"] == pytest.approx(1.0, abs=0.05)
+
+    def test_weights_certify_certifies_each_weight_once(
+            self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(phi, v, config):
+            calls.append(phi)
+            return certify_admissible(phi, v, config)
+
+        monkeypatch.setattr(cli, "certify_admissible", counting)
+        path = tmp_path / "twice.yaml"
+        path.write_text(TINY_YAML + "  - weight: {kind: standard, c: 2.0}\n"
+                                    "    p: 2\n")
+        out = tmp_path / "runs"
+        assert main(["weights", "certify", str(path), "--out", str(out),
+                     "--seed", "0", "--quiet"]) == 0
+        assert len(calls) == 1
+        w = StandardFamily(c=2.0)
+        direct = certify_admissible(w, w, CertifyConfig(seed=0))
+        records = read_summary(out / load_scenario(path).run_dirname()
+                               / "weight_certificates.json")["certificates"]
+        assert [(r["index"], r["weight"], r["p"]) for r in records] == [
+            (0, str(w), "inf"), (1, str(w), 2.0)]
+        assert all(r["certificate"] == direct for r in records)
 
     def test_weights_without_subcommand_exits_2(self, capsys):
         assert main(["weights"]) == 2

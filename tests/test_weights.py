@@ -19,7 +19,10 @@ from chlab.weights import (
     Tabulated,
     Truncated,
     Weight,
+    _SCAN_BLOCK,
     _gauss_kronrod,
+    _sup_scan_grid,
+    _sup_v_exp,
     certify_admissible,
     check_weighted_young,
     moderate_ratio,
@@ -295,6 +298,91 @@ class TestQuadrature:
         value = _gauss_kronrod(f, 0.0, 1.0, 1e-9)
         assert len(calls) == 80
         assert value == pytest.approx(2.0, rel=1e-9)
+
+
+def whole_grid_scan(v, quad_range0=32.0, max_doublings=12):
+    """The sup scan as one whole-grid expression, grid built afresh."""
+    near = np.linspace(0.0, quad_range0, 65537)
+    far = quad_range0 * 2 ** np.linspace(0.0, max_doublings, 8193)
+    g = np.concatenate([-far[::-1], -near[::-1], near, far])
+    g = g[np.abs(g) <= quad_range0 * 2**max_doublings]
+    with np.errstate(over="ignore"):
+        return g, float(np.max(np.exp(v._log_value(g) - np.abs(g))))
+
+
+class NaNAt(Weight):
+    """log v = 0 except NaN at the single point ``at``."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def _log_value(self, x):
+        return np.where(x == self.at, np.nan, 0.0)
+
+
+class TestSupScan:
+    @pytest.mark.parametrize("v", [row[0] for row in CLOSED_FORMS],
+                             ids=[str(row[0]) for row in CLOSED_FORMS])
+    def test_blockwise_scan_equals_whole_grid(self, v):
+        g, whole = whole_grid_scan(v)
+        grid, abs_grid = _sup_scan_grid(32.0, 12)
+        assert np.array_equal(grid, g) and np.array_equal(abs_grid, np.abs(g))
+        # the last block is a partial one
+        assert grid.size > _SCAN_BLOCK and grid.size % _SCAN_BLOCK != 0
+        assert _sup_v_exp(v, 32.0, 12) == whole
+        assert certify_admissible(
+            v, v, CertifyConfig(sample_count=100))["lp_v_exp"]["inf"] == whole
+
+    def test_overflow_gives_inf(self):
+        # v e^{-|x|} = e^{0.2|x|} overflows long before |x| = 131072
+        v = StandardFamily(a=1.2, b=1.0)
+        assert whole_grid_scan(v)[1] == math.inf
+        assert _sup_v_exp(v, 32.0, 12) == math.inf
+
+    # a point inside a full block, and the last point, in the partial block
+    @pytest.mark.parametrize("index", [3 * _SCAN_BLOCK + 17, -1])
+    def test_nan_at_one_point_gives_nan(self, index):
+        grid, _ = _sup_scan_grid(32.0, 12)
+        v = NaNAt(grid[index])
+        assert math.isnan(whole_grid_scan(v)[1])
+        assert math.isnan(_sup_v_exp(v, 32.0, 12))
+
+    def test_grid_is_cached_and_read_only(self):
+        grid, abs_grid = _sup_scan_grid(32.0, 12)
+        assert _sup_scan_grid(32.0, 12)[0] is grid
+        for arr in (grid, abs_grid):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        shorter, _ = _sup_scan_grid(32.0, 11)
+        assert not np.array_equal(shorter, grid)
+        assert np.max(shorter) == 32.0 * 2**11
+        assert np.max(grid) == 32.0 * 2**12
+
+
+class TestSubmultiplicativeRatio:
+    cfg = CertifyConfig(sample_count=2000, p_values=(2.0,))
+
+    def independent_ratio(self, v):
+        rng = np.random.default_rng(self.cfg.seed)
+        pairs = rng.uniform(-self.cfg.sample_range, self.cfg.sample_range,
+                            size=(self.cfg.sample_count, 2))
+        return float(np.max(moderate_ratio(v, v, pairs[:, 0], pairs[:, 1])))
+
+    @pytest.mark.parametrize("phi,v", [
+        (OneSided(a=0.5), StandardFamily(a=0.5, b=1.0)),
+        # C0 < 1 here (phi grows slower than v), so C0 cannot stand in
+        (StandardFamily(a=0.5, b=1.0), StandardFamily(a=1.0, b=1.0)),
+    ])
+    def test_distinct_phi_computes_its_own_ratio(self, phi, v):
+        cert = certify_admissible(phi, v, self.cfg)
+        assert cert["v_submultiplicative_ratio"] == self.independent_ratio(v)
+
+    def test_phi_is_v_reuses_c0(self):
+        v = threshold_weight(1.0)
+        cert = certify_admissible(v, v, self.cfg)
+        assert cert["v_submultiplicative_ratio"] == cert["C0"]
+        assert cert["C0"] == self.independent_ratio(v)
 
 
 class TestWeightedNorms:
