@@ -2,9 +2,10 @@
 
 Each criterion runs a complete, self-contained experiment — operator
 identities, traveling-wave residuals, convergence studies, full scenario
-runs — and reports pass/fail with the measured numbers.  The same registry
-backs ``chlab selftest`` and the acceptance test module, so the command
-line and the test suite can never drift apart.
+runs — and returns its checks, each a pass/fail flag with the measured
+numbers; its registry entry gives it its number and title.  The same
+registry backs ``chlab selftest`` and the acceptance test module, so the
+command line and the test suite can never drift apart.
 
 Criterion 10 repeats a four-run parameter sweep and is marked slow; the
 default selftest skips it (pass ``--slow`` to include it).
@@ -28,8 +29,10 @@ from .solver import SolverConfig, rhs, run
 from .weights import (StandardFamily, certify_admissible,
                       check_weighted_young, threshold_weight)
 
-__all__ = ["Criterion", "CriterionResult", "CRITERIA", "run_suite",
-           "format_result"]
+__all__ = ["CRITERIA", "run_suite", "format_result"]
+
+#: One measured check of a criterion: whether it holds, and what it measured.
+Check = Tuple[bool, str]
 
 
 @dataclass
@@ -45,15 +48,15 @@ class Criterion:
     number: int
     title: str
     slow: bool
-    fn: Callable[[], CriterionResult]
+    checks: Callable[[], List[Check]]
 
-
-def _result(number: int, title: str, checks: Sequence[Tuple[bool, str]]
-            ) -> CriterionResult:
-    passed = all(ok for ok, _ in checks)
-    details = [f"{'ok  ' if ok else 'FAIL'} {msg}" for ok, msg in checks]
-    return CriterionResult(number=number, title=title, passed=passed,
-                           details=details)
+    def run(self) -> CriterionResult:
+        """Run the experiment; it passes when every check holds."""
+        checks = self.checks()
+        return CriterionResult(
+            number=self.number, title=self.title,
+            passed=all(ok for ok, _ in checks),
+            details=[f"{'ok  ' if ok else 'FAIL'} {msg}" for ok, msg in checks])
 
 
 def _random_band_limited(grid: Grid, rng: np.random.Generator) -> Field:
@@ -74,7 +77,7 @@ def _random_band_limited(grid: Grid, rng: np.random.Generator) -> Field:
 # 1. operator algebra
 # --------------------------------------------------------------------------
 
-def _criterion_operators() -> CriterionResult:
+def _criterion_operators() -> List[Check]:
     grid = Grid(20.0, 512)
     rng = np.random.default_rng(20260815)
     worst_roundtrip = 0.0
@@ -89,21 +92,21 @@ def _criterion_operators() -> CriterionResult:
         b = derivative(helmholtz_inverse(f))
         worst_commute = max(worst_commute, float(
             np.max(np.abs(a.values - b.values)) / scale))
-    return _result(1, "operator algebra on random band-limited fields", [
+    return [
         (worst_roundtrip < 1e-10,
          f"(1 - dxx) o smoothing = identity: max rel error "
          f"{worst_roundtrip:.3e} < 1e-10 over 100 fields"),
         (worst_commute < 1e-10,
          f"kernel-derivative convolution = d/dx o smoothing: max rel error "
          f"{worst_commute:.3e} < 1e-10"),
-    ])
+    ]
 
 
 # --------------------------------------------------------------------------
 # 2. traveling-wave residuals
 # --------------------------------------------------------------------------
 
-def _criterion_peakon_oracle() -> CriterionResult:
+def _criterion_peakon_oracle() -> List[Check]:
     grid = Grid(40.0, 4096)
     u = peakon(1.0, 0.0, grid)
     window = np.abs(grid.x) > 3.0 * grid.dx
@@ -117,7 +120,7 @@ def _criterion_peakon_oracle() -> CriterionResult:
                                  - np.exp(-2.0 * np.abs(grid.x)))
     res_closed = float(np.max(np.abs((computed - closed)[window])))
 
-    return _result(2, "peakon traveling-wave identity", [
+    return [
         (res_rhs < 1e-3,
          f"rhs(peakon) + d/dx peakon off-kink max {res_rhs:.3e} < 1e-3 "
          f"at N=4096 (the spectral u_x rings at the kink, and the "
@@ -126,7 +129,7 @@ def _criterion_peakon_oracle() -> CriterionResult:
         (res_closed < 1e-4,
          f"kernel-derivative convolution of 1.5 e^(-2|x|) matches its "
          f"closed form to {res_closed:.3e} < 1e-4"),
-    ])
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -140,7 +143,7 @@ def _fixed_dt_final(u0: Field, dt: float, t_end: float) -> np.ndarray:
     return state.u.values
 
 
-def _criterion_conservation_order() -> CriterionResult:
+def _criterion_conservation_order() -> List[Check]:
     result = run_scenario(builtin_scenario("algebraic-persistence"))
     drift = result.summary["conservation"]
 
@@ -157,7 +160,7 @@ def _criterion_conservation_order() -> CriterionResult:
     orders = [math.log2(errors[i] / errors[i + 1])
               for i in range(len(errors) - 1)]
 
-    checks = [
+    return [
         (drift["energy_drift_rel"] < 1e-6,
          f"energy drift {drift['energy_drift_rel']:.3e} < 1e-6 over the "
          f"Gaussian run to t=0.5"),
@@ -168,14 +171,13 @@ def _criterion_conservation_order() -> CriterionResult:
          + " all >= 3.5 (errors "
          + ", ".join(f"{e:.3e}" for e in errors) + ")"),
     ]
-    return _result(3, "conservation drift and time-stepping order", checks)
 
 
 # --------------------------------------------------------------------------
 # 4. weighted-norm persistence with fitted envelope
 # --------------------------------------------------------------------------
 
-def _criterion_persistence() -> CriterionResult:
+def _criterion_persistence() -> List[Check]:
     base = builtin_scenario("algebraic-persistence")
     doubled_dict = base.effective_config()
     doubled_dict["grid"]["N"] = 2 * doubled_dict["grid"]["N"]
@@ -198,37 +200,36 @@ def _criterion_persistence() -> CriterionResult:
             rel_change < 0.05,
             f"{label}: C_fit changes {100 * rel_change:.3f}% < 5% under "
             f"grid doubling ({row_c['C_fit']:.6f} -> {row_f['C_fit']:.6f})"))
-    return _result(4, "weighted-norm persistence and envelope stability",
-                   checks)
+    return checks
 
 
 # --------------------------------------------------------------------------
 # 5. critical-decay rate cap
 # --------------------------------------------------------------------------
 
-def _criterion_rate_cap() -> CriterionResult:
+def _criterion_rate_cap() -> List[Check]:
     result = run_scenario(builtin_scenario("exponential-rate-cap"))
     cap = result.summary["rate_cap"]
     status = result.summary["status"]
-    return _result(5, "exponential-decay rate cap on a peakon run", [
+    return [
         (status == "ReachedTEnd", f"run completed: status {status}"),
         (cap["passed"],
          f"sup e^|x|(|u|+|u_x|) stayed at {cap['max_sup']:.4f} <= cap "
          f"{cap['cap']:.4f} (3 x initial {cap['sup_initial']:.4f}, worst at "
          f"t={cap['t_max_sup']:.3f})"),
-    ])
+    ]
 
 
 # --------------------------------------------------------------------------
 # 6. fast-decay breakdown with a-priori warning
 # --------------------------------------------------------------------------
 
-def _criterion_breakdown() -> CriterionResult:
+def _criterion_breakdown() -> List[Check]:
     result = run_scenario(builtin_scenario("fast-decay-breakdown"))
     s = result.summary
     bracket = s["t_star_bracket"]
     predictors = s["predictors"]
-    checks = [
+    return [
         (s["status"] in ("WaveBreaking", "DtCollapse"),
          f"run terminated by breakdown: status {s['status']}"),
         (bracket is not None and all(math.isfinite(b) for b in bracket),
@@ -241,34 +242,32 @@ def _criterion_breakdown() -> CriterionResult:
          f"momentum sign pattern {predictors['momentum_sign']['verdict']} "
          f"(no global-existence guarantee)"),
     ]
-    return _result(6, "Gaussian datum breaks in finite time, as predicted",
-                   checks)
 
 
 # --------------------------------------------------------------------------
 # 7. single-signed momentum runs globally
 # --------------------------------------------------------------------------
 
-def _criterion_global() -> CriterionResult:
+def _criterion_global() -> List[Check]:
     result = run_scenario(builtin_scenario("positive-momentum-global"))
     s = result.summary
     min_slope = float(np.min(result.log.column("min_slope")))
     verdict = s["predictors"]["momentum_sign"]["verdict"]
-    return _result(7, "nonnegative momentum survives a long run", [
+    return [
         (s["status"] == "ReachedTEnd" and s["t_final"] >= 10.0,
          f"reached t_end: status {s['status']} at t={s['t_final']:.3f}"),
         (min_slope > -10.0,
          f"slope stayed bounded: min u_x = {min_slope:.4f} > -10 throughout"),
         (verdict == "ConstantSignNonneg",
          f"momentum sign pattern {verdict} predicted global existence"),
-    ])
+    ]
 
 
 # --------------------------------------------------------------------------
 # 8. tail profiles and the reconstruction identity
 # --------------------------------------------------------------------------
 
-def _criterion_profiles() -> CriterionResult:
+def _criterion_profiles() -> List[Check]:
     compact = Grid(10.0, 8192)
     Phi0, Psi0 = phi0_psi0(peakon(1.0, 0.0, compact))
 
@@ -278,7 +277,7 @@ def _criterion_profiles() -> CriterionResult:
     worst_ratio = float(np.max(np.maximum(rows[:, 5] / rows[:, 1],
                                           rows[:, 6] / rows[:, 2])))
 
-    return _result(8, "asymptotic tail profiles", [
+    return [
         (abs(Phi0 - 1.0) < 1e-3 and abs(Psi0 - 1.0) < 1e-3,
          f"peakon profile amplitudes ({Phi0:.6f}, {Psi0:.6f}) match the "
          f"analytic value (1, 1) within 1e-3"),
@@ -291,14 +290,14 @@ def _criterion_profiles() -> CriterionResult:
         (p["reconstruction_error_rel"] < 1e-4,
          f"time-integrated reconstruction matches the terminal state to "
          f"{p['reconstruction_error_rel']:.3e} < 1e-4 relative"),
-    ])
+    ]
 
 
 # --------------------------------------------------------------------------
 # 9. weight certification and the weighted Young inequality
 # --------------------------------------------------------------------------
 
-def _criterion_weights() -> CriterionResult:
+def _criterion_weights() -> List[Check]:
     half = StandardFamily(a=0.5, b=1.0)
     cert_half = certify_admissible(half, half)
 
@@ -341,8 +340,7 @@ def _criterion_weights() -> CriterionResult:
             violations == 0,
             f"Young inequality, phi={phi}, p={'inf' if math.isinf(p) else p}:"
             f" 0/1000 violations (worst lhs/rhs {worst:.6f})"))
-    return _result(9, "weight certificates and weighted Young inequality",
-                   checks)
+    return checks
 
 
 def _compact_random(grid: Grid, rng: np.random.Generator) -> Field:
@@ -357,7 +355,7 @@ def _compact_random(grid: Grid, rng: np.random.Generator) -> Field:
 # 10. decay-rate threshold sweep (slow)
 # --------------------------------------------------------------------------
 
-def _criterion_threshold_sweep() -> CriterionResult:
+def _criterion_threshold_sweep() -> List[Check]:
     base = builtin_scenario("decay-threshold-sweep")
     rates = [0.5, 0.8, 1.2, 2.0]
     table = sweep(base, "initial_data.rate", rates, workers=4)
@@ -384,8 +382,7 @@ def _criterion_threshold_sweep() -> CriterionResult:
             checks.append((False,
                            f"rate {rate}: decay predictor fired but the run "
                            f"did not break (predictor must stay sufficient)"))
-    return _result(10, "decay-rate threshold sweep across the critical rate",
-                   checks)
+    return checks
 
 
 # --------------------------------------------------------------------------
@@ -425,17 +422,14 @@ def run_suite(include_slow: bool = False,
             continue
         if numbers is None and criterion.slow and not include_slow:
             continue
-        result = criterion.fn()
+        result = criterion.run()
         results.append(result)
         if report is not None:
             report(result)
     return results
 
 
-def format_result(result: CriterionResult, verbose: bool = True) -> str:
+def format_result(result: CriterionResult) -> str:
     head = f"{'PASS' if result.passed else 'FAIL'} {result.number:2d}: " \
            f"{result.title}"
-    if not verbose:
-        return head
-    body = "".join(f"\n       {line}" for line in result.details)
-    return head + body
+    return head + "".join(f"\n       {line}" for line in result.details)

@@ -26,12 +26,12 @@ from typing import List, Optional
 
 from .config import ConfigError, Scenario, load_scenario
 from .diagnostics import predictor_table
-from .io import write_summary
+from .io import SCHEMA_VERSION, write_summary
 from .runner import run_scenario, sweep
 from .scenarios import builtin_names, builtin_scenario, describe_builtins
-from .weights import CertifyConfig, certify_admissible
+from .weights import certify_admissible
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -186,6 +186,18 @@ def _print_run_report(summary: dict, outdir, quiet: bool) -> None:
         print(f"  artifacts: {outdir}")
 
 
+def _write_record(out_root, scenario: Scenario, seed: int, filename: str,
+                  body: dict) -> Path:
+    """Write ``body`` as ``filename`` in the scenario's run directory, under
+    the summary schema version, scenario name and seed."""
+    outdir = Path(out_root) / scenario.run_dirname()
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / filename
+    write_summary(path, {"schema_version": SCHEMA_VERSION,
+                         "scenario": scenario.name, "seed": seed, **body})
+    return path
+
+
 def _cmd_simulate(args, out_root, seed, quiet, force_profiles=False) -> int:
     if getattr(args, "list", False):
         for name, description in describe_builtins():
@@ -215,7 +227,7 @@ def _cmd_certify(args, out_root, seed, quiet) -> int:
         cert = certs.get(tw.weight)
         if cert is None:
             cert = certs[tw.weight] = certify_admissible(
-                tw.weight, tw.weight, CertifyConfig(seed=seed))
+                tw.weight, tw.weight, seed=seed)
         records.append({"index": i, "weight": str(tw.weight),
                         "p": echo[i]["p"], "certificate": cert})
         _say(quiet, f"W_{i}: {tw.weight}")
@@ -229,12 +241,10 @@ def _cmd_certify(args, out_root, seed, quiet) -> int:
         if sup_route is not None:
             _say(quiet, f"  sup v e^-|x| = {sup_route:.6g}")
     if out_root is not None:
-        outdir = Path(out_root) / scenario.run_dirname()
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_summary(outdir / "weight_certificates.json", {
-            "schema_version": 1, "scenario": scenario.name,
-            "seed": seed, "certificates": records})
-        _say(quiet, f"certificates: {outdir / 'weight_certificates.json'}")
+        path = _write_record(out_root, scenario, seed,
+                             "weight_certificates.json",
+                             {"certificates": records})
+        _say(quiet, f"certificates: {path}")
     return _EXIT_OK
 
 
@@ -253,12 +263,10 @@ def _cmd_classify(args, out_root, seed, quiet) -> int:
         verdict = "breakdown guaranteed" if row["fired"] else "silent"
         _say(quiet, f"  {label}: {verdict} (evidence {row['evidence']:.4e})")
     if out_root is not None:
-        outdir = Path(out_root) / scenario.run_dirname()
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_summary(outdir / "classification.json", {
-            "schema_version": 1, "scenario": scenario.name, "seed": seed,
-            "config_hash": scenario.content_hash(), "predictors": table})
-        _say(quiet, f"classification: {outdir / 'classification.json'}")
+        path = _write_record(out_root, scenario, seed, "classification.json",
+                             {"config_hash": scenario.content_hash(),
+                              "predictors": table})
+        _say(quiet, f"classification: {path}")
     return _EXIT_OK
 
 
@@ -298,7 +306,7 @@ def _cmd_selftest(args, out_root, seed, quiet) -> int:
         include_slow=args.slow,
         numbers=args.criterion,
         report=None if quiet else
-        (lambda r: print(format_result(r, verbose=True))),
+        (lambda r: print(format_result(r))),
     )
     failed = [r for r in results if not r.passed]
     if not quiet:

@@ -359,8 +359,8 @@ def scenario_from_dict(data: Mapping, *, default_name: Optional[str] = None,
     return scenario
 
 
-def parse_scenario(text: str, *, default_name: Optional[str] = None,
-                   check_initial: bool = True) -> Scenario:
+def parse_scenario(text: str, *,
+                   default_name: Optional[str] = None) -> Scenario:
     """Parse YAML text into a validated Scenario."""
     try:
         data = yaml.load(text, Loader=_YAML_LOADER)
@@ -373,17 +373,15 @@ def parse_scenario(text: str, *, default_name: Optional[str] = None,
     if not isinstance(data, Mapping):
         raise ConfigError("", f"expected a mapping at top level, got "
                               f"{type(data).__name__}")
-    return scenario_from_dict(data, default_name=default_name,
-                              check_initial=check_initial)
+    return scenario_from_dict(data, default_name=default_name)
 
 
-def load_scenario(path, *, check_initial: bool = True) -> Scenario:
+def load_scenario(path) -> Scenario:
     """Read and validate a scenario config file (YAML)."""
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as exc:
         raise ConfigError("", f"cannot read config {p}: {exc}") from exc
-    return parse_scenario(text, default_name=p.stem,
-                          check_initial=check_initial)
+    return parse_scenario(text, default_name=p.stem)
 

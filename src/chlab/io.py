@@ -31,8 +31,9 @@ __all__ = [
     "write_summary",
 ]
 
-#: Version of the summary-JSON layout; bump on any backwards-incompatible
-#: change to field names or meanings.
+#: Version of the JSON artifact layout (``summary.json``,
+#: ``classification.json``, ``weight_certificates.json``); bump on any
+#: backwards-incompatible change to field names or meanings.
 SCHEMA_VERSION = 1
 
 RUN_CSV = "run.csv"

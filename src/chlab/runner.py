@@ -37,7 +37,7 @@ from .io import (PROFILE_CSV, RUN_CSV, SCHEMA_VERSION, SNAPSHOT_CSV,
 from .profiles import ProfileTrace
 from .solver import RunLog, SolverState, Status, run
 
-__all__ = ["ScenarioResult", "run_scenario", "sweep", "apply_axis"]
+__all__ = ["run_scenario", "sweep", "apply_axis"]
 
 #: Statuses that mark finite-time breakdown of the computed solution (the
 #: run log then brackets the breakdown time between the last two rows).

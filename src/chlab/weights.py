@@ -19,19 +19,31 @@ constant for the log factor), and v-moderate with
 Certification here is empirical: the constants ``C0``, ``A`` and ``inf v``
 are suprema over seeded uniform samples (plus analytic log-derivatives
 where closed forms exist), and each certificate records its sample set so
-results reproduce bit-for-bit under a fixed seed.  ``certify_admissible``
-returns the certificate as the plain record that
-``weight_certificates.json`` stores, with the L^p norms keyed by
-``str(p)``.  Evaluations that overflow float range are reported as
-``+inf`` and poison the certificate rather than silently saturating.
+results reproduce bit-for-bit under a fixed seed.  The settings are fixed,
+and the seed is the only one a caller chooses (``chlab weights certify
+--seed``):
+
+* 20,000 seeded pairs and 20,000 seeded points on [-32, 32];
+* the decay integral of v(x) e^{-|x|} by adaptive Gauss-Kronrod
+  quadrature on [-R, R], R starting at 32 and doubling at most 12 times
+  until the added tails fall below 1e-10 (else it is reported divergent,
+  the correct verdict for weights growing at least like e^{|x|}), each
+  fixed-R piece ([-R, 0], [0, R], each added [R, 2R]) to the absolute
+  tolerance 1e-9.
+
+``certify_admissible`` returns the certificate as the plain record that
+``weight_certificates.json`` stores, with the L^2 and L^infinity norms of
+v(x) e^{-|x|} keyed "2.0" and "inf".  Evaluations that overflow float
+range are reported as ``+inf`` and poison the certificate rather than
+silently saturating.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, Tuple, Union
+from functools import cache
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -43,8 +55,6 @@ __all__ = [
     "OneSided",
     "Tabulated",
     "Truncated",
-    "CertifyConfig",
-    "YoungReport",
     "moderate_ratio",
     "certify_admissible",
     "weighted_lp_norm",
@@ -226,27 +236,13 @@ def moderate_ratio(phi: Weight, v: Weight, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class CertifyConfig:
-    """Knobs for empirical weight certification.
-
-    The admissibility integral of v(x) e^{-|x|} runs adaptive Gauss-Kronrod
-    quadrature on [-R, R] with R doubling from ``quad_range0`` until the
-    increment drops below ``quad_tol`` or ``max_doublings`` is exhausted
-    (then the integral is reported divergent — the correct verdict for
-    weights growing at least like e^{|x|}).  ``quad_inner_tol`` is the
-    absolute tolerance of each fixed-R piece ([-R, 0], [0, R] and each
-    added [R, 2R]), which bisects only its unconverged subintervals.
-    """
-
-    sample_range: float = 32.0
-    sample_count: int = 20000
-    seed: int = 0
-    p_values: Tuple[float, ...] = (2.0, math.inf)
-    quad_range0: float = 32.0
-    quad_tol: float = 1e-10
-    quad_inner_tol: float = 1e-9
-    max_doublings: int = 12
+# The fixed certification settings, as the module docstring states them.
+SAMPLE_RANGE = 32.0
+SAMPLE_COUNT = 20000
+QUAD_RANGE0 = 32.0
+QUAD_TOL = 1e-10
+QUAD_INNER_TOL = 1e-9
+MAX_DOUBLINGS = 12
 
 
 # 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule embedded in
@@ -275,20 +271,25 @@ _G7_WEIGHTS = np.concatenate(
      _G7_WEIGHTS_HALF[::-1]])
 
 
+#: Work bounds of one adaptive quadrature: rounds, and live subintervals.
+_GK_MAX_ROUNDS = 80
+_GK_MAX_LIVE = 2048
+
+
 def _gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                   tol: float, max_rounds: int = 80, max_live: int = 2048) -> float:
+                   tol: float) -> float:
     """Adaptive G7/K15 quadrature of f on [lo, hi] to absolute tolerance tol.
 
     Each round evaluates f once, on the 15 Kronrod nodes of every live
     subinterval.  A subinterval is accepted when |K15 - G7| is at most its
     share tol * width / (hi - lo); the others are bisected.  The work is
-    bounded: after ``max_rounds`` rounds, or when bisection would exceed
-    ``max_live`` subintervals, the K15 values of the live ones are taken
-    as they are.  Returns +inf if any sample is not finite."""
+    bounded: after ``_GK_MAX_ROUNDS`` rounds, or when bisection would
+    exceed ``_GK_MAX_LIVE`` subintervals, the K15 values of the live ones
+    are taken as they are.  Returns +inf if any sample is not finite."""
     a = np.array([lo])
     b = np.array([hi])
     accepted = []
-    for round_ in range(max_rounds):
+    for round_ in range(_GK_MAX_ROUNDS):
         centre = 0.5 * (a + b)
         half = 0.5 * (b - a)
         ys = f((centre[:, None] + half[:, None] * _K15_NODES).ravel())
@@ -302,7 +303,8 @@ def _gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         live = ~done
         if not live.any():
             break
-        if round_ == max_rounds - 1 or 2 * np.count_nonzero(live) > max_live:
+        if (round_ == _GK_MAX_ROUNDS - 1
+                or 2 * np.count_nonzero(live) > _GK_MAX_LIVE):
             accepted.append(kronrod[live])
             break
         a, centre, b = a[live], centre[live], b[live]
@@ -311,26 +313,24 @@ def _gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 
 
 def _integral_with_doubling(
-    f: Callable[[np.ndarray], np.ndarray], config: CertifyConfig
+    f: Callable[[np.ndarray], np.ndarray]
 ) -> Tuple[float, bool, float]:
     """integral of f over the line: adaptive Gauss-Kronrod on [-R, R] with R
-    doubling until the increment is below quad_tol.  The integrand is split
+    doubling until the increment is below QUAD_TOL.  The integrand is split
     at 0 (weights usually kink there); each fixed-R piece is integrated to
-    the absolute tolerance quad_inner_tol.  Returns (value, converged, R)."""
-    R = config.quad_range0
-    total = _gauss_kronrod(f, -R, 0.0, config.quad_inner_tol) + _gauss_kronrod(
-        f, 0.0, R, config.quad_inner_tol
-    )
+    the absolute tolerance QUAD_INNER_TOL.  Returns (value, converged, R)."""
+    R = QUAD_RANGE0
+    total = (_gauss_kronrod(f, -R, 0.0, QUAD_INNER_TOL)
+             + _gauss_kronrod(f, 0.0, R, QUAD_INNER_TOL))
     converged = False
-    for _ in range(config.max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if not math.isfinite(total):
             break
-        increment = _gauss_kronrod(
-            f, -2 * R, -R, config.quad_inner_tol
-        ) + _gauss_kronrod(f, R, 2 * R, config.quad_inner_tol)
+        increment = (_gauss_kronrod(f, -2 * R, -R, QUAD_INNER_TOL)
+                     + _gauss_kronrod(f, R, 2 * R, QUAD_INNER_TOL))
         R *= 2
         total += increment
-        if math.isfinite(increment) and abs(increment) < config.quad_tol:
+        if math.isfinite(increment) and abs(increment) < QUAD_TOL:
             converged = True
             break
     if not converged:
@@ -343,15 +343,14 @@ def _integral_with_doubling(
 _SCAN_BLOCK = 8192
 
 
-@lru_cache(maxsize=4)
-def _sup_scan_grid(quad_range0: float,
-                   max_doublings: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The dense grid of the sup scan and its |x|, both read-only: linear
-    resolution near the origin plus a geometric extension out to the
-    maximal quadrature range quad_range0 * 2**max_doublings."""
-    R_max = quad_range0 * 2**max_doublings
-    near = np.linspace(0.0, quad_range0, 65537)
-    far = quad_range0 * 2 ** np.linspace(0.0, max_doublings, 8193)
+@cache
+def _sup_scan_grid() -> Tuple[np.ndarray, np.ndarray]:
+    """The dense grid of the sup scan and its |x|, both read-only and built
+    once: linear resolution near the origin plus a geometric extension out
+    to the maximal quadrature range QUAD_RANGE0 * 2**MAX_DOUBLINGS."""
+    R_max = QUAD_RANGE0 * 2**MAX_DOUBLINGS
+    near = np.linspace(0.0, QUAD_RANGE0, 65537)
+    far = QUAD_RANGE0 * 2 ** np.linspace(0.0, MAX_DOUBLINGS, 8193)
     grid = np.concatenate([-far[::-1], -near[::-1], near, far])
     grid = grid[np.abs(grid) <= R_max]
     abs_grid = np.abs(grid)
@@ -360,11 +359,11 @@ def _sup_scan_grid(quad_range0: float,
     return grid, abs_grid
 
 
-def _sup_v_exp(v: Weight, quad_range0: float, max_doublings: int) -> float:
+def _sup_v_exp(v: Weight) -> float:
     """max of v(x) e^{-|x|} over the scan grid, block by block.  The block
     maxima are reduced with np.max, so a NaN or +inf anywhere comes out as
     the whole-grid np.max would give it."""
-    grid, abs_grid = _sup_scan_grid(quad_range0, max_doublings)
+    grid, abs_grid = _sup_scan_grid()
     starts = range(0, grid.size, _SCAN_BLOCK)
     peaks = np.empty(len(starts))
     with np.errstate(over="ignore"):
@@ -375,9 +374,7 @@ def _sup_v_exp(v: Weight, quad_range0: float, max_doublings: int) -> float:
     return float(np.max(peaks))
 
 
-def certify_admissible(
-    phi: Weight, v: Weight, config: CertifyConfig = CertifyConfig()
-) -> dict:
+def certify_admissible(phi: Weight, v: Weight, seed: int = 0) -> dict:
     """Empirical admissibility certificate for phi with majorant v, as the
     record ``weight_certificates.json`` stores.
 
@@ -387,18 +384,14 @@ def certify_admissible(
     v (``v_submultiplicative_ratio``), and the decay integral
     ``integral_v_exp`` of v(x) e^{-|x|} (divergence reported honestly —
     e.g. v = e^{|x|} diverges but still offers the L^infinity route since
-    sup v(x) e^{-|x|} = 1).  ``lp_v_exp`` holds the L^p norm of
-    v(x) e^{-|x|} for each requested p, keyed by ``str(p)`` ("2.0",
-    "inf").  The record also carries the sample set (``sample_range``,
-    ``sample_count``, ``seed``), so certificates reproduce bit-for-bit.
+    sup v(x) e^{-|x|} = 1).  ``lp_v_exp`` holds the L^2 and L^infinity
+    norms of v(x) e^{-|x|}, keyed "2.0" and "inf".  The record also carries
+    the sample set (``sample_range``, ``sample_count``, ``seed``), so
+    certificates reproduce bit-for-bit.
     """
-    rng = np.random.default_rng(config.seed)
-    pairs = rng.uniform(
-        -config.sample_range, config.sample_range, size=(config.sample_count, 2)
-    )
-    singles = rng.uniform(
-        -config.sample_range, config.sample_range, size=config.sample_count
-    )
+    rng = np.random.default_rng(seed)
+    pairs = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=(SAMPLE_COUNT, 2))
+    singles = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=SAMPLE_COUNT)
 
     xs, ys = pairs[:, 0], pairs[:, 1]
     C0 = float(np.max(moderate_ratio(phi, v, xs, ys)))
@@ -418,19 +411,14 @@ def certify_admissible(
         with np.errstate(over="ignore"):
             return np.exp(v._log_value(x) - np.abs(x))
 
-    integral, converged, R_final = _integral_with_doubling(integrand, config)
+    def integrand_sq(x):
+        with np.errstate(over="ignore"):
+            return np.exp(2.0 * (v._log_value(x) - np.abs(x)))
 
-    lp: Dict[str, float] = {}
-    for p in config.p_values:
-        if math.isinf(p):
-            lp[str(p)] = _sup_v_exp(v, config.quad_range0, config.max_doublings)
-        else:
-            def integrand_p(x, p=p):
-                with np.errstate(over="ignore"):
-                    return np.exp(p * (v._log_value(x) - np.abs(x)))
-
-            val, conv_p, _ = _integral_with_doubling(integrand_p, config)
-            lp[str(p)] = float(val ** (1.0 / p)) if conv_p else math.inf
+    integral, converged, R_final = _integral_with_doubling(integrand)
+    sq_integral, sq_converged, _ = _integral_with_doubling(integrand_sq)
+    lp = {"2.0": float(sq_integral ** 0.5) if sq_converged else math.inf,
+          "inf": _sup_v_exp(v)}
 
     admissible = (
         inf_v > 0
@@ -448,9 +436,9 @@ def certify_admissible(
         "integral_v_exp": integral,
         "lp_v_exp": lp,
         "admissible": admissible,
-        "sample_range": config.sample_range,
-        "sample_count": config.sample_count,
-        "seed": config.seed,
+        "sample_range": SAMPLE_RANGE,
+        "sample_count": SAMPLE_COUNT,
+        "seed": seed,
         "v_submultiplicative_ratio": sub_ratio,
         "quadrature_converged": converged,
         "quadrature_range": R_final,
@@ -489,31 +477,27 @@ class YoungReport:
     lhs: float
     rhs: float
     passed: bool
-    slack: float
 
 
-def check_weighted_young(
-    f1: Field,
-    f2: Field,
-    v: Weight,
-    phi: Weight,
-    p: float,
-    C0: float,
-    slack: float = 1e-9,
-) -> YoungReport:
+#: Relative roundoff allowance of the weighted Young check.
+_YOUNG_SLACK = 1e-9
+
+
+def check_weighted_young(f1: Field, f2: Field, v: Weight, phi: Weight,
+                         p: float, C0: float) -> YoungReport:
     """Check ||(f1*f2) phi||_p <= C0 ||f1 v||_1 ||f2 phi||_p on the grid.
 
     The discrete inequality is exact (up to roundoff, covered by the
-    relative ``slack``) whenever both fields are supported well inside the
-    domain, so the moderateness inequality applies to every unwrapped pair
-    of grid points entering the circular convolution.
+    relative ``_YOUNG_SLACK``) whenever both fields are supported well
+    inside the domain, so the moderateness inequality applies to every
+    unwrapped pair of grid points entering the circular convolution.
     """
     if f1.grid is not f2.grid and f1.grid != f2.grid:
         raise ValueError("fields must share a grid")
     lhs = weighted_lp_norm(convolve(f1, f2), phi, p)
     rhs = C0 * weighted_lp_norm(f1, v, 1.0) * weighted_lp_norm(f2, phi, p)
-    passed = lhs <= rhs * (1.0 + slack)
-    return YoungReport(lhs=lhs, rhs=rhs, passed=passed, slack=slack)
+    passed = lhs <= rhs * (1.0 + _YOUNG_SLACK)
+    return YoungReport(lhs=lhs, rhs=rhs, passed=passed)
 
 
 def threshold_weight(d: float = 1.0) -> StandardFamily:

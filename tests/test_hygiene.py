@@ -3,15 +3,18 @@
 * No module of the package or the tests imports a name it never uses.
   A name counts as used when it is read anywhere in the module, listed
   in its ``__all__``, or named in a string annotation.
-* Every name in a ``chlab`` module's ``__all__`` is bound in that module.
+* Every name in a ``chlab`` module's ``__all__`` is bound in that module,
+  and named by another module of the package, the tests or the
+  benchmark: an export nothing uses is not public API.
 * The CLI path loads no scipy module: scipy is a test-only dependency.
 
-The first two are checked from the syntax tree alone, so a module that
+The first three are checked from the syntax tree alone, so a module that
 fails to import still gets its hygiene checked.  The last runs a fresh
 interpreter.
 """
 
 import ast
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +106,34 @@ def test_all_names_exist(path):
             bound.add(node.target.id)
     missing = [name for name in _exported(tree) if name not in bound]
     assert not missing, f"{path.name} __all__ lists unbound names: {missing}"
+
+
+@functools.lru_cache(maxsize=None)
+def _named(path: Path) -> frozenset:
+    """Every name a module reads, imports, takes as an attribute, or
+    spells as a (dotted) string, as the benchmark's span table does."""
+    named = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.update(node.value.split("."))
+    return frozenset(named)
+
+
+READERS = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_ids(MODULES))
+def test_all_names_are_used_elsewhere(path):
+    named = set().union(*(_named(p) for p in READERS if p != path))
+    unused = [name for name in _exported(_tree(path)) if name not in named]
+    assert not unused, f"{path.name} exports names nothing else uses: {unused}"
 
 
 # Imports the CLI and builds both erfc-based initial-data kinds, as a CLI

@@ -19,7 +19,7 @@ from chlab.diagnostics import (PersistenceTrace, decay_blowup_predict,
                                persistence_check, slope_criterion_predict)
 from chlab.field import momentum_of
 from chlab.runner import apply_axis, run_scenario, sweep
-from chlab.weights import CertifyConfig, StandardFamily, certify_admissible
+from chlab.weights import StandardFamily, certify_admissible
 from helpers import read_csv, read_summary
 
 # N = 256 at this box size carries a dealiasing-cut floor near 1e-8 of
@@ -268,7 +268,7 @@ class TestDiagnosticBlocks:
         weight = scenario.weights_to_track[0].weight
         stored = read_summary(rundir / "weight_certificates.json")
         assert (stored["certificates"][0]["certificate"]
-                == certify_admissible(weight, weight, CertifyConfig(seed=0)))
+                == certify_admissible(weight, weight))
 
 
 @pytest.fixture(scope="module")
@@ -624,9 +624,9 @@ class TestCli:
             self, tmp_path, monkeypatch):
         calls = []
 
-        def counting(phi, v, config):
+        def counting(phi, v, seed):
             calls.append(phi)
-            return certify_admissible(phi, v, config)
+            return certify_admissible(phi, v, seed)
 
         monkeypatch.setattr(cli, "certify_admissible", counting)
         path = tmp_path / "twice.yaml"
@@ -637,12 +637,36 @@ class TestCli:
                      "--seed", "0", "--quiet"]) == 0
         assert len(calls) == 1
         w = StandardFamily(c=2.0)
-        direct = certify_admissible(w, w, CertifyConfig(seed=0))
+        direct = certify_admissible(w, w)
         records = read_summary(out / load_scenario(path).run_dirname()
                                / "weight_certificates.json")["certificates"]
         assert [(r["index"], r["weight"], r["p"]) for r in records] == [
             (0, str(w), "inf"), (1, str(w), 2.0)]
         assert all(r["certificate"] == direct for r in records)
+
+    def test_weights_certify_seed_reaches_the_certificate(self, tiny_yaml,
+                                                          tmp_path):
+        out = tmp_path / "runs"
+        assert main(["weights", "certify", str(tiny_yaml), "--seed", "7",
+                     "--out", str(out), "--quiet"]) == 0
+        stored = read_summary(out / tiny_scenario().run_dirname()
+                              / "weight_certificates.json")
+        cert = stored["certificates"][0]["certificate"]
+        w = StandardFamily(c=2.0)
+        assert stored["seed"] == 7 and cert["seed"] == 7
+        assert cert == certify_admissible(w, w, seed=7)
+        assert cert["C0"] != certify_admissible(w, w)["C0"]
+
+    def test_records_carry_the_schema_version(self, tiny_yaml, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setattr(cli, "SCHEMA_VERSION", 2)
+        out = tmp_path / "runs"
+        for command in (["classify"], ["weights", "certify"]):
+            assert main(command + [str(tiny_yaml), "--out", str(out),
+                                   "--quiet"]) == 0
+        rundir = out / tiny_scenario().run_dirname()
+        for name in ("classification.json", "weight_certificates.json"):
+            assert read_summary(rundir / name)["schema_version"] == 2
 
     def test_weights_without_subcommand_exits_2(self, capsys):
         assert main(["weights"]) == 2
@@ -695,6 +719,7 @@ class TestCli:
     def test_selftest_single_criterion_passes(self, capsys):
         assert main(["selftest", "--criterion", "1"]) == 0
         text = capsys.readouterr().out
+        assert text.startswith("PASS  1: operator algebra\n")
         assert "1/1 criteria passed" in text
 
     def test_selftest_unknown_criterion_exits_2(self, capsys):

@@ -13,13 +13,19 @@ from scipy.integrate import quad
 from chlab.config import ConfigError, TrackedWeight, scenario_from_dict
 from chlab.field import Field, Grid
 from chlab.weights import (
-    CertifyConfig,
+    MAX_DOUBLINGS,
+    QUAD_RANGE0,
+    SAMPLE_COUNT,
+    SAMPLE_RANGE,
     OneSided,
     StandardFamily,
     Tabulated,
     Truncated,
     Weight,
+    _GK_MAX_LIVE,
+    _GK_MAX_ROUNDS,
     _SCAN_BLOCK,
+    _YOUNG_SLACK,
     _gauss_kronrod,
     _sup_scan_grid,
     _sup_v_exp,
@@ -207,9 +213,8 @@ class TestCertification:
 
     def test_certificate_record_is_bit_reproducible(self):
         w = threshold_weight(1.0)
-        cfg = CertifyConfig(sample_count=2000)
-        a = certify_admissible(w, w, cfg)
-        b = certify_admissible(w, w, cfg)
+        a = certify_admissible(w, w, seed=3)
+        b = certify_admissible(w, w, seed=3)
         assert a == b
 
 
@@ -250,7 +255,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("v,integral,l2", CLOSED_FORMS,
                              ids=[str(row[0]) for row in CLOSED_FORMS])
     def test_certificate_matches_closed_form(self, v, integral, l2):
-        cert = certify_admissible(v, v, CertifyConfig(sample_count=100))
+        cert = certify_admissible(v, v)
         assert cert["quadrature_converged"]
         assert cert["integral_v_exp"] == pytest.approx(integral, rel=1e-12)
         if l2 is not None:
@@ -261,11 +266,12 @@ class TestQuadrature:
         # next to it need bisecting, a few thousand points in all
         base = StandardFamily(a=0.5, b=0.5)
         counting = CountingWeight(base)
-        cert = certify_admissible(
-            base, counting, CertifyConfig(sample_count=100, p_values=(2.0,)))
+        cert = certify_admissible(base, counting)
         assert cert["admissible"]
-        # 5 * sample_count of these points are the sampled constants
-        assert counting.points <= 10**5
+        # the rest are the sampled constants and the sup scan's grid
+        quadrature = (counting.points - 5 * SAMPLE_COUNT
+                      - _sup_scan_grid()[0].size)
+        assert 0 < quadrature <= 10**5
 
     def test_overflowing_sample_gives_inf(self):
         with np.errstate(over="ignore"):
@@ -283,8 +289,8 @@ class TestQuadrature:
 
         value = _gauss_kronrod(f, 0.0, 700.0, 1e-9)
         assert value == pytest.approx(math.expm1(700.0), rel=1e-12)
-        assert max(sizes) <= 2048 * 15
-        assert len(sizes) < 80
+        assert max(sizes) <= _GK_MAX_LIVE * 15
+        assert len(sizes) < _GK_MAX_ROUNDS
 
     def test_round_cap_bounds_the_work(self):
         # on [0, w], |K15 - G7| of x^{-1/2} scales like w^{1/2}, so the
@@ -296,16 +302,16 @@ class TestQuadrature:
             return 1.0 / np.sqrt(x)
 
         value = _gauss_kronrod(f, 0.0, 1.0, 1e-9)
-        assert len(calls) == 80
+        assert len(calls) == _GK_MAX_ROUNDS
         assert value == pytest.approx(2.0, rel=1e-9)
 
 
-def whole_grid_scan(v, quad_range0=32.0, max_doublings=12):
+def whole_grid_scan(v):
     """The sup scan as one whole-grid expression, grid built afresh."""
-    near = np.linspace(0.0, quad_range0, 65537)
-    far = quad_range0 * 2 ** np.linspace(0.0, max_doublings, 8193)
+    near = np.linspace(0.0, 32.0, 65537)
+    far = 32.0 * 2 ** np.linspace(0.0, 12, 8193)
     g = np.concatenate([-far[::-1], -near[::-1], near, far])
-    g = g[np.abs(g) <= quad_range0 * 2**max_doublings]
+    g = g[np.abs(g) <= 32.0 * 2**12]
     with np.errstate(over="ignore"):
         return g, float(np.max(np.exp(v._log_value(g) - np.abs(g))))
 
@@ -325,48 +331,42 @@ class TestSupScan:
                              ids=[str(row[0]) for row in CLOSED_FORMS])
     def test_blockwise_scan_equals_whole_grid(self, v):
         g, whole = whole_grid_scan(v)
-        grid, abs_grid = _sup_scan_grid(32.0, 12)
+        grid, abs_grid = _sup_scan_grid()
         assert np.array_equal(grid, g) and np.array_equal(abs_grid, np.abs(g))
         # the last block is a partial one
         assert grid.size > _SCAN_BLOCK and grid.size % _SCAN_BLOCK != 0
-        assert _sup_v_exp(v, 32.0, 12) == whole
-        assert certify_admissible(
-            v, v, CertifyConfig(sample_count=100))["lp_v_exp"]["inf"] == whole
+        assert _sup_v_exp(v) == whole
+        assert certify_admissible(v, v)["lp_v_exp"]["inf"] == whole
 
     def test_overflow_gives_inf(self):
         # v e^{-|x|} = e^{0.2|x|} overflows long before |x| = 131072
         v = StandardFamily(a=1.2, b=1.0)
         assert whole_grid_scan(v)[1] == math.inf
-        assert _sup_v_exp(v, 32.0, 12) == math.inf
+        assert _sup_v_exp(v) == math.inf
 
     # a point inside a full block, and the last point, in the partial block
     @pytest.mark.parametrize("index", [3 * _SCAN_BLOCK + 17, -1])
     def test_nan_at_one_point_gives_nan(self, index):
-        grid, _ = _sup_scan_grid(32.0, 12)
+        grid, _ = _sup_scan_grid()
         v = NaNAt(grid[index])
         assert math.isnan(whole_grid_scan(v)[1])
-        assert math.isnan(_sup_v_exp(v, 32.0, 12))
+        assert math.isnan(_sup_v_exp(v))
 
     def test_grid_is_cached_and_read_only(self):
-        grid, abs_grid = _sup_scan_grid(32.0, 12)
-        assert _sup_scan_grid(32.0, 12)[0] is grid
+        grid, abs_grid = _sup_scan_grid()
+        assert _sup_scan_grid()[0] is grid
         for arr in (grid, abs_grid):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
-        shorter, _ = _sup_scan_grid(32.0, 11)
-        assert not np.array_equal(shorter, grid)
-        assert np.max(shorter) == 32.0 * 2**11
-        assert np.max(grid) == 32.0 * 2**12
+        assert np.max(grid) == QUAD_RANGE0 * 2**MAX_DOUBLINGS
 
 
 class TestSubmultiplicativeRatio:
-    cfg = CertifyConfig(sample_count=2000, p_values=(2.0,))
-
     def independent_ratio(self, v):
-        rng = np.random.default_rng(self.cfg.seed)
-        pairs = rng.uniform(-self.cfg.sample_range, self.cfg.sample_range,
-                            size=(self.cfg.sample_count, 2))
+        rng = np.random.default_rng(0)
+        pairs = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE,
+                            size=(SAMPLE_COUNT, 2))
         return float(np.max(moderate_ratio(v, v, pairs[:, 0], pairs[:, 1])))
 
     @pytest.mark.parametrize("phi,v", [
@@ -375,12 +375,12 @@ class TestSubmultiplicativeRatio:
         (StandardFamily(a=0.5, b=1.0), StandardFamily(a=1.0, b=1.0)),
     ])
     def test_distinct_phi_computes_its_own_ratio(self, phi, v):
-        cert = certify_admissible(phi, v, self.cfg)
+        cert = certify_admissible(phi, v)
         assert cert["v_submultiplicative_ratio"] == self.independent_ratio(v)
 
     def test_phi_is_v_reuses_c0(self):
         v = threshold_weight(1.0)
-        cert = certify_admissible(v, v, self.cfg)
+        cert = certify_admissible(v, v)
         assert cert["v_submultiplicative_ratio"] == cert["C0"]
         assert cert["C0"] == self.independent_ratio(v)
 
@@ -429,7 +429,7 @@ class TestWeightedNorms:
 def young_certificate(phi):
     """The certificate depends only on phi: make it once per case, not
     once per hypothesis example."""
-    return certify_admissible(phi, phi, CertifyConfig(sample_count=2000))
+    return certify_admissible(phi, phi)
 
 
 class TestWeightedYoung:
@@ -454,7 +454,7 @@ class TestWeightedYoung:
         cert = young_certificate(phi)
         report = check_weighted_young(f1, f2, phi, phi, p, C0=cert["C0"])
         assert report.passed, (report.lhs, report.rhs)
-        assert report.lhs <= report.rhs + report.slack
+        assert report.lhs <= report.rhs + _YOUNG_SLACK
 
 
 class TestSerialization:
