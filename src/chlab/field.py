@@ -110,6 +110,11 @@ class Grid:
         return (np.arange(self.N // 2 + 1) <= self.N // 3).astype(float)
 
     @cached_property
+    def _kept_band(self) -> slice:
+        """The modes j <= N/3 the 2/3-rule mask keeps, as an rfft slice."""
+        return slice(0, self.N // 3 + 1)
+
+    @cached_property
     def _sym_rhs_aliased(self) -> Tuple[np.ndarray, np.ndarray]:
         """Fused output symbols (A, B) of the evolution's right-hand side,
         rhs^ = A (u^2)^ + B (u_x^2)^: the advection -(1/2) ik (u^2)^ and
@@ -129,6 +134,32 @@ class Grid:
         """Project sample values onto the 2/3-rule band."""
         return np.fft.irfft(np.fft.rfft(values) * self._dealias_keep, n=self.N)
 
+    @cached_property
+    def _workspace(self) -> "_Workspace":
+        """Scratch arrays of the time step on this grid, made once."""
+        return _Workspace(self.N)
+
+
+class _Workspace:
+    """Scratch arrays that the solver's RK4 step and the inverse transform
+    of spectrum-built Fields read and write in place, one set per grid.
+
+    ``samples`` (2, N) holds a stage input's u and u_x, then their squares;
+    ``spectra`` (2, N/2 + 1) holds the pair (u^, ik u^) of an inverse call,
+    then the forward transform of the squares; ``stage`` (N/2 + 1) holds a
+    stage input u^ + c dt k^.  Every use writes what it reads first, so
+    nothing carries over from one call to the next, and no Field that
+    leaves the solver holds one of these arrays.  One grid is stepped by
+    one thread at a time.
+    """
+
+    __slots__ = ("samples", "spectra", "stage")
+
+    def __init__(self, n: int) -> None:
+        self.samples = np.empty((2, n))
+        self.spectra = np.empty((2, n // 2 + 1), dtype=complex)
+        self.stage = np.empty(n // 2 + 1, dtype=complex)
+
 
 class Field:
     """Real samples of a function of x on a Grid, with their spectrum.
@@ -141,8 +172,10 @@ class Field:
     them from the Field, so a derivative taken by the solver is reused by
     the diagnostics that look at the same state.  A spectrum-built Field
     fills ``values`` and ``derivative_values`` together, on the first read
-    of either, with one irfft call on the stacked pair (u^, ik u^); this is
-    how the solver's step makes its 16 transforms in 8 batched calls.  A
+    of either, with one irfft call on the pair (u^, ik u^), formed in the
+    grid's workspace rather than stacked anew; this is how the solver's
+    step makes its 16 transforms in 8 batched calls.  The samples and the
+    derivative are the two rows of one (2, N) array the Field owns.  A
     sample-built Field takes its derivative with one irfft of its own.
 
     Fields are value-semantic snapshots: operators return fresh fields and
@@ -203,12 +236,24 @@ class Field:
                     self.spectrum * self.grid._sym_derivative, n=self.grid.N)
         return self._derivative
 
-    def _transform_back(self) -> None:
+    def _transform_back(self, out: Optional[np.ndarray] = None) -> None:
         """Samples and derivative of a spectrum-built Field, in one batched
-        irfft of the pair (u^, ik u^); its rows equal the separate calls."""
+        irfft of the pair (u^, ik u^); its rows equal the separate calls.
+
+        The pair is formed in the grid's workspace.  The samples go into
+        ``out``, a (2, N) array, which the solver passes only for its stage
+        inputs (the workspace's own samples); otherwise into a new array
+        that the Field owns.
+        """
+        grid = self.grid
+        pair = grid._workspace.spectra
         s = self._spectrum
-        self._values, self._derivative = np.fft.irfft(
-            np.stack((s, s * self.grid._sym_derivative)), n=self.grid.N)
+        pair[0] = s
+        np.multiply(s, grid._sym_derivative, out=pair[1])
+        if out is None:
+            out = np.empty((2, grid.N))
+        np.fft.irfft(pair, n=grid.N, out=out)
+        self._values, self._derivative = out
 
     @property
     def x(self) -> np.ndarray:

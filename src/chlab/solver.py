@@ -18,13 +18,24 @@ spectra the stages return.  Each stage evaluates rhs^ = A (u^2)^ + B (u_x^2)^
 with two output symbols cached on the grid, A = -(ik/2 + ik/(1+k^2)) keep
 and B = -(1/2) ik/(1+k^2) keep, where keep is the 2/3-rule mask.  In steady
 state a step therefore costs 16 transforms in 8 batched calls, each a
-numpy.fft call on a stacked pair: one forward call of (u^2, u_x^2) in the
-first stage (its u and u_x are the state's, already computed), one
-inverse call of (u^, ik u^) and one forward call of the squares in each
-of the other three, and one inverse call of (u^, ik u^) for the new
-state.  The rows of a batched call equal the separate calls bit for bit.
-Classification, the log row, the probes and the next step's first stage
-all read those cached samples.
+numpy.fft call on a pair: one forward call of (u^2, u_x^2) in the first
+stage (its u and u_x are the state's, already computed), one inverse call
+of (u^, ik u^) and one forward call of the squares in each of the other
+three, and one inverse call of (u^, ik u^) for the new state.  The rows of
+a batched call equal the separate calls bit for bit.
+
+A step allocates only what it returns: the four stage spectra, which it
+then combines in place, and the new state's spectrum and samples.  The
+pairs of every call and the stage inputs' samples live in one workspace
+per grid (``Grid._workspace``), which the calls read and write with
+``out=``.  The spectral arithmetic runs on the kept band j <= N/3 only
+(the whole band without dealiasing): above it A and B vanish, so every
+stage input and the new state equal u^ there, which is copied.  After the
+step one max |u| serves three checks: a non-finite sample (the max
+propagates NaN and inf), the boundary fraction, and the next step's CFL
+dt; it is kept on the state as ``u_inf``.  Classification, the log row,
+the probes and the next step's first stage all read the new state's
+cached samples.
 
 Wave breaking (slope -> -infinity while u stays bounded) is detected by a
 slope threshold plus a dt floor, and reported as a time bracket, never a
@@ -35,6 +46,7 @@ terminal status.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
@@ -96,6 +108,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
+        if not (self.dt_floor >= 0.0):
+            raise ValueError(f"dt_floor must be >= 0, got {self.dt_floor}")
         if not (self.dt_floor < self.dt_max):
             raise ValueError("dt_floor must be below dt_max")
         if not (self.slope_stop < 0.0):
@@ -104,15 +118,23 @@ class SolverConfig:
             raise ValueError("t_end must be positive")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        if not (self.boundary_tol > 0.0):
+            raise ValueError(
+                f"boundary_tol must be positive, got {self.boundary_tol}")
 
 
 @dataclass
 class SolverState:
+    """A point of the run.  dt is the step that reached it (0 before the
+    first step); u_inf is max |u| over the samples of u, measured once
+    when the state is made."""
+
     t: float
     u: Field
     dt: float
     step_count: int
     status: Status
+    u_inf: float
 
 
 def rhs(u: Field, dealias: bool = True) -> Field:
@@ -122,84 +144,144 @@ def rhs(u: Field, dealias: bool = True) -> Field:
     output symbols, rhs^ = A (u^2)^ + B (u_x^2)^, and the result is
     returned as a Field built from that spectrum.  It reads u and u_x from
     the Field's cache, so its only transforms are the two forward
-    transforms of the quadratic products, made in one call on the stacked
-    pair.
+    transforms of the quadratic products, made in one call on the pair of
+    squares in the grid's workspace.  The symbols are applied on the kept
+    band only; the returned spectrum, a new array, is zero above it.
     """
     grid = u.grid
+    ws = grid._workspace
+    kept = grid._kept_band if dealias else slice(None)
+    a, b = grid._sym_rhs if dealias else grid._sym_rhs_aliased
     v = u.values
     du = u.derivative_values
-    a, b = grid._sym_rhs if dealias else grid._sym_rhs_aliased
-    p = np.fft.rfft(np.stack((v * v, du * du)))
-    return Field.from_spectrum(grid, a * p[0] + b * p[1])
+    squares = ws.samples
+    np.multiply(v, v, out=squares[0])
+    np.multiply(du, du, out=squares[1])
+    p = np.fft.rfft(squares, out=ws.spectra)
+    out = np.zeros(grid.N // 2 + 1, dtype=complex)
+    np.multiply(a[kept], p[0, kept], out=out[kept])
+    np.multiply(b[kept], p[1, kept], out=p[1, kept])
+    np.add(out[kept], p[1, kept], out=out[kept])
+    return Field.from_spectrum(grid, out)
+
+
+def _edge_fraction(values: np.ndarray, peak: float) -> float:
+    if peak == 0.0:
+        return 0.0
+    edge = max(abs(float(values[0])), abs(float(values[-1])))
+    return edge / peak
 
 
 def boundary_fraction(u: Field) -> float:
     """|u| in the outermost cells relative to the peak (0 for u = 0)."""
-    peak = float(np.max(np.abs(u.values)))
-    if peak == 0.0:
-        return 0.0
-    edge = max(abs(float(u.values[0])), abs(float(u.values[-1])))
-    return edge / peak
+    return _edge_fraction(u.values, float(np.max(np.abs(u.values))))
 
 
 def new_state(u0: Field, config: SolverConfig) -> SolverState:
     """Initial solver state (status Running, dt not yet chosen)."""
-    return SolverState(t=0.0, u=u0.copy(), dt=0.0, step_count=0,
-                       status=Status.RUNNING)
+    u = u0.copy()
+    return SolverState(t=0.0, u=u, dt=0.0, step_count=0,
+                       status=Status.RUNNING,
+                       u_inf=float(np.max(np.abs(u.values))))
 
 
-def _propose_dt(u: Field, config: SolverConfig) -> float:
-    speed = max(float(np.max(np.abs(u.values))), _CFL_VELOCITY_FLOOR)
-    return min(config.dt_max, config.cfl * u.grid.dx / speed)
+def _propose_dt(state: SolverState, config: SolverConfig) -> float:
+    speed = max(state.u_inf, _CFL_VELOCITY_FLOOR)
+    return min(config.dt_max, config.cfl * state.u.grid.dx / speed)
 
 
-def _classify(u_new: Field, t_new: float, config: SolverConfig) -> Status:
-    """Post-step status, most severe condition first."""
-    if not np.all(np.isfinite(u_new.values)):
+def _classify(u_new: Field, u_inf: float, t_new: float,
+              config: SolverConfig) -> Status:
+    """Post-step status, most severe condition first; u_inf = max |u_new|."""
+    if not math.isfinite(u_inf):
         return Status.NON_FINITE
     if float(np.min(u_new.derivative_values)) < config.slope_stop:
         return Status.WAVE_BREAKING
-    if boundary_fraction(u_new) > config.boundary_tol:
+    if _edge_fraction(u_new.values, u_inf) > config.boundary_tol:
         return Status.BOUNDARY_CONTAMINATED
     if t_new >= config.t_end - 1e-12 * max(1.0, config.t_end):
         return Status.REACHED_T_END
     return Status.RUNNING
 
 
+def _stage_input(grid, u_hat: np.ndarray, c: float, k: np.ndarray,
+                 kept: slice) -> Field:
+    """The stage input u^ + c k^ as a Field whose spectrum and samples are
+    the workspace's; rhs overwrites them with the squares, so it serves
+    one rhs call.  Above the kept band the stage spectrum holds u^."""
+    ws = grid._workspace
+    stage = ws.stage[kept]
+    np.multiply(c, k[kept], out=stage)
+    np.add(u_hat[kept], stage, out=stage)
+    field = Field.from_spectrum(grid, ws.stage)
+    field._transform_back(ws.samples)
+    return field
+
+
+def _add_doubled(acc: np.ndarray, k: np.ndarray) -> None:
+    """acc + 2.0 k into acc, with 2.0 k formed in k's own storage."""
+    np.multiply(2.0, k, out=k)
+    np.add(acc, k, out=acc)
+
+
+def _rk4_spectrum(state: SolverState, dt: float, dealias: bool) -> np.ndarray:
+    """u^ + (dt/6)(k1 + 2 k2 + 2 k3 + k4), rounded as that expression is.
+
+    The kept band is computed in place: k1's array accumulates the sum,
+    each later stage spectrum is folded in once the next stage input is
+    formed, and k4's array becomes the result, which holds u^ above the
+    kept band.  So at most three stage spectra are alive at once.
+    """
+    grid = state.u.grid
+    kept = grid._kept_band if dealias else slice(None)
+    u_hat = state.u.spectrum
+    grid._workspace.stage[...] = u_hat
+    k = rhs(state.u, dealias).spectrum                                # k1
+    acc = k[kept]
+    stage = _stage_input(grid, u_hat, 0.5 * dt, k, kept)
+    k = rhs(stage, dealias).spectrum                                  # k2
+    stage = _stage_input(grid, u_hat, 0.5 * dt, k, kept)
+    _add_doubled(acc, k[kept])
+    k = rhs(stage, dealias).spectrum                                  # k3
+    stage = _stage_input(grid, u_hat, dt, k, kept)
+    _add_doubled(acc, k[kept])
+    k = rhs(stage, dealias).spectrum                                  # k4
+    np.add(acc, k[kept], out=acc)
+    np.multiply(dt / 6.0, acc, out=acc)
+    k[...] = u_hat
+    np.add(u_hat[kept], acc, out=k[kept])
+    return k
+
+
 def step(state: SolverState, config: SolverConfig) -> SolverState:
     """One adaptive classical RK4 step; never steps a terminal state.
 
     The stage inputs and the new state are formed in Fourier space,
-    u^ + c dt k^, from the spectra the stages return.  The new state is a
-    Field built from its spectrum; classification reads its samples and
-    derivative, which then serve the probes and the next step's first
+    u^ + c dt k^, from the spectra the stages return (see _rk4_spectrum).
+    The new state is a Field built from its spectrum; one max |u| over
+    its samples classifies it and sets the next step's dt, and its
+    samples and derivative serve the probes and the next step's first
     stage without another transform.
     """
     if state.status.terminal:
         raise RuntimeError(f"cannot step a terminal state ({state.status.value})")
-    dt = _propose_dt(state.u, config)
+    dt = _propose_dt(state, config)
     if dt < config.dt_floor:
         return replace(state, status=Status.DT_COLLAPSE)
     if state.t + dt > config.t_end:
         dt = config.t_end - state.t
 
     grid = state.u.grid
-    dealias = config.dealias
-    u_hat = state.u.spectrum
-    k1 = rhs(state.u, dealias).spectrum
-    k2 = rhs(Field.from_spectrum(grid, u_hat + 0.5 * dt * k1), dealias).spectrum
-    k3 = rhs(Field.from_spectrum(grid, u_hat + 0.5 * dt * k2), dealias).spectrum
-    k4 = rhs(Field.from_spectrum(grid, u_hat + dt * k3), dealias).spectrum
-    u_new = Field.from_spectrum(
-        grid, u_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
+    u_new = Field.from_spectrum(grid, _rk4_spectrum(state, dt, config.dealias))
     t_new = state.t + dt
+    u_inf = float(np.max(np.abs(u_new.values, out=grid._workspace.samples[0])))
     return SolverState(
         t=t_new,
         u=u_new,
         dt=dt,
         step_count=state.step_count + 1,
-        status=_classify(u_new, t_new, config),
+        status=_classify(u_new, u_inf, t_new, config),
+        u_inf=u_inf,
     )
 
 
@@ -226,12 +308,12 @@ def _log_row(state: SolverState, config: SolverConfig,
     grid = state.u.grid
     u = state.u.values
     du = state.u.derivative_values
-    dt = state.dt if state.dt > 0.0 else _propose_dt(state.u, config)
+    dt = state.dt if state.dt > 0.0 else _propose_dt(state, config)
     return (
         state.t,
         dt,
         float(np.min(du)),
-        float(np.max(np.abs(u))),
+        state.u_inf,
         float(np.max(np.abs(du))),
         float(np.sum(u * u + du * du) * grid.dx),
         float(np.sum(u) * grid.dx),
@@ -250,16 +332,17 @@ def run(u0: Field, config: SolverConfig, probes: Sequence = ()
     probe order.  Deterministic given inputs; wave breaking terminates
     the run cleanly rather than raising.
     """
-    if not np.all(np.isfinite(u0.values)):
+    state = new_state(u0, config)
+    if not math.isfinite(state.u_inf):
         raise ValueError("initial data contains non-finite samples")
-    if boundary_fraction(u0) > config.boundary_tol:
+    edge = _edge_fraction(state.u.values, state.u_inf)
+    if edge > config.boundary_tol:
         raise ValueError(
             "initial data is boundary-contaminated: "
-            f"relative edge magnitude {boundary_fraction(u0):.3e} exceeds "
+            f"relative edge magnitude {edge:.3e} exceeds "
             f"boundary_tol {config.boundary_tol:.3e}"
         )
 
-    state = new_state(u0, config)
     log = RunLog(extra_names=tuple(name for probe in probes
                                    for name in probe.columns), rows=[])
 

@@ -581,6 +581,28 @@ class TestCli:
         assert main([command, str(path), "--quiet"]) == 2
         assert "boundary-contaminated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver, message", [
+        ("{t_end: 0.1, dt_max: 0.0, dt_floor: -1.0e-9}",
+         "dt_floor must be >= 0"),
+        ("{t_end: 0.1, dt_max: -0.01, dt_floor: -1.0}",
+         "dt_floor must be >= 0"),
+        ("{t_end: 0.1, dt_max: 0.0, dt_floor: 0.0}",
+         "dt_floor must be below dt_max"),
+        ("{t_end: 0.1, boundary_tol: -1}", "boundary_tol must be positive"),
+    ], ids=["stalled", "backward", "zero-dt-max", "negative-boundary-tol"])
+    def test_invalid_solver_settings_exit_2(self, solver, message, tmp_path,
+                                            capsys):
+        # such settings would never advance t, step backward in time, or
+        # report the datum against a negative tolerance
+        path = tmp_path / "bad.yaml"
+        path.write_text("name: bad\ngrid: {L: 20.0, N: 64}\n"
+                        "initial_data: {kind: gaussian, amplitude: 1.0, "
+                        "width: 1.0, center: 0.0}\n"
+                        f"solver: {solver}\n")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "r"),
+                     "--quiet"]) == 2
+        assert f"config error: solver: {message}" in capsys.readouterr().err
+
     def test_wave_breaking_still_exits_0(self, tmp_path, capsys):
         path = tmp_path / "steep.yaml"
         path.write_text(

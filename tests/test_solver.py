@@ -135,16 +135,21 @@ class TestSpectralPipeline:
         for row, spectrum in zip(back, spectra):
             assert np.array_equal(row, np.fft.irfft(spectrum, n=n))
 
-    @pytest.mark.parametrize("n", [512, 4096])
+    @pytest.mark.parametrize("n, dealias", [
+        (512, True), (4096, True), (512, False), (4096, False),
+    ], ids=["512", "4096", "512-aliased", "4096-aliased"])
     @pytest.mark.parametrize("datum", [
         Gaussian(1.0, 1.0, 0.0),
         OddGaussianDerivative(amplitude=1.0, width=1.0),
         FromPotential(m0=GaussianShape(amplitude=1.0, width=0.7, center=-1.0)),
     ], ids=["gaussian", "odd", "from_potential"])
-    def test_bit_identical_to_unbatched_stepper(self, datum, n):
+    def test_bit_identical_to_unbatched_stepper(self, datum, n,
+                                                dealias):
+        # the step works on the kept band j <= N/3 only, and on the whole
+        # band without dealiasing; the reference works on the whole band
         grid = Grid(20.0, n)
-        config = SolverConfig(t_end=10.0, boundary_tol=1.0)
-        a, b = grid._sym_rhs
+        config = SolverConfig(t_end=10.0, boundary_tol=1.0, dealias=dealias)
+        a, b = grid._sym_rhs if dealias else grid._sym_rhs_aliased
         ik = grid._sym_derivative
 
         def samples(u_hat):
@@ -202,6 +207,31 @@ class TestSpectralPipeline:
         err = np.max(np.abs(state.u.values - u)) / np.max(np.abs(u))
         assert err <= 1e-12
 
+    def test_steady_state_step_allocates_only_what_it_returns(self):
+        # the new state's spectrum and its (2, N) samples, plus at most one
+        # more stage spectrum held while the last stage runs; every pair
+        # and stage input lives in the grid's workspace
+        import tracemalloc
+
+        n = 4096
+        grid = Grid(20.0, n)
+        config = SolverConfig(t_end=10.0)
+        state = new_state(Gaussian(1.0, 1.0, 0.0).build(grid), config)
+        for _ in range(3):
+            state = step(state, config)
+        spectrum_bytes = (n // 2 + 1) * 16
+        returned_bytes = spectrum_bytes + 2 * n * 8
+        bound = returned_bytes + spectrum_bytes   # 131,104 B at N = 4096
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            state = step(state, config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert state.status is Status.RUNNING
+        assert returned_bytes <= peak <= bound
+
     @given(seeds)
     def test_rhs_of_a_spectrum_built_field_matches_its_samples(self, seed):
         spectrum = field_from_seed(GRID, seed).spectrum
@@ -209,6 +239,68 @@ class TestSpectralPipeline:
         from_samples = rhs(
             Field(GRID, Field.from_spectrum(GRID, spectrum).values)).values
         assert np.max(np.abs(from_spectrum - from_samples)) < 1e-13
+
+
+def _workspace_arrays(grid):
+    ws = grid._workspace
+    return (ws.samples, ws.spectra, ws.stage)
+
+
+def _field_arrays(u):
+    return (u.spectrum, u.values, u.derivative_values)
+
+
+class TestWorkspace:
+    """The grid's workspace is scratch: nothing a step or rhs returns
+    lives in it, and nothing carries over from one call to the next."""
+
+    def test_alternating_runs_on_one_grid_equal_their_separate_runs(self):
+        def states(grid, datum, config):
+            return new_state(datum.build(grid), config)
+
+        grid = Grid(20.0, 512)
+        configs = (SolverConfig(t_end=10.0, boundary_tol=1.0),
+                   SolverConfig(t_end=10.0, boundary_tol=1.0, dealias=False))
+        data = (Gaussian(1.0, 1.0, 0.0),
+                OddGaussianDerivative(amplitude=1.0, width=1.0))
+        shared = [states(grid, d, c) for d, c in zip(data, configs)]
+        alone = [states(Grid(20.0, 512), d, c) for d, c in zip(data, configs)]
+        for _ in range(20):
+            shared = [step(s, c) for s, c in zip(shared, configs)]
+        for i, config in enumerate(configs):
+            for _ in range(20):
+                alone[i] = step(alone[i], config)
+        for a, b in zip(shared, alone):
+            assert a.status is b.status is Status.RUNNING
+            assert (a.t, a.dt, a.u_inf) == (b.t, b.dt, b.u_inf)
+            for x, y in zip(_field_arrays(a.u), _field_arrays(b.u)):
+                assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_returned_arrays_do_not_share_the_workspace(self, dealias):
+        config = SolverConfig(t_end=10.0, dealias=dealias)
+        state = new_state(Gaussian(1.0, 1.0, 0.0).build(GRID), config)
+        for _ in range(3):
+            state = step(state, config)
+            out = rhs(state.u, dealias)
+            for arr in _field_arrays(state.u) + _field_arrays(out):
+                for scratch in _workspace_arrays(GRID):
+                    assert not np.shares_memory(arr, scratch)
+
+    def test_two_rhs_calls_return_independent_fields(self):
+        u1 = Gaussian(1.0, 1.0, 0.0).build(GRID)
+        u2 = OddGaussianDerivative(amplitude=1.0, width=1.0).build(GRID)
+        r1 = rhs(u1)
+        spectrum1 = r1.spectrum.copy()
+        r2 = rhs(u2)
+        values1 = r1.values.copy()
+        rhs(u2).values
+        assert np.array_equal(r1.spectrum, spectrum1)
+        assert np.array_equal(r1.values, values1)
+        assert np.array_equal(r1.values, rhs(u1).values)
+        for x in _field_arrays(r1):
+            for y in _field_arrays(r2):
+                assert not np.shares_memory(x, y)
 
 
 class TestConfigValidation:
@@ -219,8 +311,26 @@ class TestConfigValidation:
             SolverConfig(t_end=1.0, cfl=1.5)
 
     def test_dt_floor_below_dt_max(self):
-        with pytest.raises(ValueError, match="dt_floor"):
+        with pytest.raises(ValueError, match="dt_floor must be below dt_max"):
             SolverConfig(t_end=1.0, dt_max=0.01, dt_floor=0.01)
+        # a step of at most dt_max <= 0 never advances t
+        with pytest.raises(ValueError, match="dt_floor must be below dt_max"):
+            SolverConfig(t_end=1.0, dt_max=0.0, dt_floor=0.0)
+
+    @pytest.mark.parametrize("dt_max, dt_floor", [(0.0, -1e-9),
+                                                  (-0.01, -1.0),
+                                                  (0.05, -1e-9)])
+    def test_dt_floor_non_negative(self, dt_max, dt_floor):
+        with pytest.raises(ValueError, match="dt_floor must be >= 0"):
+            SolverConfig(t_end=1.0, dt_max=dt_max, dt_floor=dt_floor)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_boundary_tol_positive(self, tol):
+        with pytest.raises(ValueError, match="boundary_tol must be positive"):
+            SolverConfig(t_end=1.0, boundary_tol=tol)
+
+    def test_zero_dt_floor_is_valid(self):
+        assert SolverConfig(t_end=1.0, dt_floor=0.0).dt_floor == 0.0
 
     def test_slope_stop_negative(self):
         with pytest.raises(ValueError, match="slope_stop"):
@@ -320,11 +430,14 @@ class TestTerminalStatuses:
         with pytest.raises(ValueError, match="boundary-contaminated"):
             run(u0, SolverConfig(t_end=1.0, boundary_tol=1e-8))
 
-    def test_non_finite_state_is_flagged(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_non_finite_state_is_flagged(self, bad):
         u0 = Gaussian(1.0, 1.0, 0.0).build(GRID)
         state = new_state(u0, SolverConfig(t_end=1.0))
-        state.u.values[3] = math.nan
-        out = step(state, SolverConfig(t_end=1.0))
+        state.u.values[3] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = step(state, SolverConfig(t_end=1.0))
         assert out.status is Status.NON_FINITE
 
     def test_status_severity_ordering(self):
