@@ -303,7 +303,7 @@ def _criterion_weights() -> List[Check]:
 
     full = StandardFamily(a=1.0, b=1.0)
     cert_full = certify_admissible(full, full)
-    sup_route = cert_full["lp_v_exp"].get("inf", math.nan)
+    sup_route = cert_full["lp_v_exp"]["inf"]
 
     checks = [
         (cert_half["admissible"]

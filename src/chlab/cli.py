@@ -237,9 +237,7 @@ def _cmd_certify(args, out_root, seed, quiet) -> int:
         integral = ("divergent" if not cert["quadrature_converged"]
                     else f"{cert['integral_v_exp']:.12g}")
         _say(quiet, f"  decay integral of v e^-|x|: {integral}")
-        sup_route = cert["lp_v_exp"].get("inf")
-        if sup_route is not None:
-            _say(quiet, f"  sup v e^-|x| = {sup_route:.6g}")
+        _say(quiet, f"  sup v e^-|x| = {cert['lp_v_exp']['inf']:.6g}")
     if out_root is not None:
         path = _write_record(out_root, scenario, seed,
                              "weight_certificates.json",

@@ -32,11 +32,11 @@ import numpy as np
 import yaml
 
 from .field import Field, Grid
-from .initial_data import (FromFile, FromPotential, Gaussian, GaussianShape,
-                           InitialData, MollifiedExponential, MollifiedPeakon,
+from .initial_data import (FromPotential, Gaussian, GaussianShape, InitialData,
+                           MollifiedExponential, MollifiedPeakon,
                            OddGaussianDerivative, TanhGaussianShape)
 from .solver import SolverConfig, boundary_fraction
-from .weights import OneSided, StandardFamily, Tabulated, Truncated, Weight
+from .weights import OneSided, StandardFamily, Truncated, Weight
 
 __all__ = [
     "ConfigError",
@@ -210,11 +210,6 @@ def _sequence(raw: Any, path: str, noun: str) -> Sequence:
     return raw
 
 
-def _numbers(raw: Any, path: str) -> np.ndarray:
-    items = _sequence(raw, path, "a list of numbers")
-    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(items)])
-
-
 # kind (or shape) -> class: the only per-family tables.  Each class's
 # dataclass fields are its schema.
 INITIAL_KINDS = {
@@ -223,14 +218,12 @@ INITIAL_KINDS = {
     "gaussian": Gaussian,
     "odd_gaussian_derivative": OddGaussianDerivative,
     "from_potential": FromPotential,
-    "from_file": FromFile,
 }
 POTENTIAL_SHAPES = {"gaussian": GaussianShape, "tanh_gaussian": TanhGaussianShape}
 WEIGHT_KINDS = {
     "standard": StandardFamily,
     "one_sided": OneSided,
     "truncated": Truncated,
-    "tabulated": Tabulated,
 }
 
 # field annotation -> (tag key, what the tag names, registry)
@@ -243,7 +236,7 @@ _FAMILIES = {
 _TAGS = {cls: (tag, name) for tag, _, registry in _FAMILIES.values()
          for name, cls in registry.items()}
 _SCALARS = {float: _number, int: _integer, bool: _boolean, str: _string,
-            np.ndarray: _numbers, Exponent: _exponent}
+            Exponent: _exponent}
 
 
 def _decode_value(hint: Any, raw: Any, path: str) -> Any:
@@ -299,8 +292,6 @@ def _decode(cls: type, raw: Any, path: str, tag: Optional[str] = None) -> Any:
 
 
 def _encode_value(value: Any) -> Any:
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, tuple):
         return [_encode_value(v) for v in value]
     if is_dataclass(value):
@@ -337,7 +328,7 @@ def scenario_from_dict(data: Mapping, *, default_name: Optional[str] = None,
     if check_initial:
         try:
             u0 = scenario.build_initial()
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:
             raise ConfigError("initial_data", str(exc)) from exc
         grid = scenario.grid
         if not np.all(np.isfinite(u0.values)):

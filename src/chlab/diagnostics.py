@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .field import Field, Grid, integral, momentum_of
+from .field import Field, Grid, momentum_of
 from .weights import Weight, weighted_lp_norm
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "local_derivative",
     "h1_norm",
     "energy",
-    "mass",
     "mckean_classify",
     "slope_criterion_predict",
     "decay_blowup_predict",
@@ -95,11 +94,6 @@ def energy(u: Field) -> float:
     """The conserved H^1 energy integral of u^2 + u_x^2."""
     du = u.derivative_values
     return float(np.sum(u.values**2 + du**2)) * u.grid.dx
-
-
-def mass(u: Field) -> float:
-    """The conserved integral of u."""
-    return integral(u)
 
 
 def mckean_classify(m0: Field) -> dict:

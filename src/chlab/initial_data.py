@@ -35,10 +35,8 @@ converging to the peakon as w -> 0.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Tuple, Union
 
 import numpy as np
@@ -54,7 +52,6 @@ __all__ = [
     "GaussianShape",
     "TanhGaussianShape",
     "FromPotential",
-    "FromFile",
     "InitialData",
 ]
 
@@ -139,10 +136,6 @@ class InitialData:
     def build(self, grid: Grid) -> Field:
         raise NotImplementedError
 
-    def derivative_exact(self, grid: Grid):
-        """Closed-form derivative samples where available, else None."""
-        return None
-
 
 @dataclass(frozen=True)
 class MollifiedPeakon(InitialData):
@@ -156,10 +149,6 @@ class MollifiedPeakon(InitialData):
     def build(self, grid: Grid) -> Field:
         values, _ = smoothed_exponential(grid.x - self.x0, 1.0, self.mollify_width)
         return Field(grid, self.c * values)
-
-    def derivative_exact(self, grid: Grid):
-        _, dvalues = smoothed_exponential(grid.x - self.x0, 1.0, self.mollify_width)
-        return self.c * dvalues
 
 
 @dataclass(frozen=True)
@@ -177,11 +166,6 @@ class MollifiedExponential(InitialData):
                                          self.mollify_width)
         return Field(grid, self.amplitude * values)
 
-    def derivative_exact(self, grid: Grid):
-        _, dvalues = smoothed_exponential(grid.x - self.center, self.rate,
-                                          self.mollify_width)
-        return self.amplitude * dvalues
-
 
 @dataclass(frozen=True)
 class Gaussian(InitialData):
@@ -197,10 +181,6 @@ class Gaussian(InitialData):
         z = (grid.x - self.center) / self.width
         return Field(grid, self.amplitude * np.exp(-z * z))
 
-    def derivative_exact(self, grid: Grid):
-        z = (grid.x - self.center) / self.width
-        return self.amplitude * (-2.0 * z / self.width) * np.exp(-z * z)
-
 
 @dataclass(frozen=True)
 class OddGaussianDerivative(InitialData):
@@ -213,10 +193,6 @@ class OddGaussianDerivative(InitialData):
     def build(self, grid: Grid) -> Field:
         z = grid.x / self.width
         return Field(grid, -self.amplitude * grid.x * np.exp(-z * z))
-
-    def derivative_exact(self, grid: Grid):
-        z = grid.x / self.width
-        return -self.amplitude * (1.0 - 2.0 * z * z) * np.exp(-z * z)
 
 
 @dataclass(frozen=True)
@@ -257,35 +233,3 @@ class FromPotential(InitialData):
         m_field = Field(grid, self.m0.sample(grid.x))
         return helmholtz_inverse(m_field)
 
-
-@dataclass(frozen=True)
-class FromFile(InitialData):
-    """Samples from disk: .npy holding exactly N values for the run grid,
-    or a two-column CSV x,u whose x column must match the grid nodes."""
-
-    path: str
-
-    def build(self, grid: Grid) -> Field:
-        p = Path(self.path)
-        if not p.exists():
-            raise FileNotFoundError(f"initial-data file not found: {p}")
-        if p.suffix == ".npy":
-            values = np.load(p)
-            if values.shape != (grid.N,):
-                raise ValueError(
-                    f"{p}: expected {grid.N} samples, got {values.shape}"
-                )
-            return Field(grid, np.asarray(values, dtype=float))
-        if p.suffix == ".csv":
-            with open(p, newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader)
-                if [h.strip() for h in header[:2]] != ["x", "u"]:
-                    raise ValueError(f"{p}: expected header 'x,u'")
-                data = np.array([[float(row[0]), float(row[1])] for row in reader])
-            if data.shape[0] != grid.N:
-                raise ValueError(f"{p}: expected {grid.N} rows, got {data.shape[0]}")
-            if not np.allclose(data[:, 0], grid.x, atol=1e-12 * grid.L):
-                raise ValueError(f"{p}: x column does not match the run grid")
-            return Field(grid, data[:, 1])
-        raise ValueError(f"{p}: unsupported initial-data format {p.suffix!r}")

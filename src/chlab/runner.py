@@ -148,8 +148,9 @@ def apply_axis(config: Mapping, axis: str, value) -> dict:
     """Return a copy of a config dict with the dotted-path ``axis`` set.
 
     The path must already exist (sweeping can change values, not invent
-    fields), and integer-valued fields stay integers so grid sizes sweep
-    cleanly.
+    fields) and hold a number or an unset optional number (null); flags,
+    strings, lists and sections are not sweepable.  Integer-valued fields
+    stay integers so grid sizes sweep cleanly.
     """
     if not axis:
         raise ConfigError("axis", "empty sweep axis")
@@ -170,7 +171,12 @@ def apply_axis(config: Mapping, axis: str, value) -> dict:
         raise ConfigError(
             "axis", f"no config field {axis!r}; available here: "
                     f"{', '.join(available)}")
-    if isinstance(node[leaf], int) and not isinstance(node[leaf], bool):
+    current = node[leaf]
+    if current is not None and (isinstance(current, bool)
+                                or not isinstance(current, (int, float))):
+        raise ConfigError("axis", f"{axis} holds a {type(current).__name__}, "
+                                  f"not a number; only numeric fields sweep")
+    if isinstance(current, int):
         if float(value) != int(value):
             raise ConfigError("axis", f"{axis} takes integers, got {value}")
         value = int(value)

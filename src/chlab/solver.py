@@ -265,6 +265,8 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
     """
     if state.status.terminal:
         raise RuntimeError(f"cannot step a terminal state ({state.status.value})")
+    if not math.isfinite(state.u_inf):  # an inf sample would propose dt = 0
+        return replace(state, status=Status.NON_FINITE)
     dt = _propose_dt(state, config)
     if dt < config.dt_floor:
         return replace(state, status=Status.DT_COLLAPSE)

@@ -53,7 +53,6 @@ __all__ = [
     "Weight",
     "StandardFamily",
     "OneSided",
-    "Tabulated",
     "Truncated",
     "moderate_ratio",
     "certify_admissible",
@@ -152,46 +151,6 @@ class OneSided(Weight):
 
     def __str__(self):
         return f"exp({self.a}*max(x,0))"
-
-
-@dataclass(frozen=True, eq=False)
-class Tabulated(Weight):
-    """Weight given by strictly positive samples on a grid, linearly
-    interpolated between nodes; evaluation outside the tabulated range is a
-    domain error.  Equality is identity (the fields are arrays)."""
-
-    x: np.ndarray
-    samples: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        samples = np.asarray(self.samples, dtype=float)
-        if x.ndim != 1 or x.shape != samples.shape or x.size < 2:
-            raise ValueError("tabulated weight needs matching 1-d x and samples")
-        if not np.all(np.diff(x) > 0):
-            raise ValueError("tabulated x must be strictly increasing")
-        if not np.all(samples > 0):
-            raise ValueError("tabulated weight samples must be strictly positive")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "samples", samples)
-
-    def _check_domain(self, x):
-        if np.any(x < self.x[0]) or np.any(x > self.x[-1]):
-            raise ValueError(
-                f"tabulated weight evaluated outside [{self.x[0]}, {self.x[-1]}]"
-            )
-
-    def _log_value(self, x):
-        self._check_domain(x)
-        return np.log(np.interp(x, self.x, self.samples))
-
-    def _log_derivative(self, x):
-        self._check_domain(x)
-        grad = np.gradient(self.samples, self.x)
-        return np.interp(x, self.x, grad) / np.interp(x, self.x, self.samples)
-
-    def __str__(self):
-        return f"tabulated[{self.x[0]}, {self.x[-1]}] ({self.x.size} nodes)"
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Scenario configs: validation with dotted-path errors, effective-config
 echo, content hashing, and YAML loading."""
 
+import ast
 import math
 import warnings
 from dataclasses import replace
@@ -208,21 +209,22 @@ class TestValidation:
         assert isinstance(scenario_from_dict(bad, check_initial=False),
                           Scenario)
 
-    @pytest.mark.parametrize("initial, match", [
-        ("{kind: gaussian, amplitude: true}",
+    @pytest.mark.parametrize("key, value, match", [
+        ("initial_data", "{kind: gaussian, amplitude: true}",
          "initial_data.amplitude: expected a number, got bool True"),
-        ("{kind: gaussian, amplitude: big}",
+        ("initial_data", "{kind: gaussian, amplitude: big}",
          "initial_data.amplitude: expected a number, got str 'big'"),
-        ("{kind: gaussian, amplitude: .nan}",
+        ("initial_data", "{kind: gaussian, amplitude: .nan}",
          "initial_data.amplitude: expected a finite number"),
-        ("{kind: from_potential, m0: {shape: gaussian, width: x}}",
+        ("initial_data", "{kind: from_potential, m0: {shape: gaussian, width: x}}",
          "initial_data.m0.width: expected a number"),
-        ("{kind: from_file, path: 5}",
-         "initial_data.path: expected a string, got int 5"),
-    ], ids=["bool", "str", "nan", "potential-field", "path"])
-    def test_nested_initial_fields_are_type_checked(self, initial, match):
-        text = (f"name: t\ngrid: {{L: 20.0, N: 256}}\n"
-                f"initial_data: {initial}\nsolver: {{t_end: 0.1}}\n")
+        ("name", "5", "name: expected a string, got int 5"),
+    ], ids=["bool", "str", "nan", "potential-field", "name"])
+    def test_nested_initial_fields_are_type_checked(self, key, value, match):
+        lines = {"name": "t", "grid": "{L: 20.0, N: 256}",
+                 "initial_data": "{kind: gaussian}", "solver": "{t_end: 0.1}",
+                 key: value}
+        text = "".join(f"{k}: {v}\n" for k, v in lines.items())
         with pytest.raises(ConfigError, match=match):
             parse_scenario(text)
 
@@ -232,9 +234,7 @@ class TestValidation:
         ("{kind: one_sided}", r"\.weight\.a: required"),
         ("{kind: truncated, cap: 5.0, base: {kind: one_sided, a: yes}}",
          r"\.weight\.base\.a: expected a number"),
-        ("{kind: tabulated, x: [0, 1], samples: [1, one]}",
-         r"\.weight\.samples\[1\]: expected a number"),
-    ], ids=["bool", "inf", "missing", "truncated-base", "tabulated-sample"])
+    ], ids=["bool", "inf", "missing", "truncated-base"])
     def test_nested_weight_fields_are_type_checked(self, weight, match):
         text = (f"name: t\ngrid: {{L: 20.0, N: 256}}\n"
                 f"initial_data: {{kind: gaussian}}\nsolver: {{t_end: 0.1}}\n"
@@ -315,7 +315,6 @@ EXAMPLES = {
         "gaussian": {"amplitude": 2.0, "width": 0.7, "center": -1.0},
         "odd_gaussian_derivative": {"amplitude": 3.0, "width": 1.1},
         "from_potential": {"m0": {"shape": "gaussian", "width": 2.0}},
-        "from_file": {"path": "u0.npy"},
     },
     "potential": {
         "gaussian": {"amplitude": 0.5, "width": 2.0, "center": 1.0},
@@ -326,7 +325,6 @@ EXAMPLES = {
         "standard": {"a": 0.5, "b": 1.0, "c": 0.5, "d": 1.0},
         "one_sided": {"a": 0.25},
         "truncated": {"cap": 50.0, "base": {"kind": "standard", "c": 2.0}},
-        "tabulated": {"x": [-50.0, 0.0, 50.0], "samples": [3.0, 1.0, 3.0]},
     },
 }
 
@@ -337,8 +335,7 @@ REGISTERED = ([("initial_data", k) for k in INITIAL_KINDS]
 
 @pytest.mark.parametrize("family, name", REGISTERED,
                          ids=[f"{f}-{n}" for f, n in REGISTERED])
-def test_every_registered_kind_echoes_exactly(family, name, tmp_path,
-                                              monkeypatch):
+def test_every_registered_kind_echoes_exactly(family, name):
     example = EXAMPLES[family][name]
     data = tiny(grid={"L": 40.0, "N": 512})
     if family == "initial_data":
@@ -349,17 +346,13 @@ def test_every_registered_kind_echoes_exactly(family, name, tmp_path,
     else:
         data["weights_to_track"] = [{"weight": {"kind": name, **example},
                                      "p": 2}]
-    monkeypatch.chdir(tmp_path)
-    x = Grid(40.0, 512).x
-    np.save("u0.npy", np.exp(-x * x))
-
     s = scenario_from_dict(data)
     again = scenario_from_dict(s.effective_config())
     assert again.effective_config() == s.effective_config()
-    if name != "tabulated":  # array fields: equality is identity
-        assert again == s
+    assert again == s
     assert np.array_equal(again.build_initial().values,
                           s.build_initial().values)
+    x = Grid(40.0, 512).x
     for ours, theirs in zip(again.weights_to_track, s.weights_to_track):
         assert np.array_equal(ours.weight.value(x), theirs.weight.value(x))
 
@@ -377,6 +370,56 @@ def test_shipped_config_loads_and_echoes(name):
     again = scenario_from_dict(s.effective_config())
     assert again == s
     assert again.content_hash() == s.content_hash()
+
+
+INPUTS_FILE = Path(__file__).parent.parent / "perfbench" / "inputs.py"
+
+# The field a tagged mapping sits under -> the registry its tag names.
+TAGGED_FIELDS = {"initial_data": ("kind", INITIAL_KINDS),
+                 "m0": ("shape", POTENTIAL_SHAPES),
+                 "weight": ("kind", WEIGHT_KINDS),
+                 "base": ("kind", WEIGHT_KINDS)}
+
+
+def _tagged(node, found: set) -> set:
+    """Add (registry id, name) for every tagged mapping in a nested config."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in TAGGED_FIELDS and isinstance(value, dict):
+                tag, registry = TAGGED_FIELDS[key]
+                found.add((id(registry), value.get(tag)))
+            _tagged(value, found)
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            _tagged(value, found)
+    return found
+
+
+def _benchmark_literals() -> list:
+    """The literal module-level values of perfbench/inputs.py, read from
+    its source so that nothing of the benchmark is imported or run."""
+    values = []
+    for node in ast.parse(INPUTS_FILE.read_text()).body:
+        if isinstance(node, ast.Assign):
+            try:
+                values.append(ast.literal_eval(node.value))
+            except ValueError:
+                pass
+    return values
+
+
+def test_every_registered_kind_is_exercised():
+    # a kind that no builtin, shipped config or benchmark input names is
+    # grammar only its own tests reach
+    sources = ([builtin_scenario(n).effective_config() for n in builtin_names()]
+               + [yaml.safe_load(p.read_text())
+                  for p in sorted(CONFIGS.glob("*.yaml"))]
+               + _benchmark_literals())
+    found = _tagged(sources, set())
+    unexercised = [name for registry in (INITIAL_KINDS, POTENTIAL_SHAPES,
+                                         WEIGHT_KINDS)
+                   for name in registry if (id(registry), name) not in found]
+    assert not unexercised, f"registered but never exercised: {unexercised}"
 
 
 class TestYamlFront:

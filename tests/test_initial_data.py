@@ -13,7 +13,6 @@ from scipy.special import erfc, erfcx
 from chlab.config import ConfigError, scenario_from_dict
 from chlab.field import Grid, derivative, momentum_of
 from chlab.initial_data import (
-    FromFile,
     FromPotential,
     Gaussian,
     GaussianShape,
@@ -145,7 +144,8 @@ class TestClosedFormData:
         u = data.build(GRID)
         expected = 2.0 * np.exp(-(((GRID.x - 0.5) / 1.5) ** 2))
         assert np.allclose(u.values, expected, rtol=1e-14)
-        exact = data.derivative_exact(GRID)
+        z = (GRID.x - 0.5) / 1.5
+        exact = 2.0 * (-2.0 * z / 1.5) * np.exp(-z * z)
         spectral = derivative(u).values
         assert np.max(np.abs(exact - spectral)) < 1e-10
 
@@ -158,7 +158,7 @@ class TestClosedFormData:
         u = data.build(GRID)
         assert np.allclose(u.values, -2.5 * GRID.x * np.exp(-(GRID.x**2)))
         # slope at the origin is -amplitude
-        exact = data.derivative_exact(GRID)
+        exact = -2.5 * (1.0 - 2.0 * GRID.x**2) * np.exp(-(GRID.x**2))
         origin = np.argmin(np.abs(GRID.x))
         assert exact[origin] == pytest.approx(-2.5)
         assert np.max(np.abs(exact - derivative(u).values)) < 1e-10
@@ -166,8 +166,8 @@ class TestClosedFormData:
     def test_mollified_peakon_derivative_exact(self):
         data = MollifiedPeakon(c=1.2, x0=0.0, mollify_width=0.1)
         u = data.build(GRID)
-        assert np.max(np.abs(data.derivative_exact(GRID)
-                             - derivative(u).values)) < 1e-8
+        exact = 1.2 * smoothed_exponential(GRID.x, 1.0, 0.1)[1]
+        assert np.max(np.abs(exact - derivative(u).values)) < 1e-8
         assert float(np.max(u.values)) < 1.2  # mollification rounds the crest
         assert float(np.max(u.values)) > 1.1
 
@@ -201,53 +201,6 @@ class TestFromPotential:
                              )) < 1e-12
 
 
-class TestFromFile:
-    def test_npy_round_trip(self, tmp_path):
-        values = np.exp(-GRID.x**2)
-        path = tmp_path / "datum.npy"
-        np.save(path, values)
-        u = FromFile(path=str(path)).build(GRID)
-        assert np.array_equal(u.values, values)
-
-    def test_csv_round_trip(self, tmp_path):
-        values = np.exp(-GRID.x**2)
-        path = tmp_path / "datum.csv"
-        rows = "\n".join(f"{float(x)!r},{float(v)!r}"
-                         for x, v in zip(GRID.x, values))
-        path.write_text("x,u\n" + rows + "\n")
-        u = FromFile(path=str(path)).build(GRID)
-        assert np.allclose(u.values, values, rtol=1e-15)
-
-    def test_missing_file(self):
-        with pytest.raises(FileNotFoundError):
-            FromFile(path="/nonexistent/datum.npy").build(GRID)
-
-    def test_wrong_sample_count(self, tmp_path):
-        path = tmp_path / "short.npy"
-        np.save(path, np.zeros(GRID.N // 2))
-        with pytest.raises(ValueError, match="expected"):
-            FromFile(path=str(path)).build(GRID)
-
-    def test_csv_header_must_be_x_u(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n0.0,0.0\n")
-        with pytest.raises(ValueError, match="header"):
-            FromFile(path=str(path)).build(GRID)
-
-    def test_csv_x_column_must_match_grid(self, tmp_path):
-        path = tmp_path / "shifted.csv"
-        rows = "\n".join(f"{float(x) + 0.5!r},0.0" for x in GRID.x)
-        path.write_text("x,u\n" + rows + "\n")
-        with pytest.raises(ValueError, match="does not match"):
-            FromFile(path=str(path)).build(GRID)
-
-    def test_unsupported_format(self, tmp_path):
-        path = tmp_path / "datum.txt"
-        path.write_text("")
-        with pytest.raises(ValueError, match="unsupported"):
-            FromFile(path=str(path)).build(GRID)
-
-
 class TestSerialization:
     """Initial data survives the scenario config echo (the only
     serializer)."""
@@ -276,7 +229,6 @@ class TestSerialization:
         FromPotential(m0=GaussianShape(amplitude=1.0, width=2.0, center=0.0)),
         FromPotential(m0=TanhGaussianShape(amplitude=1.0, slope_width=0.5,
                                            envelope_width=4.0)),
-        FromFile(path="some/file.npy"),
     ]
 
     @pytest.mark.parametrize("data", cases, ids=lambda d: type(d).__name__)

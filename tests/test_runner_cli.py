@@ -357,9 +357,10 @@ class TestApplyAxis:
             apply_axis(TINY, "grid.N", 300.5)
 
     def test_top_level_leaf(self):
-        out = apply_axis(dict(TINY, rate_cap_factor=1.5),
-                         "rate_cap_factor", 2.0)
-        assert out["rate_cap_factor"] == 2.0
+        for current in (1.5, None):  # an unset optional number sweeps too
+            out = apply_axis(dict(TINY, rate_cap_factor=current),
+                             "rate_cap_factor", 2.0)
+            assert out["rate_cap_factor"] == 2.0
 
     def test_unknown_section_and_field(self):
         with pytest.raises(ConfigError, match="no config section 'solvr'"):
@@ -372,6 +373,16 @@ class TestApplyAxis:
     def test_cannot_invent_fields(self):
         with pytest.raises(ConfigError, match="available here"):
             apply_axis(TINY, "solver.brand_new", 1.0)
+
+    @pytest.mark.parametrize("axis, kind", [
+        ("solver.dealias", "bool"), ("name", "str"),
+        ("initial_data.kind", "str"), ("weights_to_track", "list"),
+        ("grid", "dict")])
+    def test_non_numeric_fields_are_rejected(self, axis, kind):
+        config = dict(TINY, solver={"t_end": 0.1, "dealias": True})
+        with pytest.raises(ConfigError,
+                           match=rf"^axis: {axis} holds a {kind}, not a number"):
+            apply_axis(config, axis, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -731,6 +742,16 @@ class TestCli:
         assert main(["sweep", str(tiny_yaml), "--axis", axis, "--values",
                      f"0.05,{value}", "--out", str(out), "--quiet"]) == 2
         assert "values: sweep values must be finite" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any run
+
+    @pytest.mark.parametrize("axis", ["solver.dealias", "name",
+                                      "initial_data.kind"])
+    def test_sweep_non_numeric_axis_exit_2(self, tiny_yaml, tmp_path, axis,
+                                           capsys):
+        out = tmp_path / "runs"
+        assert main(["sweep", str(tiny_yaml), "--axis", axis, "--values",
+                     "0,1", "--out", str(out), "--quiet"]) == 2
+        assert f"axis: {axis} holds a" in capsys.readouterr().err
         assert not out.exists()  # rejected before any run
 
     def test_sweep_bad_values_exit_2(self, tiny_yaml, capsys):

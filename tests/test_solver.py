@@ -440,6 +440,18 @@ class TestTerminalStatuses:
             out = step(state, SolverConfig(t_end=1.0))
         assert out.status is Status.NON_FINITE
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_non_finite_data_is_not_stepped(self, bad):
+        # an inf sample makes the CFL dt 0: it must read NonFinite, not
+        # DtCollapse, and a NaN sample must not be stepped first
+        values = Gaussian(1.0, 1.0, 0.0).build(GRID).values.copy()
+        values[3] = bad
+        state = new_state(Field(GRID, values), SolverConfig(t_end=1.0))
+        out = step(state, SolverConfig(t_end=1.0))
+        assert out.status is Status.NON_FINITE
+        assert out.step_count == 0 and out.t == 0.0
+
     def test_status_severity_ordering(self):
         assert not Status.RUNNING.terminal
         for s in (Status.REACHED_T_END, Status.BOUNDARY_CONTAMINATED,

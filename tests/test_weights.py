@@ -19,7 +19,6 @@ from chlab.weights import (
     SAMPLE_RANGE,
     OneSided,
     StandardFamily,
-    Tabulated,
     Truncated,
     Weight,
     _GK_MAX_LIVE,
@@ -82,26 +81,6 @@ class TestEvaluation:
     def test_huge_weight_overflows_to_inf_not_garbage(self):
         w = StandardFamily(a=1.0, b=1.0)
         assert w.value(1e4) == math.inf
-
-
-class TestTabulated:
-    def test_interpolates_between_nodes(self):
-        w = Tabulated(np.array([-1.0, 0.0, 1.0]), np.array([2.0, 1.0, 2.0]))
-        assert w.value(0.5) == pytest.approx(1.5)
-        assert w.value(-1.0) == pytest.approx(2.0)
-
-    def test_rejects_bad_tables(self):
-        with pytest.raises(ValueError, match="increasing"):
-            Tabulated(np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0, 1.0]))
-        with pytest.raises(ValueError, match="positive"):
-            Tabulated(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
-        with pytest.raises(ValueError, match="matching"):
-            Tabulated(np.array([0.0, 1.0]), np.array([1.0]))
-
-    def test_out_of_range_evaluation_is_an_error(self):
-        w = Tabulated(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="outside"):
-            w.value(2.0)
 
 
 class TestTruncation:
@@ -479,12 +458,6 @@ class TestSerialization:
         back = self.echoed(w)
         assert back == w
         xs = np.linspace(-20.0, 20.0, 101)
-        assert np.array_equal(back.value(xs), w.value(xs))
-
-    def test_tabulated_round_trip(self):
-        w = Tabulated(np.array([-2.0, 0.0, 2.0]), np.array([3.0, 1.0, 3.0]))
-        back = self.echoed(w)
-        xs = np.linspace(-2.0, 2.0, 41)
         assert np.array_equal(back.value(xs), w.value(xs))
 
     def test_unknown_kind_rejected(self):
