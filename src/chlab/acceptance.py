@@ -230,7 +230,7 @@ def _criterion_breakdown() -> List[Check]:
     bracket = s["t_star_bracket"]
     predictors = s["predictors"]
     return [
-        (s["status"] in ("WaveBreaking", "DtCollapse"),
+        (s["status"] == "WaveBreaking",
          f"run terminated by breakdown: status {s['status']}"),
         (bracket is not None and all(math.isfinite(b) for b in bracket),
          f"breakdown time bracketed in [{bracket[0]:.4f}, {bracket[1]:.4f}]"
@@ -367,7 +367,7 @@ def _criterion_threshold_sweep() -> List[Check]:
             checks.append((False, f"rate {rate}: run failed: {row['error']}"))
             continue
         expect_breaking = rate > 1.0
-        broke = row["status"] in ("WaveBreaking", "DtCollapse")
+        broke = row["status"] == "WaveBreaking"
         survived = row["status"] == "ReachedTEnd"
         ok = broke if expect_breaking else survived
         bracket = row["t_star_bracket"]

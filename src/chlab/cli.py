@@ -20,6 +20,7 @@ for bad configs, unreadable files, and failed selftests.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -102,6 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "initial_data.rate or grid.N")
     p_sweep.add_argument("--values", required=True, metavar="V1,V2,...",
                          help="comma-separated values for the axis")
+    # read a list such as -1,-2 as the argument of --values, not a flag
+    p_sweep._negative_number_matcher = re.compile(r"-\.?\d")
     p_sweep.add_argument("--workers", type=int, default=None, metavar="N",
                          help="run at most N values at a time, each in a "
                               "child process of its own (default: one per "

@@ -3,10 +3,9 @@ growth, slope tracking, sign-pattern classification of the potential
 m = u - u_xx, weighted-norm persistence fits, and decay-rate caps.
 
 The monitors that watch a run are probes for ``solver.run``: each has
-``columns`` (the run-log columns it adds), ``observe(state)`` (one value
-per column) and ``summary()`` (its block of the run summary).  The
-a priori predictors and the persistence fit return the JSON blocks the
-artifacts store, so each field name is written once.
+``columns`` (the run-log columns it adds) and ``observe(state)`` (one
+value per column).  The predictors, the persistence fit and the rate
+cap's ``summary()`` return the JSON blocks the artifacts store.
 
 Conventions that matter numerically:
 
@@ -32,7 +31,6 @@ from .field import Field, Grid, momentum_of
 from .weights import Weight, weighted_lp_norm
 
 __all__ = [
-    "sup_norms",
     "min_slope",
     "local_derivative",
     "h1_norm",
@@ -59,14 +57,6 @@ _CONSISTENCY_TOL = 1e-8
 # The rate cap's trustworthy band ends where |u| falls below this
 # fraction of its peak.
 _RATE_CAP_FLOOR_REL = 1e-8
-
-
-def sup_norms(u: Field) -> Tuple[float, float, float]:
-    """(||u||_inf, ||u_x||_inf, their sum): the instantaneous value of the
-    quantity M that controls persistence growth e^{C M t}."""
-    u_inf = float(np.max(np.abs(u.values)))
-    ux_inf = float(np.max(np.abs(u.derivative_values)))
-    return u_inf, ux_inf, u_inf + ux_inf
 
 
 def min_slope(u: Field) -> float:
@@ -186,38 +176,21 @@ def weighted_pair_norm(u: Field, weight: Union[Weight, np.ndarray],
 
 @dataclass
 class PersistenceTrace:
-    """Time series of one tracked weighted norm W(t) and of M(t); as a
-    probe it adds the log column ``name`` (W at each snapshot)."""
+    """Probe: one tracked weighted norm W as the log column ``name``,
+    which persistence_check fits together with the log's t and M."""
 
     weight: Weight
     p: float
     name: str = "W"
-    samples: List[Tuple[float, float]] = dc_field(default_factory=list)
-    M_samples: List[Tuple[float, float]] = dc_field(default_factory=list)
     _sampled: Optional[Tuple[Grid, np.ndarray]] = dc_field(
         default=None, init=False, repr=False)
 
-    def append(self, t: float, W: float, M: float) -> None:
-        if self.samples and t <= self.samples[-1][0]:
-            raise ValueError("trace times must be strictly increasing")
-        if W < 0 or M < 0:
-            raise ValueError("W and M must be nonnegative")
-        self.samples.append((t, W))
-        self.M_samples.append((t, M))
-
     def record(self, state) -> float:
-        """Observer hook: append W and M from a solver state, and return W.
-
-        The weight is sampled once per grid, and M reads the derivative
-        the state already holds, so a record costs no transform.
-        """
+        """W of a solver state.  The weight is sampled once per grid."""
         u = state.u
         if self._sampled is None or self._sampled[0] != u.grid:
             self._sampled = (u.grid, self.weight.value(u.grid.x))
-        W = weighted_pair_norm(u, self._sampled[1], self.p)
-        _, _, M = sup_norms(u)
-        self.append(state.t, W, M)
-        return W
+        return weighted_pair_norm(u, self._sampled[1], self.p)
 
     @property
     def columns(self) -> Tuple[str]:
@@ -226,30 +199,24 @@ class PersistenceTrace:
     def observe(self, state) -> Tuple[float]:
         return (self.record(state),)
 
-    def summary(self) -> dict:
-        """The persistence fit of the trace, as the run summary reports it."""
-        return {"weight_str": str(self.weight), **persistence_check(self)}
 
-
-def persistence_check(trace: PersistenceTrace) -> dict:
+def persistence_check(times: np.ndarray, W: np.ndarray, M: np.ndarray) -> dict:
     """Fit C in W(t) <= W(0) e^{C int_0^t M ds} and verify self-consistency.
 
-    Returns the block ``W0``, ``sup_W``, ``C_fit``, ``passed``,
-    ``diverged`` and ``t_valid``.  C_fit is the smallest constant making
-    the bound hold over the trace (so the check is self-consistent by
-    construction); its value is the cross-scenario regression quantity.
-    ``t_valid`` is the [first, last] time actually used.
+    For a run's log columns t, W and M = u_inf + ux_inf, returns ``W0``,
+    ``sup_W``, ``C_fit``, ``passed``, ``diverged`` and ``t_valid``.  C_fit
+    is the smallest constant making the bound hold over the run (so the
+    check is self-consistent by construction); its value is the
+    cross-scenario regression quantity.  ``t_valid`` is the [first, last]
+    time used.
 
-    The integral of M uses trapezoid on the trace times, and log W may
+    The integral of M uses trapezoid on the log times, and log W may
     exceed the fitted bound by _CONSISTENCY_TOL.  W identically zero
     passes trivially with C_fit = 0.  Non-finite W values truncate the
     valid range and set the divergence flag (expected near wave breaking).
     """
-    if not trace.samples:
+    if times.size == 0:
         raise ValueError("empty persistence trace")
-    times = np.array([t for t, _ in trace.samples])
-    W = np.array([w for _, w in trace.samples])
-    M = np.array([m for _, m in trace.M_samples])
 
     finite = np.isfinite(W)
     diverged = not bool(finite.all())

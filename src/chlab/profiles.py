@@ -118,18 +118,11 @@ class ProfileAccumulator:
                               n=grid.N)
         return F, adv
 
-    def h(self, t: float) -> np.ndarray:
-        """The time average h = H / t at the accumulator's current time."""
-        self._require_time(t)
-        return self.H / t
-
-    def _require_time(self, t: float) -> None:
-        if self.n_snapshots < 2 or not (t > 0.0):
+    def h(self) -> np.ndarray:
+        """The time average h = H / t at the last snapshot's time t."""
+        if self.n_snapshots < 2 or not (self.t_last > 0.0):
             raise ValueError("accumulator has no time interval yet")
-        if not math.isclose(t, self.t_last, rel_tol=1e-12, abs_tol=1e-15):
-            raise ValueError(
-                f"profile query at t={t} but accumulator is at t={self.t_last}"
-            )
+        return self.H / self.t_last
 
 
 def _weighted_half_integral(values: np.ndarray, grid: Grid,
@@ -167,9 +160,9 @@ def _weighted_half_integral(values: np.ndarray, grid: Grid,
     return 0.5 * float(np.sum(integrand)) * grid.dx
 
 
-def phi_psi(acc: ProfileAccumulator, t: float) -> Tuple[float, float]:
-    """(Phi(t), Psi(t)): e^{+-y}-weighted means of h at the current time."""
-    h = acc.h(t)
+def phi_psi(acc: ProfileAccumulator) -> Tuple[float, float]:
+    """(Phi(t), Psi(t)): e^{+-y}-weighted means of h at t = acc.t_last."""
+    h = acc.h()
     return (
         _weighted_half_integral(h, acc.grid, +1.0),
         _weighted_half_integral(h, acc.grid, -1.0),
@@ -229,12 +222,13 @@ def reconstruct(acc: ProfileAccumulator, u0: Field) -> Field:
     return Field(acc.grid, u0.values - correction - acc.UUx)
 
 
-def profile_report(acc: ProfileAccumulator, u: Field, u0: Field, t: float,
+def profile_report(acc: ProfileAccumulator, u: Field, u0: Field,
                    amplitudes: Tuple[float, float],
                    windows: Tuple[np.ndarray, np.ndarray]
                    ) -> Tuple[float, float]:
-    """(max|eps_plus|, max|eps_minus|) at time t over the automatic windows
-    (plus, minus) of u0, where ``amplitudes`` is (Phi(t), Psi(t)) and
+    """(max|eps_plus|, max|eps_minus|) of the snapshot u at t = acc.t_last
+    over the automatic windows (plus, minus) of u0, where ``amplitudes``
+    is (Phi(t), Psi(t)) and
 
         eps_plus  =  e^{x} (u - u0 + UUx)/t - Phi(t),
         eps_minus = -e^{-x} (u - u0 + UUx)/t - Psi(t).
@@ -242,7 +236,7 @@ def profile_report(acc: ProfileAccumulator, u: Field, u0: Field, t: float,
     A side whose window is empty (tails contaminated or below noise)
     reports NaN rather than an error.
     """
-    acc._require_time(t)
+    t = acc.t_last
     change = u.values - u0.values + acc.UUx
     extremes = []
     for sign, amplitude, window in zip((1.0, -1.0), amplitudes, windows):
@@ -281,14 +275,14 @@ class ProfileTrace:
         if state.t <= 0.0:
             return ()
         try:
-            Phi, Psi = phi_psi(self.acc, state.t)
+            Phi, Psi = phi_psi(self.acc)
         except ValueError as exc:
             self.error = f"profiles stopped at t={state.t:.6g}: {exc}"
             return ()
         self.c1 = min(self.c1, Phi, Psi)
         self.c2 = max(self.c2, Phi, Psi)
         eps_plus, eps_minus = profile_report(self.acc, state.u, self.u0,
-                                             state.t, (Phi, Psi), self.windows)
+                                             (Phi, Psi), self.windows)
         self.rows.append((state.t, Phi, Psi, self.c1, self.c2, eps_plus,
                           eps_minus))
         return ()

@@ -3,8 +3,8 @@
 ``run_scenario`` hands the solver one probe per diagnostic layer the
 scenario enables — weighted-norm traces, the critical-decay rate cap,
 tail-profile accumulation — adds the breakdown predictors, and condenses
-the outcome, each probe's summary block included, into a single JSON-able
-summary.  Terminal statuses (wave breaking included) are
+the outcome, persistence fits from the run log included, into a single
+JSON-able summary.  Terminal statuses (wave breaking included) are
 results, not errors: the function only raises for genuinely broken inputs.
 
 ``sweep`` repeats a base scenario across values of one config field.
@@ -30,7 +30,8 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import ConfigError, Scenario, canonical_json, scenario_from_dict
-from .diagnostics import PersistenceTrace, RateCapTrace, predictor_table
+from .diagnostics import (PersistenceTrace, RateCapTrace, persistence_check,
+                          predictor_table)
 from .io import (PROFILE_CSV, RUN_CSV, SCHEMA_VERSION, SNAPSHOT_CSV,
                  SUMMARY_JSON, format_number, write_profile_csv,
                  write_run_csv, write_snapshot_csv, write_summary)
@@ -41,8 +42,7 @@ __all__ = ["run_scenario", "sweep", "apply_axis"]
 
 #: Statuses that mark finite-time breakdown of the computed solution (the
 #: run log then brackets the breakdown time between the last two rows).
-_BREAKDOWN_STATUSES = (Status.WAVE_BREAKING, Status.DT_COLLAPSE,
-                       Status.NON_FINITE)
+_BREAKDOWN_STATUSES = (Status.WAVE_BREAKING, Status.NON_FINITE)
 
 
 @dataclass
@@ -91,6 +91,7 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
     config = scenario.effective_config()
     breakdown = state.status in _BREAKDOWN_STATUSES and len(log.rows) >= 2
     energy = log.column("energy")
+    times, M = log.column("t"), log.column("u_inf") + log.column("ux_inf")
     u0_l1 = float(np.sum(np.abs(u0.values)) * u0.grid.dx)
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -111,8 +112,10 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
         "predictors": (predictor_table(u0)
                        if scenario.predictors_enabled else None),
         # the config echo gives each tracked weight's "weight" and "p"
-        "persistence": [{**echo, **trace.summary()} for echo, trace
-                        in zip(config["weights_to_track"], traces)],
+        "persistence": [{**echo, "weight_str": str(trace.weight),
+                         **persistence_check(times, log.column(trace.name), M)}
+                        for echo, trace in zip(config["weights_to_track"],
+                                               traces)],
         "rate_cap": rate_cap.summary() if rate_cap is not None else None,
         "profiles": profiles.summary() if profiles is not None else None,
     }
@@ -266,9 +269,10 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
     Every value, at any ``workers`` count, runs in a child process of its
     own, with at most ``workers`` children alive at a time (default: one
     per value, capped at the CPU count).  Returns a sweep summary with one
-    row per value in input order.  A run that raises, and a child process
-    that dies (out of memory, a crash), each become an error row; the
-    other values complete.  When ``out_root`` is given, each run writes
+    row per value in input order.  A value whose config the codec rejects
+    raises ConfigError before any child starts.  A run that raises, and a
+    child process that dies (out of memory, a crash), each become an error
+    row; the other values complete.  When ``out_root`` is given, each run writes
     its usual artifact directory and the sweep table lands in
     ``out_root/<name>-sweep-<hash>/``.
     """
@@ -280,8 +284,9 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
     if workers is not None and workers < 1:
         raise ConfigError("workers", f"need at least 1 worker, got {workers}")
     base_dict = base.effective_config()
-    # Validate the axis (and surface bad paths) before starting children.
-    apply_axis(base_dict, axis, values[0])
+    for value in values:
+        scenario_from_dict(apply_axis(base_dict, axis, value),
+                           check_initial=False)
 
     out_root_str = str(out_root) if out_root is not None else None
     jobs = [(base_dict, axis, value, out_root_str, seed) for value in values]

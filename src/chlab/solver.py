@@ -38,9 +38,8 @@ the probes and the next step's first stage all read the new state's
 cached samples.
 
 Wave breaking (slope -> -infinity while u stays bounded) is detected by a
-slope threshold plus a dt floor, and reported as a time bracket, never a
-point estimate.  Runs never raise on blowup: breaking is an expected
-terminal status.
+slope threshold and reported as a time bracket, never a point estimate.
+Runs never raise on blowup: breaking is an expected terminal status.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ class Status(enum.Enum):
     RUNNING = "Running"
     REACHED_T_END = "ReachedTEnd"
     BOUNDARY_CONTAMINATED = "BoundaryContaminated"
-    DT_COLLAPSE = "DtCollapse"
     WAVE_BREAKING = "WaveBreaking"
     NON_FINITE = "NonFinite"
 
@@ -93,7 +91,8 @@ class SolverConfig:
     (du/dx)^2 (on by default); boundary_tol is the relative magnitude the
     solution may reach in the outermost cells before the run is declared
     boundary-contaminated (periodicity is a numerical device here, not
-    physics, so wrap-around influence invalidates the run).
+    physics, so wrap-around influence invalidates the run).  dt_floor is
+    accepted and has no effect.
     """
 
     t_end: float
@@ -108,10 +107,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
-        if not (self.dt_floor >= 0.0):
-            raise ValueError(f"dt_floor must be >= 0, got {self.dt_floor}")
-        if not (self.dt_floor < self.dt_max):
-            raise ValueError("dt_floor must be below dt_max")
+        if not (self.dt_max > 0.0):
+            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
         if not (self.slope_stop < 0.0):
             raise ValueError("slope_stop must be negative")
         if not (self.t_end > 0.0):
@@ -268,8 +265,6 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
     if not math.isfinite(state.u_inf):  # an inf sample would propose dt = 0
         return replace(state, status=Status.NON_FINITE)
     dt = _propose_dt(state, config)
-    if dt < config.dt_floor:
-        return replace(state, status=Status.DT_COLLAPSE)
     if state.t + dt > config.t_end:
         dt = config.t_end - state.t
 

@@ -1,7 +1,6 @@
 """Scenario execution end to end: run summaries, artifact layout and
 reproducibility, parameter sweeps, and the command-line interface."""
 
-import math
 import multiprocessing
 import os
 import signal
@@ -14,9 +13,9 @@ from chlab.cli import main
 from chlab.config import (CertificationWarning, ConfigError, load_scenario,
                           scenario_from_dict)
 from chlab import cli, runner
-from chlab.diagnostics import (PersistenceTrace, decay_blowup_predict,
-                               mckean_classify, peakon_rate_cap_check,
-                               persistence_check, slope_criterion_predict)
+from chlab.diagnostics import (decay_blowup_predict, mckean_classify,
+                               peakon_rate_cap_check, persistence_check,
+                               slope_criterion_predict)
 from chlab.field import momentum_of
 from chlab.runner import apply_axis, run_scenario, sweep
 from chlab.weights import StandardFamily, certify_admissible
@@ -52,6 +51,16 @@ BREAKDOWN = {
     "initial_data": {"kind": "odd_gaussian_derivative", "amplitude": 3.0,
                      "width": 1.0},
     "solver": {"t_end": 1.0, "slope_stop": -4.0, "snapshot_stride": 1},
+}
+
+
+# A dt_floor above the CFL step (0.3 dx / max|u| = 0.0117 here): the
+# floor once ended this run at t = 0 and logged that point twice.
+FLOOR = {
+    "name": "floor",
+    "grid": {"L": 20.0, "N": 1024},
+    "initial_data": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0},
+    "solver": {"t_end": 0.5, "dt_floor": 0.02},
 }
 
 
@@ -249,12 +258,10 @@ class TestDiagnosticBlocks:
                       "decay_blowup": decay_blowup_predict(u0)}
         assert summary["predictors"] == predictors
         assert summary["rate_cap"]["sup_initial"] == peakon_rate_cap_check(u0)
-        # the run's trace, rebuilt from its log: W_0 and M = u_inf + ux_inf
-        trace = PersistenceTrace(scenario.weights_to_track[0].weight, math.inf)
-        for t, W, u_inf, ux_inf in zip(*map(result.log.column, (
-                "t", "W_0", "u_inf", "ux_inf"))):
-            trace.append(float(t), float(W), float(u_inf + ux_inf))
-        block = persistence_check(trace)
+        # the fit from the run's log: t, W_0 and M = u_inf + ux_inf
+        t, W, u_inf, ux_inf = map(result.log.column,
+                                  ("t", "W_0", "u_inf", "ux_inf"))
+        block = persistence_check(t, W, u_inf + ux_inf)
         row = summary["persistence"][0]
         assert {key: row[key] for key in block} == block
 
@@ -269,6 +276,45 @@ class TestDiagnosticBlocks:
         stored = read_summary(rundir / "weight_certificates.json")
         assert (stored["certificates"][0]["certificate"]
                 == certify_admissible(weight, weight))
+
+
+class TestRunLog:
+    """run.csv is the one record of a run's points, each point once."""
+
+    @pytest.mark.parametrize("data, status", [
+        (TINY, "ReachedTEnd"),
+        (BREAKDOWN, "WaveBreaking"),
+        ({**TINY, "solver": {"t_end": 3.0}, "weights_to_track": []},
+         "BoundaryContaminated"),
+        ({**FLOOR, "weights_to_track": [
+            {"weight": {"kind": "standard", "a": 0.5, "b": 1.0}}],
+          "profiles_enabled": True}, "ReachedTEnd"),
+    ], ids=["t-end", "breaking", "boundary", "dt-floor"])
+    def test_each_point_is_logged_once(self, data, status, tmp_path):
+        result = run_scenario(scenario_from_dict(data), out_root=tmp_path)
+        summary = result.summary
+        assert summary["status"] == status
+        header, rows = read_csv(result.outdir / "run.csv")
+        t = rows[:, header.index("t")]
+        assert t[0] == 0.0 and t[-1] == summary["t_final"]
+        assert np.all(np.diff(t) > 0.0)
+        if summary["t_star_bracket"] is not None:
+            lo, hi = summary["t_star_bracket"]
+            assert lo < hi
+        for block in summary["persistence"]:
+            assert block["t_valid"] == [0.0, summary["t_final"]]
+
+    def test_dt_floor_leaves_the_log_unchanged(self, tmp_path):
+        logs = []
+        for solver in ({"t_end": 0.5, "dt_floor": 0.02},
+                       {"t_end": 0.5, "dt_floor": 1e-9}, {"t_end": 0.5}):
+            result = run_scenario(scenario_from_dict({**FLOOR,
+                                                      "solver": solver}),
+                                  out_root=tmp_path)
+            assert result.summary["status"] == "ReachedTEnd"
+            assert result.summary["steps"] == 43
+            logs.append((result.outdir / "run.csv").read_text())
+        assert logs[0] == logs[1] == logs[2]
 
 
 @pytest.fixture(scope="module")
@@ -387,8 +433,10 @@ class TestApplyAxis:
 
 @pytest.fixture(scope="module")
 def table():
+    # width 10 decodes, but its datum is boundary-contaminated on L = 20,
+    # which only the run of that value finds
     return sweep(tiny_scenario(), "initial_data.width",
-                 [1.0, -1.0, 1.2], workers=1, seed=0)
+                 [1.0, 10.0, 1.2], workers=1, seed=0)
 
 
 class TestSweep:
@@ -398,18 +446,18 @@ class TestSweep:
             "seed", "sweep_hash", "values",
         ]
         assert table["axis"] == "initial_data.width"
-        assert table["values"] == [1.0, -1.0, 1.2]
+        assert table["values"] == [1.0, 10.0, 1.2]
         assert len(table["rows"]) == 3
 
     def test_rows_keep_input_order(self, table):
-        assert [row["value"] for row in table["rows"]] == [1.0, -1.0, 1.2]
+        assert [row["value"] for row in table["rows"]] == [1.0, 10.0, 1.2]
 
     def test_bad_value_is_an_error_row_not_a_crash(self, table):
         good, bad, good2 = table["rows"]
         assert good["status"] == "ReachedTEnd" and good["error"] is None
         assert good["t_final"] == pytest.approx(0.1, abs=1e-12)
         assert bad["status"] == "Error"
-        assert "width" in bad["error"]
+        assert "boundary-contaminated" in bad["error"]
         assert bad["t_final"] is None and bad["dir"] is None
         assert good2["status"] == "ReachedTEnd"
         assert good["config_hash"] != good2["config_hash"]
@@ -594,11 +642,11 @@ class TestCli:
 
     @pytest.mark.parametrize("solver, message", [
         ("{t_end: 0.1, dt_max: 0.0, dt_floor: -1.0e-9}",
-         "dt_floor must be >= 0"),
+         "dt_max must be positive, got 0.0"),
         ("{t_end: 0.1, dt_max: -0.01, dt_floor: -1.0}",
-         "dt_floor must be >= 0"),
+         "dt_max must be positive, got -0.01"),
         ("{t_end: 0.1, dt_max: 0.0, dt_floor: 0.0}",
-         "dt_floor must be below dt_max"),
+         "dt_max must be positive, got 0.0"),
         ("{t_end: 0.1, boundary_tol: -1}", "boundary_tol must be positive"),
     ], ids=["stalled", "backward", "zero-dt-max", "negative-boundary-tol"])
     def test_invalid_solver_settings_exit_2(self, solver, message, tmp_path,
@@ -758,6 +806,31 @@ class TestCli:
         assert main(["sweep", str(tiny_yaml), "--axis", "solver.t_end",
                      "--values", "a,b", "--quiet"]) == 2
         assert "bad sweep value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("grid.N", "100,300", "grid: N must be a power of two"),
+        ("solver.cfl", "0.3,2", "solver: cfl must be in (0, 1]"),
+    ], ids=["grid-N", "cfl"])
+    def test_sweep_values_the_codec_rejects_exit_2(self, tiny_yaml, tmp_path,
+                                                   axis, values, message,
+                                                   capsys):
+        out = tmp_path / "runs"
+        assert main(["sweep", str(tiny_yaml), "--axis", axis, "--values",
+                     values, "--workers", "1", "--out", str(out),
+                     "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # rejected before any child started
+
+    def test_sweep_values_may_start_with_a_minus_sign(self, tiny_yaml,
+                                                      tmp_path):
+        out = tmp_path / "runs"
+        assert main(["sweep", str(tiny_yaml), "--axis", "solver.slope_stop",
+                     "--values", "-1,-2", "--workers", "1", "--out",
+                     str(out), "--quiet"]) == 0
+        [sweep_dir] = [d for d in out.iterdir() if "sweep" in d.name]
+        rows = read_summary(sweep_dir / "sweep.json")["rows"]
+        assert [(row["value"], row["status"]) for row in rows] == [
+            (-1.0, "ReachedTEnd"), (-2.0, "ReachedTEnd")]
 
     def test_selftest_single_criterion_passes(self, capsys):
         assert main(["selftest", "--criterion", "1"]) == 0

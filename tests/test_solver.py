@@ -100,8 +100,7 @@ class TestSpectralPipeline:
 
     def test_observed_snapshots_add_no_transform(self, monkeypatch):
         from chlab.diagnostics import (PersistenceTrace, energy, h1_norm,
-                                       min_slope, peakon_rate_cap_check,
-                                       sup_norms)
+                                       min_slope, peakon_rate_cap_check)
         from chlab.weights import StandardFamily
 
         u0 = Gaussian(1.0, 1.0, 0.0).build(GRID)
@@ -109,14 +108,14 @@ class TestSpectralPipeline:
 
         def observe(s):
             peakon_rate_cap_check(s.u)
-            sup_norms(s.u), min_slope(s.u), energy(s.u), h1_norm(s.u)
+            min_slope(s.u), energy(s.u), h1_norm(s.u)
             return ()
 
         counter = count_transforms(monkeypatch)
         state, log = run(u0, SolverConfig(t_end=0.2, snapshot_stride=1),
                          [trace, _Probe((), observe)])
         assert len(log.rows) == state.step_count + 1
-        assert len(trace.samples) == len(log.rows)
+        assert np.all(log.column("W") > 0.0)
         # the datum's spectrum and derivative once, then 8 calls making
         # 16 transforms per step
         assert counter.calls == 2 + 8 * state.step_count
@@ -310,18 +309,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="cfl"):
             SolverConfig(t_end=1.0, cfl=1.5)
 
-    def test_dt_floor_below_dt_max(self):
-        with pytest.raises(ValueError, match="dt_floor must be below dt_max"):
-            SolverConfig(t_end=1.0, dt_max=0.01, dt_floor=0.01)
-        # a step of at most dt_max <= 0 never advances t
-        with pytest.raises(ValueError, match="dt_floor must be below dt_max"):
-            SolverConfig(t_end=1.0, dt_max=0.0, dt_floor=0.0)
-
     @pytest.mark.parametrize("dt_max, dt_floor", [(0.0, -1e-9),
-                                                  (-0.01, -1.0),
-                                                  (0.05, -1e-9)])
-    def test_dt_floor_non_negative(self, dt_max, dt_floor):
-        with pytest.raises(ValueError, match="dt_floor must be >= 0"):
+                                                  (-0.01, -1.0)])
+    def test_dt_max_positive(self, dt_max, dt_floor):
+        # a step of at most dt_max <= 0 never advances t, whatever the
+        # (ignored) dt_floor
+        with pytest.raises(ValueError, match="dt_max must be positive"):
             SolverConfig(t_end=1.0, dt_max=dt_max, dt_floor=dt_floor)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0])
@@ -408,13 +401,14 @@ class TestTerminalStatuses:
         assert slope[-1] < -4.0
         assert slope[-2] >= -4.0
 
-    def test_dt_collapse_when_cfl_step_underruns_floor(self):
-        grid = Grid(20.0, 256)
-        u0 = Gaussian(1.0, 1.0, 0.0).build(grid)
-        # CFL step is 0.3 * dx / 1 = 0.047 < floor
-        state, _ = run(u0, SolverConfig(t_end=1.0, dt_max=0.05, dt_floor=0.048))
-        assert state.status is Status.DT_COLLAPSE
-        assert state.step_count == 0
+    def test_dt_floor_has_no_effect(self):
+        # the CFL step is 0.3 * dx / max|u| = 0.0117, below the floor
+        u0 = Gaussian(1.0, 1.0, 0.0).build(Grid(20.0, 1024))
+        state, log = run(u0, SolverConfig(t_end=0.5, dt_floor=0.02))
+        plain, plain_log = run(u0, SolverConfig(t_end=0.5))
+        assert state.status is plain.status is Status.REACHED_T_END
+        assert state.step_count == plain.step_count == 43
+        assert log.rows == plain_log.rows
 
     def test_boundary_contamination_stops_the_run(self):
         grid = Grid(10.0, 512)
@@ -443,8 +437,8 @@ class TestTerminalStatuses:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                              ids=["nan", "+inf", "-inf"])
     def test_non_finite_data_is_not_stepped(self, bad):
-        # an inf sample makes the CFL dt 0: it must read NonFinite, not
-        # DtCollapse, and a NaN sample must not be stepped first
+        # an inf sample makes the CFL dt 0 and a NaN sample would spread:
+        # neither is stepped, and both read NonFinite
         values = Gaussian(1.0, 1.0, 0.0).build(GRID).values.copy()
         values[3] = bad
         state = new_state(Field(GRID, values), SolverConfig(t_end=1.0))
@@ -455,7 +449,7 @@ class TestTerminalStatuses:
     def test_status_severity_ordering(self):
         assert not Status.RUNNING.terminal
         for s in (Status.REACHED_T_END, Status.BOUNDARY_CONTAMINATED,
-                  Status.DT_COLLAPSE, Status.WAVE_BREAKING, Status.NON_FINITE):
+                  Status.WAVE_BREAKING, Status.NON_FINITE):
             assert s.terminal
 
 
