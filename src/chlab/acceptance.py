@@ -299,10 +299,10 @@ def _criterion_profiles() -> List[Check]:
 
 def _criterion_weights() -> List[Check]:
     half = StandardFamily(a=0.5, b=1.0)
-    cert_half = certify_admissible(half, half)
+    cert_half = certify_admissible(half)
 
     full = StandardFamily(a=1.0, b=1.0)
-    cert_full = certify_admissible(full, full)
+    cert_full = certify_admissible(full)
     sup_route = cert_full["lp_v_exp"]["inf"]
 
     checks = [
@@ -320,20 +320,20 @@ def _criterion_weights() -> List[Check]:
 
     grid = Grid(16.0, 512)
     rng = np.random.default_rng(7)
-    pairs = [
-        (half, half, 2.0, cert_half["C0"]),
-        (StandardFamily(c=2.0), StandardFamily(c=2.0), math.inf, None),
-        (threshold_weight(1.0), threshold_weight(1.0), math.inf, None),
+    cases = [
+        (half, 2.0, cert_half["C0"]),
+        (StandardFamily(c=2.0), math.inf, None),
+        (threshold_weight(1.0), math.inf, None),
     ]
-    for phi, v, p, C0 in pairs:
+    for phi, p, C0 in cases:
         if C0 is None:
-            C0 = certify_admissible(phi, v)["C0"]
+            C0 = certify_admissible(phi)["C0"]
         violations = 0
         worst = 0.0
         for _ in range(1000):
             f1 = _compact_random(grid, rng)
             f2 = _compact_random(grid, rng)
-            report = check_weighted_young(f1, f2, v, phi, p, C0)
+            report = check_weighted_young(f1, f2, phi, p, C0)
             worst = max(worst, report.lhs / report.rhs)
             violations += not report.passed
         checks.append((

@@ -156,13 +156,12 @@ def _print_run_report(summary: dict, outdir, quiet: bool) -> None:
     cons = summary["conservation"]
     print(f"  drift: energy {cons['energy_drift_rel']:.3e}, "
           f"mass {cons['mass_drift_rel']:.3e}")
-    if summary["predictors"]:
-        pred = summary["predictors"]
-        fired = [k for k in ("slope_criterion", "decay_blowup")
-                 if pred[k]["fired"]]
-        print(f"  predictors: momentum sign "
-              f"{pred['momentum_sign']['verdict']}; fired: "
-              f"{', '.join(fired) if fired else 'none'}")
+    pred = summary["predictors"]
+    fired = [k for k in ("slope_criterion", "decay_blowup")
+             if pred[k]["fired"]]
+    print(f"  predictors: momentum sign "
+          f"{pred['momentum_sign']['verdict']}; fired: "
+          f"{', '.join(fired) if fired else 'none'}")
     for row in summary["persistence"]:
         print(f"  W[{row['weight_str']}, p={row['p']}]: "
               f"sup {row['sup_W']:.6g}, C_fit {row['C_fit']:.6g}, "
@@ -229,8 +228,7 @@ def _cmd_certify(args, out_root, seed, quiet) -> int:
     for i, tw in enumerate(scenario.weights_to_track):
         cert = certs.get(tw.weight)
         if cert is None:
-            cert = certs[tw.weight] = certify_admissible(
-                tw.weight, tw.weight, seed=seed)
+            cert = certs[tw.weight] = certify_admissible(tw.weight, seed=seed)
         records.append({"index": i, "weight": str(tw.weight),
                         "p": echo[i]["p"], "certificate": cert})
         _say(quiet, f"W_{i}: {tw.weight}")

@@ -114,6 +114,9 @@ class Scenario:
             raise ConfigError("rate_cap_factor",
                               f"must exceed 1 (cap relative to the initial "
                               f"value), got {self.rate_cap_factor}")
+        if not self.predictors_enabled:
+            raise ConfigError("predictors_enabled", "must be true: every "
+                              "run evaluates the a-priori predictors")
 
     def effective_config(self) -> dict:
         """Complete config echo: parsing this dict again reproduces the

@@ -115,20 +115,13 @@ class Grid:
         return slice(0, self.N // 3 + 1)
 
     @cached_property
-    def _sym_rhs_aliased(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _sym_rhs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Fused output symbols (A, B) of the evolution's right-hand side,
         rhs^ = A (u^2)^ + B (u_x^2)^: the advection -(1/2) ik (u^2)^ and
         the nonlocal term -ik/(1+k^2) (u^2 + u_x^2/2)^ in one pair."""
         a = -(0.5 * self._sym_derivative + self._sym_helmholtz_dx)
         b = -0.5 * self._sym_helmholtz_dx
         return a, b
-
-    @cached_property
-    def _sym_rhs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The fused right-hand-side symbols with the 2/3-rule mask."""
-        a, b = self._sym_rhs_aliased
-        keep = self._dealias_keep
-        return a * keep, b * keep
 
     def dealias_values(self, values: np.ndarray) -> np.ndarray:
         """Project sample values onto the 2/3-rule band."""

@@ -72,9 +72,8 @@ class ProfileAccumulator:
     """Running trapezoid-in-time integrals H = int F(u) ds and
     UUx = int u u_x ds on the run's grid, fed by the snapshot observer."""
 
-    def __init__(self, grid: Grid, dealias: bool = True):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.dealias = dealias
         self.H = np.zeros(grid.N)
         self.UUx = np.zeros(grid.N)
         self.t_last = 0.0
@@ -103,15 +102,13 @@ class ProfileAccumulator:
         """F(u) as ``source_term`` gives it and (1/2) d/dx (u^2), both
         with the rhs's dealiasing.  The rhs applies the same advection
         symbol fused with the nonlocal one, so the two agree to rounding
-        error, not bit for bit.  Dealiased, the two forward and the two
-        inverse transforms are one batched call each."""
+        error, not bit for bit.  The two forward and the two inverse
+        transforms are one batched call each."""
         grid = self.grid
         v = u.values
         ux = u.derivative_values
         F = v * v + 0.5 * ux * ux
         half_ik = 0.5 * grid._sym_derivative
-        if not self.dealias:
-            return F, np.fft.irfft(half_ik * np.fft.rfft(v * v), n=grid.N)
         keep = grid._dealias_keep
         p = np.fft.rfft(np.stack((F, v * v)))
         F, adv = np.fft.irfft(np.stack((p[0] * keep, half_ik * (p[1] * keep))),
@@ -257,8 +254,8 @@ class ProfileTrace:
 
     columns = ()
 
-    def __init__(self, u0: Field, dealias: bool):
-        self.acc = ProfileAccumulator(u0.grid, dealias=dealias)
+    def __init__(self, u0: Field):
+        self.acc = ProfileAccumulator(u0.grid)
         self.u0 = u0
         self.Phi0, self.Psi0 = phi0_psi0(u0)
         self.windows = (tail_window(u0, "plus"), tail_window(u0, "minus"))

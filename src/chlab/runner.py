@@ -22,6 +22,7 @@ import multiprocessing
 import os
 import signal
 import time
+import warnings
 from dataclasses import dataclass
 from multiprocessing.connection import wait
 from pathlib import Path
@@ -29,7 +30,8 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import ConfigError, Scenario, canonical_json, scenario_from_dict
+from .config import (CertificationWarning, ConfigError, Scenario,
+                     canonical_json, scenario_from_dict)
 from .diagnostics import (PersistenceTrace, RateCapTrace, persistence_check,
                           predictor_table)
 from .io import (PROFILE_CSV, RUN_CSV, SCHEMA_VERSION, SNAPSHOT_CSV,
@@ -76,17 +78,15 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
     """
     t_wall = time.perf_counter()
     u0 = scenario.build_initial()
-    solver = scenario.solver
 
     traces = [PersistenceTrace(weight=tw.weight, p=tw.p, name=f"W_{i}")
               for i, tw in enumerate(scenario.weights_to_track)]
     rate_cap = (RateCapTrace(u0, scenario.rate_cap_factor)
                 if scenario.rate_cap_factor is not None else None)
-    profiles = (ProfileTrace(u0, solver.dealias)
-                if scenario.profiles_enabled else None)
+    profiles = ProfileTrace(u0) if scenario.profiles_enabled else None
     probes = traces + [p for p in (rate_cap, profiles) if p is not None]
 
-    state, log = run(u0, solver, probes)
+    state, log = run(u0, scenario.solver, probes)
 
     config = scenario.effective_config()
     breakdown = state.status in _BREAKDOWN_STATUSES and len(log.rows) >= 2
@@ -109,8 +109,7 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
         "weight_warnings": scenario.weight_warnings(),
         "t_star_bracket": ([log.rows[-2][0], log.rows[-1][0]]
                            if breakdown else None),
-        "predictors": (predictor_table(u0)
-                       if scenario.predictors_enabled else None),
+        "predictors": predictor_table(u0),
         # the config echo gives each tracked weight's "weight" and "p"
         "persistence": [{**echo, "weight_str": str(trace.weight),
                          **persistence_check(times, log.column(trace.name), M)}
@@ -201,7 +200,9 @@ def _sweep_worker(conn, base, axis, value, out_root, seed) -> None:
     sends is turned into one by the parent."""
     row = _error_row(axis, value, None)
     try:
-        scenario = scenario_from_dict(apply_axis(base, axis, value))
+        with warnings.catch_warnings():  # no axis reaches weights_to_track
+            warnings.simplefilter("ignore", CertificationWarning)
+            scenario = scenario_from_dict(apply_axis(base, axis, value))
         result = run_scenario(scenario, out_root=out_root, seed=seed)
         s = result.summary
         row.update(status=s["status"], t_final=s["t_final"],
@@ -284,9 +285,11 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
     if workers is not None and workers < 1:
         raise ConfigError("workers", f"need at least 1 worker, got {workers}")
     base_dict = base.effective_config()
-    for value in values:
-        scenario_from_dict(apply_axis(base_dict, axis, value),
-                           check_initial=False)
+    with warnings.catch_warnings():  # the base's load already warned
+        warnings.simplefilter("ignore", CertificationWarning)
+        for value in values:
+            scenario_from_dict(apply_axis(base_dict, axis, value),
+                               check_initial=False)
 
     out_root_str = str(out_root) if out_root is not None else None
     jobs = [(base_dict, axis, value, out_root_str, seed) for value in values]
@@ -326,7 +329,7 @@ def _write_sweep_csv(path: Path, rows: Iterable[Mapping]) -> None:
         for row in rows:
             bracket = row["t_star_bracket"] or (math.nan, math.nan)
             t_final = math.nan if row["t_final"] is None else row["t_final"]
-            # no predictors (disabled, or an error row): empty cells
+            # no predictors (an error row): empty cells
             predictors = row["predictors"]
             verdicts = [("fired" if predictors[name]["fired"] else "silent")
                         if predictors else "" for name in _SWEEP_PREDICTORS]

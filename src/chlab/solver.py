@@ -15,10 +15,10 @@ Stepping is classical RK4 with dt = min(dt_max, cfl * dx / max(|u|, eps)),
 carried out in Fourier space.  The state is a Field built from its real-FFT
 spectrum u^, and every stage input is formed as u^ + c dt k^ from the
 spectra the stages return.  Each stage evaluates rhs^ = A (u^2)^ + B (u_x^2)^
-with two output symbols cached on the grid, A = -(ik/2 + ik/(1+k^2)) keep
-and B = -(1/2) ik/(1+k^2) keep, where keep is the 2/3-rule mask.  In steady
-state a step therefore costs 16 transforms in 8 batched calls, each a
-numpy.fft call on a pair: one forward call of (u^2, u_x^2) in the first
+with two output symbols cached on the grid, A = -(ik/2 + ik/(1+k^2)) and
+B = -(1/2) ik/(1+k^2), on the band j <= N/3 that the 2/3 rule keeps.  In
+steady state a step therefore costs 16 transforms in 8 batched calls, each
+a numpy.fft call on a pair: one forward call of (u^2, u_x^2) in the first
 stage (its u and u_x are the state's, already computed), one inverse call
 of (u^, ik u^) and one forward call of the squares in each of the other
 three, and one inverse call of (u^, ik u^) for the new state.  The rows of
@@ -28,14 +28,13 @@ A step allocates only what it returns: the four stage spectra, which it
 then combines in place, and the new state's spectrum and samples.  The
 pairs of every call and the stage inputs' samples live in one workspace
 per grid (``Grid._workspace``), which the calls read and write with
-``out=``.  The spectral arithmetic runs on the kept band j <= N/3 only
-(the whole band without dealiasing): above it A and B vanish, so every
-stage input and the new state equal u^ there, which is copied.  After the
-step one max |u| serves three checks: a non-finite sample (the max
-propagates NaN and inf), the boundary fraction, and the next step's CFL
-dt; it is kept on the state as ``u_inf``.  Classification, the log row,
-the probes and the next step's first stage all read the new state's
-cached samples.
+``out=``.  The spectral arithmetic runs on the kept band j <= N/3 only:
+above it the rhs is zero, so every stage input and the new state equal
+u^ there, which is copied.  After the step one max |u| serves three
+checks: a non-finite sample (the max propagates NaN and inf), the
+boundary fraction, and the next step's CFL dt; it is kept on the state
+as ``u_inf``.  Classification, the log row, the probes and the next
+step's first stage all read the new state's cached samples.
 
 Wave breaking (slope -> -infinity while u stays bounded) is detected by a
 slope threshold and reported as a time bracket, never a point estimate.
@@ -87,12 +86,11 @@ class Status(enum.Enum):
 class SolverConfig:
     """Time-stepping knobs.
 
-    dealias applies the 2/3-rule mask to the quadratic products u^2 and
-    (du/dx)^2 (on by default); boundary_tol is the relative magnitude the
-    solution may reach in the outermost cells before the run is declared
-    boundary-contaminated (periodicity is a numerical device here, not
-    physics, so wrap-around influence invalidates the run).  dt_floor is
-    accepted and has no effect.
+    dealias must be true (the step always applies the 2/3 rule);
+    boundary_tol is the relative magnitude the solution may reach in the
+    outermost cells before the run is declared boundary-contaminated
+    (periodicity is a numerical device here, not physics, so wrap-around
+    influence invalidates the run).  dt_floor is accepted and has no effect.
     """
 
     t_end: float
@@ -118,6 +116,9 @@ class SolverConfig:
         if not (self.boundary_tol > 0.0):
             raise ValueError(
                 f"boundary_tol must be positive, got {self.boundary_tol}")
+        if not self.dealias:
+            raise ValueError(
+                "dealias must be true: the step always applies the 2/3 rule")
 
 
 @dataclass
@@ -142,13 +143,13 @@ def rhs(u: Field, dealias: bool = True) -> Field:
     returned as a Field built from that spectrum.  It reads u and u_x from
     the Field's cache, so its only transforms are the two forward
     transforms of the quadratic products, made in one call on the pair of
-    squares in the grid's workspace.  The symbols are applied on the kept
-    band only; the returned spectrum, a new array, is zero above it.
+    squares in the grid's workspace.  Dealiased, the returned spectrum, a
+    new array, is zero above the kept band.
     """
     grid = u.grid
     ws = grid._workspace
     kept = grid._kept_band if dealias else slice(None)
-    a, b = grid._sym_rhs if dealias else grid._sym_rhs_aliased
+    a, b = grid._sym_rhs
     v = u.values
     du = u.derivative_values
     squares = ws.samples
@@ -174,7 +175,7 @@ def boundary_fraction(u: Field) -> float:
     return _edge_fraction(u.values, float(np.max(np.abs(u.values))))
 
 
-def new_state(u0: Field, config: SolverConfig) -> SolverState:
+def new_state(u0: Field) -> SolverState:
     """Initial solver state (status Running, dt not yet chosen)."""
     u = u0.copy()
     return SolverState(t=0.0, u=u, dt=0.0, step_count=0,
@@ -201,12 +202,12 @@ def _classify(u_new: Field, u_inf: float, t_new: float,
     return Status.RUNNING
 
 
-def _stage_input(grid, u_hat: np.ndarray, c: float, k: np.ndarray,
-                 kept: slice) -> Field:
+def _stage_input(grid, u_hat: np.ndarray, c: float, k: np.ndarray) -> Field:
     """The stage input u^ + c k^ as a Field whose spectrum and samples are
     the workspace's; rhs overwrites them with the squares, so it serves
     one rhs call.  Above the kept band the stage spectrum holds u^."""
     ws = grid._workspace
+    kept = grid._kept_band
     stage = ws.stage[kept]
     np.multiply(c, k[kept], out=stage)
     np.add(u_hat[kept], stage, out=stage)
@@ -221,7 +222,7 @@ def _add_doubled(acc: np.ndarray, k: np.ndarray) -> None:
     np.add(acc, k, out=acc)
 
 
-def _rk4_spectrum(state: SolverState, dt: float, dealias: bool) -> np.ndarray:
+def _rk4_spectrum(state: SolverState, dt: float) -> np.ndarray:
     """u^ + (dt/6)(k1 + 2 k2 + 2 k3 + k4), rounded as that expression is.
 
     The kept band is computed in place: k1's array accumulates the sum,
@@ -230,19 +231,19 @@ def _rk4_spectrum(state: SolverState, dt: float, dealias: bool) -> np.ndarray:
     kept band.  So at most three stage spectra are alive at once.
     """
     grid = state.u.grid
-    kept = grid._kept_band if dealias else slice(None)
+    kept = grid._kept_band
     u_hat = state.u.spectrum
     grid._workspace.stage[...] = u_hat
-    k = rhs(state.u, dealias).spectrum                                # k1
+    k = rhs(state.u).spectrum                                        # k1
     acc = k[kept]
-    stage = _stage_input(grid, u_hat, 0.5 * dt, k, kept)
-    k = rhs(stage, dealias).spectrum                                  # k2
-    stage = _stage_input(grid, u_hat, 0.5 * dt, k, kept)
+    stage = _stage_input(grid, u_hat, 0.5 * dt, k)
+    k = rhs(stage).spectrum                                          # k2
+    stage = _stage_input(grid, u_hat, 0.5 * dt, k)
     _add_doubled(acc, k[kept])
-    k = rhs(stage, dealias).spectrum                                  # k3
-    stage = _stage_input(grid, u_hat, dt, k, kept)
+    k = rhs(stage).spectrum                                          # k3
+    stage = _stage_input(grid, u_hat, dt, k)
     _add_doubled(acc, k[kept])
-    k = rhs(stage, dealias).spectrum                                  # k4
+    k = rhs(stage).spectrum                                          # k4
     np.add(acc, k[kept], out=acc)
     np.multiply(dt / 6.0, acc, out=acc)
     k[...] = u_hat
@@ -269,7 +270,7 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
         dt = config.t_end - state.t
 
     grid = state.u.grid
-    u_new = Field.from_spectrum(grid, _rk4_spectrum(state, dt, config.dealias))
+    u_new = Field.from_spectrum(grid, _rk4_spectrum(state, dt))
     t_new = state.t + dt
     u_inf = float(np.max(np.abs(u_new.values, out=grid._workspace.samples[0])))
     return SolverState(
@@ -329,7 +330,7 @@ def run(u0: Field, config: SolverConfig, probes: Sequence = ()
     probe order.  Deterministic given inputs; wave breaking terminates
     the run cleanly rather than raising.
     """
-    state = new_state(u0, config)
+    state = new_state(u0)
     if not math.isfinite(state.u_inf):
         raise ValueError("initial data contains non-finite samples")
     edge = _edge_fraction(state.u.values, state.u_inf)

@@ -14,7 +14,8 @@ The standard family is
 
 sub-multiplicative for ``a, c, d >= 0`` and ``0 <= b <= 1`` (up to a finite
 constant for the log factor), and v-moderate with
-``v = phi_{|a|,b,|c|,|d|}`` for arbitrary signs.
+``v = phi_{|a|,b,|c|,|d|}`` for arbitrary signs.  Certification takes
+v = phi, so no caller certifies a decaying weight (a, c or d < 0).
 
 Certification here is empirical: the constants ``C0``, ``A`` and ``inf v``
 are suprema over seeded uniform samples (plus analytic log-derivatives
@@ -185,13 +186,13 @@ class Truncated(Weight):
         return f"min({self.base}, {self.cap})"
 
 
-def moderate_ratio(phi: Weight, v: Weight, x, y):
-    """phi(x+y) / (v(x) phi(y)), evaluated in log space; with phi = v it is
-    the submultiplicativity ratio v(x+y) / (v(x) v(y))."""
+def moderate_ratio(v: Weight, x, y):
+    """v(x+y) / (v(x) v(y)), evaluated in log space: the moderateness
+    ratio of v against itself, which is its submultiplicativity ratio."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore"):
-        out = np.exp(phi._log_value(x + y) - v._log_value(x) - phi._log_value(y))
+        out = np.exp(v._log_value(x + y) - v._log_value(x) - v._log_value(y))
     return float(out) if out.ndim == 0 else out
 
 
@@ -333,14 +334,14 @@ def _sup_v_exp(v: Weight) -> float:
     return float(np.max(peaks))
 
 
-def certify_admissible(phi: Weight, v: Weight, seed: int = 0) -> dict:
-    """Empirical admissibility certificate for phi with majorant v, as the
-    record ``weight_certificates.json`` stores.
+def certify_admissible(weight: Weight, seed: int = 0) -> dict:
+    """Empirical admissibility certificate for a weight phi as its own
+    majorant v = phi, as the record ``weight_certificates.json`` stores.
 
     Checks, over the seeded sample set and by quadrature:
     its log-derivative bound ``A`` = sup |phi'|/phi, moderateness constant
     ``C0`` = sup phi(x+y)/(v(x)phi(y)), ``inf_v``, sub-multiplicativity of
-    v (``v_submultiplicative_ratio``), and the decay integral
+    v (``v_submultiplicative_ratio``, equal to ``C0``), and the decay integral
     ``integral_v_exp`` of v(x) e^{-|x|} (divergence reported honestly —
     e.g. v = e^{|x|} diverges but still offers the L^infinity route since
     sup v(x) e^{-|x|} = 1).  ``lp_v_exp`` holds the L^2 and L^infinity
@@ -352,38 +353,30 @@ def certify_admissible(phi: Weight, v: Weight, seed: int = 0) -> dict:
     pairs = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=(SAMPLE_COUNT, 2))
     singles = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=SAMPLE_COUNT)
 
-    xs, ys = pairs[:, 0], pairs[:, 1]
-    C0 = float(np.max(moderate_ratio(phi, v, xs, ys)))
-    # with phi = v, C0 is already the submultiplicativity ratio
-    sub_ratio = (C0 if phi is v
-                 else float(np.max(moderate_ratio(v, v, xs, ys))))
-    A = float(np.max(np.abs(phi.log_derivative(singles))))
-    v_vals = v.value(singles)
+    C0 = float(np.max(moderate_ratio(weight, pairs[:, 0], pairs[:, 1])))
+    A = float(np.max(np.abs(weight.log_derivative(singles))))
+    v_vals = weight.value(singles)
     inf_v = float(np.min(v_vals))
-    overflowed = bool(
-        not np.all(np.isfinite(v_vals))
-        or not math.isfinite(C0)
-        or not math.isfinite(sub_ratio)
-    )
+    overflowed = bool(not np.all(np.isfinite(v_vals))
+                      or not math.isfinite(C0))
 
     def integrand(x):
         with np.errstate(over="ignore"):
-            return np.exp(v._log_value(x) - np.abs(x))
+            return np.exp(weight._log_value(x) - np.abs(x))
 
     def integrand_sq(x):
         with np.errstate(over="ignore"):
-            return np.exp(2.0 * (v._log_value(x) - np.abs(x)))
+            return np.exp(2.0 * (weight._log_value(x) - np.abs(x)))
 
     integral, converged, R_final = _integral_with_doubling(integrand)
     sq_integral, sq_converged, _ = _integral_with_doubling(integrand_sq)
     lp = {"2.0": float(sq_integral ** 0.5) if sq_converged else math.inf,
-          "inf": _sup_v_exp(v)}
+          "inf": _sup_v_exp(weight)}
 
     admissible = (
         inf_v > 0
         and math.isfinite(A)
         and math.isfinite(C0)
-        and math.isfinite(sub_ratio)
         and converged
         and math.isfinite(integral)
         and not overflowed
@@ -398,7 +391,7 @@ def certify_admissible(phi: Weight, v: Weight, seed: int = 0) -> dict:
         "sample_range": SAMPLE_RANGE,
         "sample_count": SAMPLE_COUNT,
         "seed": seed,
-        "v_submultiplicative_ratio": sub_ratio,
+        "v_submultiplicative_ratio": C0,
         "quadrature_converged": converged,
         "quadrature_range": R_final,
         "overflowed": overflowed,
@@ -431,7 +424,7 @@ def weighted_lp_norm(u: Field, phi: Union[Weight, np.ndarray],
 @dataclass(frozen=True)
 class YoungReport:
     """Outcome of one weighted-Young-inequality check
-    ||(f1 * f2) phi||_p <= C0 ||f1 v||_1 ||f2 phi||_p."""
+    ||(f1 * f2) phi||_p <= C0 ||f1 phi||_1 ||f2 phi||_p."""
 
     lhs: float
     rhs: float
@@ -442,9 +435,9 @@ class YoungReport:
 _YOUNG_SLACK = 1e-9
 
 
-def check_weighted_young(f1: Field, f2: Field, v: Weight, phi: Weight,
-                         p: float, C0: float) -> YoungReport:
-    """Check ||(f1*f2) phi||_p <= C0 ||f1 v||_1 ||f2 phi||_p on the grid.
+def check_weighted_young(f1: Field, f2: Field, phi: Weight, p: float,
+                         C0: float) -> YoungReport:
+    """Check ||(f1*f2) phi||_p <= C0 ||f1 phi||_1 ||f2 phi||_p on the grid.
 
     The discrete inequality is exact (up to roundoff, covered by the
     relative ``_YOUNG_SLACK``) whenever both fields are supported well
@@ -454,7 +447,7 @@ def check_weighted_young(f1: Field, f2: Field, v: Weight, phi: Weight,
     if f1.grid is not f2.grid and f1.grid != f2.grid:
         raise ValueError("fields must share a grid")
     lhs = weighted_lp_norm(convolve(f1, f2), phi, p)
-    rhs = C0 * weighted_lp_norm(f1, v, 1.0) * weighted_lp_norm(f2, phi, p)
+    rhs = C0 * weighted_lp_norm(f1, phi, 1.0) * weighted_lp_norm(f2, phi, p)
     passed = lhs <= rhs * (1.0 + _YOUNG_SLACK)
     return YoungReport(lhs=lhs, rhs=rhs, passed=passed)
 

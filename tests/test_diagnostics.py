@@ -300,7 +300,7 @@ class TestRateCap:
         # fails on the datum itself, a cap equal to it passes
         grid = Grid(40.0, 8192)
         u0 = MollifiedPeakon(c=1.0, x0=0.0, mollify_width=0.1).build(grid)
-        state = new_state(u0, SolverConfig(t_end=1.0))
+        state = new_state(u0)
         for factor, passed in ((0.995, False), (1.0, True)):
             trace = RateCapTrace(u0, factor)
             trace.observe(state)

@@ -61,34 +61,30 @@ class TestAccumulator:
         assert np.array_equal(acc.h(), F)
         assert phi_psi(acc) == phi0_psi0(GAUSSIAN, dealias=True)
 
-    @pytest.mark.parametrize("dealias", [True, False])
-    def test_integrands_equal_the_separate_transforms(self, dealias):
+    def test_integrands_equal_the_separate_transforms(self):
         # batched transforms give the unbatched layer's F(u) and
         # (1/2) d/dx (u^2) bit for bit; the trapezoid over [0, 2] of a
         # constant snapshot is exactly twice each
         u = Gaussian(1.0, 1.0, 0.5).build(GRID)
-        acc = ProfileAccumulator(GRID, dealias=dealias)
+        acc = ProfileAccumulator(GRID)
         acc.accumulate(u, 0.0).accumulate(u, 2.0)
-        u2_hat = np.fft.rfft(u.values * u.values)
-        if dealias:
-            u2_hat = u2_hat * GRID._dealias_keep
+        u2_hat = np.fft.rfft(u.values * u.values) * GRID._dealias_keep
         adv = np.fft.irfft(0.5 * GRID._sym_derivative * u2_hat, n=GRID.N)
-        F = source_term(u, dealias=dealias).values
+        F = source_term(u, dealias=True).values
         assert np.array_equal(acc.H, F + F)
         assert np.array_equal(acc.UUx, adv + adv)
 
-    @pytest.mark.parametrize("dealias, transforms", [(True, 4), (False, 2)])
-    def test_snapshot_makes_two_calls(self, monkeypatch, dealias, transforms):
-        # a solver state arrives with u and u_x cached; dealiased, F and
-        # the advection term take one forward and one inverse call
+    def test_snapshot_makes_two_calls(self, monkeypatch):
+        # a solver state arrives with u and u_x cached; F and the
+        # advection term take one forward and one inverse call of a pair
         u = Gaussian(1.0, 1.0, 0.5).build(GRID)
         u.values, u.derivative_values
-        acc = ProfileAccumulator(GRID, dealias=dealias)
+        acc = ProfileAccumulator(GRID)
         counter = count_transforms(monkeypatch)
         for snapshots, t in enumerate((0.0, 0.5, 1.0), start=1):
             acc.accumulate(u, t)
             assert counter.calls == 2 * snapshots
-            assert counter.transforms == transforms * snapshots
+            assert counter.transforms == 4 * snapshots
 
 
 class TestInitialAmplitudes:
@@ -170,7 +166,7 @@ class TestTailWindow:
 @pytest.fixture(scope="module")
 def evolved():
     """Short production-style run with a profile row at every step."""
-    trace = ProfileTrace(GAUSSIAN, dealias=True)
+    trace = ProfileTrace(GAUSSIAN)
     config = SolverConfig(t_end=0.25, snapshot_stride=1)
     state, _ = run(GAUSSIAN, config, [trace])
     return trace, state
@@ -251,7 +247,7 @@ class TestEvolutionRun:
 class TestBoundsCheck:
     def test_empty_series_rejected(self):
         # a trace with no snapshot past t = 0 has no bounds to report
-        trace = _observe(ProfileTrace(GAUSSIAN, dealias=True), GAUSSIAN, [0.0])
+        trace = _observe(ProfileTrace(GAUSSIAN), GAUSSIAN, [0.0])
         assert trace.rows == []
         assert trace.summary() == {"snapshots": 0,
                                    "error": "no snapshots past t=0"}
@@ -270,6 +266,6 @@ class TestBoundsCheck:
     def test_positivity_is_the_pass_rule(self, evolved):
         assert evolved[0].summary()["c1_positive"]
         zero = Field(GRID, np.zeros(GRID.N))
-        summary = _observe(ProfileTrace(zero, dealias=True), zero,
+        summary = _observe(ProfileTrace(zero), zero,
                            [0.0, 0.1]).summary()
         assert summary["c1"] == 0.0 and not summary["c1_positive"]

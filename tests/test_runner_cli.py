@@ -4,6 +4,8 @@ reproducibility, parameter sweeps, and the command-line interface."""
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -130,10 +132,6 @@ class TestRunScenario:
         assert row["t_valid"] == [0.0, pytest.approx(0.1, abs=1e-12)]
         assert row["weight"]["kind"] == "standard"
 
-    def test_predictors_can_be_disabled(self):
-        result = run_scenario(tiny_scenario(predictors_enabled=False))
-        assert result.summary["predictors"] is None
-
     def test_breakdown_is_a_result_with_a_bracket(self):
         result = run_scenario(scenario_from_dict(BREAKDOWN))
         s = result.summary
@@ -176,25 +174,6 @@ class TestRunScenario:
         assert p["Phi0"] == pytest.approx(1.1539050833, rel=1e-9)
         assert p["reconstruction_error_rel"] < 1e-4
         assert p["max_eps_plus"] < 0.01 * p["Phi_final"]
-
-    def test_profiles_follow_the_solver_dealias(self):
-        # Accumulated with the dealiased source while the solver runs
-        # aliased, the profiles stopped at t = 0.68 on a boundary-
-        # contaminated integrand; with the solver's setting all 33 stay.
-        scenario = scenario_from_dict({
-            "name": "aliased-profiles", "grid": {"L": 20.0, "N": 1024},
-            "initial_data": {"kind": "odd_gaussian_derivative",
-                             "amplitude": 1.0, "width": 1.0},
-            "solver": {"t_end": 1.0, "snapshot_stride": 1, "dealias": False,
-                       "boundary_tol": 1e-3},
-            "profiles_enabled": True,
-        })
-        result = run_scenario(scenario)
-        p = result.summary["profiles"]
-        assert result.summary["status"] == "ReachedTEnd"
-        assert p["error"] is None
-        assert p["snapshots"] == len(result.log.rows) - 1 == 33
-        assert p["reconstruction_error_rel"] < 1e-3
 
     def test_profiles_stop_at_the_contamination_guard(self):
         # On L = 20 the Gaussian's weighted source reaches the edge of the
@@ -275,7 +254,7 @@ class TestDiagnosticBlocks:
         weight = scenario.weights_to_track[0].weight
         stored = read_summary(rundir / "weight_certificates.json")
         assert (stored["certificates"][0]["certificate"]
-                == certify_admissible(weight, weight))
+                == certify_admissible(weight))
 
 
 class TestRunLog:
@@ -491,10 +470,14 @@ class TestSweep:
         assert table["rows"][0]["status"] == "ReachedTEnd"
 
     def test_predictor_cells_empty_when_disabled(self, tmp_path):
-        table = sweep(tiny_scenario(predictors_enabled=False),
-                      "solver.t_end", [0.05], workers=1, out_root=tmp_path)
+        # an error row has no predictors: amplitude 0 passes the pre-start
+        # decode, which builds no datum, and fails in the child
+        table = sweep(tiny_scenario(), "initial_data.amplitude", [0.0],
+                      workers=1, out_root=tmp_path)
         lines = (Path(table["dir"]) / "sweep.csv").read_text().splitlines()
-        assert lines[1] == "0.05,ReachedTEnd,0.05,nan,nan,,,"
+        assert lines[1] == ('0.0,Error,nan,nan,nan,,,"ConfigError: '
+                            'initial_data: all samples are zero on grid '
+                            'L=20.0, N=512"')
 
     def test_workers_below_one_rejected(self):
         for workers in (0, -1):
@@ -616,7 +599,7 @@ class TestCli:
         ("classify", "{L: 20.0, N: 256}", "{kind: gaussian, amplitude: 0.0}",
          "all samples are zero"),
         ("simulate", "{L: 20.0, N: 256}", "{kind: gaussian, amplitude: 0.0}\n"
-         "predictors_enabled: false\nrate_cap_factor: 2.0",
+         "rate_cap_factor: 2.0",
          "all samples are zero"),
     ], ids=["simulate", "classify", "simulate-zero", "classify-zero",
             "simulate-zero-rate-cap"])
@@ -642,17 +625,23 @@ class TestCli:
 
     @pytest.mark.parametrize("solver, message", [
         ("{t_end: 0.1, dt_max: 0.0, dt_floor: -1.0e-9}",
-         "dt_max must be positive, got 0.0"),
+         "solver: dt_max must be positive, got 0.0"),
         ("{t_end: 0.1, dt_max: -0.01, dt_floor: -1.0}",
-         "dt_max must be positive, got -0.01"),
+         "solver: dt_max must be positive, got -0.01"),
         ("{t_end: 0.1, dt_max: 0.0, dt_floor: 0.0}",
-         "dt_max must be positive, got 0.0"),
-        ("{t_end: 0.1, boundary_tol: -1}", "boundary_tol must be positive"),
-    ], ids=["stalled", "backward", "zero-dt-max", "negative-boundary-tol"])
+         "solver: dt_max must be positive, got 0.0"),
+        ("{t_end: 0.1, boundary_tol: -1}",
+         "solver: boundary_tol must be positive"),
+        ("{t_end: 0.1, dealias: false}", "solver: dealias must be true"),
+        ("{t_end: 0.1}\npredictors_enabled: false",
+         "predictors_enabled: must be true"),
+    ], ids=["stalled", "backward", "zero-dt-max", "negative-boundary-tol",
+            "aliased", "no-predictors"])
     def test_invalid_solver_settings_exit_2(self, solver, message, tmp_path,
                                             capsys):
-        # such settings would never advance t, step backward in time, or
-        # report the datum against a negative tolerance
+        # such settings would never advance t, step backward in time,
+        # report the datum against a negative tolerance, or ask for a
+        # step or a summary that the program always makes another way
         path = tmp_path / "bad.yaml"
         path.write_text("name: bad\ngrid: {L: 20.0, N: 64}\n"
                         "initial_data: {kind: gaussian, amplitude: 1.0, "
@@ -660,7 +649,7 @@ class TestCli:
                         f"solver: {solver}\n")
         assert main(["simulate", str(path), "--out", str(tmp_path / "r"),
                      "--quiet"]) == 2
-        assert f"config error: solver: {message}" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_wave_breaking_still_exits_0(self, tmp_path, capsys):
         path = tmp_path / "steep.yaml"
@@ -705,9 +694,9 @@ class TestCli:
             self, tmp_path, monkeypatch):
         calls = []
 
-        def counting(phi, v, seed):
-            calls.append(phi)
-            return certify_admissible(phi, v, seed)
+        def counting(weight, seed):
+            calls.append(weight)
+            return certify_admissible(weight, seed)
 
         monkeypatch.setattr(cli, "certify_admissible", counting)
         path = tmp_path / "twice.yaml"
@@ -718,7 +707,7 @@ class TestCli:
                      "--seed", "0", "--quiet"]) == 0
         assert len(calls) == 1
         w = StandardFamily(c=2.0)
-        direct = certify_admissible(w, w)
+        direct = certify_admissible(w)
         records = read_summary(out / load_scenario(path).run_dirname()
                                / "weight_certificates.json")["certificates"]
         assert [(r["index"], r["weight"], r["p"]) for r in records] == [
@@ -735,8 +724,8 @@ class TestCli:
         cert = stored["certificates"][0]["certificate"]
         w = StandardFamily(c=2.0)
         assert stored["seed"] == 7 and cert["seed"] == 7
-        assert cert == certify_admissible(w, w, seed=7)
-        assert cert["C0"] != certify_admissible(w, w)["C0"]
+        assert cert == certify_admissible(w, seed=7)
+        assert cert["C0"] != certify_admissible(w)["C0"]
 
     def test_records_carry_the_schema_version(self, tiny_yaml, tmp_path,
                                               monkeypatch):
@@ -763,6 +752,30 @@ class TestCli:
         assert header == "t,Phi,Psi,c1,c2,max_eps_plus,max_eps_minus"
         assert read_summary(
             dirs[0] / "summary.json")["profiles"]["c1_positive"]
+
+    def test_sweep_warns_once_for_an_uncertifiable_weight(self, tmp_path,
+                                                          capfd):
+        # The load warns; the pre-start decode and the forked children,
+        # whose stderr capfd also sees, stay quiet.  The CLI runs in a
+        # process of its own, where warnings print as they would for a user.
+        path = tmp_path / "w.yaml"
+        path.write_text(TINY_YAML.replace(
+            "{kind: standard, c: 2.0}", "{kind: standard, a: 0.1, b: 2.0}"))
+        out = tmp_path / "runs"
+        argv = ["sweep", str(path), "--axis", "solver.t_end", "--values",
+                "0.02,0.03,0.04", "--workers", "1", "--out", str(out),
+                "--quiet"]
+        script = ("import sys; sys.path.insert(0, %r); from chlab.cli "
+                  "import main; sys.exit(main(%r))"
+                  % (str(Path(cli.__file__).parents[1]), argv))
+        done = subprocess.run([sys.executable, "-c", script], timeout=120)
+        assert done.returncode == 0
+        assert capfd.readouterr().err.count("CertificationWarning") == 1
+        runs = [d for d in out.iterdir() if "sweep" not in d.name]
+        assert len(runs) == 3
+        for run_dir in runs:
+            summary = read_summary(run_dir / "summary.json")
+            assert len(summary["weight_warnings"]) == 1
 
     def test_sweep_cli(self, tiny_yaml, tmp_path, capsys):
         out = tmp_path / "runs"
