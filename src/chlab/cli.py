@@ -39,12 +39,21 @@ _EXIT_CONFIG = 2
 _EXIT_SELFTEST = 1
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` type: a non-negative integer, as numpy's seeding
+    takes it."""
+    if not re.fullmatch(r"\+?\d+", text.strip()):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     # SUPPRESS keeps a subcommand's unset flags from clobbering values the
     # root parser already collected (the flags work in both positions).
     parser.add_argument("--out", metavar="DIR", default=argparse.SUPPRESS,
                         help="artifact directory root (default: ./runs)")
-    parser.add_argument("--seed", type=int, metavar="INT",
+    parser.add_argument("--seed", type=_seed, metavar="INT",
                         default=argparse.SUPPRESS,
                         help="seed recorded in summaries and used by "
                              "sampling-based checks (default: 0)")

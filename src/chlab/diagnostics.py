@@ -4,8 +4,8 @@ m = u - u_xx, weighted-norm persistence fits, and decay-rate caps.
 
 The monitors that watch a run are probes for ``solver.run``: each has
 ``columns`` (the run-log columns it adds) and ``observe(state)`` (one
-value per column).  The predictors, the persistence fit and the rate
-cap's ``summary()`` return the JSON blocks the artifacts store.
+value per column).  The predictors, ``persistence_check`` and
+``rate_cap_check`` return the JSON blocks the artifacts store.
 
 Conventions that matter numerically:
 
@@ -23,18 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .field import Field, Grid, momentum_of
+from .field import Field, Grid, energy, min_slope, momentum_of
 from .weights import Weight, weighted_lp_norm
 
 __all__ = [
-    "min_slope",
     "local_derivative",
     "h1_norm",
-    "energy",
     "mckean_classify",
     "slope_criterion_predict",
     "decay_blowup_predict",
@@ -43,6 +41,7 @@ __all__ = [
     "persistence_check",
     "peakon_rate_cap_check",
     "RateCapTrace",
+    "rate_cap_check",
     "weighted_pair_norm",
 ]
 
@@ -59,11 +58,6 @@ _CONSISTENCY_TOL = 1e-8
 _RATE_CAP_FLOOR_REL = 1e-8
 
 
-def min_slope(u: Field) -> float:
-    """min_x of the spectral derivative — the wave-breaking monitor."""
-    return float(np.min(u.derivative_values))
-
-
 def local_derivative(u: Field) -> np.ndarray:
     """Second-order central differences with periodic wrap.
 
@@ -78,12 +72,6 @@ def local_derivative(u: Field) -> np.ndarray:
 def h1_norm(u: Field) -> float:
     """sqrt of the rectangle-rule integral of u^2 + u_x^2."""
     return math.sqrt(energy(u))
-
-
-def energy(u: Field) -> float:
-    """The conserved H^1 energy integral of u^2 + u_x^2."""
-    du = u.derivative_values
-    return float(np.sum(u.values**2 + du**2)) * u.grid.dx
 
 
 def mckean_classify(m0: Field) -> dict:
@@ -285,28 +273,26 @@ def peakon_rate_cap_check(u: Field) -> float:
 
 
 class RateCapTrace:
-    """Probe: the critical-decay statistic sup e^{|x|} (|u| + |u_x|) at
-    every snapshot, against the cap ``factor`` times its value on u0."""
+    """Probe: the critical-decay statistic sup e^{|x|} (|u| + |u_x|) as the
+    log column ``rate_cap_sup``."""
 
-    columns = ()
+    columns = ("rate_cap_sup",)
 
-    def __init__(self, u0: Field, factor: float):
-        self.factor = factor
-        self.cap = factor * peakon_rate_cap_check(u0)
-        self.samples: List[Tuple[float, float]] = []
+    def observe(self, state) -> Tuple[float]:
+        return (peakon_rate_cap_check(state.u),)
 
-    def observe(self, state) -> Tuple[()]:
-        self.samples.append((state.t, peakon_rate_cap_check(state.u)))
-        return ()
 
-    def summary(self) -> dict:
-        times, sups = np.array(self.samples).T
-        i = int(np.argmax(sups))
-        return {
-            "factor": self.factor,
-            "sup_initial": float(sups[0]),
-            "cap": self.cap,
-            "max_sup": float(sups[i]),
-            "t_max_sup": float(times[i]),
-            "passed": bool(sups[i] <= self.cap),
-        }
+def rate_cap_check(times: np.ndarray, sup: np.ndarray, factor: float) -> dict:
+    """The ``rate_cap`` block of a run's log columns t and rate_cap_sup:
+    the cap is ``factor`` times row 0, the datum's statistic, and no
+    logged value may exceed it."""
+    i = int(np.argmax(sup))
+    cap = factor * float(sup[0])
+    return {
+        "factor": factor,
+        "sup_initial": float(sup[0]),
+        "cap": cap,
+        "max_sup": float(sup[i]),
+        "t_max_sup": float(times[i]),
+        "passed": bool(sup[i] <= cap),
+    }

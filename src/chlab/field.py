@@ -8,8 +8,9 @@ with G(x) = exp(-|x|)/2 the Green's function of the Helmholtz operator
 (1 - d_xx).  This module provides the spatial machinery: Fourier
 differentiation, the Helmholtz solve G*, its gradient (G*)_x, the quadratic
 source F(u), the momentum density m = u - u_xx and its inverse, plus exact
-reference profiles (peakons) and small structural helpers (reflection,
-grid-aligned shifts, discrete line convolution).  A Field carries its
+reference profiles (peakons), small structural helpers (reflection,
+grid-aligned shifts, discrete line convolution), and the integrals the
+run log records (mass, energy) with its slope monitor.  A Field carries its
 samples, its spectrum and its spectral derivative, each computed once on
 first use, so the solver and the diagnostics share one set of transforms.
 
@@ -50,6 +51,8 @@ __all__ = [
     "reflect",
     "shift_samples",
     "integral",
+    "energy",
+    "min_slope",
 ]
 
 
@@ -349,3 +352,14 @@ def shift_samples(u: Field, steps: int) -> Field:
 def integral(u: Field) -> float:
     """Rectangle-rule integral over the box (spectrally exact for periodic data)."""
     return float(np.sum(u.values) * u.grid.dx)
+
+
+def energy(u: Field) -> float:
+    """The conserved H^1 energy: rectangle-rule integral of u^2 + u_x^2."""
+    du = u.derivative_values
+    return float(np.sum(u.values * u.values + du * du) * u.grid.dx)
+
+
+def min_slope(u: Field) -> float:
+    """min_x of the spectral derivative — the wave-breaking monitor."""
+    return float(np.min(u.derivative_values))

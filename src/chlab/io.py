@@ -62,7 +62,7 @@ def _write_table(path: Path, header: Sequence[str],
 
 def write_run_csv(path, log: RunLog) -> None:
     """Write the observation log: t,dt,min_slope,u_inf,ux_inf,energy,mass
-    plus the probes' columns (one W_<i> per tracked weight)."""
+    plus the probes' columns (W_<i> per tracked weight, rate_cap_sup)."""
     _write_table(Path(path), log.header, log.rows)
 
 

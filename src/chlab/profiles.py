@@ -137,7 +137,10 @@ def _weighted_half_integral(values: np.ndarray, grid: Grid,
 
     When the band reaches the domain edge a contamination guard applies:
     a weighted integrand still within two orders of magnitude of its peak
-    at the edge means the grid cannot hold this statistic at all.
+    at the edge means the grid cannot hold this statistic at all.  Any
+    band whose weighted integrand is largest at one of its ends is
+    refused too: values then decay no faster than the weight grows, and
+    the integral the crop truncates diverges.
     """
     magnitude = np.abs(values)
     peak = float(magnitude.max())
@@ -154,6 +157,13 @@ def _weighted_half_integral(values: np.ndarray, grid: Grid,
                 "weighted profile integrand is boundary-contaminated "
                 f"(edge/peak = {edge / wpeak:.2e}); enlarge the domain"
             )
+    i_peak = int(np.argmax(np.abs(integrand)))
+    if i_peak in (0, integrand.size - 1):
+        raise ValueError(
+            "weighted profile integrand is largest at the end of its band "
+            f"(x = {grid.x[left + i_peak]:.6g}): the data decay no faster "
+            "than the weight grows, so the weighted integral diverges"
+        )
     return 0.5 * float(np.sum(integrand)) * grid.dx
 
 
@@ -247,27 +257,27 @@ class ProfileTrace:
     """Probe: folds every snapshot into a ProfileAccumulator and, past
     t = 0, collects one ``PROFILE_HEADER`` row: t, Phi, Psi, the running
     extremes c1 = min and c2 = max of Phi and Psi so far, and the residual
-    extremes of ``profile_report``.  When the weighted integrals sink to
-    the contamination guard (tails off the grid, or noise floor reached)
-    it keeps the rows collected so far, records why they stop, and
-    observes no further."""
+    extremes of ``profile_report``.  When the weighted integrals are
+    refused (on the datum, or later when the tails leave the grid or the
+    noise floor is reached) it keeps the rows collected so far, records
+    why they stop, and observes no further."""
 
     columns = ()
 
     def __init__(self, u0: Field):
         self.acc = ProfileAccumulator(u0.grid)
         self.u0 = u0
-        self.Phi0, self.Psi0 = phi0_psi0(u0)
         self.windows = (tail_window(u0, "plus"), tail_window(u0, "minus"))
-        self.c1, self.c2 = math.inf, -math.inf
         self.rows: List[Tuple[float, ...]] = []
         self.error: Optional[str] = None
-        self._last_u = u0
+        try:
+            self.Phi0, self.Psi0 = phi0_psi0(u0)
+        except ValueError as exc:
+            self.error = f"profiles stopped at t=0: {exc}"
 
     def observe(self, state) -> Tuple[()]:
         if self.error is not None:
             return ()
-        self._last_u = state.u
         self.acc.accumulate(state.u, state.t)
         if state.t <= 0.0:
             return ()
@@ -276,37 +286,35 @@ class ProfileTrace:
         except ValueError as exc:
             self.error = f"profiles stopped at t={state.t:.6g}: {exc}"
             return ()
-        self.c1 = min(self.c1, Phi, Psi)
-        self.c2 = max(self.c2, Phi, Psi)
+        c1, c2 = self.rows[-1][3:5] if self.rows else (math.inf, -math.inf)
         eps_plus, eps_minus = profile_report(self.acc, state.u, self.u0,
                                              (Phi, Psi), self.windows)
-        self.rows.append((state.t, Phi, Psi, self.c1, self.c2, eps_plus,
-                          eps_minus))
+        self.rows.append((state.t, Phi, Psi, min(c1, Phi, Psi),
+                          max(c2, Phi, Psi), eps_plus, eps_minus))
         return ()
 
-    def summary(self) -> dict:
-        """The profile block of the run summary.  c1_positive is the
-        two-sided time-uniform positivity c1 > 0 that pins the tail
-        profiles.  The reconstruction error compares the evolution
-        identity with the last observed state, so it is None when the
-        rows stopped before the run did."""
+    def summary(self, u: Field) -> dict:
+        """The profile block of the run summary, read from the last row;
+        ``u`` is the run's terminal state.  c1_positive is the two-sided
+        time-uniform positivity c1 > 0 that pins the tail profiles.  The
+        reconstruction error compares the evolution identity with u, so
+        it is None when the rows stopped before the run did."""
         if not self.rows:
             return {"snapshots": 0,
                     "error": self.error or "no snapshots past t=0"}
-        _, Phi, Psi, _, _, eps_plus, eps_minus = self.rows[-1]
+        _, Phi, Psi, c1, c2, eps_plus, eps_minus = self.rows[-1]
         recon_err = None
         if self.error is None:
-            u = self._last_u.values
             recon = reconstruct(self.acc, self.u0).values
-            recon_err = float(np.max(np.abs(recon - u))
-                              / max(np.max(np.abs(u)), 1e-300))
+            recon_err = float(np.max(np.abs(recon - u.values))
+                              / max(np.max(np.abs(u.values)), 1e-300))
         return {
             "Phi0": self.Phi0,
             "Psi0": self.Psi0,
             "snapshots": len(self.rows),
-            "c1": self.c1,
-            "c2": self.c2,
-            "c1_positive": self.c1 > 0.0,
+            "c1": c1,
+            "c2": c2,
+            "c1_positive": c1 > 0.0,
             "Phi_final": Phi,
             "Psi_final": Psi,
             "max_eps_plus": eps_plus,

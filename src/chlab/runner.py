@@ -3,9 +3,10 @@
 ``run_scenario`` hands the solver one probe per diagnostic layer the
 scenario enables — weighted-norm traces, the critical-decay rate cap,
 tail-profile accumulation — adds the breakdown predictors, and condenses
-the outcome, persistence fits from the run log included, into a single
-JSON-able summary.  Terminal statuses (wave breaking included) are
-results, not errors: the function only raises for genuinely broken inputs.
+the outcome, each block computed from the run log, the profile rows or
+the terminal state, into a single JSON-able summary.  Terminal statuses
+(wave breaking included) are results, not errors: the function only
+raises for genuinely broken inputs.
 
 ``sweep`` repeats a base scenario across values of one config field.
 Every value, at any ``workers`` count, runs in a child process of its own,
@@ -33,7 +34,7 @@ import numpy as np
 from .config import (CertificationWarning, ConfigError, Scenario,
                      canonical_json, scenario_from_dict)
 from .diagnostics import (PersistenceTrace, RateCapTrace, persistence_check,
-                          predictor_table)
+                          predictor_table, rate_cap_check)
 from .io import (PROFILE_CSV, RUN_CSV, SCHEMA_VERSION, SNAPSHOT_CSV,
                  SUMMARY_JSON, format_number, write_profile_csv,
                  write_run_csv, write_snapshot_csv, write_summary)
@@ -81,8 +82,8 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
 
     traces = [PersistenceTrace(weight=tw.weight, p=tw.p, name=f"W_{i}")
               for i, tw in enumerate(scenario.weights_to_track)]
-    rate_cap = (RateCapTrace(u0, scenario.rate_cap_factor)
-                if scenario.rate_cap_factor is not None else None)
+    factor = scenario.rate_cap_factor
+    rate_cap = RateCapTrace() if factor is not None else None
     profiles = ProfileTrace(u0) if scenario.profiles_enabled else None
     probes = traces + [p for p in (rate_cap, profiles) if p is not None]
 
@@ -115,8 +116,9 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
                          **persistence_check(times, log.column(trace.name), M)}
                         for echo, trace in zip(config["weights_to_track"],
                                                traces)],
-        "rate_cap": rate_cap.summary() if rate_cap is not None else None,
-        "profiles": profiles.summary() if profiles is not None else None,
+        "rate_cap": (rate_cap_check(times, log.column("rate_cap_sup"), factor)
+                     if factor is not None else None),
+        "profiles": profiles.summary(state.u) if profiles is not None else None,
     }
     summary["timing_seconds"] = round(time.perf_counter() - t_wall, 6)
 

@@ -50,7 +50,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .field import Field
+from .field import Field, energy, integral, min_slope
 
 __all__ = [
     "Status",
@@ -193,7 +193,7 @@ def _classify(u_new: Field, u_inf: float, t_new: float,
     """Post-step status, most severe condition first; u_inf = max |u_new|."""
     if not math.isfinite(u_inf):
         return Status.NON_FINITE
-    if float(np.min(u_new.derivative_values)) < config.slope_stop:
+    if min_slope(u_new) < config.slope_stop:
         return Status.WAVE_BREAKING
     if _edge_fraction(u_new.values, u_inf) > config.boundary_tol:
         return Status.BOUNDARY_CONTAMINATED
@@ -303,18 +303,16 @@ class RunLog:
 
 def _log_row(state: SolverState, config: SolverConfig,
              extra: Tuple[float, ...]) -> Tuple[float, ...]:
-    grid = state.u.grid
-    u = state.u.values
-    du = state.u.derivative_values
+    u = state.u
     dt = state.dt if state.dt > 0.0 else _propose_dt(state, config)
     return (
         state.t,
         dt,
-        float(np.min(du)),
+        min_slope(u),
         state.u_inf,
-        float(np.max(np.abs(du))),
-        float(np.sum(u * u + du * du) * grid.dx),
-        float(np.sum(u) * grid.dx),
+        float(np.max(np.abs(u.derivative_values))),
+        energy(u),
+        integral(u),
     ) + extra
 
 

@@ -26,6 +26,12 @@ GRID = Grid(20.0, 1024)
 GAUSSIAN = Gaussian(1.0, 1.0, 0.0).build(GRID)
 
 
+def _slow_tail(rate):
+    """e^{-rate|x|}, mollified, on a box that holds its crop."""
+    return MollifiedExponential(amplitude=1.0, rate=rate, center=0.0,
+                                mollify_width=0.1).build(Grid(60.0, 2048))
+
+
 class TestAccumulator:
     def test_snapshot_times_must_increase(self):
         acc = ProfileAccumulator(GRID).accumulate(GAUSSIAN, 0.0)
@@ -125,6 +131,14 @@ class TestInitialAmplitudes:
         with pytest.raises(ValueError, match="boundary-contaminated"):
             phi0_psi0(u)
 
+    @pytest.mark.parametrize("rate", [0.3, 0.4])
+    def test_divergent_weighted_integral_is_rejected(self, rate):
+        # e^{-rate|x|} with rate < 1/2: F(u) decays slower than e^{-|x|},
+        # so the e^{+y}-weighted integrand grows out to the crop, far
+        # inside the box, and the integral it truncates diverges
+        with pytest.raises(ValueError, match="largest at the end of its band"):
+            phi0_psi0(_slow_tail(rate))
+
 
 class TestTailWindow:
     def test_side_validated(self):
@@ -180,8 +194,8 @@ def _observe(trace, u, times):
 
 class TestEvolutionRun:
     def test_amplitudes_stay_pinned_between_positive_bounds(self, evolved):
-        trace, _ = evolved
-        summary = trace.summary()
+        trace, state = evolved
+        summary = trace.summary(state.u)
         assert summary["c1_positive"]
         assert summary["c1"] == pytest.approx(1.0310717598, rel=1e-9)
         assert summary["c2"] == pytest.approx(1.3017917083, rel=1e-9)
@@ -249,8 +263,20 @@ class TestBoundsCheck:
         # a trace with no snapshot past t = 0 has no bounds to report
         trace = _observe(ProfileTrace(GAUSSIAN), GAUSSIAN, [0.0])
         assert trace.rows == []
-        assert trace.summary() == {"snapshots": 0,
-                                   "error": "no snapshots past t=0"}
+        assert trace.summary(GAUSSIAN) == {"snapshots": 0,
+                                           "error": "no snapshots past t=0"}
+
+    def test_refused_datum_is_the_error_of_an_empty_block(self):
+        # the datum's weighted integrals diverge: the trace records why
+        # and observes nothing, so the run still ends with a block
+        u = _slow_tail(0.4)
+        trace = _observe(ProfileTrace(u), u, [0.0, 0.1])
+        summary = trace.summary(u)
+        assert trace.rows == [] and trace.acc.n_snapshots == 0
+        assert summary["snapshots"] == 0
+        assert summary["error"].startswith(
+            "profiles stopped at t=0: weighted profile integrand is largest "
+            "at the end of its band")
 
     def test_extremes_span_both_components(self, evolved):
         # c1 and c2 are the running min and max over Phi and Psi together
@@ -264,8 +290,9 @@ class TestBoundsCheck:
         assert rows[-1, 4] == rows[:, 1].max() > rows[:, 2].max()
 
     def test_positivity_is_the_pass_rule(self, evolved):
-        assert evolved[0].summary()["c1_positive"]
+        trace, state = evolved
+        assert trace.summary(state.u)["c1_positive"]
         zero = Field(GRID, np.zeros(GRID.N))
         summary = _observe(ProfileTrace(zero), zero,
-                           [0.0, 0.1]).summary()
+                           [0.0, 0.1]).summary(zero)
         assert summary["c1"] == 0.0 and not summary["c1_positive"]

@@ -17,7 +17,7 @@ from chlab.config import (CertificationWarning, ConfigError, load_scenario,
 from chlab import cli, runner
 from chlab.diagnostics import (decay_blowup_predict, mckean_classify,
                                peakon_rate_cap_check, persistence_check,
-                               slope_criterion_predict)
+                               rate_cap_check, slope_criterion_predict)
 from chlab.field import momentum_of
 from chlab.runner import apply_axis, run_scenario, sweep
 from chlab.weights import StandardFamily, certify_admissible
@@ -222,27 +222,45 @@ class TestRunScenario:
 
 
 class TestDiagnosticBlocks:
-    """Each diagnostic returns the very block its artifact stores."""
+    """Each diagnostic returns the very block its artifact stores, and
+    each block of a run follows from the tables the run wrote."""
 
     def test_returns_equal_the_stored_blocks(self, tmp_path):
         path = tmp_path / "tiny.yaml"
-        path.write_text(TINY_YAML + "rate_cap_factor: 3.0\n")
+        path.write_text(TINY_YAML + "rate_cap_factor: 3.0\n"
+                        "profiles_enabled: true\n")
         scenario = load_scenario(path)
         u0 = scenario.build_initial()
-        result = run_scenario(scenario)
-        summary = result.summary
+        result = run_scenario(scenario, out_root=tmp_path / "sim")
+        summary = read_summary(result.outdir / "summary.json")
 
         predictors = {"momentum_sign": mckean_classify(momentum_of(u0)),
                       "slope_criterion": slope_criterion_predict(u0),
                       "decay_blowup": decay_blowup_predict(u0)}
         assert summary["predictors"] == predictors
-        assert summary["rate_cap"]["sup_initial"] == peakon_rate_cap_check(u0)
-        # the fit from the run's log: t, W_0 and M = u_inf + ux_inf
-        t, W, u_inf, ux_inf = map(result.log.column,
-                                  ("t", "W_0", "u_inf", "ux_inf"))
-        block = persistence_check(t, W, u_inf + ux_inf)
+        # the rate cap and the fit from run.csv as read back: t,
+        # rate_cap_sup, W_0 and M = u_inf + ux_inf
+        header, table = read_csv(result.outdir / "run.csv")
+        log = dict(zip(header, table.T))
+        assert log["rate_cap_sup"][0] == peakon_rate_cap_check(u0)
+        assert summary["rate_cap"] == rate_cap_check(
+            log["t"], log["rate_cap_sup"], 3.0)
+        block = persistence_check(log["t"], log["W_0"],
+                                  log["u_inf"] + log["ux_inf"])
         row = summary["persistence"][0]
         assert {key: row[key] for key in block} == block
+        # the profile block from the last row of profile.csv
+        header, table = read_csv(result.outdir / "profile.csv")
+        last = dict(zip(header, table[-1]))
+        profiles = summary["profiles"]
+        assert profiles["error"] is None
+        assert profiles["snapshots"] == len(table)
+        assert profiles["c1_positive"] == (last["c1"] > 0.0)
+        for key, column in (("c1", "c1"), ("c2", "c2"), ("Phi_final", "Phi"),
+                            ("Psi_final", "Psi"),
+                            ("max_eps_plus", "max_eps_plus"),
+                            ("max_eps_minus", "max_eps_minus")):
+            assert profiles[key] == last[column]
 
         out = tmp_path / "runs"
         for command in (["classify"], ["weights", "certify"]):
@@ -726,6 +744,21 @@ class TestCli:
         assert stored["seed"] == 7 and cert["seed"] == 7
         assert cert == certify_admissible(w, seed=7)
         assert cert["C0"] != certify_admissible(w)["C0"]
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        # numpy's seeding rejects a negative seed; the parser refuses it
+        # first, as a usage error rather than a traceback
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "chlab.cli", "weights", "certify",
+             "algebraic-persistence", "--seed", "-1",
+             "--out", str(tmp_path / "runs")],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 2
+        assert ("argument --seed: expected a non-negative integer, got '-1'"
+                in done.stderr)
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "runs").exists()
 
     def test_records_carry_the_schema_version(self, tiny_yaml, tmp_path,
                                               monkeypatch):

@@ -98,8 +98,9 @@ class TestSpectralPipeline:
                 ("irfft", 2)]
 
     def test_observed_snapshots_add_no_transform(self, monkeypatch):
-        from chlab.diagnostics import (PersistenceTrace, energy, h1_norm,
-                                       min_slope, peakon_rate_cap_check)
+        from chlab.diagnostics import (PersistenceTrace, h1_norm,
+                                       peakon_rate_cap_check)
+        from chlab.field import energy, min_slope
         from chlab.weights import StandardFamily
 
         u0 = Gaussian(1.0, 1.0, 0.0).build(GRID)
