@@ -86,11 +86,12 @@ class TrackedWeight:
     @property
     def warning(self) -> Optional[str]:
         """Why no persistence guarantee attaches to this norm, if none does."""
-        if getattr(self.weight, "certifiable", True):
+        obstruction = self.weight.obstruction
+        if obstruction is None:
             return None
-        return (f"{self.weight} grows faster than exponential (b > 1); it is "
-                f"tracked, but moderateness cannot be certified and the "
-                f"tracked norm has no persistence guarantee")
+        return (f"{self.weight} {obstruction}; it is tracked, but it cannot "
+                f"be certified admissible and the tracked norm has no "
+                f"persistence guarantee")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,10 @@ The standard family is
 sub-multiplicative for ``a, c, d >= 0`` and ``0 <= b <= 1`` (up to a finite
 constant for the log factor), and v-moderate with
 ``v = phi_{|a|,b,|c|,|d|}`` for arbitrary signs.  Certification takes
-v = phi, so no caller certifies a decaying weight (a, c or d < 0).
+v = phi, so only that range is ``certifiable`` (b is moot when a = 0), and
+a weight outside it is never certified admissible: a decaying one (a, c or
+d < 0, or a < 0 for ``OneSided``) has inf v = 0 on the line, whatever its
+samples on a bounded range give.
 
 Certification here is empirical: the constants ``C0``, ``A`` and ``inf v``
 are suprema over seeded uniform samples (plus analytic log-derivatives
@@ -25,12 +28,17 @@ and the seed is the only one a caller chooses (``chlab weights certify
 --seed``):
 
 * 20,000 seeded pairs and 20,000 seeded points on [-32, 32];
-* the decay integral of v(x) e^{-|x|} by adaptive Gauss-Kronrod
-  quadrature on [-R, R], R starting at 32 and doubling at most 12 times
-  until the added tails fall below 1e-10 (else it is reported divergent,
-  the correct verdict for weights growing at least like e^{|x|}), each
-  fixed-R piece ([-R, 0], [0, R], each added [R, 2R]) to the absolute
-  tolerance 1e-9.
+* the decay integrals of v(x) e^{-|x|} and of its square by adaptive
+  Gauss-Kronrod quadrature on [-R, R], R starting at 32 and doubling at
+  most 12 times until the added tails fall below 1e-10 (else it is reported
+  divergent, the correct verdict for weights growing at least like
+  e^{|x|}), each fixed-R piece ([-R, 0], [0, R], each added [-2R, -R] and
+  [R, 2R]) to the absolute tolerance 1e-9.  The pieces of both integrals
+  advance together: log v is evaluated once per round, on every live
+  subinterval;
+* an even weight (log v a function of |x|: the standard family, and a
+  truncation of it) is scanned and integrated on x >= 0 only, each of its
+  integrals twice the half-line one.
 
 ``certify_admissible`` returns the certificate as the plain record that
 ``weight_certificates.json`` stores, with the L^2 and L^infinity norms of
@@ -44,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,6 +81,19 @@ class Weight:
     treats as a poisoned evaluation, never a saturated one.
     """
 
+    #: Whether log phi depends on |x| alone; certificates then scan and
+    #: integrate x >= 0 only.  A class attribute, not a config field.
+    even = False
+
+    @property
+    def obstruction(self) -> Optional[str]:
+        """Why phi cannot be certified admissible against v = phi, or None."""
+        return None
+
+    @property
+    def certifiable(self) -> bool:
+        return self.obstruction is None
+
     def _log_value(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -99,14 +120,23 @@ class StandardFamily(Weight):
     c: float = 0.0
     d: float = 0.0
 
+    even = True
+
     def __post_init__(self):
         if self.b < 0:
             raise ValueError(f"exponent b must be >= 0, got {self.b}")
 
     @property
-    def certifiable(self) -> bool:
-        """Sub-multiplicativity/moderateness claims require 0 <= b <= 1."""
-        return 0.0 <= self.b <= 1.0
+    def obstruction(self) -> Optional[str]:
+        """The family is certified where v = phi is sub-multiplicative with
+        inf v > 0: a, c, d >= 0, and b <= 1 unless a = 0 (b is then moot)."""
+        negative = [f"{k} < 0" for k in "acd" if getattr(self, k) < 0]
+        if negative:
+            return (f"has a negative exponent ({', '.join(negative)}); "
+                    f"v = phi is certified only for a, c, d >= 0")
+        if self.a != 0 and self.b > 1:
+            return "grows faster than exponential (b > 1)"
+        return None
 
     def _log_value(self, x):
         ax = np.abs(x)
@@ -144,6 +174,13 @@ class OneSided(Weight):
 
     a: float
 
+    @property
+    def obstruction(self) -> Optional[str]:
+        if self.a < 0:
+            return ("has a negative exponent (a < 0); v = phi is certified "
+                    "only for a >= 0")
+        return None
+
     def _log_value(self, x):
         return self.a * np.maximum(x, 0.0)
 
@@ -166,6 +203,14 @@ class Truncated(Weight):
     def __post_init__(self):
         if not self.cap > 0:
             raise ValueError(f"truncation cap must be positive, got {self.cap}")
+
+    @property
+    def even(self):
+        return self.base.even
+
+    @property
+    def obstruction(self) -> Optional[str]:
+        return self.base.obstruction
 
     def _log_value(self, x):
         return np.minimum(self.base._log_value(x), math.log(self.cap))
@@ -229,73 +274,118 @@ _G7_WEIGHTS_HALF = np.array([
 _G7_WEIGHTS = np.concatenate(
     [_G7_WEIGHTS_HALF, [0.417959183673469387755102040816327],
      _G7_WEIGHTS_HALF[::-1]])
+#: Both rules, shaped to weigh samples of shape (powers, subintervals, 15).
+_GK_RULES = np.stack([_K15_WEIGHTS, _G7_WEIGHTS])[:, None, None, :]
 
 
-#: Work bounds of one adaptive quadrature: rounds, and live subintervals.
+#: Work bounds of one adaptive quadrature, per piece: rounds, and live
+#: subintervals.
 _GK_MAX_ROUNDS = 80
 _GK_MAX_LIVE = 2048
 
 
-def _gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                   tol: float) -> float:
-    """Adaptive G7/K15 quadrature of f on [lo, hi] to absolute tolerance tol.
+def _gauss_kronrod(log_f: Callable[[np.ndarray], np.ndarray],
+                   pieces: Sequence[Tuple[float, float]],
+                   powers: Sequence[float], tol: float) -> np.ndarray:
+    """Adaptive G7/K15 quadrature of e^{p log_f} for each p in ``powers``
+    on each piece (lo, hi), to absolute tolerance tol, all advanced together.
 
-    Each round evaluates f once, on the 15 Kronrod nodes of every live
-    subinterval.  A subinterval is accepted when |K15 - G7| is at most its
-    share tol * width / (hi - lo); the others are bisected.  The work is
-    bounded: after ``_GK_MAX_ROUNDS`` rounds, or when bisection would
-    exceed ``_GK_MAX_LIVE`` subintervals, the K15 values of the live ones
-    are taken as they are.  Returns +inf if any sample is not finite."""
-    a = np.array([lo])
-    b = np.array([hi])
-    accepted = []
-    for round_ in range(_GK_MAX_ROUNDS):
-        centre = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        ys = f((centre[:, None] + half[:, None] * _K15_NODES).ravel())
-        if not np.all(np.isfinite(ys)):
-            return math.inf
-        ys = ys.reshape(a.size, _K15_NODES.size)
-        kronrod = half * (ys @ _K15_WEIGHTS)
-        gauss = half * (ys @ _G7_WEIGHTS)
-        done = np.abs(kronrod - gauss) <= tol * (b - a) / (hi - lo)
-        accepted.append(kronrod[done])
-        live = ~done
-        if not live.any():
-            break
-        if (round_ == _GK_MAX_ROUNDS - 1
-                or 2 * np.count_nonzero(live) > _GK_MAX_LIVE):
-            accepted.append(kronrod[live])
-            break
-        a, centre, b = a[live], centre[live], b[live]
-        a, b = np.concatenate([a, centre]), np.concatenate([centre, b])
-    return math.fsum(np.concatenate(accepted))
+    Each round evaluates log_f once, on the 15 Kronrod nodes of every live
+    subinterval of every piece, and takes each integrand from the same
+    values.  A subinterval is accepted for an integrand when |K15 - G7| is
+    at most its share tol * width / (hi - lo) of its piece's tolerance; it
+    is bisected while some integrand still needs it.  The work is bounded
+    per piece and integrand: after ``_GK_MAX_ROUNDS`` rounds, or when
+    bisection would exceed ``_GK_MAX_LIVE`` subintervals, the K15 values of
+    the live ones are taken as they are.  Each integral is the math.fsum of
+    its accepted K15 values, or +inf once one of them is not finite (a
+    sample that is not, or a sum that overflows).  A piece and power get
+    the value they get when integrated alone.  Returns the integrals as an
+    array of shape (len(pieces), len(powers))."""
+    n_powers = len(powers)
+    lo, hi = np.array(pieces, dtype=float).T
+    a, b, owner = lo, hi, np.arange(lo.size)
+    # key[q, i]: the (piece, power) that row q of subinterval i serves
+    column = np.arange(n_powers)[:, None]
+    needed = np.ones((n_powers, lo.size), dtype=bool)
+    exponent = np.asarray(powers, dtype=float)[:, None, None]
+    poisoned = np.zeros(lo.size * n_powers, dtype=bool)
+    keys, values = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for round_ in range(_GK_MAX_ROUNDS):
+            centre = 0.5 * (a + b)
+            half = 0.5 * (b - a)
+            g = log_f((centre[:, None] + half[:, None] * _K15_NODES).ravel())
+            ys = np.exp(exponent * g.reshape(a.size, _K15_NODES.size))
+            # each row summed on its own: its value is the same in any batch
+            kronrod, gauss = half * (ys * _GK_RULES).sum(axis=-1)
+            key = owner * n_powers + column
+            if not np.isfinite(kronrod).all():
+                poisoned[key[needed & ~np.isfinite(kronrod)]] = True
+                needed &= ~poisoned[key]
+            take = needed & (np.abs(kronrod - gauss)
+                             <= tol * (b - a) / (hi - lo)[owner])
+            needed &= ~take
+            # no (piece, power) passes the live cap while all together don't
+            last = round_ == _GK_MAX_ROUNDS - 1
+            if last or 2 * np.count_nonzero(needed) > _GK_MAX_LIVE:
+                live = np.bincount(key[needed], minlength=poisoned.size)
+                take |= needed & (last | (2 * live > _GK_MAX_LIVE))[key]
+                needed &= ~take
+            keys.append(key[take])
+            values.append(kronrod[take])
+            rows = needed.any(axis=0)
+            if not rows.any():
+                break
+            a, centre, b = a[rows], centre[rows], b[rows]
+            a, b = np.concatenate([a, centre]), np.concatenate([centre, b])
+            owner = np.concatenate([owner[rows], owner[rows]])
+            needed = np.concatenate([needed[:, rows], needed[:, rows]], axis=1)
+    keys, values = np.concatenate(keys), np.concatenate(values)
+    sums = [math.fsum(values[keys == k]) for k in range(poisoned.size)]
+    return np.where(poisoned, math.inf, sums).reshape(lo.size, n_powers)
 
 
-def _integral_with_doubling(
-    f: Callable[[np.ndarray], np.ndarray]
-) -> Tuple[float, bool, float]:
-    """integral of f over the line: adaptive Gauss-Kronrod on [-R, R] with R
-    doubling until the increment is below QUAD_TOL.  The integrand is split
-    at 0 (weights usually kink there); each fixed-R piece is integrated to
-    the absolute tolerance QUAD_INNER_TOL.  Returns (value, converged, R)."""
+#: The integrands of a certificate: v e^{-|x|} and its square.
+_POWERS = (1.0, 2.0)
+
+
+def _decay_integrals(weight: Weight) -> List[Tuple[float, bool, float]]:
+    """integrals over the line of (v e^{-|x|})^p for each p in _POWERS:
+    adaptive Gauss-Kronrod on [-R, R] with R doubling until the increment
+    is below QUAD_TOL.  The line is split at 0 (weights usually kink there),
+    each fixed-R piece is integrated to the absolute tolerance
+    QUAD_INNER_TOL, and the pieces of both integrands advance together.
+    An even weight is integrated on x >= 0 only, and each piece counts
+    twice.  Returns (value, converged, R) per integrand."""
+
+    def log_f(x):
+        return weight._log_value(x) - np.abs(x)
+
+    def over(lo, hi, powers):
+        """integrals over lo <= |x| <= hi"""
+        if weight.even:
+            return 2.0 * _gauss_kronrod(log_f, [(lo, hi)], powers,
+                                        QUAD_INNER_TOL)[0]
+        left, right = _gauss_kronrod(log_f, [(-hi, -lo), (lo, hi)], powers,
+                                     QUAD_INNER_TOL)
+        return left + right
+
     R = QUAD_RANGE0
-    total = (_gauss_kronrod(f, -R, 0.0, QUAD_INNER_TOL)
-             + _gauss_kronrod(f, 0.0, R, QUAD_INNER_TOL))
-    converged = False
+    total = over(0.0, R, _POWERS)
+    ranges = np.full(len(_POWERS), R)
+    converged = np.zeros(len(_POWERS), dtype=bool)
     for _ in range(MAX_DOUBLINGS):
-        if not math.isfinite(total):
+        going = np.isfinite(total) & ~converged
+        if not going.any():
             break
-        increment = (_gauss_kronrod(f, -2 * R, -R, QUAD_INNER_TOL)
-                     + _gauss_kronrod(f, R, 2 * R, QUAD_INNER_TOL))
+        increment = over(R, 2 * R, np.compress(going, _POWERS))
         R *= 2
-        total += increment
-        if math.isfinite(increment) and abs(increment) < QUAD_TOL:
-            converged = True
-            break
-    if not converged:
-        total = math.inf
-    return total, converged, R
+        ranges[going] = R
+        total[going] += increment
+        converged[going] = np.abs(increment) < QUAD_TOL
+    return [(float(t) if c else math.inf, bool(c), float(r))
+            for t, c, r in zip(total, converged, ranges)]
 
 
 #: Points per block of the sup scan: each block's temporaries stay small
@@ -320,10 +410,14 @@ def _sup_scan_grid() -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _sup_v_exp(v: Weight) -> float:
-    """max of v(x) e^{-|x|} over the scan grid, block by block.  The block
-    maxima are reduced with np.max, so a NaN or +inf anywhere comes out as
-    the whole-grid np.max would give it."""
+    """max of v(x) e^{-|x|} over the scan grid, block by block; for an even
+    weight over its x >= 0 half, which the grid mirrors.  The block maxima
+    are reduced with np.max, so a NaN or +inf anywhere comes out as the
+    whole-grid np.max would give it."""
     grid, abs_grid = _sup_scan_grid()
+    if v.even:
+        half = grid.size // 2
+        grid, abs_grid = grid[half:], abs_grid[half:]
     starts = range(0, grid.size, _SCAN_BLOCK)
     peaks = np.empty(len(starts))
     with np.errstate(over="ignore"):
@@ -360,21 +454,14 @@ def certify_admissible(weight: Weight, seed: int = 0) -> dict:
     overflowed = bool(not np.all(np.isfinite(v_vals))
                       or not math.isfinite(C0))
 
-    def integrand(x):
-        with np.errstate(over="ignore"):
-            return np.exp(weight._log_value(x) - np.abs(x))
-
-    def integrand_sq(x):
-        with np.errstate(over="ignore"):
-            return np.exp(2.0 * (weight._log_value(x) - np.abs(x)))
-
-    integral, converged, R_final = _integral_with_doubling(integrand)
-    sq_integral, sq_converged, _ = _integral_with_doubling(integrand_sq)
+    ((integral, converged, R_final),
+     (sq_integral, sq_converged, _)) = _decay_integrals(weight)
     lp = {"2.0": float(sq_integral ** 0.5) if sq_converged else math.inf,
           "inf": _sup_v_exp(weight)}
 
     admissible = (
-        inf_v > 0
+        weight.certifiable
+        and inf_v > 0
         and math.isfinite(A)
         and math.isfinite(C0)
         and converged

@@ -172,6 +172,34 @@ class TestValidation:
             s = scenario_from_dict(data)
         assert not s.weights_to_track[0].weight.certifiable
 
+    @pytest.mark.parametrize("weight,condition", [
+        ({"kind": "standard", "a": -0.5, "b": 1.0}, "(a < 0)"),
+        ({"kind": "standard", "c": -1.0}, "(c < 0)"),
+        ({"kind": "standard", "a": -0.5, "b": 1.0, "d": -1.0},
+         "(a < 0, d < 0)"),
+        ({"kind": "one_sided", "a": -0.5}, "(a < 0)"),
+        ({"kind": "truncated", "cap": 10.0,
+          "base": {"kind": "standard", "c": -1.0}}, "(c < 0)"),
+    ])
+    def test_decaying_tracked_weight_warns_with_its_condition(self, weight,
+                                                              condition):
+        data = tiny(weights_to_track=[{"weight": weight}])
+        with pytest.warns(CertificationWarning) as record:
+            s = scenario_from_dict(data)
+        assert len(record) == 1
+        assert f"has a negative exponent {condition}" in str(record[0].message)
+        assert not s.weights_to_track[0].weight.certifiable
+
+    def test_growth_exponent_without_exponential_factor_is_quiet(self):
+        # a = 0 makes b moot: the weight is (1+|x|)
+        data = tiny(weights_to_track=[
+            {"weight": {"kind": "standard", "a": 0.0, "b": 2.0, "c": 1.0}}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CertificationWarning)
+            s = scenario_from_dict(data)
+        assert s.weights_to_track[0].weight.certifiable
+        assert s.weight_warnings() == []
+
     def test_boundary_contaminated_initial_rejected(self):
         # tails of e^{-|x|/10} are ~e^{-2} at the edge of a half-width-20 box
         bad = tiny(initial_data={"kind": "mollified_exponential",

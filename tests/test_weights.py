@@ -14,6 +14,7 @@ from chlab.config import ConfigError, TrackedWeight, scenario_from_dict
 from chlab.field import Field, Grid
 from chlab.weights import (
     MAX_DOUBLINGS,
+    QUAD_INNER_TOL,
     QUAD_RANGE0,
     SAMPLE_COUNT,
     SAMPLE_RANGE,
@@ -21,8 +22,11 @@ from chlab.weights import (
     StandardFamily,
     Truncated,
     Weight,
+    _G7_WEIGHTS,
     _GK_MAX_LIVE,
     _GK_MAX_ROUNDS,
+    _K15_NODES,
+    _K15_WEIGHTS,
     _SCAN_BLOCK,
     _YOUNG_SLACK,
     _gauss_kronrod,
@@ -118,6 +122,16 @@ class TestTruncation:
             Truncated(self.base, 0.0)
 
 
+# weights that decay on some side, and the condition each one fails
+DECAYING = [
+    (StandardFamily(a=-0.5, b=1.0), "a < 0"),
+    (StandardFamily(c=-1.0), "c < 0"),
+    (StandardFamily(d=-1.0), "d < 0"),
+    (OneSided(a=-0.5), "a < 0"),
+    (Truncated(StandardFamily(c=-1.0), 10.0), "c < 0"),
+]
+
+
 class TestSubmultiplicativity:
     @given(x=points, y=points, **admissible_params)
     def test_admissible_family_ratio_at_most_one(self, x, y, a, b, c, d):
@@ -128,6 +142,23 @@ class TestSubmultiplicativity:
         w = StandardFamily(a=0.1, b=2.0)  # e^{0.1 x^2}
         assert moderate_ratio(w, 10.0, 10.0) > 1.0
         assert not w.certifiable
+
+    def test_growth_exponent_is_moot_without_exponential_factor(self):
+        w = StandardFamily(a=0.0, b=2.0, c=1.0)  # (1+|x|)
+        assert w.certifiable and w.obstruction is None
+        cert = certify_admissible(w)
+        assert cert["admissible"]
+        assert cert["integral_v_exp"] == pytest.approx(4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("w,condition", DECAYING,
+                             ids=[str(row[0]) for row in DECAYING])
+    def test_decaying_weight_is_not_certified(self, w, condition):
+        # v = phi has inf v = 0 on the line, and v(0) = 1 > v(x) v(-x):
+        # whatever the samples on [-32, 32] give, no certificate holds
+        assert moderate_ratio(w, 5.0, -5.0) > 1.0
+        assert not w.certifiable
+        assert condition in w.obstruction
+        assert not certify_admissible(w)["admissible"]
 
 
 class TestCertification:
@@ -210,19 +241,92 @@ CLOSED_FORMS = [
 ]
 
 
-class CountingWeight(Weight):
-    """Delegates to ``base`` and counts the points its log is taken at."""
+class Delegate(Weight):
+    """Delegates to ``base``, but reads as not even whatever ``base`` is:
+    its certificate scans and integrates the whole line."""
 
     def __init__(self, base):
         self.base = base
-        self.points = 0
 
     def _log_value(self, x):
-        self.points += np.size(x)
         return self.base._log_value(x)
 
     def _log_derivative(self, x):
         return self.base._log_derivative(x)
+
+
+class CountingWeight(Delegate):
+    """Delegates to ``base``, even when it is, and records the size of each
+    point set its log is taken at."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.even = base.even
+        self.sizes = []
+
+    def _log_value(self, x):
+        self.sizes.append(np.size(x))
+        return self.base._log_value(x)
+
+
+def rounds_alone(log_f, piece, p):
+    """Rounds the adaptive quadrature needs on one piece and one power."""
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return log_f(x)
+
+    _gauss_kronrod(counted, [piece], (p,), QUAD_INNER_TOL)
+    return len(calls)
+
+
+def reference_gauss_kronrod(f, lo, hi, tol):
+    """One piece and one integrand, one subinterval product at a time: the
+    adaptive G7/K15 quadrature as a plain loop."""
+    live, accepted = [(lo, hi)], []
+    for round_ in range(_GK_MAX_ROUNDS):
+        bisected = []
+        for a, b in live:
+            centre, half = 0.5 * (a + b), 0.5 * (b - a)
+            ys = f(centre + half * _K15_NODES)
+            if not np.all(np.isfinite(ys)):
+                return math.inf
+            kronrod = half * float(ys @ _K15_WEIGHTS)
+            if abs(kronrod - half * float(ys @ _G7_WEIGHTS)) <= (
+                    tol * (b - a) / (hi - lo)):
+                accepted.append(kronrod)
+            else:
+                bisected.append((a, b, centre, kronrod))
+        if not bisected:
+            break
+        if (round_ == _GK_MAX_ROUNDS - 1
+                or 2 * len(bisected) > _GK_MAX_LIVE):
+            accepted.extend(k for *_, k in bisected)
+            break
+        live = [(a, c) for a, _, c, _ in bisected] + [
+            (c, b) for _, b, c, _ in bisected]
+    return math.fsum(accepted)
+
+
+def identity(x):
+    return x
+
+
+def cusp(x):
+    """log of x^{-1/2}: no subinterval at 0 meets its share of tol."""
+    return -0.5 * np.log(np.abs(x))
+
+
+# (log_f, pieces of one batch): pieces that converge, hit the live cap
+# (e^x on [0, 700], x^{-1/2} next to 0) or overflow (e^x on [0, 1000], and
+# e^{2x} on [0, 700])
+BATCHES = [
+    (identity, [(-5.0, 0.0), (0.0, 700.0), (0.0, 1000.0), (1.0, 3.0)]),
+    (cusp, [(-1.0, 0.0), (0.0, 1.0), (1.0, 4.0)]),
+    (threshold_weight(1.0)._log_value, [(-32.0, 0.0), (0.0, 32.0),
+                                        (32.0, 64.0)]),
+]
 
 
 class TestQuadrature:
@@ -242,42 +346,121 @@ class TestQuadrature:
         counting = CountingWeight(base)
         cert = certify_admissible(counting)
         assert cert["admissible"]
-        # the rest are the sampled constants and the sup scan's grid
-        quadrature = (counting.points - 4 * SAMPLE_COUNT
-                      - _sup_scan_grid()[0].size)
-        assert 0 < quadrature <= 10**5
+        # the rest are the sampled constants (x + y, x and y of the pairs,
+        # and the points) and the blocks of the sup scan on x >= 0
+        half = _sup_scan_grid()[0].size // 2
+        blocks = -(-half // _SCAN_BLOCK)
+        assert counting.sizes[:4] == [SAMPLE_COUNT] * 4
+        quadrature = counting.sizes[4:-blocks]
+        assert sum(counting.sizes[-blocks:]) == half
+        assert 0 < sum(quadrature) <= 10**5
+        # one log evaluation per round: no more than the costliest piece and
+        # power of each doubling need alone
+
+        def log_f(x):
+            return base._log_value(x) - np.abs(x)
+
+        R = cert["quadrature_range"]
+        pieces = [(0.0, QUAD_RANGE0)] + [
+            (r, 2 * r) for r in QUAD_RANGE0 * 2.0 ** np.arange(
+                round(math.log2(R / QUAD_RANGE0)))]
+        rounds = sum(max(rounds_alone(log_f, piece, p) for p in (1.0, 2.0))
+                     for piece in pieces)
+        assert len(quadrature) <= rounds
+
+    @pytest.mark.parametrize("log_f,pieces", BATCHES,
+                             ids=["overflow-and-caps", "cusp", "threshold"])
+    def test_each_piece_of_a_batch_equals_it_alone(self, log_f, pieces):
+        batch = _gauss_kronrod(log_f, pieces, (1.0, 2.0), QUAD_INNER_TOL)
+        assert batch.shape == (len(pieces), 2)
+        for i, piece in enumerate(pieces):
+            for j, p in enumerate((1.0, 2.0)):
+                alone = _gauss_kronrod(log_f, [piece], (p,), QUAD_INNER_TOL)
+                assert batch[i, j] == alone[0, 0]
+
+    @pytest.mark.parametrize("log_f,pieces", BATCHES,
+                             ids=["overflow-and-caps", "cusp", "threshold"])
+    def test_batch_matches_the_plain_loop(self, log_f, pieces):
+        # the rows are summed in another order than the loop's dot products
+        batch = _gauss_kronrod(log_f, pieces, (1.0, 2.0), QUAD_INNER_TOL)
+        for i, (lo, hi) in enumerate(pieces):
+            for j, p in enumerate((1.0, 2.0)):
+                with np.errstate(over="ignore"):
+                    ref = reference_gauss_kronrod(
+                        lambda x: np.exp(p * log_f(x)), lo, hi, QUAD_INNER_TOL)
+                assert batch[i, j] == pytest.approx(ref, rel=1e-13)
+
+    def test_non_finite_piece_poisons_only_its_own_integral(self):
+        # e^x overflows on [0, 1000] and e^{2x} on [0, 700]; e^x does not
+        batch = _gauss_kronrod(identity, [(0.0, 1000.0), (0.0, 700.0),
+                                          (-5.0, 0.0)], (1.0, 2.0), 1e-9)
+        assert batch[0, 0] == batch[0, 1] == batch[1, 1] == math.inf
+        assert batch[1, 0] == pytest.approx(math.expm1(700.0), rel=1e-12)
+        assert batch[2, 0] == pytest.approx(-math.expm1(-5.0), rel=1e-12)
+        assert batch[2, 1] == pytest.approx(-0.5 * math.expm1(-10.0),
+                                            rel=1e-12)
 
     def test_overflowing_sample_gives_inf(self):
-        with np.errstate(over="ignore"):
-            value = _gauss_kronrod(np.exp, 0.0, 1000.0, 1e-9)
-        assert value == math.inf
+        value = _gauss_kronrod(identity, [(0.0, 1000.0)], (1.0,), 1e-9)
+        assert value[0, 0] == math.inf
 
     def test_live_interval_cap_bounds_the_work(self):
         # e^x reaches 1e304 on [0, 700]: an absolute tolerance of 1e-9 is
         # never met, so every subinterval is bisected until the cap
         sizes = []
 
-        def f(x):
+        def log_f(x):
             sizes.append(x.size)
-            return np.exp(x)
+            return x
 
-        value = _gauss_kronrod(f, 0.0, 700.0, 1e-9)
+        value = _gauss_kronrod(log_f, [(0.0, 700.0)], (1.0,), 1e-9)[0, 0]
         assert value == pytest.approx(math.expm1(700.0), rel=1e-12)
         assert max(sizes) <= _GK_MAX_LIVE * 15
         assert len(sizes) < _GK_MAX_ROUNDS
 
     def test_round_cap_bounds_the_work(self):
         # on [0, w], |K15 - G7| of x^{-1/2} scales like w^{1/2}, so the
-        # subinterval at 0 never meets its share tol * w of the tolerance
+        # subinterval at 0 never meets its share tol * w of the tolerance;
+        # tol is far above the rounding noise of e^{-log(x)/2}, which fails
+        # the small subintervals next to it at tol = 1e-9
         calls = []
 
-        def f(x):
+        def log_f(x):
             calls.append(x.size)
-            return 1.0 / np.sqrt(x)
+            return cusp(x)
 
-        value = _gauss_kronrod(f, 0.0, 1.0, 1e-9)
+        value = _gauss_kronrod(log_f, [(0.0, 1.0)], (1.0,), 1e-3)[0, 0]
         assert len(calls) == _GK_MAX_ROUNDS
+        assert max(calls) < _GK_MAX_LIVE
         assert value == pytest.approx(2.0, rel=1e-9)
+
+
+EVEN = [row[0] for row in CLOSED_FORMS if row[0].even]
+
+
+class TestEvenWeights:
+    @pytest.mark.parametrize("v", EVEN, ids=[str(v) for v in EVEN])
+    def test_half_line_certificate_equals_the_whole_line_one(self, v):
+        half, whole = certify_admissible(v), certify_admissible(Delegate(v))
+        for key in ("C0", "A", "inf_v", "quadrature_range"):
+            assert half[key] == whole[key]
+        assert half["lp_v_exp"]["inf"] == whole["lp_v_exp"]["inf"]
+        assert half["integral_v_exp"] == pytest.approx(
+            whole["integral_v_exp"], rel=1e-12)
+        assert half["lp_v_exp"]["2.0"] == pytest.approx(
+            whole["lp_v_exp"]["2.0"], rel=1e-12)
+
+    def test_which_weights_are_even(self):
+        assert threshold_weight(1.0) in EVEN
+        assert not OneSided(a=0.5).even
+        assert not Truncated(OneSided(a=0.5), 10.0).even
+        assert Truncated(StandardFamily(c=2.0), 10.0).even
+
+    @given(**admissible_params)
+    def test_standard_family_log_is_even_to_the_bit(self, a, b, c, d):
+        w = StandardFamily(a=a, b=b, c=c, d=d)
+        xs = np.linspace(0.0, 200.0, 101)
+        assert np.array_equal(w._log_value(xs), w._log_value(-xs))
 
 
 def whole_grid_scan(v):
