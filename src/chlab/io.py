@@ -49,13 +49,16 @@ def format_number(value: float) -> str:
 
 
 def _write_table(path: Path, header: Sequence[str],
-                 rows: Iterable[Sequence[float]]) -> None:
-    """Write a header and rows of numbers, each as ``format_number`` gives
-    it (numpy tables pass ``.tolist()``).  No header name and no float
-    ``repr`` holds a comma, quote or newline, so no field needs CSV
+                 columns: Iterable[Iterable[float]]) -> None:
+    """Write a header and the table of the given columns, each number as
+    ``format_number`` gives it (numpy columns pass ``.tolist()``, a table
+    kept as rows passes ``zip(*rows, strict=True)``).  Each column gets one
+    formatter, not one per row, and the rows are joined from the formatters
+    as they go, so no column of strings is held.  No header name and no
+    float ``repr`` holds a comma, quote or newline, so no field needs CSV
     quoting and the lines are joined directly."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, map(float, row))) for row in rows)
+    formatters = [map(repr, map(float, column)) for column in columns]
+    lines = [",".join(header), *map(",".join, zip(*formatters, strict=True))]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -63,18 +66,19 @@ def _write_table(path: Path, header: Sequence[str],
 def write_run_csv(path, log: RunLog) -> None:
     """Write the observation log: t,dt,min_slope,u_inf,ux_inf,energy,mass
     plus the probes' columns (W_<i> per tracked weight, rate_cap_sup)."""
-    _write_table(Path(path), log.header, log.rows)
+    _write_table(Path(path), log.header, zip(*log.rows, strict=True))
 
 
 def write_profile_csv(path, rows: Iterable[Sequence[float]]) -> None:
     """Write ProfileTrace rows under ``profiles.PROFILE_HEADER``."""
-    _write_table(Path(path), PROFILE_HEADER, rows)
+    _write_table(Path(path), PROFILE_HEADER, zip(*rows, strict=True))
 
 
 def write_snapshot_csv(path, grid, u_initial, u_final) -> None:
     """Write initial and terminal solution samples on the run grid."""
-    rows = np.column_stack((grid.x, u_initial, u_final))
-    _write_table(Path(path), ("x", "u_initial", "u_final"), rows.tolist())
+    columns = [np.asarray(c, dtype=float).tolist()
+               for c in (grid.x, u_initial, u_final)]
+    _write_table(Path(path), ("x", "u_initial", "u_final"), columns)
 
 
 def write_summary(path, summary: Mapping) -> None:

@@ -16,16 +16,13 @@ aborted sweep.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
-import multiprocessing
 import os
 import signal
 import time
 import warnings
 from dataclasses import dataclass
-from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -231,6 +228,11 @@ def _run_children(jobs: List[tuple], n_workers: int) -> List[dict]:
     ``n_workers`` alive at a time, and return the rows in input order.
     A child that dies before it sends its row becomes an error row naming
     the exit cause (exit status or signal)."""
+    # imported here: only a sweep needs them, and they cost every other
+    # command's start-up about 10 ms
+    import multiprocessing
+    from multiprocessing.connection import wait
+
     ctx = multiprocessing.get_context()
     rows: List[Optional[dict]] = [None] * len(jobs)
     pending = list(enumerate(jobs))
@@ -324,6 +326,8 @@ _SWEEP_PREDICTORS = ("decay_blowup", "slope_criterion")
 
 
 def _write_sweep_csv(path: Path, rows: Iterable[Mapping]) -> None:
+    import csv  # only a sweep writes this table
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("value", "status", "t_final", "bracket_lo",

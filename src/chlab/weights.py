@@ -27,7 +27,10 @@ results reproduce bit-for-bit under a fixed seed.  The settings are fixed,
 and the seed is the only one a caller chooses (``chlab weights certify
 --seed``):
 
-* 20,000 seeded pairs and 20,000 seeded points on [-32, 32];
+* 20,000 seeded pairs and 20,000 seeded points on [-32, 32], drawn once
+  per seed and shared, read-only, by every certificate of that seed; each
+  sampled or scanned extremum (``C0``, ``inf_v``, the overflow test, the
+  sup of v(x) e^{-|x|}) is a max or min of log values, exponentiated once;
 * the decay integrals of v(x) e^{-|x|} and of its square by adaptive
   Gauss-Kronrod quadrature on [-R, R], R starting at 32 and doubling at
   most 12 times until the added tails fall below 1e-10 (else it is reported
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -410,10 +413,10 @@ def _sup_scan_grid() -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _sup_v_exp(v: Weight) -> float:
-    """max of v(x) e^{-|x|} over the scan grid, block by block; for an even
-    weight over its x >= 0 half, which the grid mirrors.  The block maxima
-    are reduced with np.max, so a NaN or +inf anywhere comes out as the
-    whole-grid np.max would give it."""
+    """max of v(x) e^{-|x|} over the scan grid, for an even weight over its
+    x >= 0 half, which the grid mirrors: the largest block maximum of
+    log v(x) - |x|, exponentiated once.  np.max carries a NaN or +inf from
+    any block into the result, as the whole-grid maximum would."""
     grid, abs_grid = _sup_scan_grid()
     if v.even:
         half = grid.size // 2
@@ -423,9 +426,24 @@ def _sup_v_exp(v: Weight) -> float:
     with np.errstate(over="ignore"):
         for k, start in enumerate(starts):
             block = slice(start, start + _SCAN_BLOCK)
-            peaks[k] = np.max(
-                np.exp(v._log_value(grid[block]) - abs_grid[block]))
-    return float(np.max(peaks))
+            peaks[k] = np.max(v._log_value(grid[block]) - abs_grid[block])
+        return float(np.exp(np.max(peaks)))
+
+
+@lru_cache(maxsize=4)
+def _sample_set(seed: int) -> Tuple[np.ndarray, ...]:
+    """The seeded sample set of a certificate, drawn once per seed and kept
+    read-only (the last few seeds; one command certifies under one): x + y,
+    x and y of the SAMPLE_COUNT pairs, each contiguous, then the
+    SAMPLE_COUNT single points."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=(SAMPLE_COUNT, 2))
+    points = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=SAMPLE_COUNT)
+    x, y = np.ascontiguousarray(pairs.T)
+    samples = (x + y, x, y, points)
+    for arr in samples:
+        arr.flags.writeable = False
+    return samples
 
 
 def certify_admissible(weight: Weight, seed: int = 0) -> dict:
@@ -442,17 +460,27 @@ def certify_admissible(weight: Weight, seed: int = 0) -> dict:
     norms of v(x) e^{-|x|}, keyed "2.0" and "inf".  The record also carries
     the sample set (``sample_range``, ``sample_count``, ``seed``), so
     certificates reproduce bit-for-bit.
-    """
-    rng = np.random.default_rng(seed)
-    pairs = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=(SAMPLE_COUNT, 2))
-    singles = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=SAMPLE_COUNT)
 
-    C0 = float(np.max(moderate_ratio(weight, pairs[:, 0], pairs[:, 1])))
-    A = float(np.max(np.abs(weight.log_derivative(singles))))
-    v_vals = weight.value(singles)
-    inf_v = float(np.min(v_vals))
-    overflowed = bool(not np.all(np.isfinite(v_vals))
-                      or not math.isfinite(C0))
+    Every certificate of a seed reads the same sample set, drawn once.
+    Each sampled or scanned extremum is taken over log values and
+    exponentiated once: ``C0`` is exp of the largest
+    log v(x+y) - log v(x) - log v(y), and ``inf_v`` and the overflow test
+    read ``weight.value`` at the points of least and greatest log v (so a
+    truncation keeps its exact clamp).  exp is monotone, so each equals the
+    extremum of the exponentiated samples, a NaN or +inf included (the
+    tests check it to the bit).
+    """
+    sums, xs, ys, points = _sample_set(seed)
+    with np.errstate(over="ignore"):
+        C0 = float(np.exp(np.max(weight._log_value(sums)
+                                 - weight._log_value(xs)
+                                 - weight._log_value(ys))))
+    A = float(np.max(np.abs(weight.log_derivative(points))))
+    # v at the extremal points of log v: its min and max over the points
+    log_v = weight._log_value(points)
+    inf_v, sup_v = map(float, weight.value(
+        points[[np.argmin(log_v), np.argmax(log_v)]]))
+    overflowed = not (math.isfinite(sup_v) and math.isfinite(C0))
 
     ((integral, converged, R_final),
      (sq_integral, sq_converged, _)) = _decay_integrals(weight)

@@ -7,9 +7,11 @@
   and named by another module of the package, the tests or the
   benchmark: an export nothing uses is not public API.
 * The CLI path loads no scipy module: scipy is a test-only dependency.
+* Importing the CLI loads neither ``multiprocessing`` nor ``csv``: only a
+  sweep uses them, and it imports them itself.
 
 The first three are checked from the syntax tree alone, so a module that
-fails to import still gets its hygiene checked.  The last runs a fresh
+fails to import still gets its hygiene checked.  The last two run a fresh
 interpreter.
 """
 
@@ -156,3 +158,21 @@ def test_cli_path_loads_no_scipy():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]", f"scipy loaded: {done.stdout}"
+
+
+# Imports the CLI, then prints every sweep-only module loaded.
+_CLI_IMPORT = f"""
+import sys
+sys.path.insert(0, {str(PACKAGE.parent)!r})
+import chlab.cli
+print(sorted(m for m in sys.modules
+             if m == "csv" or m.partition(".")[0] == "multiprocessing"))
+"""
+
+
+def test_cli_import_loads_no_sweep_only_module():
+    # multiprocessing and csv serve only a sweep, which imports them itself
+    done = subprocess.run([sys.executable, "-c", _CLI_IMPORT],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]", f"loaded: {done.stdout}"

@@ -20,7 +20,7 @@ from chlab.diagnostics import (decay_blowup_predict, mckean_classify,
                                rate_cap_check, slope_criterion_predict)
 from chlab.field import momentum_of
 from chlab.runner import apply_axis, run_scenario, sweep
-from chlab.weights import StandardFamily, certify_admissible
+from chlab.weights import StandardFamily, _sample_set, certify_admissible
 from helpers import read_csv, read_summary
 
 # N = 256 at this box size carries a dealiasing-cut floor near 1e-8 of
@@ -744,6 +744,33 @@ class TestCli:
         assert stored["seed"] == 7 and cert["seed"] == 7
         assert cert == certify_admissible(w, seed=7)
         assert cert["C0"] != certify_admissible(w)["C0"]
+
+    def test_weights_certify_draws_the_samples_once(self, tmp_path,
+                                                    monkeypatch):
+        # 4 distinct weights, one seed: one draw of the sample set
+        draws = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            draws.append(seed)
+            return default_rng(seed)
+
+        _sample_set.cache_clear()
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        path = tmp_path / "four.yaml"
+        path.write_text(
+            TINY_YAML
+            + "  - weight: {kind: one_sided, a: 0.5}\n    p: inf\n"
+            + "  - weight: {kind: standard, a: 0.5, b: 1.0}\n    p: 2\n"
+            + "  - weight: {kind: truncated, cap: 10.0,"
+              " base: {kind: standard, c: 2.0}}\n    p: 2\n")
+        out = tmp_path / "runs"
+        assert main(["weights", "certify", str(path), "--out", str(out),
+                     "--seed", "3", "--quiet"]) == 0
+        assert draws == [3]
+        records = read_summary(out / load_scenario(path).run_dirname()
+                               / "weight_certificates.json")["certificates"]
+        assert len({r["weight"] for r in records}) == 4
 
     def test_negative_seed_exits_2(self, tmp_path):
         # numpy's seeding rejects a negative seed; the parser refuses it

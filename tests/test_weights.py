@@ -30,6 +30,7 @@ from chlab.weights import (
     _SCAN_BLOCK,
     _YOUNG_SLACK,
     _gauss_kronrod,
+    _sample_set,
     _sup_scan_grid,
     _sup_v_exp,
     certify_admissible,
@@ -347,11 +348,13 @@ class TestQuadrature:
         cert = certify_admissible(counting)
         assert cert["admissible"]
         # the rest are the sampled constants (x + y, x and y of the pairs,
-        # and the points) and the blocks of the sup scan on x >= 0
+        # and the points, then v at the two extremal points of log v) and
+        # the blocks of the sup scan on x >= 0
         half = _sup_scan_grid()[0].size // 2
         blocks = -(-half // _SCAN_BLOCK)
-        assert counting.sizes[:4] == [SAMPLE_COUNT] * 4
-        quadrature = counting.sizes[4:-blocks]
+        assert counting.sizes[:5] == [SAMPLE_COUNT] * 4 + [2]
+        assert counting.sizes.count(SAMPLE_COUNT) == 4
+        quadrature = counting.sizes[5:-blocks]
         assert sum(counting.sizes[-blocks:]) == half
         assert 0 < sum(quadrature) <= 10**5
         # one log evaluation per round: no more than the costliest piece and
@@ -529,6 +532,119 @@ class TestSubmultiplicativeRatio:
             -SAMPLE_RANGE, SAMPLE_RANGE, size=(SAMPLE_COUNT, 2))
         ratio = float(np.max(moderate_ratio(v, pairs[:, 0], pairs[:, 1])))
         assert cert["v_submultiplicative_ratio"] == cert["C0"] == ratio
+
+
+def point_space_extrema(v, seed):
+    """C0, inf_v and overflowed as the samples' exponentiated values give
+    them: drawn afresh, every ratio and value exponentiated, then reduced."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=(SAMPLE_COUNT, 2))
+    singles = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=SAMPLE_COUNT)
+    C0 = float(np.max(moderate_ratio(v, pairs[:, 0], pairs[:, 1])))
+    v_vals = v.value(singles)
+    inf_v = float(np.min(v_vals))
+    overflowed = bool(not np.all(np.isfinite(v_vals))
+                      or not math.isfinite(C0))
+    return C0, inf_v, overflowed
+
+
+def same_bits(a, b):
+    """Equal to the bit, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def random_standard_weights(count, seed=2024):
+    """A seeded batch of the standard family on both sides of the
+    certifiable range: decaying, super-exponential and overflowing ones."""
+    rng = np.random.default_rng(seed)
+    return [StandardFamily(a=float(rng.uniform(0.0, 1.2)),
+                           b=float(rng.uniform(0.0, 1.5)),
+                           c=float(rng.uniform(-1.0, 4.0)),
+                           d=float(rng.uniform(-1.0, 3.0)))
+            for _ in range(count)]
+
+
+# the closed-form weights, the kinds the benchmark certifies on top of them
+# (one-sided, a truncation, the threshold profile with d = 3/4 and a
+# sub-exponential one), weights whose v e^{-|x|} (a = 1.2) or whose samples
+# (a = 30) overflow, and a truncation clamped on every sample
+LOG_SPACE_CASES = list(dict.fromkeys(
+    [row[0] for row in CLOSED_FORMS]
+    + [OneSided(a=0.5), Truncated(StandardFamily(a=1.0, b=1.0), 1e4),
+       threshold_weight(0.75), StandardFamily(a=0.5, b=0.5),
+       StandardFamily(a=1.2, b=1.0), StandardFamily(a=30.0, b=1.0),
+       Truncated(StandardFamily(c=3.0), 0.5)]
+    + random_standard_weights(24)))
+
+
+class NaNAtSample(NaNAt):
+    """NaN at one sample point, flat elsewhere, with a log-derivative."""
+
+    def _log_derivative(self, x):
+        return np.zeros_like(x)
+
+
+class TestLogSpaceExtrema:
+    """The certificate takes each extremum over log values and exponentiates
+    once; it equals the extremum of the exponentiated samples to the bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("v", LOG_SPACE_CASES,
+                             ids=[str(v) for v in LOG_SPACE_CASES])
+    def test_equals_point_space_to_the_bit(self, v, seed):
+        cert = certify_admissible(v, seed)
+        C0, inf_v, overflowed = point_space_extrema(v, seed)
+        assert same_bits(cert["C0"], C0)
+        assert same_bits(cert["inf_v"], inf_v)
+        assert cert["overflowed"] is overflowed
+        assert same_bits(cert["lp_v_exp"]["inf"], whole_grid_scan(v)[1])
+
+    def test_overflow_cases_are_covered(self):
+        # v e^{-|x|} overflows on the scan, not on the samples ...
+        cert = certify_admissible(StandardFamily(a=1.2, b=1.0))
+        assert cert["lp_v_exp"]["inf"] == math.inf
+        assert not cert["overflowed"]
+        # ... and e^{30|x|} overflows on the samples, with C0 finite
+        cert = certify_admissible(StandardFamily(a=30.0, b=1.0))
+        assert cert["overflowed"] and math.isfinite(cert["C0"])
+        assert not cert["admissible"]
+
+    # NaN at the first coordinate of one pair (C0) or at one point (inf_v
+    # and the overflow test)
+    @pytest.mark.parametrize("column", [0, 2], ids=["pair", "point"])
+    def test_nan_at_one_sample_propagates(self, column):
+        rng = np.random.default_rng(0)
+        pairs = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE,
+                            size=(SAMPLE_COUNT, 2))
+        singles = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=SAMPLE_COUNT)
+        at = (pairs[:, 0] if column == 0 else singles)[SAMPLE_COUNT // 3]
+        v = NaNAtSample(at)
+        cert = certify_admissible(v)
+        C0, inf_v, overflowed = point_space_extrema(v, 0)
+        assert math.isnan(C0) == (column == 0)
+        assert math.isnan(inf_v) == (column == 2)
+        assert same_bits(cert["C0"], C0)
+        assert same_bits(cert["inf_v"], inf_v)
+        assert cert["overflowed"] is overflowed is True
+        assert not cert["admissible"]
+
+    def test_sample_set_is_kept_read_only(self):
+        sums, xs, ys, points = _sample_set(5)
+        assert _sample_set(5)[0] is sums
+        rng = np.random.default_rng(5)
+        pairs = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE,
+                            size=(SAMPLE_COUNT, 2))
+        singles = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=SAMPLE_COUNT)
+        assert np.array_equal(xs, pairs[:, 0])
+        assert np.array_equal(ys, pairs[:, 1])
+        assert np.array_equal(sums, pairs[:, 0] + pairs[:, 1])
+        assert np.array_equal(points, singles)
+        for arr in (sums, xs, ys, points):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestWeightedNorms:
