@@ -22,8 +22,7 @@ Conventions that matter numerically:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -162,23 +161,21 @@ def weighted_pair_norm(u: Field, weight: Union[Weight, np.ndarray],
     return weighted_lp_norm(u, weight, p) + weighted_lp_norm(du, weight, p)
 
 
-@dataclass
 class PersistenceTrace:
     """Probe: one tracked weighted norm W as the log column ``name``,
-    which persistence_check fits together with the log's t and M."""
+    which persistence_check fits together with the log's t and M.  The
+    weight is sampled once, on ``grid``, the grid of the run's states."""
 
-    weight: Weight
-    p: float
-    name: str = "W"
-    _sampled: Optional[Tuple[Grid, np.ndarray]] = dc_field(
-        default=None, init=False, repr=False)
+    def __init__(self, weight: Weight, p: float, grid: Grid,
+                 name: str = "W") -> None:
+        self.weight = weight
+        self.p = p
+        self.name = name
+        self._samples = weight.value(grid.x)
 
     def record(self, state) -> float:
-        """W of a solver state.  The weight is sampled once per grid."""
-        u = state.u
-        if self._sampled is None or self._sampled[0] != u.grid:
-            self._sampled = (u.grid, self.weight.value(u.grid.x))
-        return weighted_pair_norm(u, self._sampled[1], self.p)
+        """W of a solver state."""
+        return weighted_pair_norm(state.u, self._samples, self.p)
 
     @property
     def columns(self) -> Tuple[str]:

@@ -108,13 +108,9 @@ class Grid:
         return 1.0 + self.k**2
 
     @cached_property
-    def _dealias_keep(self) -> np.ndarray:
-        """2/3-rule mask in rfft layout: keep modes j <= N/3."""
-        return (np.arange(self.N // 2 + 1) <= self.N // 3).astype(float)
-
-    @cached_property
     def _kept_band(self) -> slice:
-        """The modes j <= N/3 the 2/3-rule mask keeps, as an rfft slice."""
+        """The modes j <= N/3 the 2/3 rule keeps, as an rfft slice; the
+        solver, ``dealias_values`` and the profile integrands zero the rest."""
         return slice(0, self.N // 3 + 1)
 
     @cached_property
@@ -128,7 +124,9 @@ class Grid:
 
     def dealias_values(self, values: np.ndarray) -> np.ndarray:
         """Project sample values onto the 2/3-rule band."""
-        return np.fft.irfft(np.fft.rfft(values) * self._dealias_keep, n=self.N)
+        spectrum = np.fft.rfft(values)
+        spectrum[self._kept_band.stop:] = 0.0
+        return np.fft.irfft(spectrum, n=self.N)
 
     @cached_property
     def _workspace(self) -> "_Workspace":

@@ -70,7 +70,7 @@ def write_run_csv(path, log: RunLog) -> None:
 
 
 def write_profile_csv(path, rows: Iterable[Sequence[float]]) -> None:
-    """Write ProfileTrace rows under ``profiles.PROFILE_HEADER``."""
+    """Write ProfileAccumulator rows under ``profiles.PROFILE_HEADER``."""
     _write_table(Path(path), PROFILE_HEADER, zip(*rows, strict=True))
 
 

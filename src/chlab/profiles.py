@@ -25,8 +25,9 @@ residual eps(x,t) = e^{x}(u - u0 + UUx)/t - Phi(t) must be small compared
 to Phi; the advection correction UUx is subtracted explicitly since at
 finite x it is merely bounded, not negligible.
 
-``ProfileTrace`` is the probe for ``solver.run`` that does all of this
-along a run, one ``PROFILE_HEADER`` row per snapshot past t = 0, and
+``ProfileAccumulator(u0)`` is the probe for ``solver.run`` that does all
+of this along a run: it holds the datum, its windows and the running
+integrals, makes one ``PROFILE_HEADER`` row per snapshot past t = 0, and
 condenses the rows into the run summary's profile block.
 """
 
@@ -42,15 +43,14 @@ from .field import Field, Grid, helmholtz_inverse_dx, source_term
 
 __all__ = [
     "ProfileAccumulator",
-    "ProfileTrace",
     "phi_psi",
     "phi0_psi0",
-    "tail_window",
+    "tail_windows",
     "reconstruct",
     "profile_report",
 ]
 
-#: Columns of a ProfileTrace row, as ``profile.csv`` writes them.
+#: Columns of a profile row, as ``profile.csv`` writes them.
 PROFILE_HEADER = ("t", "Phi", "Psi", "c1", "c2", "max_eps_plus",
                   "max_eps_minus")
 
@@ -64,22 +64,41 @@ _WINDOW_FLOOR_REL = 1e-7
 _WINDOW_CEILING_REL = 1e-4
 _WINDOW_OUTER_FRACTION = 0.2
 
-# Crop of the weighted half integrals, relative to the integrand's peak.
+# Crop of the weighted half integrals, relative to the integrand's peak,
+# and the largest weighted integrand a band may end on, relative to its
+# weighted peak.
 _INTEGRAND_FLOOR_REL = 1e-7
+_BAND_END_MAX_REL = 1e-2
 
 
 class ProfileAccumulator:
-    """Running trapezoid-in-time integrals H = int F(u) ds and
-    UUx = int u u_x ds on the run's grid, fed by the snapshot observer."""
+    """Probe: running trapezoid-in-time integrals H = int F(u) ds and
+    UUx = int u u_x ds on the datum's grid, and past t = 0 one
+    ``PROFILE_HEADER`` row per snapshot: t, Phi, Psi, the running extremes
+    c1 = min and c2 = max of Phi and Psi so far, and the residual extremes
+    of ``profile_report`` over the datum's ``windows``.  When the weighted
+    integrals are refused (on the datum, or later when the tails leave the
+    grid or the noise floor is reached) it keeps the rows collected so
+    far, records why they stop in ``error``, and observes no further."""
 
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.H = np.zeros(grid.N)
-        self.UUx = np.zeros(grid.N)
+    columns = ()
+
+    def __init__(self, u0: Field):
+        self.u0 = u0
+        self.grid = u0.grid
+        self.windows = tail_windows(u0)
+        self.H = np.zeros(self.grid.N)
+        self.UUx = np.zeros(self.grid.N)
         self.t_last = 0.0
         self.n_snapshots = 0
         self._prev_F: Optional[np.ndarray] = None
         self._prev_adv: Optional[np.ndarray] = None
+        self.rows: List[Tuple[float, ...]] = []
+        self.error: Optional[str] = None
+        try:
+            self.Phi0, self.Psi0 = phi0_psi0(u0)
+        except ValueError as exc:
+            self.error = f"profiles stopped at t=0: {exc}"
 
     def accumulate(self, u: Field, t: float) -> "ProfileAccumulator":
         """Fold in a snapshot at strictly increasing time t."""
@@ -107,19 +126,58 @@ class ProfileAccumulator:
         grid = self.grid
         v = u.values
         ux = u.derivative_values
-        F = v * v + 0.5 * ux * ux
-        half_ik = 0.5 * grid._sym_derivative
-        keep = grid._dealias_keep
-        p = np.fft.rfft(np.stack((F, v * v)))
-        F, adv = np.fft.irfft(np.stack((p[0] * keep, half_ik * (p[1] * keep))),
-                              n=grid.N)
+        p = np.fft.rfft(np.stack((v * v + 0.5 * ux * ux, v * v)))
+        p[:, grid._kept_band.stop:] = 0.0
+        p[1] *= 0.5 * grid._sym_derivative
+        F, adv = np.fft.irfft(p, n=grid.N)
         return F, adv
 
-    def h(self) -> np.ndarray:
-        """The time average h = H / t at the last snapshot's time t."""
-        if self.n_snapshots < 2 or not (self.t_last > 0.0):
-            raise ValueError("accumulator has no time interval yet")
-        return self.H / self.t_last
+    def observe(self, state) -> Tuple[()]:
+        if self.error is not None:
+            return ()
+        self.accumulate(state.u, state.t)
+        if state.t <= 0.0:
+            return ()
+        try:
+            Phi, Psi = phi_psi(self)
+        except ValueError as exc:
+            self.error = f"profiles stopped at t={state.t:.6g}: {exc}"
+            return ()
+        c1, c2 = self.rows[-1][3:5] if self.rows else (math.inf, -math.inf)
+        eps_plus, eps_minus = profile_report(self, state.u, (Phi, Psi))
+        self.rows.append((state.t, Phi, Psi, min(c1, Phi, Psi),
+                          max(c2, Phi, Psi), eps_plus, eps_minus))
+        return ()
+
+    def summary(self, u: Field) -> dict:
+        """The profile block of the run summary, read from the last row;
+        ``u`` is the run's terminal state.  c1_positive is the two-sided
+        time-uniform positivity c1 > 0 that pins the tail profiles.  The
+        reconstruction error compares the evolution identity with u, so
+        it is None when the rows stopped before the run did."""
+        if not self.rows:
+            return {"snapshots": 0,
+                    "error": self.error or "no snapshots past t=0"}
+        _, Phi, Psi, c1, c2, eps_plus, eps_minus = self.rows[-1]
+        recon_err = None
+        if self.error is None:
+            recon = reconstruct(self).values
+            recon_err = float(np.max(np.abs(recon - u.values))
+                              / max(np.max(np.abs(u.values)), 1e-300))
+        return {
+            "Phi0": self.Phi0,
+            "Psi0": self.Psi0,
+            "snapshots": len(self.rows),
+            "c1": c1,
+            "c2": c2,
+            "c1_positive": c1 > 0.0,
+            "Phi_final": Phi,
+            "Psi_final": Psi,
+            "max_eps_plus": eps_plus,
+            "max_eps_minus": eps_minus,
+            "reconstruction_error_rel": recon_err,
+            "error": self.error,
+        }
 
 
 def _weighted_half_integral(values: np.ndarray, grid: Grid,
@@ -135,41 +193,43 @@ def _weighted_half_integral(values: np.ndarray, grid: Grid,
     there truncates the weighted integral at relative ~3e-4, and
     faster-decaying tails lose far less.
 
-    When the band reaches the domain edge a contamination guard applies:
-    a weighted integrand still within two orders of magnitude of its peak
-    at the edge means the grid cannot hold this statistic at all.  Any
-    band whose weighted integrand is largest at one of its ends is
-    refused too: values then decay no faster than the weight grows, and
-    the integral the crop truncates diverges.
+    The band is refused when its weighted integrand at either end is above
+    _BAND_END_MAX_REL of its weighted peak.  At the domain edge that means
+    the grid cannot hold this statistic at all; at the crop it means the
+    data decay too slowly against the weight for the crop to be harmless,
+    and where they decay no faster than the weight grows, the integral the
+    crop truncates diverges.
     """
     magnitude = np.abs(values)
     peak = float(magnitude.max())
     if peak == 0.0:
         return 0.0
     left, right = peak_band(magnitude, _INTEGRAND_FLOOR_REL * peak)
-    band = slice(left, right + 1)
-    integrand = np.exp(sign * grid.x[band]) * values[band]
-    if left == 0 or right == magnitude.size - 1:
-        wpeak = float(np.max(np.abs(integrand)))
-        edge = max(abs(float(integrand[0])), abs(float(integrand[-1])))
-        if wpeak > 0.0 and edge > 1e-2 * wpeak:
+    integrand = np.exp(sign * grid.x[left:right + 1]) * values[left:right + 1]
+    wpeak = float(np.max(np.abs(integrand)))
+    for end, i in ((left, 0), (right, -1)):
+        ratio = abs(float(integrand[i])) / wpeak
+        if ratio <= _BAND_END_MAX_REL:
+            continue
+        if end in (0, grid.N - 1):
             raise ValueError(
                 "weighted profile integrand is boundary-contaminated "
-                f"(edge/peak = {edge / wpeak:.2e}); enlarge the domain"
+                f"(edge/peak = {ratio:.2e}); enlarge the domain"
             )
-    i_peak = int(np.argmax(np.abs(integrand)))
-    if i_peak in (0, integrand.size - 1):
         raise ValueError(
-            "weighted profile integrand is largest at the end of its band "
-            f"(x = {grid.x[left + i_peak]:.6g}): the data decay no faster "
-            "than the weight grows, so the weighted integral diverges"
+            "weighted profile integrand is cut off at the crop "
+            f"(end/peak = {ratio:.2e} at x = {grid.x[end]:.6g}): the data "
+            "decay too slowly for the crop to hold the weighted integral"
         )
     return 0.5 * float(np.sum(integrand)) * grid.dx
 
 
 def phi_psi(acc: ProfileAccumulator) -> Tuple[float, float]:
-    """(Phi(t), Psi(t)): e^{+-y}-weighted means of h at t = acc.t_last."""
-    h = acc.h()
+    """(Phi(t), Psi(t)): e^{+-y}-weighted means of the time average
+    h = H / t at t = acc.t_last."""
+    if acc.n_snapshots < 2 or not (acc.t_last > 0.0):
+        raise ValueError("accumulator has no time interval yet")
+    h = acc.H / acc.t_last
     return (
         _weighted_half_integral(h, acc.grid, +1.0),
         _weighted_half_integral(h, acc.grid, -1.0),
@@ -191,51 +251,44 @@ def phi0_psi0(u0: Field, dealias: bool = False) -> Tuple[float, float]:
     )
 
 
-def tail_window(u0: Field, side: str) -> np.ndarray:
-    """Boolean mask of the automatic asymptotic window on one side.
+def tail_windows(u0: Field) -> Tuple[np.ndarray, np.ndarray]:
+    """Boolean masks (plus, minus) of the automatic asymptotic windows.
 
     Candidates are samples with _WINDOW_FLOOR_REL * peak < |u0| <
-    _WINDOW_CEILING_REL * peak on the requested side (x > 0 for 'plus',
-    x < 0 for 'minus'); the window is the outer _WINDOW_OUTER_FRACTION of
-    the candidate band in |x|.  Empty when the tails never enter the band
+    _WINDOW_CEILING_REL * peak on one side (x > 0 for plus, x < 0 for
+    minus); each window is the outer _WINDOW_OUTER_FRACTION of its
+    candidate band in |x|.  Empty when the tails never enter the band
     (e.g. compactly supported samples that jump straight from O(peak) to
-    roundoff).
+    roundoff, or u0 = 0).
     """
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     x = u0.grid.x
+    ax = np.abs(x)
     magnitude = np.abs(u0.values)
     peak = float(np.max(magnitude))
-    if peak == 0.0:
-        return np.zeros(u0.grid.N, dtype=bool)
-    candidates = (
-        (magnitude > _WINDOW_FLOOR_REL * peak)
-        & (magnitude < _WINDOW_CEILING_REL * peak)
-        & ((x > 0) if side == "plus" else (x < 0))
-    )
-    if not candidates.any():
-        return candidates
-    ax = np.abs(x)
-    hi = float(np.max(ax[candidates]))
-    lo = float(np.min(ax[candidates]))
-    inner_cut = hi - _WINDOW_OUTER_FRACTION * (hi - lo)
-    return candidates & (ax >= inner_cut)
+    band = ((magnitude > _WINDOW_FLOOR_REL * peak)
+            & (magnitude < _WINDOW_CEILING_REL * peak))
+    windows = []
+    for candidates in (band & (x > 0), band & (x < 0)):
+        if candidates.any():
+            hi = float(np.max(ax[candidates]))
+            lo = float(np.min(ax[candidates]))
+            candidates &= ax >= hi - _WINDOW_OUTER_FRACTION * (hi - lo)
+        windows.append(candidates)
+    return windows[0], windows[1]
 
 
-def reconstruct(acc: ProfileAccumulator, u0: Field) -> Field:
+def reconstruct(acc: ProfileAccumulator) -> Field:
     """u0 - (G * H)_x - UUx: the accumulated evolution identity.  Matches
     the solver state at acc.t_last up to time-quadrature error."""
     correction = helmholtz_inverse_dx(Field(acc.grid, acc.H)).values
-    return Field(acc.grid, u0.values - correction - acc.UUx)
+    return Field(acc.grid, acc.u0.values - correction - acc.UUx)
 
 
-def profile_report(acc: ProfileAccumulator, u: Field, u0: Field,
-                   amplitudes: Tuple[float, float],
-                   windows: Tuple[np.ndarray, np.ndarray]
-                   ) -> Tuple[float, float]:
+def profile_report(acc: ProfileAccumulator, u: Field,
+                   amplitudes: Tuple[float, float]) -> Tuple[float, float]:
     """(max|eps_plus|, max|eps_minus|) of the snapshot u at t = acc.t_last
-    over the automatic windows (plus, minus) of u0, where ``amplitudes``
-    is (Phi(t), Psi(t)) and
+    over the accumulator's windows (plus, minus), where ``amplitudes`` is
+    (Phi(t), Psi(t)) and
 
         eps_plus  =  e^{x} (u - u0 + UUx)/t - Phi(t),
         eps_minus = -e^{-x} (u - u0 + UUx)/t - Psi(t).
@@ -244,81 +297,10 @@ def profile_report(acc: ProfileAccumulator, u: Field, u0: Field,
     reports NaN rather than an error.
     """
     t = acc.t_last
-    change = u.values - u0.values + acc.UUx
+    change = u.values - acc.u0.values + acc.UUx
     extremes = []
-    for sign, amplitude, window in zip((1.0, -1.0), amplitudes, windows):
+    for sign, amplitude, window in zip((1.0, -1.0), amplitudes, acc.windows):
         x = u.grid.x[window]
         eps = sign * np.exp(sign * x) * (change[window] / t) - amplitude
         extremes.append(float(np.max(np.abs(eps))) if x.size else math.nan)
     return extremes[0], extremes[1]
-
-
-class ProfileTrace:
-    """Probe: folds every snapshot into a ProfileAccumulator and, past
-    t = 0, collects one ``PROFILE_HEADER`` row: t, Phi, Psi, the running
-    extremes c1 = min and c2 = max of Phi and Psi so far, and the residual
-    extremes of ``profile_report``.  When the weighted integrals are
-    refused (on the datum, or later when the tails leave the grid or the
-    noise floor is reached) it keeps the rows collected so far, records
-    why they stop, and observes no further."""
-
-    columns = ()
-
-    def __init__(self, u0: Field):
-        self.acc = ProfileAccumulator(u0.grid)
-        self.u0 = u0
-        self.windows = (tail_window(u0, "plus"), tail_window(u0, "minus"))
-        self.rows: List[Tuple[float, ...]] = []
-        self.error: Optional[str] = None
-        try:
-            self.Phi0, self.Psi0 = phi0_psi0(u0)
-        except ValueError as exc:
-            self.error = f"profiles stopped at t=0: {exc}"
-
-    def observe(self, state) -> Tuple[()]:
-        if self.error is not None:
-            return ()
-        self.acc.accumulate(state.u, state.t)
-        if state.t <= 0.0:
-            return ()
-        try:
-            Phi, Psi = phi_psi(self.acc)
-        except ValueError as exc:
-            self.error = f"profiles stopped at t={state.t:.6g}: {exc}"
-            return ()
-        c1, c2 = self.rows[-1][3:5] if self.rows else (math.inf, -math.inf)
-        eps_plus, eps_minus = profile_report(self.acc, state.u, self.u0,
-                                             (Phi, Psi), self.windows)
-        self.rows.append((state.t, Phi, Psi, min(c1, Phi, Psi),
-                          max(c2, Phi, Psi), eps_plus, eps_minus))
-        return ()
-
-    def summary(self, u: Field) -> dict:
-        """The profile block of the run summary, read from the last row;
-        ``u`` is the run's terminal state.  c1_positive is the two-sided
-        time-uniform positivity c1 > 0 that pins the tail profiles.  The
-        reconstruction error compares the evolution identity with u, so
-        it is None when the rows stopped before the run did."""
-        if not self.rows:
-            return {"snapshots": 0,
-                    "error": self.error or "no snapshots past t=0"}
-        _, Phi, Psi, c1, c2, eps_plus, eps_minus = self.rows[-1]
-        recon_err = None
-        if self.error is None:
-            recon = reconstruct(self.acc, self.u0).values
-            recon_err = float(np.max(np.abs(recon - u.values))
-                              / max(np.max(np.abs(u.values)), 1e-300))
-        return {
-            "Phi0": self.Phi0,
-            "Psi0": self.Psi0,
-            "snapshots": len(self.rows),
-            "c1": c1,
-            "c2": c2,
-            "c1_positive": c1 > 0.0,
-            "Phi_final": Phi,
-            "Psi_final": Psi,
-            "max_eps_plus": eps_plus,
-            "max_eps_minus": eps_minus,
-            "reconstruction_error_rel": recon_err,
-            "error": self.error,
-        }

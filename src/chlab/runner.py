@@ -35,7 +35,7 @@ from .diagnostics import (PersistenceTrace, RateCapTrace, persistence_check,
 from .io import (PROFILE_CSV, RUN_CSV, SCHEMA_VERSION, SNAPSHOT_CSV,
                  SUMMARY_JSON, format_number, write_profile_csv,
                  write_run_csv, write_snapshot_csv, write_summary)
-from .profiles import ProfileTrace
+from .profiles import ProfileAccumulator
 from .solver import RunLog, SolverState, Status, run
 
 __all__ = ["run_scenario", "sweep", "apply_axis"]
@@ -77,11 +77,11 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
     t_wall = time.perf_counter()
     u0 = scenario.build_initial()
 
-    traces = [PersistenceTrace(weight=tw.weight, p=tw.p, name=f"W_{i}")
+    traces = [PersistenceTrace(tw.weight, tw.p, u0.grid, name=f"W_{i}")
               for i, tw in enumerate(scenario.weights_to_track)]
     factor = scenario.rate_cap_factor
     rate_cap = RateCapTrace() if factor is not None else None
-    profiles = ProfileTrace(u0) if scenario.profiles_enabled else None
+    profiles = ProfileAccumulator(u0) if scenario.profiles_enabled else None
     probes = traces + [p for p in (rate_cap, profiles) if p is not None]
 
     state, log = run(u0, scenario.solver, probes)

@@ -1,7 +1,8 @@
 """Tail-profile machinery: time-averaged source, amplitude pair,
-automatic asymptotic windows, the ProfileTrace rows with their running
-bounds and residual extremes, and the evolution identity."""
+automatic asymptotic windows, the ProfileAccumulator rows with their
+running bounds and residual extremes, and the evolution identity."""
 
+import copy
 import math
 from types import SimpleNamespace
 
@@ -12,13 +13,13 @@ from chlab.field import Field, Grid, peakon, source_term
 from chlab.initial_data import Gaussian, MollifiedExponential, MollifiedPeakon
 from chlab.profiles import (
     ProfileAccumulator,
-    ProfileTrace,
     phi0_psi0,
     phi_psi,
     profile_report,
     reconstruct,
-    tail_window,
+    tail_windows,
 )
+from chlab.scenarios import builtin_scenario
 from chlab.solver import SolverConfig, run
 from helpers import count_transforms
 
@@ -34,37 +35,38 @@ def _slow_tail(rate):
 
 class TestAccumulator:
     def test_snapshot_times_must_increase(self):
-        acc = ProfileAccumulator(GRID).accumulate(GAUSSIAN, 0.0)
+        acc = ProfileAccumulator(GAUSSIAN).accumulate(GAUSSIAN, 0.0)
         acc.accumulate(GAUSSIAN, 0.5)
         with pytest.raises(ValueError, match="non-monotone"):
             acc.accumulate(GAUSSIAN, 0.5)
 
     def test_average_needs_an_interval(self):
-        acc = ProfileAccumulator(GRID)
+        acc = ProfileAccumulator(GAUSSIAN)
         with pytest.raises(ValueError, match="no time interval"):
-            acc.h()
+            phi_psi(acc)
         acc.accumulate(GAUSSIAN, 0.0)
         with pytest.raises(ValueError, match="no time interval"):
-            acc.h()
+            phi_psi(acc)
 
     def test_average_only_at_current_time(self):
         # h divides by the time of the last snapshot, the one time the
         # accumulator knows, so a constant snapshot keeps h = F(u) as the
         # integral grows
-        acc = ProfileAccumulator(GRID)
+        acc = ProfileAccumulator(GAUSSIAN)
         F = source_term(GAUSSIAN, dealias=True).values
         acc.accumulate(GAUSSIAN, 0.0).accumulate(GAUSSIAN, 1.0)
-        assert np.array_equal(acc.h(), F)
+        assert np.array_equal(acc.H / acc.t_last, F)
         acc.accumulate(GAUSSIAN, 4.0)
-        np.testing.assert_allclose(acc.h(), F, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(acc.H / acc.t_last, F, rtol=1e-15,
+                                   atol=0.0)
 
     def test_stationary_average_is_the_source_itself(self):
         # trapezoid over a constant-in-time field: h = F(u) exactly, so the
         # running amplitudes equal the t -> 0 values computed directly
-        acc = ProfileAccumulator(GRID)
+        acc = ProfileAccumulator(GAUSSIAN)
         acc.accumulate(GAUSSIAN, 0.0).accumulate(GAUSSIAN, 2.0)
         F = source_term(GAUSSIAN, dealias=True).values
-        assert np.array_equal(acc.h(), F)
+        assert np.array_equal(acc.H / acc.t_last, F)
         assert phi_psi(acc) == phi0_psi0(GAUSSIAN, dealias=True)
 
     def test_integrands_equal_the_separate_transforms(self):
@@ -72,9 +74,10 @@ class TestAccumulator:
         # (1/2) d/dx (u^2) bit for bit; the trapezoid over [0, 2] of a
         # constant snapshot is exactly twice each
         u = Gaussian(1.0, 1.0, 0.5).build(GRID)
-        acc = ProfileAccumulator(GRID)
+        acc = ProfileAccumulator(u)
         acc.accumulate(u, 0.0).accumulate(u, 2.0)
-        u2_hat = np.fft.rfft(u.values * u.values) * GRID._dealias_keep
+        keep = np.arange(GRID.N // 2 + 1) <= GRID.N // 3
+        u2_hat = np.fft.rfft(u.values * u.values) * keep
         adv = np.fft.irfft(0.5 * GRID._sym_derivative * u2_hat, n=GRID.N)
         F = source_term(u, dealias=True).values
         assert np.array_equal(acc.H, F + F)
@@ -85,7 +88,7 @@ class TestAccumulator:
         # advection term take one forward and one inverse call of a pair
         u = Gaussian(1.0, 1.0, 0.5).build(GRID)
         u.values, u.derivative_values
-        acc = ProfileAccumulator(GRID)
+        acc = ProfileAccumulator(u)
         counter = count_transforms(monkeypatch)
         for snapshots, t in enumerate((0.0, 0.5, 1.0), start=1):
             acc.accumulate(u, t)
@@ -131,25 +134,36 @@ class TestInitialAmplitudes:
         with pytest.raises(ValueError, match="boundary-contaminated"):
             phi0_psi0(u)
 
-    @pytest.mark.parametrize("rate", [0.3, 0.4])
+    @pytest.mark.parametrize("rate", [0.3, 0.4, 0.5])
     def test_divergent_weighted_integral_is_rejected(self, rate):
-        # e^{-rate|x|} with rate < 1/2: F(u) decays slower than e^{-|x|},
-        # so the e^{+y}-weighted integrand grows out to the crop, far
-        # inside the box, and the integral it truncates diverges
-        with pytest.raises(ValueError, match="largest at the end of its band"):
+        # e^{-rate|x|} with rate <= 1/2: F(u) decays no faster than
+        # e^{-|x|}, so the e^{+y}-weighted integrand does not decay out to
+        # the crop, far inside the box, and the integral it truncates
+        # diverges
+        with pytest.raises(ValueError, match="cut off at the crop"):
             phi0_psi0(_slow_tail(rate))
+
+    def test_crop_that_cuts_a_slow_tail_is_rejected(self):
+        # at rate 0.6 the integral converges, but the crop cuts the
+        # weighted integrand at 6.9e-2 of its peak and Phi0 reads 6% under
+        # the uncropped sum; at rate 0.8 the band ends at 2.4e-3 and
+        # stands.  The sign-change-momentum datum ends at 4.6e-2.
+        with pytest.raises(ValueError, match="cut off at the crop"):
+            phi0_psi0(_slow_tail(0.6))
+        assert phi0_psi0(_slow_tail(0.8))[0] == pytest.approx(1.31866,
+                                                              rel=1e-5)
+        u0 = builtin_scenario("sign-change-momentum").build_initial()
+        with pytest.raises(ValueError, match="cut off at the crop"):
+            phi0_psi0(u0)
 
 
 class TestTailWindow:
-    def test_side_validated(self):
-        with pytest.raises(ValueError, match="side must be"):
-            tail_window(GAUSSIAN, "right")
-
     def test_zero_field_has_no_window(self):
-        assert not tail_window(Field(GRID, np.zeros(GRID.N)), "plus").any()
+        plus, minus = tail_windows(Field(GRID, np.zeros(GRID.N)))
+        assert not plus.any() and not minus.any()
 
     def test_gaussian_window_sits_in_the_outer_band(self):
-        window = tail_window(GAUSSIAN, "plus")
+        window, _ = tail_windows(GAUSSIAN)
         assert window.any()
         x = GRID.x[window]
         mag = np.abs(GAUSSIAN.values[window])
@@ -163,8 +177,7 @@ class TestTailWindow:
         assert x.min() > GRID.x[candidates].min()
 
     def test_minus_window_mirrors_plus_for_even_data(self):
-        plus = tail_window(GAUSSIAN, "plus")
-        minus = tail_window(GAUSSIAN, "minus")
+        plus, minus = tail_windows(GAUSSIAN)
         assert np.count_nonzero(plus) == pytest.approx(
             np.count_nonzero(minus), abs=1
         )
@@ -174,13 +187,13 @@ class TestTailWindow:
         # |u0| jumps straight from peak to zero: no samples land between
         # the floor and the ceiling, so there is no asymptotic window
         values = np.where(np.abs(GRID.x) < 5.0, 1.0, 0.0)
-        assert not tail_window(Field(GRID, values), "plus").any()
+        assert not tail_windows(Field(GRID, values))[0].any()
 
 
 @pytest.fixture(scope="module")
 def evolved():
     """Short production-style run with a profile row at every step."""
-    trace = ProfileTrace(GAUSSIAN)
+    trace = ProfileAccumulator(GAUSSIAN)
     config = SolverConfig(t_end=0.25, snapshot_stride=1)
     state, _ = run(GAUSSIAN, config, [trace])
     return trace, state
@@ -212,7 +225,7 @@ class TestEvolutionRun:
         # u0 - (G * int F)_x - int u u_x agrees with the integrated state
         # up to time-quadrature error of the snapshot trapezoid
         trace, state = evolved
-        recon = reconstruct(trace.acc, GAUSSIAN)
+        recon = reconstruct(trace)
         err = float(np.max(np.abs(recon.values - state.u.values)))
         assert err < 1e-4
         assert err == pytest.approx(2.84182026e-05, rel=1e-6)
@@ -221,9 +234,8 @@ class TestEvolutionRun:
         trace, state = evolved
         t, Phi, Psi = trace.rows[-1][:3]
         assert trace.windows[0].any() and trace.windows[1].any()
-        assert t == trace.acc.t_last
-        eps_plus, eps_minus = profile_report(trace.acc, state.u, GAUSSIAN,
-                                             (Phi, Psi), trace.windows)
+        assert t == trace.t_last
+        eps_plus, eps_minus = profile_report(trace, state.u, (Phi, Psi))
         assert eps_plus < 0.01 * Phi
         assert eps_minus < 0.01 * Psi
 
@@ -233,8 +245,8 @@ class TestEvolutionRun:
         assert t == state.t
         assert (trace.Phi0, trace.Psi0) == phi0_psi0(GAUSSIAN)
         assert trace.Phi0 == pytest.approx(1.1539050833, rel=1e-9)
-        assert (eps_plus, eps_minus) == profile_report(
-            trace.acc, state.u, GAUSSIAN, (Phi, Psi), trace.windows)
+        assert (eps_plus, eps_minus) == profile_report(trace, state.u,
+                                                       (Phi, Psi))
         assert eps_plus == pytest.approx(7.035067e-4, rel=1e-5)
         assert eps_minus == pytest.approx(4.921778e-4, rel=1e-5)
         x = GRID.x[trace.windows[0]]
@@ -246,14 +258,14 @@ class TestEvolutionRun:
         trace, state = evolved
         Phi, Psi = trace.rows[-1][1:3]
         step = Field(GRID, np.where(np.abs(GRID.x) < 5.0, 0.5, 0.0))
-        empty = tail_window(step, "plus")
+        empty, _ = tail_windows(step)
         assert not empty.any()
-        both = profile_report(trace.acc, state.u, step, (Phi, Psi),
-                              (empty, empty))
+        acc = copy.copy(trace)
+        acc.u0, acc.windows = step, (empty, empty)
+        both = profile_report(acc, state.u, (Phi, Psi))
         assert all(math.isnan(eps) for eps in both)
-        eps_plus, eps_minus = profile_report(trace.acc, state.u, GAUSSIAN,
-                                             (Phi, Psi),
-                                             (trace.windows[0], empty))
+        acc.u0, acc.windows = GAUSSIAN, (trace.windows[0], empty)
+        eps_plus, eps_minus = profile_report(acc, state.u, (Phi, Psi))
         assert eps_plus == trace.rows[-1][5]
         assert math.isnan(eps_minus)
 
@@ -261,7 +273,7 @@ class TestEvolutionRun:
 class TestBoundsCheck:
     def test_empty_series_rejected(self):
         # a trace with no snapshot past t = 0 has no bounds to report
-        trace = _observe(ProfileTrace(GAUSSIAN), GAUSSIAN, [0.0])
+        trace = _observe(ProfileAccumulator(GAUSSIAN), GAUSSIAN, [0.0])
         assert trace.rows == []
         assert trace.summary(GAUSSIAN) == {"snapshots": 0,
                                            "error": "no snapshots past t=0"}
@@ -270,13 +282,13 @@ class TestBoundsCheck:
         # the datum's weighted integrals diverge: the trace records why
         # and observes nothing, so the run still ends with a block
         u = _slow_tail(0.4)
-        trace = _observe(ProfileTrace(u), u, [0.0, 0.1])
+        trace = _observe(ProfileAccumulator(u), u, [0.0, 0.1])
         summary = trace.summary(u)
-        assert trace.rows == [] and trace.acc.n_snapshots == 0
+        assert trace.rows == [] and trace.n_snapshots == 0
         assert summary["snapshots"] == 0
         assert summary["error"].startswith(
-            "profiles stopped at t=0: weighted profile integrand is largest "
-            "at the end of its band")
+            "profiles stopped at t=0: weighted profile integrand is cut off "
+            "at the crop")
 
     def test_extremes_span_both_components(self, evolved):
         # c1 and c2 are the running min and max over Phi and Psi together
@@ -293,6 +305,6 @@ class TestBoundsCheck:
         trace, state = evolved
         assert trace.summary(state.u)["c1_positive"]
         zero = Field(GRID, np.zeros(GRID.N))
-        summary = _observe(ProfileTrace(zero), zero,
+        summary = _observe(ProfileAccumulator(zero), zero,
                            [0.0, 0.1]).summary(zero)
         assert summary["c1"] == 0.0 and not summary["c1_positive"]

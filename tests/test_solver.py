@@ -104,7 +104,7 @@ class TestSpectralPipeline:
         from chlab.weights import StandardFamily
 
         u0 = Gaussian(1.0, 1.0, 0.0).build(GRID)
-        trace = PersistenceTrace(weight=StandardFamily(c=2.0), p=2.0)
+        trace = PersistenceTrace(StandardFamily(c=2.0), 2.0, GRID)
 
         def observe(s):
             peakon_rate_cap_check(s.u)
