@@ -48,65 +48,54 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    # SUPPRESS keeps a subcommand's unset flags from clobbering values the
-    # root parser already collected (the flags work in both positions).
-    parser.add_argument("--out", metavar="DIR", default=argparse.SUPPRESS,
+def build_parser() -> argparse.ArgumentParser:
+    # every parser takes the common flags from this parent; SUPPRESS keeps
+    # a subcommand's unset flags from clobbering the root parser's values
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", metavar="DIR", default=argparse.SUPPRESS,
                         help="artifact directory root (default: ./runs)")
-    parser.add_argument("--seed", type=_seed, metavar="INT",
+    common.add_argument("--seed", type=_seed, metavar="INT",
                         default=argparse.SUPPRESS,
                         help="seed recorded in summaries and used by "
                              "sampling-based checks (default: 0)")
-    parser.add_argument("--quiet", action="store_const", const=True,
+    common.add_argument("--quiet", action="store_const", const=True,
                         default=argparse.SUPPRESS,
                         help="suppress progress output")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="chlab",
+        prog="chlab", parents=[common],
         description="Numerical laboratory for the Camassa-Holm equation in "
                     "nonlocal form: scenario runs, weighted-norm "
                     "persistence, breakdown prediction, tail profiles.")
-    _common_flags(parser)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p_sim = sub.add_parser(
-        "simulate", help="run one scenario and write its artifacts")
-    p_sim.add_argument("config", nargs="?",
+    def command(subparsers, name, handler, help, nargs=None):
+        """A command parser whose ``handler`` reads a ``config`` argument."""
+        p = subparsers.add_parser(name, help=help, parents=[common])
+        p.add_argument("config", nargs=nargs,
                        help="builtin scenario name or YAML config path")
+        p.set_defaults(handler=handler)
+        return p
+
+    p_sim = command(sub, "simulate", _cmd_simulate,
+                    "run one scenario and write its artifacts", nargs="?")
     p_sim.add_argument("--list", action="store_true",
                        help="list builtin scenarios and exit")
-    _common_flags(p_sim)
 
     p_weights = sub.add_parser("weights", help="weight machinery")
-    w_sub = p_weights.add_subparsers(dest="weights_command",
-                                     metavar="SUBCOMMAND")
-    p_cert = w_sub.add_parser(
-        "certify", help="admissibility certificates for a scenario's "
-                        "tracked weights")
-    p_cert.add_argument("config",
-                        help="builtin scenario name or YAML config path")
-    _common_flags(p_cert)
+    p_weights.set_defaults(handler=_cmd_weights)
+    command(p_weights.add_subparsers(metavar="SUBCOMMAND"), "certify",
+            _cmd_certify, "admissibility certificates for a scenario's "
+                          "tracked weights")
 
-    p_cls = sub.add_parser(
-        "classify", help="run the a-priori breakdown predictors on the "
-                         "initial datum (no time integration)")
-    p_cls.add_argument("config",
-                       help="builtin scenario name or YAML config path")
-    _common_flags(p_cls)
+    command(sub, "classify", _cmd_classify,
+            "run the a-priori breakdown predictors on the initial datum "
+            "(no time integration)")
+    command(sub, "profile", _cmd_profile,
+            "run a scenario with tail-profile accumulation forced on")
 
-    p_prof = sub.add_parser(
-        "profile", help="run a scenario with tail-profile accumulation "
-                        "forced on")
-    p_prof.add_argument("config",
-                        help="builtin scenario name or YAML config path")
-    _common_flags(p_prof)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="repeat a scenario across values of one config field")
-    p_sweep.add_argument("config",
-                         help="builtin scenario name or YAML config path")
+    p_sweep = command(sub, "sweep", _cmd_sweep,
+                      "repeat a scenario across values of one config field")
     p_sweep.add_argument("--axis", required=True, metavar="FIELD",
                          help="dotted config path to vary, e.g. "
                               "initial_data.rate or grid.N")
@@ -118,23 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run at most N values at a time, each in a "
                               "child process of its own (default: one per "
                               "value, capped at the CPU count)")
-    _common_flags(p_sweep)
 
-    p_self = sub.add_parser(
-        "selftest", help="run the built-in verification suite")
+    p_self = sub.add_parser("selftest", parents=[common],
+                            help="run the built-in verification suite")
     p_self.add_argument("--slow", action="store_true",
                         help="include the slow sweep criterion")
     p_self.add_argument("--criterion", type=int, action="append",
                         metavar="N", help="run only the given criterion "
                         "number (repeatable)")
-    _common_flags(p_self)
+    p_self.set_defaults(handler=_cmd_selftest)
 
     return parser
-
-
-def _merged(args: argparse.Namespace, name: str, fallback):
-    value = getattr(args, name, None)
-    return fallback if value is None else value
 
 
 def _resolve_scenario(token: str) -> Scenario:
@@ -225,6 +208,15 @@ def _cmd_simulate(args, out_root, seed, quiet, force_profiles=False) -> int:
     return _EXIT_OK
 
 
+def _cmd_profile(args, out_root, seed, quiet) -> int:
+    return _cmd_simulate(args, out_root, seed, quiet, force_profiles=True)
+
+
+def _cmd_weights(args, out_root, seed, quiet) -> int:
+    print("error: expected 'weights certify'", file=sys.stderr)
+    return _EXIT_CONFIG
+
+
 def _cmd_certify(args, out_root, seed, quiet) -> int:
     scenario = _resolve_scenario(args.config)
     if not scenario.weights_to_track:
@@ -310,12 +302,9 @@ def _cmd_selftest(args, out_root, seed, quiet) -> int:
     from .acceptance import format_result, run_suite
 
     del out_root, seed  # criteria pin their own seeds for reproducibility
-    results = run_suite(
-        include_slow=args.slow,
-        numbers=args.criterion,
-        report=None if quiet else
-        (lambda r: print(format_result(r))),
-    )
+    results = run_suite(include_slow=args.slow, numbers=args.criterion,
+                        report=None if quiet else
+                        (lambda r: print(format_result(r))))
     failed = [r for r in results if not r.passed]
     if not quiet:
         print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
@@ -330,35 +319,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_help()
         return _EXIT_CONFIG
 
-    out_root = _merged(args, "out", "runs")
-    seed = int(_merged(args, "seed", 0))
-    quiet = bool(_merged(args, "quiet", False))
-
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args, out_root, seed, quiet)
-        if args.command == "weights":
-            if args.weights_command != "certify":
-                print("error: expected 'weights certify'", file=sys.stderr)
-                return _EXIT_CONFIG
-            return _cmd_certify(args, out_root, seed, quiet)
-        if args.command == "classify":
-            return _cmd_classify(args, out_root, seed, quiet)
-        if args.command == "profile":
-            return _cmd_simulate(args, out_root, seed, quiet,
-                                 force_profiles=True)
-        if args.command == "sweep":
-            return _cmd_sweep(args, out_root, seed, quiet)
-        if args.command == "selftest":
-            return _cmd_selftest(args, out_root, seed, quiet)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args, getattr(args, "out", "runs"),
+                            getattr(args, "seed", 0),
+                            getattr(args, "quiet", False))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    return _EXIT_OK
 
 
 if __name__ == "__main__":

@@ -249,10 +249,6 @@ class Field:
         np.fft.irfft(pair, n=grid.N, out=out)
         self._values, self._derivative = out
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
-
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 

@@ -137,6 +137,15 @@ class InitialData:
         raise NotImplementedError
 
 
+def _require_positive(params, *names: str) -> None:
+    """Reject a non-positive length scale: a zero one divides by zero, and
+    a negative one restates a positive one under another config hash."""
+    for name in names:
+        value = getattr(params, name)
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class MollifiedPeakon(InitialData):
     """c * (e^{-|.-x0|} * N_w): the smooth stand-in for a peakon used for
@@ -175,9 +184,10 @@ class Gaussian(InitialData):
     width: float = 1.0
     center: float = 0.0
 
+    def __post_init__(self):
+        _require_positive(self, "width")
+
     def build(self, grid: Grid) -> Field:
-        if self.width <= 0:
-            raise ValueError("width must be positive")
         z = (grid.x - self.center) / self.width
         return Field(grid, self.amplitude * np.exp(-z * z))
 
@@ -189,6 +199,9 @@ class OddGaussianDerivative(InitialData):
 
     amplitude: float = 1.0
     width: float = 1.0
+
+    def __post_init__(self):
+        _require_positive(self, "width")
 
     def build(self, grid: Grid) -> Field:
         z = grid.x / self.width
@@ -203,6 +216,9 @@ class GaussianShape:
     width: float = 1.0
     center: float = 0.0
 
+    def __post_init__(self):
+        _require_positive(self, "width")
+
     def sample(self, x: np.ndarray) -> np.ndarray:
         z = (x - self.center) / self.width
         return self.amplitude * np.exp(-z * z)
@@ -216,6 +232,9 @@ class TanhGaussianShape:
     amplitude: float = 1.0
     slope_width: float = 1.0
     envelope_width: float = 10.0
+
+    def __post_init__(self):
+        _require_positive(self, "slope_width", "envelope_width")
 
     def sample(self, x: np.ndarray) -> np.ndarray:
         return (self.amplitude * np.tanh(x / self.slope_width)

@@ -6,28 +6,13 @@ from pathlib import Path
 
 import numpy as np
 
+from chlab.acceptance import _compact_random as compact_random
+from chlab.acceptance import _random_band_limited as band_limited
 from chlab.field import Field, Grid
 
-
-def band_limited(grid: Grid, rng: np.random.Generator) -> Field:
-    """Random real field with spectrum confined to the lowest quarter of the
-    resolvable modes, normalized to unit peak (derivatives stay exactly
-    representable, so operator identities hold to rounding)."""
-    coeff = np.zeros(grid.N // 2 + 1, dtype=complex)
-    n_band = grid.N // 8 - 1
-    amplitude = rng.standard_normal(n_band)
-    phase = rng.uniform(0.0, 2.0 * np.pi, n_band)
-    coeff[1 : grid.N // 8] = amplitude * np.exp(1j * phase)
-    values = np.fft.irfft(coeff, n=grid.N)
-    return Field(grid, values / np.max(np.abs(values)))
-
-
-def compact_random(grid: Grid, rng: np.random.Generator) -> Field:
-    """Random rough field supported in |x| < L/4, so circular convolutions
-    of two such fields coincide with line convolutions (no wrap-around)."""
-    values = rng.standard_normal(grid.N)
-    values[np.abs(grid.x) >= grid.L / 4.0] = 0.0
-    return Field(grid, values)
+# the random fields are the verification suite's own draws
+__all__ = ["band_limited", "compact_random", "field_from_seed",
+           "count_transforms", "read_csv", "read_summary"]
 
 
 def field_from_seed(grid: Grid, seed: int) -> Field:

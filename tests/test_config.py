@@ -2,6 +2,7 @@
 echo, content hashing, and YAML loading."""
 
 import ast
+import copy
 import math
 import warnings
 from dataclasses import replace
@@ -25,7 +26,8 @@ from chlab.config import (
     scenario_from_dict,
 )
 from chlab.field import Grid
-from chlab.scenarios import builtin_names, builtin_scenario, describe_builtins
+from chlab.scenarios import (BUILTIN_SCENARIOS, builtin_names,
+                             builtin_scenario, describe_builtins)
 from chlab.weights import StandardFamily
 
 TINY = {
@@ -221,10 +223,32 @@ class TestValidation:
 
     def test_non_finite_initial_samples_rejected(self):
         bad = tiny(initial_data={"kind": "odd_gaussian_derivative",
-                                 "width": 0.0})
-        with np.errstate(divide="ignore", invalid="ignore"), \
+                                 "amplitude": 1.0e308})
+        with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ConfigError, match="initial_data: non-finite"):
             scenario_from_dict(bad)
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0])
+    @pytest.mark.parametrize("initial, path, field", [
+        ({"kind": "gaussian"}, "initial_data", "width"),
+        ({"kind": "odd_gaussian_derivative"}, "initial_data", "width"),
+        ({"kind": "from_potential", "m0": {"shape": "gaussian"}},
+         "initial_data.m0", "width"),
+        ({"kind": "from_potential", "m0": {"shape": "tanh_gaussian"}},
+         "initial_data.m0", "slope_width"),
+        ({"kind": "from_potential", "m0": {"shape": "tanh_gaussian"}},
+         "initial_data.m0", "envelope_width"),
+    ], ids=["gaussian", "odd-gaussian-derivative", "m0-gaussian",
+            "m0-tanh-slope", "m0-tanh-envelope"])
+    def test_non_positive_width_rejected(self, initial, path, field, value):
+        # a negative width used to restate a positive one under another
+        # config hash; a zero one divided by zero
+        initial = copy.deepcopy(initial)
+        initial.get("m0", initial)[field] = value
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(tiny(initial_data=initial), check_initial=False)
+        assert str(err.value) == (f"{path}: {field} must be positive, "
+                                  f"got {value}")
 
     def test_zero_initial_samples_rejected(self):
         # the predictors and the rate cap are relative to u0, so zero data
@@ -506,6 +530,14 @@ class TestYamlFront:
             load_scenario(tmp_path / "absent.yaml")
 
 
+def _containers(node):
+    """Every dict and list in a nested config, ``node`` included."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in (node.values() if isinstance(node, dict) else node):
+            yield from _containers(child)
+
+
 class TestBuiltins:
     def test_nine_builtins_with_stable_names(self):
         assert builtin_names() == [
@@ -529,9 +561,30 @@ class TestBuiltins:
         # the echo must reparse to the identical scenario
         assert scenario_from_dict(s.effective_config()) == s
 
-    def test_dirname_canary(self):
-        assert (builtin_scenario("peakon-travel").run_dirname()
-                == "peakon-travel-a88e133665ca")
+    @pytest.mark.parametrize("dirname", [
+        "algebraic-persistence-d289439f1c0c",
+        "decay-threshold-sweep-9ab4cbbc99dd",
+        "exponential-rate-cap-45b9c6bc0a62",
+        "fast-decay-breakdown-4fbe849cf5f7",
+        "peakon-travel-a88e133665ca",
+        "positive-momentum-global-f3e7df14e774",
+        "sign-change-momentum-b6311478c781",
+        "steep-odd-breakdown-4357a5c9e0ad",
+        "tail-profiles-3e700ae65325",
+    ])
+    def test_dirname_canary(self, dirname):
+        name = dirname.rpartition("-")[0]
+        assert builtin_scenario(name).run_dirname() == dirname
+
+    def test_building_leaves_the_catalog_unchanged(self):
+        # every build reads the catalog's own dicts, never a fresh copy
+        before = copy.deepcopy(BUILTIN_SCENARIOS)
+        for name in builtin_names():
+            builtin_scenario(name)
+        assert BUILTIN_SCENARIOS == before
+        containers = [id(node) for _, config in BUILTIN_SCENARIOS.values()
+                      for node in _containers(config)]
+        assert len(containers) == len(set(containers)), "shared sub-dict"
 
     def test_unknown_builtin_lists_names(self):
         with pytest.raises(KeyError, match="peakon-travel"):

@@ -9,14 +9,18 @@
 * The CLI path loads no scipy module: scipy is a test-only dependency.
 * Importing the CLI loads neither ``multiprocessing`` nor ``csv``: only a
   sweep uses them, and it imports them itself.
+* The CLI's module docstring and README's quick start name exactly the
+  commands its parser dispatches.
 
 The first three are checked from the syntax tree alone, so a module that
-fails to import still gets its hygiene checked.  The last two run a fresh
+fails to import still gets its hygiene checked.  The next two run a fresh
 interpreter.
 """
 
+import argparse
 import ast
 import functools
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -176,3 +180,33 @@ def test_cli_import_loads_no_sweep_only_module():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]", f"loaded: {done.stdout}"
+
+
+def _commands(parser: argparse.ArgumentParser) -> set:
+    """Every command ``parser`` dispatches, a nested one as "group name"."""
+    found = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found |= {f"{name} {n}" for n in _commands(sub)} or {name}
+    return found
+
+
+def _named_commands(text: str, groups: set) -> set:
+    """The command of each line of ``text`` that starts with ``chlab``."""
+    return {f"{first} {second}" if first in groups else first
+            for first, second in re.findall(r"^\s*chlab (\S+) ?(\S*)",
+                                            text, re.M)}
+
+
+def test_docs_name_exactly_the_cli_commands():
+    from chlab.cli import build_parser
+
+    commands = _commands(build_parser())
+    groups = {c.partition(" ")[0] for c in commands if " " in c}
+    docstring = ast.get_docstring(_tree(PACKAGE / "cli.py"))
+    quick_start = (ROOT / "README.md").read_text().partition(
+        "## Quick start")[2].partition("\n## ")[0]
+    assert "weights certify" in commands
+    assert _named_commands(docstring, groups) == commands
+    assert _named_commands(quick_start, groups) == commands

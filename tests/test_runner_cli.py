@@ -570,16 +570,28 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == ""
 
-    def test_global_flags_work_in_both_positions(self, tiny_yaml, tmp_path):
+    @pytest.mark.parametrize("command, record", [
+        (["simulate"], "*/summary.json"),
+        (["classify"], "*/classification.json"),
+        (["weights", "certify"], "*/weight_certificates.json"),
+        (["profile"], "*/summary.json"),
+        (["sweep"], "*-sweep-*/sweep.json"),
+    ], ids=["simulate", "classify", "weights-certify", "profile", "sweep"])
+    def test_global_flags_work_in_both_positions(self, command, record,
+                                                 tiny_yaml, tmp_path,
+                                                 capsys):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["--seed", "7", "--quiet", "simulate", str(tiny_yaml),
-                     "--out", str(out1)]) == 0
-        assert main(["simulate", str(tiny_yaml), "--seed", "7", "--quiet",
-                     "--out", str(out2)]) == 0
-        name = tiny_scenario().run_dirname()
-        s1 = read_summary(out1 / name / "summary.json")
-        s2 = read_summary(out2 / name / "summary.json")
-        assert s1["seed"] == s2["seed"] == 7
+        args = [*command, str(tiny_yaml)]
+        if command == ["sweep"]:
+            args += ["--axis", "solver.t_end", "--values", "0.1",
+                     "--workers", "1"]
+        assert main(["--seed", "7", "--quiet", *args, "--out",
+                     str(out1)]) == 0
+        assert main([*args, "--seed", "7", "--quiet", "--out",
+                     str(out2)]) == 0
+        assert capsys.readouterr().out == ""
+        [s1], [s2] = out1.glob(record), out2.glob(record)
+        assert read_summary(s1)["seed"] == read_summary(s2)["seed"] == 7
 
     def test_list_builtins(self, capsys):
         assert main(["simulate", "--list"]) == 0
@@ -609,9 +621,11 @@ class TestCli:
 
     @pytest.mark.parametrize("command, grid, initial, message", [
         ("simulate", "{L: 20.0, N: 512}",
-         "{kind: odd_gaussian_derivative, width: 0.0}", "non-finite samples"),
+         "{kind: odd_gaussian_derivative, amplitude: 1.0e+308}",
+         "non-finite samples"),
         ("classify", "{L: 20.0, N: 512}",
-         "{kind: odd_gaussian_derivative, width: 0.0}", "non-finite samples"),
+         "{kind: odd_gaussian_derivative, amplitude: 1.0e+308}",
+         "non-finite samples"),
         ("simulate", "{L: 20.0, N: 256}", "{kind: gaussian, amplitude: 0.0}",
          "all samples are zero"),
         ("classify", "{L: 20.0, N: 256}", "{kind: gaussian, amplitude: 0.0}",
@@ -619,14 +633,20 @@ class TestCli:
         ("simulate", "{L: 20.0, N: 256}", "{kind: gaussian, amplitude: 0.0}\n"
          "rate_cap_factor: 2.0",
          "all samples are zero"),
+        ("simulate", "{L: 20.0, N: 256}", "{kind: gaussian, width: -1.0}",
+         "config error: initial_data: width must be positive, got -1.0"),
+        ("classify", "{L: 20.0, N: 256}", "{kind: from_potential, m0: "
+         "{shape: tanh_gaussian, envelope_width: 0.0}}",
+         "config error: initial_data.m0: envelope_width must be positive, "
+         "got 0.0"),
     ], ids=["simulate", "classify", "simulate-zero", "classify-zero",
-            "simulate-zero-rate-cap"])
+            "simulate-zero-rate-cap", "simulate-width", "classify-width"])
     def test_non_finite_initial_data_exits_2(self, command, grid, initial,
                                              message, tmp_path, capsys):
         path = tmp_path / "flat.yaml"
         path.write_text(f"name: flat\ngrid: {grid}\ninitial_data: {initial}"
                         "\nsolver: {t_end: 0.1}\n")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             assert main([command, str(path), "--quiet"]) == 2
         assert message in capsys.readouterr().err
 
@@ -883,7 +903,11 @@ class TestCli:
     @pytest.mark.parametrize("axis, values, message", [
         ("grid.N", "100,300", "grid: N must be a power of two"),
         ("solver.cfl", "0.3,2", "solver: cfl must be in (0, 1]"),
-    ], ids=["grid-N", "cfl"])
+        ("initial_data.width", "1,-1",
+         "initial_data: width must be positive, got -1.0"),
+        ("initial_data.width", "1,0",
+         "initial_data: width must be positive, got 0.0"),
+    ], ids=["grid-N", "cfl", "width-negative", "width-zero"])
     def test_sweep_values_the_codec_rejects_exit_2(self, tiny_yaml, tmp_path,
                                                    axis, values, message,
                                                    capsys):
