@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--list", action="store_true",
                        help="list builtin scenarios and exit")
 
-    p_weights = sub.add_parser("weights", help="weight machinery")
+    p_weights = sub.add_parser("weights", help="weight machinery",
+                               parents=[common])
     p_weights.set_defaults(handler=_cmd_weights)
     command(p_weights.add_subparsers(metavar="SUBCOMMAND"), "certify",
             _cmd_certify, "admissibility certificates for a scenario's "

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import warnings
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import lru_cache
@@ -54,9 +55,20 @@ __all__ = [
 #: only stand in for the line while wrap-around influence is negligible).
 INITIAL_BOUNDARY_TOL = 1e-10
 
-#: libyaml's safe loader where PyYAML was built with it: the same safe
-#: constructor as yaml.SafeLoader, with a C scanner and parser.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+class _YAMLLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's safe loader where PyYAML was built with it (the same safe
+    constructor as yaml.SafeLoader, with a C scanner and parser) that also
+    reads the plain scalars YAML 1.2 reads as floats and YAML 1.1 as
+    strings: an exponent without a dot or without a sign, ``1e-3`` and
+    ``1.0e308``.  A quoted scalar stays a string."""
+
+
+_YAMLLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+               r"|[0-9]+[eE][-+]?[0-9]+)$"),
+    list("-+0123456789."))
 
 #: A norm exponent p >= 1; the config spells the sup norm "inf".
 Exponent = NewType("Exponent", float)
@@ -358,7 +370,7 @@ def parse_scenario(text: str, *,
                    default_name: Optional[str] = None) -> Scenario:
     """Parse YAML text into a validated Scenario."""
     try:
-        data = yaml.load(text, Loader=_YAML_LOADER)
+        data = yaml.load(text, Loader=_YAMLLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

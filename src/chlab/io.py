@@ -48,19 +48,33 @@ def format_number(value: float) -> str:
     return repr(float(value))
 
 
+#: Rows formatted and written at a time: a table's text is never held
+#: whole, only one chunk of it.
+_CHUNK_ROWS = 1024
+
+
 def _write_table(path: Path, header: Sequence[str],
                  columns: Iterable[Iterable[float]]) -> None:
     """Write a header and the table of the given columns, each number as
-    ``format_number`` gives it (numpy columns pass ``.tolist()``, a table
-    kept as rows passes ``zip(*rows, strict=True)``).  Each column gets one
-    formatter, not one per row, and the rows are joined from the formatters
-    as they go, so no column of strings is held.  No header name and no
-    float ``repr`` holds a comma, quote or newline, so no field needs CSV
+    ``format_number`` gives it.  Each column is read as a float array (numpy
+    columns as they are, a table kept as rows passes
+    ``zip(*rows, strict=True)``), and columns of different lengths raise
+    ValueError before anything is written.  The rows go out in chunks of
+    ``_CHUNK_ROWS``: each chunk takes one ``.tolist()`` slice per column and
+    is joined and written before the next is formatted.  No header name and
+    no float ``repr`` holds a comma, quote or newline, so no field needs CSV
     quoting and the lines are joined directly."""
-    formatters = [map(repr, map(float, column)) for column in columns]
-    lines = [",".join(header), *map(",".join, zip(*formatters, strict=True))]
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+    rows = max(lengths, default=0)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, _CHUNK_ROWS):
+            chunk = [map(repr, column[start:start + _CHUNK_ROWS].tolist())
+                     for column in columns]
+            fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
 
 def write_run_csv(path, log: RunLog) -> None:
@@ -76,9 +90,8 @@ def write_profile_csv(path, rows: Iterable[Sequence[float]]) -> None:
 
 def write_snapshot_csv(path, grid, u_initial, u_final) -> None:
     """Write initial and terminal solution samples on the run grid."""
-    columns = [np.asarray(c, dtype=float).tolist()
-               for c in (grid.x, u_initial, u_final)]
-    _write_table(Path(path), ("x", "u_initial", "u_final"), columns)
+    _write_table(Path(path), ("x", "u_initial", "u_final"),
+                 (grid.x, u_initial, u_final))
 
 
 def write_summary(path, summary: Mapping) -> None:

@@ -40,8 +40,10 @@ from .solver import RunLog, SolverState, Status, run
 
 __all__ = ["run_scenario", "sweep", "apply_axis"]
 
-#: Statuses that mark finite-time breakdown of the computed solution (the
-#: run log then brackets the breakdown time between the last two rows).
+#: Statuses that mark finite-time breakdown of the computed solution.  The
+#: last two rows of the run log then give ``t_star_bracket``: they bracket
+#: when the stop fired (min u_x crossing ``slope_stop``, or the state
+#: turning non-finite), not the breakdown time T*.
 _BREAKDOWN_STATUSES = (Status.WAVE_BREAKING, Status.NON_FINITE)
 
 

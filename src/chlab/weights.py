@@ -391,43 +391,46 @@ def _decay_integrals(weight: Weight) -> List[Tuple[float, bool, float]]:
             for t, c, r in zip(total, converged, ranges)]
 
 
-#: Points per block of the sup scan: each block's temporaries stay small
-#: enough to be reused from the allocator instead of faulting in fresh pages.
+#: Points per block of a blockwise maximum: each block's temporaries stay
+#: small enough to be reused from the allocator instead of faulting in fresh
+#: pages on every certificate.
 _SCAN_BLOCK = 8192
 
 
+def _blockwise_max(f: Callable[[np.ndarray], np.ndarray],
+                   x: np.ndarray) -> float:
+    """np.max(f(x)), taken over one _SCAN_BLOCK of x at a time.  max does
+    not depend on the order of the points, and np.max carries a NaN or +inf
+    from any block into the result, as the whole-array maximum would."""
+    starts = range(0, x.size, _SCAN_BLOCK)
+    return np.max([np.max(f(x[s:s + _SCAN_BLOCK])) for s in starts])
+
+
 @cache
-def _sup_scan_grid() -> Tuple[np.ndarray, np.ndarray]:
-    """The dense grid of the sup scan and its |x|, both read-only and built
-    once: linear resolution near the origin plus a geometric extension out
-    to the maximal quadrature range QUAD_RANGE0 * 2**MAX_DOUBLINGS."""
-    R_max = QUAD_RANGE0 * 2**MAX_DOUBLINGS
+def _sup_scan_grid() -> np.ndarray:
+    """The x >= 0 half of the sup scan's grid, read-only and built once:
+    65,537 linear points on [0, QUAD_RANGE0], then 8,193 geometric ones
+    out to the maximal quadrature range QUAD_RANGE0 * 2**MAX_DOUBLINGS.
+    The whole grid is ``-half[::-1]`` followed by ``half``."""
     near = np.linspace(0.0, QUAD_RANGE0, 65537)
     far = QUAD_RANGE0 * 2 ** np.linspace(0.0, MAX_DOUBLINGS, 8193)
-    grid = np.concatenate([-far[::-1], -near[::-1], near, far])
-    grid = grid[np.abs(grid) <= R_max]
-    abs_grid = np.abs(grid)
-    grid.flags.writeable = False
-    abs_grid.flags.writeable = False
-    return grid, abs_grid
+    half = np.concatenate([near, far])
+    half.flags.writeable = False
+    return half
 
 
 def _sup_v_exp(v: Weight) -> float:
-    """max of v(x) e^{-|x|} over the scan grid, for an even weight over its
-    x >= 0 half, which the grid mirrors: the largest block maximum of
-    log v(x) - |x|, exponentiated once.  np.max carries a NaN or +inf from
-    any block into the result, as the whole-grid maximum would."""
-    grid, abs_grid = _sup_scan_grid()
-    if v.even:
-        half = grid.size // 2
-        grid, abs_grid = grid[half:], abs_grid[half:]
-    starts = range(0, grid.size, _SCAN_BLOCK)
-    peaks = np.empty(len(starts))
+    """max of v(x) e^{-|x|} over the scan grid: the largest blockwise
+    maximum of log v(x) - |x|, exponentiated once.  The half grid is read as
+    x and as |x|, and for a weight that is not even also as -x (the mirrored
+    half)."""
+    half = _sup_scan_grid()
     with np.errstate(over="ignore"):
-        for k, start in enumerate(starts):
-            block = slice(start, start + _SCAN_BLOCK)
-            peaks[k] = np.max(v._log_value(grid[block]) - abs_grid[block])
-        return float(np.exp(np.max(peaks)))
+        peak = _blockwise_max(lambda x: v._log_value(x) - x, half)
+        if not v.even:
+            peak = np.max([peak, _blockwise_max(
+                lambda x: v._log_value(-x) - x, half)])
+        return float(np.exp(peak))
 
 
 @lru_cache(maxsize=4)
@@ -475,7 +478,8 @@ def certify_admissible(weight: Weight, seed: int = 0) -> dict:
         C0 = float(np.exp(np.max(weight._log_value(sums)
                                  - weight._log_value(xs)
                                  - weight._log_value(ys))))
-    A = float(np.max(np.abs(weight.log_derivative(points))))
+    A = float(_blockwise_max(lambda x: np.abs(weight.log_derivative(x)),
+                             points))
     # v at the extremal points of log v: its min and max over the points
     log_v = weight._log_value(points)
     inf_v, sup_v = map(float, weight.value(

@@ -486,6 +486,40 @@ class TestYamlFront:
         )
         assert s.name == "demo"
 
+    # YAML 1.1 reads an exponent without a dot or without a sign as a
+    # string; YAML 1.2, and the config loader, read it as a float
+    @pytest.mark.parametrize("plain", ["1e-3", "1E-3", "+1e-3", ".1e-2",
+                                       "0.1e-2"])
+    def test_plain_exponent_is_a_float(self, plain):
+        text = ("name: exp\ngrid: {L: 20.0, N: 256}\n"
+                "initial_data: {kind: gaussian, amplitude: 1.0, width: 1.0}\n"
+                "solver: {t_end: 0.1, boundary_tol: %s}\n")
+        s = parse_scenario(text % plain)
+        assert s.solver.boundary_tol == 1e-3
+        assert s.content_hash() == parse_scenario(text % "1.0e-3").content_hash()
+
+    def test_exponent_without_sign_is_a_float(self):
+        assert (yaml.load("a: 1.0e308", Loader=config._YAMLLoader)
+                == {"a": 1e308})
+        with pytest.raises(ConfigError, match="non-finite samples"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                parse_scenario("name: big\ngrid: {L: 20.0, N: 512}\n"
+                               "initial_data: {kind: odd_gaussian_derivative,"
+                               " amplitude: 1.0e308}\n"
+                               "solver: {t_end: 0.1}\n")
+
+    def test_quoted_exponent_stays_a_string(self):
+        with pytest.raises(ConfigError,
+                           match="solver.boundary_tol: expected a number, "
+                                 "got str '1e-3'"):
+            parse_scenario("name: quoted\ngrid: {L: 20.0, N: 256}\n"
+                           "initial_data: {kind: gaussian, amplitude: 1.0}\n"
+                           "solver: {t_end: 0.1, boundary_tol: '1e-3'}\n")
+
+    def test_safe_loader_is_left_as_it_is(self):
+        assert yaml.safe_load("a: 1e-3") == {"a": "1e-3"}
+        assert yaml.load("a: 1e-3", Loader=yaml.CSafeLoader) == {"a": "1e-3"}
+
     def test_yaml_error_reports_position(self):
         with pytest.raises(ConfigError, match=r"invalid YAML at line \d+"):
             parse_scenario("name: [unclosed\ngrid: {L: 1}\n: ]]")
@@ -501,8 +535,8 @@ class TestYamlFront:
             text = yaml.safe_dump(builtin_scenario(name).effective_config())
         else:
             text = (CONFIGS.parent / source).read_text()
-        assert config._YAML_LOADER is yaml.CSafeLoader
-        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert issubclass(config._YAMLLoader, yaml.CSafeLoader)
+        fast = yaml.load(text, Loader=config._YAMLLoader)
         slow = yaml.load(text, Loader=yaml.SafeLoader)
         assert isinstance(fast, dict) and fast == slow
 

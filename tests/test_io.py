@@ -1,12 +1,15 @@
-"""Artifact tables: the column-wise formatter writes the row-wise bytes."""
+"""Artifact tables: the column-wise formatter writes the row-wise bytes,
+one fixed-size chunk of rows at a time."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chlab.field import Grid
-from chlab.io import _write_table, write_profile_csv, write_snapshot_csv
+from chlab.io import (_CHUNK_ROWS, _write_table, write_profile_csv,
+                      write_snapshot_csv)
 from chlab.profiles import PROFILE_HEADER
 
 HEADER = ("t", "a", "b")
@@ -67,3 +70,41 @@ def test_no_column_is_cut_short(tmp_path):
     with pytest.raises(ValueError):
         _write_table(tmp_path / "ragged.csv", HEADER,
                      [[1.0, 2.0], [3.0], [4.0, 5.0]])
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                  _CHUNK_ROWS + 1, 5 * _CHUNK_ROWS // 2])
+def test_chunk_boundaries_have_the_row_wise_bytes(rows, tmp_path):
+    table = np.random.default_rng(rows).standard_normal((rows, 3))
+    table[::7, 1] = -0.0
+    table[::11, 2] = math.nan
+    _write_table(tmp_path / "columns.csv", HEADER, table.T)
+    row_wise_table(tmp_path / "rows.csv", HEADER, table.tolist())
+    assert ((tmp_path / "columns.csv").read_bytes()
+            == (tmp_path / "rows.csv").read_bytes())
+
+
+# the short column ends inside the first chunk, at its end, or past it
+@pytest.mark.parametrize("short", [1, _CHUNK_ROWS, 2 * _CHUNK_ROWS - 1])
+def test_ragged_columns_raise_past_the_first_chunk(short, tmp_path):
+    full = np.arange(2 * _CHUNK_ROWS, dtype=float)
+    with pytest.raises(ValueError):
+        _write_table(tmp_path / "ragged.csv", HEADER,
+                     (full, full[:short], full))
+    assert not (tmp_path / "ragged.csv").exists()
+
+
+def test_snapshot_table_is_written_in_bounded_memory(tmp_path):
+    # the text of this table is 0.41 MB; its lines, or its columns' strings,
+    # held at once would take several times the bound
+    grid = Grid(60.0, 8192)
+    rng = np.random.default_rng(3)
+    u0, u1 = rng.standard_normal(8192), rng.standard_normal(8192)
+    write_snapshot_csv(tmp_path / "warm.csv", grid, u0, u1)
+    tracemalloc.start()
+    try:
+        write_snapshot_csv(tmp_path / "snap.csv", grid, u0, u1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19

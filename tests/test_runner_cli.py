@@ -593,6 +593,24 @@ class TestCli:
         [s1], [s2] = out1.glob(record), out2.glob(record)
         assert read_summary(s1)["seed"] == read_summary(s2)["seed"] == 7
 
+    def test_weights_group_takes_the_common_flags(self, tmp_path, capsys):
+        # before the group, after it, and after the subcommand's argument
+        spellings = [
+            ["--seed", "1", "--quiet", "--out", str(tmp_path / "r1"),
+             "weights", "certify", "algebraic-persistence"],
+            ["weights", "--seed", "1", "--quiet", "--out",
+             str(tmp_path / "r2"), "certify", "algebraic-persistence"],
+            ["weights", "certify", "algebraic-persistence", "--seed", "1",
+             "--quiet", "--out", str(tmp_path / "r3")],
+        ]
+        for argv in spellings:
+            assert main(argv) == 0
+        assert capsys.readouterr().out == ""
+        files = [next((tmp_path / r).glob("*/weight_certificates.json"))
+                 for r in ("r1", "r2", "r3")]
+        assert read_summary(files[0])["seed"] == 1
+        assert len({f.read_bytes() for f in files}) == 1
+
     def test_list_builtins(self, capsys):
         assert main(["simulate", "--list"]) == 0
         text = capsys.readouterr().out

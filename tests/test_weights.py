@@ -350,7 +350,7 @@ class TestQuadrature:
         # the rest are the sampled constants (x + y, x and y of the pairs,
         # and the points, then v at the two extremal points of log v) and
         # the blocks of the sup scan on x >= 0
-        half = _sup_scan_grid()[0].size // 2
+        half = _sup_scan_grid().size
         blocks = -(-half // _SCAN_BLOCK)
         assert counting.sizes[:5] == [SAMPLE_COUNT] * 4 + [2]
         assert counting.sizes.count(SAMPLE_COUNT) == 4
@@ -466,12 +466,17 @@ class TestEvenWeights:
         assert np.array_equal(w._log_value(xs), w._log_value(-xs))
 
 
-def whole_grid_scan(v):
-    """The sup scan as one whole-grid expression, grid built afresh."""
+def whole_grid():
+    """The sup scan's grid on both sides of 0, built afresh."""
     near = np.linspace(0.0, 32.0, 65537)
     far = 32.0 * 2 ** np.linspace(0.0, 12, 8193)
     g = np.concatenate([-far[::-1], -near[::-1], near, far])
-    g = g[np.abs(g) <= 32.0 * 2**12]
+    return g[np.abs(g) <= 32.0 * 2**12]
+
+
+def whole_grid_scan(v):
+    """The sup scan as one whole-grid expression, grid built afresh."""
+    g = whole_grid()
     with np.errstate(over="ignore"):
         return g, float(np.max(np.exp(v._log_value(g) - np.abs(g))))
 
@@ -491,10 +496,12 @@ class TestSupScan:
                              ids=[str(row[0]) for row in CLOSED_FORMS])
     def test_blockwise_scan_equals_whole_grid(self, v):
         g, whole = whole_grid_scan(v)
-        grid, abs_grid = _sup_scan_grid()
-        assert np.array_equal(grid, g) and np.array_equal(abs_grid, np.abs(g))
+        half = _sup_scan_grid()
+        # the cached half is the whole grid's x >= 0 half, which it mirrors
+        assert np.array_equal(half, g[g.size // 2:])
+        assert np.array_equal(np.concatenate([-half[::-1], half]), g)
         # the last block is a partial one
-        assert grid.size > _SCAN_BLOCK and grid.size % _SCAN_BLOCK != 0
+        assert half.size > _SCAN_BLOCK and half.size % _SCAN_BLOCK != 0
         assert _sup_v_exp(v) == whole
         assert certify_admissible(v)["lp_v_exp"]["inf"] == whole
 
@@ -504,22 +511,21 @@ class TestSupScan:
         assert whole_grid_scan(v)[1] == math.inf
         assert _sup_v_exp(v) == math.inf
 
-    # a point inside a full block, and the last point, in the partial block
+    # a point inside a full block of the x < 0 half, read by the mirrored
+    # pass, and the last point, in the partial block
     @pytest.mark.parametrize("index", [3 * _SCAN_BLOCK + 17, -1])
     def test_nan_at_one_point_gives_nan(self, index):
-        grid, _ = _sup_scan_grid()
-        v = NaNAt(grid[index])
+        v = NaNAt(whole_grid()[index])
         assert math.isnan(whole_grid_scan(v)[1])
         assert math.isnan(_sup_v_exp(v))
 
     def test_grid_is_cached_and_read_only(self):
-        grid, abs_grid = _sup_scan_grid()
-        assert _sup_scan_grid()[0] is grid
-        for arr in (grid, abs_grid):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
-        assert np.max(grid) == QUAD_RANGE0 * 2**MAX_DOUBLINGS
+        half = _sup_scan_grid()
+        assert _sup_scan_grid() is half
+        assert not half.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            half[0] = 0.0
+        assert np.max(half) == QUAD_RANGE0 * 2**MAX_DOUBLINGS
 
 
 class TestSubmultiplicativeRatio:
@@ -600,6 +606,10 @@ class TestLogSpaceExtrema:
         assert same_bits(cert["inf_v"], inf_v)
         assert cert["overflowed"] is overflowed
         assert same_bits(cert["lp_v_exp"]["inf"], whole_grid_scan(v)[1])
+        # A is taken blockwise, and equals the whole-array maximum
+        points = _sample_set(seed)[3]
+        assert same_bits(cert["A"],
+                         float(np.max(np.abs(v.log_derivative(points)))))
 
     def test_overflow_cases_are_covered(self):
         # v e^{-|x|} overflows on the scan, not on the samples ...
