@@ -23,7 +23,7 @@ from .config import ConfigError, scenario_from_dict
 from .field import (Field, Grid, derivative, helmholtz_inverse,
                     helmholtz_inverse_dx, momentum_of, peakon)
 from .profiles import phi0_psi0
-from .runner import run_scenario, sweep
+from .runner import apply_axis, run_scenario, sweep
 from .scenarios import builtin_scenario
 from .solver import SolverConfig, rhs, run
 from .weights import (StandardFamily, certify_admissible,
@@ -179,9 +179,8 @@ def _criterion_conservation_order() -> List[Check]:
 
 def _criterion_persistence() -> List[Check]:
     base = builtin_scenario("algebraic-persistence")
-    doubled_dict = base.effective_config()
-    doubled_dict["grid"]["N"] = 2 * doubled_dict["grid"]["N"]
-    doubled = scenario_from_dict(doubled_dict)
+    doubled = scenario_from_dict(apply_axis(base.effective_config(), "grid.N",
+                                            2 * base.grid.N))
 
     coarse = run_scenario(base).summary["persistence"]
     fine = run_scenario(doubled).summary["persistence"]

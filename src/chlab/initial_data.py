@@ -155,6 +155,9 @@ class MollifiedPeakon(InitialData):
     x0: float = 0.0
     mollify_width: float = 0.05
 
+    def __post_init__(self):
+        _require_positive(self, "mollify_width")
+
     def build(self, grid: Grid) -> Field:
         values, _ = smoothed_exponential(grid.x - self.x0, 1.0, self.mollify_width)
         return Field(grid, self.c * values)
@@ -169,6 +172,9 @@ class MollifiedExponential(InitialData):
     rate: float = 1.0
     center: float = 0.0
     mollify_width: float = 0.05
+
+    def __post_init__(self):
+        _require_positive(self, "rate", "mollify_width")
 
     def build(self, grid: Grid) -> Field:
         values, _ = smoothed_exponential(grid.x - self.center, self.rate,

@@ -150,69 +150,42 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
 def apply_axis(config: Mapping, axis: str, value) -> dict:
     """Return a copy of a config dict with the dotted-path ``axis`` set.
 
-    The path must already exist (sweeping can change values, not invent
-    fields) and hold a number or an unset optional number (null); flags,
-    strings, lists and sections are not sweepable.  Integer-valued fields
-    stay integers so grid sizes sweep cleanly.
+    Each section on the path and the field itself must already exist
+    (sweeping can change values, not invent fields).  The value is set as
+    given: the config codec judges it, and refuses a value its field does
+    not take under the field's dotted path.
     """
-    if not axis:
-        raise ConfigError("axis", "empty sweep axis")
-    out = {k: (dict(v) if isinstance(v, Mapping) else v)
-           for k, v in config.items()}
-    node = out
-    parts = axis.split(".")
-    for j, part in enumerate(parts[:-1]):
-        here = ".".join(parts[: j + 1])
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError("axis", f"no config section {here!r}")
-        if isinstance(node[part], Mapping):
-            node[part] = dict(node[part])
+    out = node = dict(config)
+    *sections, leaf = axis.split(".")
+    for j, part in enumerate(sections):
+        if not isinstance(node.get(part), Mapping):
+            raise ConfigError("axis", f"no config section "
+                                      f"{'.'.join(sections[: j + 1])!r}")
+        node[part] = dict(node[part])
         node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        available = sorted(node) if isinstance(node, dict) else []
+    if leaf not in node:
         raise ConfigError(
             "axis", f"no config field {axis!r}; available here: "
-                    f"{', '.join(available)}")
-    current = node[leaf]
-    if current is not None and (isinstance(current, bool)
-                                or not isinstance(current, (int, float))):
-        raise ConfigError("axis", f"{axis} holds a {type(current).__name__}, "
-                                  f"not a number; only numeric fields sweep")
-    if isinstance(current, int):
-        if float(value) != int(value):
-            raise ConfigError("axis", f"{axis} takes integers, got {value}")
-        value = int(value)
-    else:
-        value = float(value)
+                    f"{', '.join(sorted(node))}")
     node[leaf] = value
     return out
 
 
-def _error_row(axis: str, value, error: Optional[str]) -> dict:
-    return {"axis": axis, "value": value, "status": "Error", "t_final": None,
-            "t_star_bracket": None, "config_hash": None, "predictors": None,
-            "dir": None, "error": error}
-
-
-def _sweep_worker(conn, base, axis, value, out_root, seed) -> None:
-    """Run one sweep value in a child process and send its row.  A run
-    that raises is sent as an error row; a child that dies before it
-    sends is turned into one by the parent."""
-    row = _error_row(axis, value, None)
+def _sweep_worker(conn, config, out_root, seed) -> None:
+    """Run one sweep value's config in a child process and send back the
+    run's row fields, or the error of a run that raises."""
     try:
-        with warnings.catch_warnings():  # no axis reaches weights_to_track
+        with warnings.catch_warnings():  # the base's load already warned
             warnings.simplefilter("ignore", CertificationWarning)
-            scenario = scenario_from_dict(apply_axis(base, axis, value))
-        result = run_scenario(scenario, out_root=out_root, seed=seed)
-        s = result.summary
-        row.update(status=s["status"], t_final=s["t_final"],
-                   t_star_bracket=s["t_star_bracket"],
-                   config_hash=s["config_hash"], predictors=s["predictors"],
-                   dir=scenario.run_dirname())
+            scenario = scenario_from_dict(config)
+        s = run_scenario(scenario, out_root=out_root, seed=seed).summary
+        outcome = {key: s[key] for key in ("status", "t_final",
+                                           "t_star_bracket", "config_hash",
+                                           "predictors")}
+        outcome["dir"] = scenario.run_dirname()
     except Exception as exc:  # isolation: a bad run is a row, not a crash
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    conn.send(row)
+        outcome = {"error": f"{type(exc).__name__}: {exc}"}
+    conn.send(outcome)
     conn.close()
 
 
@@ -227,16 +200,16 @@ def _exit_cause(exitcode: Optional[int]) -> str:
 
 def _run_children(jobs: List[tuple], n_workers: int) -> List[dict]:
     """Run each job once in a child process of its own, with at most
-    ``n_workers`` alive at a time, and return the rows in input order.
-    A child that dies before it sends its row becomes an error row naming
-    the exit cause (exit status or signal)."""
+    ``n_workers`` alive at a time, and return what each child sent, in
+    input order.  A child that dies before it sends becomes an error
+    naming the exit cause (exit status or signal)."""
     # imported here: only a sweep needs them, and they cost every other
     # command's start-up about 10 ms
     import multiprocessing
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context()
-    rows: List[Optional[dict]] = [None] * len(jobs)
+    outcomes: List[Optional[dict]] = [None] * len(jobs)
     pending = list(enumerate(jobs))
     running = {}  # pipe reader -> (job index, child)
     try:
@@ -251,55 +224,57 @@ def _run_children(jobs: List[tuple], n_workers: int) -> List[dict]:
             for reader in wait(list(running)):
                 index, child = running.pop(reader)
                 try:
-                    rows[index] = reader.recv()
+                    outcomes[index] = reader.recv()
                 except (EOFError, OSError):  # died before it sent
                     pass
                 reader.close()
                 child.join()
-                if rows[index] is None:
-                    _, axis, value, _, _ = jobs[index]
-                    rows[index] = _error_row(
-                        axis, value,
-                        f"worker died: {_exit_cause(child.exitcode)}")
+                if outcomes[index] is None:
+                    cause = _exit_cause(child.exitcode)
+                    outcomes[index] = {"error": f"worker died: {cause}"}
     finally:
         for reader, (_, child) in running.items():
             child.kill()
             child.join()
             reader.close()
-    return rows
+    return outcomes
 
 
 def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
           workers: Optional[int] = None, seed: int = 0) -> dict:
     """Run the base scenario once per axis value.
 
-    Every value, at any ``workers`` count, runs in a child process of its
-    own, with at most ``workers`` children alive at a time (default: one
-    per value, capped at the CPU count).  Returns a sweep summary with one
-    row per value in input order.  A value whose config the codec rejects
-    raises ConfigError before any child starts.  A run that raises, and a
-    child process that dies (out of memory, a crash), each become an error
-    row; the other values complete.  When ``out_root`` is given, each run writes
-    its usual artifact directory and the sweep table lands in
-    ``out_root/<name>-sweep-<hash>/``.
+    The config codec decodes each value's config, built once here, before
+    any child starts: a value its field does not take raises ConfigError
+    naming the field's dotted path.  Every value, at any ``workers`` count,
+    then runs in a child process of its own, with at most ``workers``
+    children alive at a time (default: one per value, capped at the CPU
+    count).  Returns a sweep summary with one row per value in input order.
+    A run that raises, and a child process that dies (out of memory, a
+    crash), each become an error row; the other values complete.  When
+    ``out_root`` is given, each run writes its usual artifact directory and
+    the sweep table lands in ``out_root/<name>-sweep-<hash>/``.
     """
     values = list(values)
     if not values:
         raise ConfigError("values", "empty sweep value list")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError("values", f"sweep values must be finite, got {values}")
     if workers is not None and workers < 1:
         raise ConfigError("workers", f"need at least 1 worker, got {workers}")
     base_dict = base.effective_config()
+    configs = [apply_axis(base_dict, axis, value) for value in values]
     with warnings.catch_warnings():  # the base's load already warned
         warnings.simplefilter("ignore", CertificationWarning)
-        for value in values:
-            scenario_from_dict(apply_axis(base_dict, axis, value),
-                               check_initial=False)
+        for config in configs:
+            scenario_from_dict(config, check_initial=False)
 
     out_root_str = str(out_root) if out_root is not None else None
-    jobs = [(base_dict, axis, value, out_root_str, seed) for value in values]
-    rows = _run_children(jobs, workers or min(len(jobs), os.cpu_count() or 1))
+    jobs = [(config, out_root_str, seed) for config in configs]
+    sent = _run_children(jobs, workers or min(len(jobs), os.cpu_count() or 1))
+    # each child sent its run's fields, or the error that leaves them empty
+    rows = [{"axis": axis, "value": value, "status": "Error", "t_final": None,
+             "t_star_bracket": None, "config_hash": None, "predictors": None,
+             "dir": None, "error": None, **fields}
+            for value, fields in zip(values, sent)]
 
     digest = hashlib.sha256(canonical_json(
         {"base": base_dict, "axis": axis, "values": values}).encode())

@@ -238,11 +238,16 @@ class TestValidation:
          "initial_data.m0", "slope_width"),
         ({"kind": "from_potential", "m0": {"shape": "tanh_gaussian"}},
          "initial_data.m0", "envelope_width"),
+        ({"kind": "mollified_peakon"}, "initial_data", "mollify_width"),
+        ({"kind": "mollified_exponential"}, "initial_data", "rate"),
+        ({"kind": "mollified_exponential"}, "initial_data", "mollify_width"),
     ], ids=["gaussian", "odd-gaussian-derivative", "m0-gaussian",
-            "m0-tanh-slope", "m0-tanh-envelope"])
+            "m0-tanh-slope", "m0-tanh-envelope", "mollified-peakon-width",
+            "mollified-exponential-rate", "mollified-exponential-width"])
     def test_non_positive_width_rejected(self, initial, path, field, value):
         # a negative width used to restate a positive one under another
-        # config hash; a zero one divided by zero
+        # config hash; a zero one divided by zero.  The decode refuses
+        # either without building the datum.
         initial = copy.deepcopy(initial)
         initial.get("m0", initial)[field] = value
         with pytest.raises(ConfigError) as err:

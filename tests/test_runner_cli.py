@@ -3,9 +3,11 @@ reproducibility, parameter sweeps, and the command-line interface."""
 
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +133,29 @@ class TestRunScenario:
         assert row["W0"] > 0 and row["sup_W"] >= row["W0"]
         assert row["t_valid"] == [0.0, pytest.approx(0.1, abs=1e-12)]
         assert row["weight"]["kind"] == "standard"
+
+    def test_norm_that_overflows_at_t0_diverges_from_the_start(self,
+                                                               tmp_path):
+        # e^{20|x|} overflows to inf near the edges of L = 40, where u is
+        # 0, so W(0) is nan at both exponents: the run completes, and each
+        # block has no valid row.  summary.json spells nan and inf as text.
+        weight = {"kind": "standard", "a": 20.0, "b": 1.0}
+        scenario = tiny_scenario(
+            grid={"L": 40.0, "N": 1024},
+            weights_to_track=[{"weight": weight, "p": "inf"},
+                              {"weight": weight, "p": 2}])
+        result = run_scenario(scenario, out_root=tmp_path)
+        assert result.summary["status"] == "ReachedTEnd"
+        stored = read_summary(result.outdir / "summary.json")["persistence"]
+        assert [row["p"] for row in stored] == ["inf", 2.0]
+        for row, echo in zip(result.summary["persistence"], stored):
+            assert np.isnan(row["W0"])
+            assert row["sup_W"] == row["C_fit"] == np.inf
+            assert row["passed"] is False and row["diverged"] is True
+            assert row["t_valid"] == [0.0, 0.0]
+            assert (echo["W0"], echo["sup_W"], echo["C_fit"]) == (
+                "nan", "inf", "inf")
+            assert echo["t_valid"] == [0.0, 0.0]
 
     def test_breakdown_is_a_result_with_a_bracket(self):
         result = run_scenario(scenario_from_dict(BREAKDOWN))
@@ -394,10 +419,18 @@ class TestApplyAxis:
         assert TINY["solver"]["t_end"] == 0.1  # original untouched
 
     def test_integer_fields_stay_integers(self):
+        # the value is set as given; the codec makes the grid size an int,
+        # so a swept N keeps the config hash of the same N written as one
         out = apply_axis(TINY, "grid.N", 512.0)
-        assert out["grid"]["N"] == 512 and isinstance(out["grid"]["N"], int)
-        with pytest.raises(ConfigError, match="takes integers"):
-            apply_axis(TINY, "grid.N", 300.5)
+        assert out["grid"]["N"] == 512.0
+        assert isinstance(out["grid"]["N"], float)
+        scenario = scenario_from_dict(out)
+        assert scenario.grid.N == 512 and isinstance(scenario.grid.N, int)
+        assert TINY["grid"]["N"] == 512
+        assert scenario.content_hash() == tiny_scenario().content_hash()
+        with pytest.raises(ConfigError,
+                           match=r"^grid\.N: expected an integer, got 300\.5"):
+            scenario_from_dict(apply_axis(TINY, "grid.N", 300.5))
 
     def test_top_level_leaf(self):
         for current in (1.5, None):  # an unset optional number sweeps too
@@ -410,22 +443,12 @@ class TestApplyAxis:
             apply_axis(TINY, "solvr.t_end", 1.0)
         with pytest.raises(ConfigError, match="no config field 'solver.dt'"):
             apply_axis(TINY, "solver.dt", 1.0)
-        with pytest.raises(ConfigError, match="empty sweep axis"):
+        with pytest.raises(ConfigError, match="no config field ''"):
             apply_axis(TINY, "", 1.0)
 
     def test_cannot_invent_fields(self):
         with pytest.raises(ConfigError, match="available here"):
             apply_axis(TINY, "solver.brand_new", 1.0)
-
-    @pytest.mark.parametrize("axis, kind", [
-        ("solver.dealias", "bool"), ("name", "str"),
-        ("initial_data.kind", "str"), ("weights_to_track", "list"),
-        ("grid", "dict")])
-    def test_non_numeric_fields_are_rejected(self, axis, kind):
-        config = dict(TINY, solver={"t_end": 0.1, "dealias": True})
-        with pytest.raises(ConfigError,
-                           match=rf"^axis: {axis} holds a {kind}, not a number"):
-            apply_axis(config, axis, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -466,6 +489,27 @@ class TestSweep:
     def test_bad_axis_rejected_before_running(self):
         with pytest.raises(ConfigError, match="no config section"):
             sweep(tiny_scenario(), "nope.t_end", [1.0], workers=1)
+
+    @pytest.mark.parametrize("axis, message", [
+        ("solver.dealias", "expected true/false, got 1.0"),
+        ("name", "expected a string, got float 1.0"),
+        ("initial_data.kind", "unknown initial-data kind 1.0"),
+        ("weights_to_track", "expected a list, got float"),
+        ("grid", "expected a mapping, got float")],
+        ids=["solver.dealias", "name", "initial_data.kind",
+             "weights_to_track", "grid"])
+    def test_non_numeric_fields_are_rejected(self, monkeypatch, tmp_path,
+                                             axis, message):
+        # the codec refuses the value under the field's dotted path, and
+        # no child starts
+        monkeypatch.setattr(runner, "_run_children",
+                            lambda *args: pytest.fail("a child started"))
+        with pytest.raises(ConfigError) as err:
+            sweep(tiny_scenario(), axis, [1.0], workers=1,
+                  out_root=tmp_path / "runs")
+        assert err.value.path == axis
+        assert str(err.value).startswith(f"{axis}: {message}")
+        assert not (tmp_path / "runs").exists()
 
     def test_artifacts_and_reproducibility(self, tmp_path):
         values = [0.05, 0.1]
@@ -718,6 +762,34 @@ class TestCli:
                      str(tmp_path / "r")]) == 0
         assert "breakdown bracketed in" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("config, line", [
+        ("initial_data: {kind: gaussian}\nrate_cap_factor: 3.0\n",
+         r"  rate cap: max \S+ vs cap \S+ -> ok"),
+        ("initial_data: {kind: gaussian}\nprofiles_enabled: true\n",
+         r"  profiles: c1=\S+ c2=\S+, max eps \(\S+, \S+\), "
+         r"reconstruction \S+"),
+        # the datum's e^{|x|}-weighted profile integrals diverge
+        ("initial_data: {kind: mollified_exponential, rate: 0.4}\n"
+         "profiles_enabled: true\n",
+         r"  profiles note: profiles stopped at t=0: weighted profile "
+         r"integrand is cut off at the crop .*"),
+        ("initial_data: {kind: gaussian}\nweights_to_track:\n"
+         "  - weight: {kind: standard, a: 0.1, b: 2.0}\n",
+         r"  warning: weights_to_track\[0\]: exp\(0\.1\|x\|\^2\.0\)\S* "
+         r"grows faster than exponential .* no persistence guarantee"),
+    ], ids=["rate-cap", "profiles", "profiles-note", "weight-warning"])
+    def test_simulate_reports_each_block(self, config, line, tmp_path,
+                                         capsys):
+        path = tmp_path / "report.yaml"
+        path.write_text("name: report\ngrid: {L: 60.0, N: 1024}\n"
+                        "solver: {t_end: 0.05}\n" + config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CertificationWarning)
+            assert main(["simulate", str(path), "--out",
+                         str(tmp_path / "r")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(re.fullmatch(line, text) for text in lines), lines
+
     def test_classify_writes_verdicts_without_integrating(
             self, tiny_yaml, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -745,6 +817,17 @@ class TestCli:
         assert cert["admissible"] is True
         # sampled estimate of the exact moderateness constant 1
         assert cert["C0"] == pytest.approx(1.0, abs=0.05)
+
+    def test_weights_certify_without_tracked_weights(self, tmp_path,
+                                                    capsys):
+        path = tmp_path / "bare.yaml"
+        path.write_text(TINY_YAML.split("weights_to_track:")[0])
+        out = tmp_path / "runs"
+        assert main(["weights", "certify", str(path), "--out",
+                     str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "tiny: no weights_to_track in this scenario\n")
+        assert not out.exists()
 
     def test_weights_certify_certifies_each_weight_once(
             self, tmp_path, monkeypatch):
@@ -887,30 +970,52 @@ class TestCli:
         assert len(sweep_dirs) == 1
         assert (sweep_dirs[0] / "sweep.csv").is_file()
 
+    def test_sweep_prints_an_error_row(self, tiny_yaml, tmp_path, capsys):
+        # amplitude 0 decodes, and its run refuses the all-zero datum
+        assert main(["sweep", str(tiny_yaml), "--axis",
+                     "initial_data.amplitude", "--values", "0,1",
+                     "--workers", "1", "--out", str(tmp_path / "r")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == (
+            "  initial_data.amplitude = 0          error: ConfigError: "
+            "initial_data: all samples are zero on grid L=20.0, N=512")
+        assert lines[2].startswith(
+            "  initial_data.amplitude = 1          ReachedTEnd at t=0.1")
+
     def test_sweep_workers_below_one_exit_2(self, tiny_yaml, capsys):
         assert main(["sweep", str(tiny_yaml), "--axis", "solver.t_end",
                      "--values", "0.05", "--workers", "-1", "--quiet"]) == 2
         assert "workers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("axis, value", [
-        ("grid.N", "inf"), ("grid.N", "nan"), ("solver.t_end", "nan"),
-        ("solver.t_end", "-inf")])
+    @pytest.mark.parametrize("axis, values, message", [
+        ("grid.N", "512,inf", "grid.N: expected an integer, got inf"),
+        ("grid.N", "512,nan", "grid.N: expected an integer, got nan"),
+        ("solver.t_end", "0.05,nan",
+         "solver.t_end: expected a finite number, got nan"),
+        ("solver.t_end", "0.05,-inf",
+         "solver.t_end: expected a finite number, got -inf")],
+        ids=["grid.N-inf", "grid.N-nan", "solver.t_end-nan",
+             "solver.t_end--inf"])
     def test_sweep_non_finite_values_exit_2(self, tiny_yaml, tmp_path, axis,
-                                            value, capsys):
+                                            values, message, capsys):
         out = tmp_path / "runs"
         assert main(["sweep", str(tiny_yaml), "--axis", axis, "--values",
-                     f"0.05,{value}", "--out", str(out), "--quiet"]) == 2
-        assert "values: sweep values must be finite" in capsys.readouterr().err
+                     values, "--out", str(out), "--quiet"]) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
         assert not out.exists()  # rejected before any run
 
-    @pytest.mark.parametrize("axis", ["solver.dealias", "name",
-                                      "initial_data.kind"])
+    @pytest.mark.parametrize("axis, message", [
+        ("solver.dealias", "solver.dealias: expected true/false, got 0.0"),
+        ("name", "name: expected a string, got float 0.0"),
+        ("initial_data.kind",
+         "initial_data.kind: unknown initial-data kind 0.0; one of: ")],
+        ids=["solver.dealias", "name", "initial_data.kind"])
     def test_sweep_non_numeric_axis_exit_2(self, tiny_yaml, tmp_path, axis,
-                                           capsys):
+                                           message, capsys):
         out = tmp_path / "runs"
         assert main(["sweep", str(tiny_yaml), "--axis", axis, "--values",
                      "0,1", "--out", str(out), "--quiet"]) == 2
-        assert f"axis: {axis} holds a" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()  # rejected before any run
 
     def test_sweep_bad_values_exit_2(self, tiny_yaml, capsys):
@@ -918,20 +1023,28 @@ class TestCli:
                      "--values", "a,b", "--quiet"]) == 2
         assert "bad sweep value" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("axis, values, message", [
-        ("grid.N", "100,300", "grid: N must be a power of two"),
-        ("solver.cfl", "0.3,2", "solver: cfl must be in (0, 1]"),
-        ("initial_data.width", "1,-1",
+    @pytest.mark.parametrize("config, axis, values, message", [
+        (None, "grid.N", "100,300", "grid: N must be a power of two"),
+        (None, "solver.cfl", "0.3,2", "solver: cfl must be in (0, 1]"),
+        (None, "initial_data.width", "1,-1",
          "initial_data: width must be positive, got -1.0"),
-        ("initial_data.width", "1,0",
+        (None, "initial_data.width", "1,0",
          "initial_data: width must be positive, got 0.0"),
-    ], ids=["grid-N", "cfl", "width-negative", "width-zero"])
+        # mollified data: the datum's own check, without building it
+        ("decay-threshold-sweep", "initial_data.rate", "0.5,0",
+         "initial_data: rate must be positive, got 0.0"),
+        ("decay-threshold-sweep", "initial_data.rate", "0.5,-1",
+         "initial_data: rate must be positive, got -1.0"),
+        ("peakon-travel", "initial_data.mollify_width", "0.1,-0.1",
+         "initial_data: mollify_width must be positive, got -0.1"),
+    ], ids=["grid-N", "cfl", "width-negative", "width-zero", "rate-zero",
+            "rate-negative", "mollify-width-negative"])
     def test_sweep_values_the_codec_rejects_exit_2(self, tiny_yaml, tmp_path,
-                                                   axis, values, message,
-                                                   capsys):
+                                                   config, axis, values,
+                                                   message, capsys):
         out = tmp_path / "runs"
-        assert main(["sweep", str(tiny_yaml), "--axis", axis, "--values",
-                     values, "--workers", "1", "--out", str(out),
+        assert main(["sweep", config or str(tiny_yaml), "--axis", axis,
+                     "--values", values, "--workers", "1", "--out", str(out),
                      "--quiet"]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()  # rejected before any child started
