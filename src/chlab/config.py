@@ -18,7 +18,6 @@ typo in a config file points at the line that caused it, not at a traceback.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -39,6 +38,16 @@ from .initial_data import (FromPotential, Gaussian, GaussianShape, InitialData,
 from .solver import SolverConfig, boundary_fraction
 from .weights import OneSided, StandardFamily, Truncated, Weight
 
+# CPython's own SHA-256, the module hashlib itself falls back to: importing
+# hashlib maps OpenSSL's libcrypto, 3.4 MB resident in every process.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 __all__ = [
     "ConfigError",
     "CertificationWarning",
@@ -48,6 +57,7 @@ __all__ = [
     "parse_scenario",
     "load_scenario",
     "canonical_json",
+    "content_digest",
 ]
 
 #: Initial data may not touch the domain boundary: the outermost cells must
@@ -137,9 +147,8 @@ class Scenario:
         return _encode(self)
 
     def content_hash(self) -> str:
-        """Hash of the effective configuration (first 12 hex digits)."""
-        digest = hashlib.sha256(canonical_json(self.effective_config()).encode())
-        return digest.hexdigest()[:12]
+        """Digest of the effective configuration (``content_digest``)."""
+        return content_digest(self.effective_config())
 
     def run_dirname(self) -> str:
         """Artifact directory name: scenario name plus content hash, so
@@ -162,6 +171,11 @@ class Scenario:
 def canonical_json(data: Any) -> str:
     """Deterministic JSON encoding (sorted keys, no whitespace)."""
     return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def content_digest(data: Any) -> str:
+    """First 12 hex digits of the SHA-256 of ``canonical_json(data)``."""
+    return _sha256(canonical_json(data).encode()).hexdigest()[:12]
 
 
 def _exponent(raw: Any, path: str) -> float:

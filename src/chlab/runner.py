@@ -16,7 +16,6 @@ aborted sweep.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import signal
@@ -29,7 +28,7 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import (CertificationWarning, ConfigError, Scenario,
-                     canonical_json, scenario_from_dict)
+                     content_digest, scenario_from_dict)
 from .diagnostics import (PersistenceTrace, RateCapTrace, persistence_check,
                           predictor_table, rate_cap_check)
 from .io import (PROFILE_CSV, RUN_CSV, SCHEMA_VERSION, SNAPSHOT_CSV,
@@ -253,11 +252,17 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
     A run that raises, and a child process that dies (out of memory, a
     crash), each become an error row; the other values complete.  When
     ``out_root`` is given, each run writes its usual artifact directory and
-    the sweep table lands in ``out_root/<name>-sweep-<hash>/``.
+    the sweep table lands in ``out_root/<name>-sweep-<hash>/``.  A value
+    that is not an int or a float (a bool is not one) raises ConfigError
+    first.
     """
     values = list(values)
     if not values:
         raise ConfigError("values", "empty sweep value list")
+    for value in values:  # the sweep table and hash hold numbers only
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError("values", f"sweep values must be ints or "
+                                        f"floats, got {value!r}")
     if workers is not None and workers < 1:
         raise ConfigError("workers", f"need at least 1 worker, got {workers}")
     base_dict = base.effective_config()
@@ -276,8 +281,6 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
              "dir": None, "error": None, **fields}
             for value, fields in zip(values, sent)]
 
-    digest = hashlib.sha256(canonical_json(
-        {"base": base_dict, "axis": axis, "values": values}).encode())
     summary = {
         "schema_version": SCHEMA_VERSION,
         "scenario": base.name,
@@ -285,7 +288,8 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
         "values": values,
         "seed": int(seed),
         "base_config": base_dict,
-        "sweep_hash": digest.hexdigest()[:12],
+        "sweep_hash": content_digest(
+            {"base": base_dict, "axis": axis, "values": values}),
         "rows": rows,
     }
 

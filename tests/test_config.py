@@ -3,6 +3,7 @@ echo, content hashing, and YAML loading."""
 
 import ast
 import copy
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -21,6 +22,7 @@ from chlab.config import (
     ConfigError,
     Scenario,
     canonical_json,
+    content_digest,
     load_scenario,
     parse_scenario,
     scenario_from_dict,
@@ -427,6 +429,31 @@ def test_shipped_config_loads_and_echoes(name):
     again = scenario_from_dict(s.effective_config())
     assert again == s
     assert again.content_hash() == s.content_hash()
+
+
+def _hashlib_digest(data) -> str:
+    return hashlib.sha256(canonical_json(data).encode()).hexdigest()[:12]
+
+
+def test_content_digest_matches_hashlib():
+    # the built-in SHA-256 gives the digest hashlib gives
+    for data in ({}, [], "", {"b": 1, "a": [1.5, None, "\u00e9"]}, TINY):
+        assert content_digest(data) == _hashlib_digest(data)
+
+
+HASHED = ([f"builtin/{n}" for n in builtin_names()]
+          + [f"configs/{p.name}" for p in sorted(CONFIGS.glob("*.yaml"))])
+
+
+@pytest.mark.parametrize("source", HASHED)
+def test_content_hash_matches_hashlib(source):
+    # every run-directory name and config_hash stays where it was
+    group, _, name = source.partition("/")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CertificationWarning)
+        s = (builtin_scenario(name) if group == "builtin"
+             else load_scenario(CONFIGS / name))
+    assert s.content_hash() == _hashlib_digest(s.effective_config())
 
 
 INPUTS_FILE = Path(__file__).parent.parent / "perfbench" / "inputs.py"

@@ -7,6 +7,8 @@
   and named by another module of the package, the tests or the
   benchmark: an export nothing uses is not public API.
 * The CLI path loads no scipy module: scipy is a test-only dependency.
+  Nor does it load OpenSSL's hashlib backend (``_hashlib``), which maps
+  3.4 MB into every process: configs hash with CPython's own SHA-256.
 * Importing the CLI loads neither ``multiprocessing`` nor ``csv``: only a
   sweep uses them, and it imports them itself.
 * The CLI's module docstring and README's quick start name exactly the
@@ -20,6 +22,8 @@ interpreter.
 import argparse
 import ast
 import functools
+import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -142,26 +146,39 @@ def test_all_names_are_used_elsewhere(path):
     assert not unused, f"{path.name} exports names nothing else uses: {unused}"
 
 
-# Imports the CLI and builds both erfc-based initial-data kinds, as a CLI
-# run of such a scenario does, then prints every scipy module loaded.
+# Imports the CLI, builds both erfc-based initial-data kinds, runs the
+# second with artifacts and tail profiles, and sweeps it, as the CLI's
+# commands do; then prints every scipy module loaded and whether OpenSSL's
+# hashlib backend is.
 _CLI_PATH = f"""
-import sys
+import json, sys
 sys.path.insert(0, {str(PACKAGE.parent)!r})
 import chlab.cli
 from chlab.config import scenario_from_dict
+from chlab.runner import run_scenario, sweep
 for kind in ("mollified_peakon", "mollified_exponential"):
-    scenario_from_dict({{"name": "probe", "grid": {{"L": 40.0, "N": 1024}},
-                        "initial_data": {{"kind": kind}},
-                        "solver": {{"t_end": 0.1}}}}).build_initial()
-print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+    scenario = scenario_from_dict({{"name": "probe",
+                                   "grid": {{"L": 40.0, "N": 1024}},
+                                   "initial_data": {{"kind": kind}},
+                                   "solver": {{"t_end": 0.02}}}})
+    scenario.build_initial()
+run_scenario(scenario.with_profiles(), out_root=sys.argv[1])
+sweep(scenario, "solver.t_end", [0.01], out_root=sys.argv[1], workers=1)
+print(json.dumps({{"scipy": sorted(m for m in sys.modules
+                                  if m.partition(".")[0] == "scipy"),
+                  "_hashlib": "_hashlib" in sys.modules}}))
 """
 
 
-def test_cli_path_loads_no_scipy():
-    done = subprocess.run([sys.executable, "-c", _CLI_PATH],
+def test_cli_path_loads_no_scipy_and_no_openssl(tmp_path):
+    done = subprocess.run([sys.executable, "-c", _CLI_PATH, str(tmp_path)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]", f"scipy loaded: {done.stdout}"
+    loaded = json.loads(done.stdout)
+    assert loaded["scipy"] == [], f"scipy loaded: {loaded['scipy']}"
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        pytest.skip("no built-in SHA-256 module: configs hash with OpenSSL")
+    assert not loaded["_hashlib"], "OpenSSL's hashlib backend loaded"
 
 
 # Imports the CLI, then prints every sweep-only module loaded.

@@ -511,6 +511,24 @@ class TestSweep:
         assert str(err.value).startswith(f"{axis}: {message}")
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("axis, values, bad", [
+        ("name", ["alpha", "beta"], "'alpha'"),
+        ("solver.dealias", [True], "True"),
+        ("solver.t_end", [0.05, None], "None")],
+        ids=["str", "bool", "none"])
+    def test_values_that_are_not_numbers_are_rejected(
+            self, monkeypatch, tmp_path, axis, values, bad):
+        # refused before any child starts, so nothing is written
+        monkeypatch.setattr(runner, "_run_children",
+                            lambda *args: pytest.fail("a child started"))
+        with pytest.raises(ConfigError) as err:
+            sweep(tiny_scenario(), axis, values, workers=1,
+                  out_root=tmp_path / "runs")
+        assert err.value.path == "values"
+        assert str(err.value) == (
+            f"values: sweep values must be ints or floats, got {bad}")
+        assert not (tmp_path / "runs").exists()
+
     def test_artifacts_and_reproducibility(self, tmp_path):
         values = [0.05, 0.1]
         t1 = sweep(tiny_scenario(), "solver.t_end", values, workers=1,
