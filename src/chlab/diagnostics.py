@@ -168,7 +168,6 @@ class PersistenceTrace:
 
     def __init__(self, weight: Weight, p: float, grid: Grid,
                  name: str = "W") -> None:
-        self.weight = weight
         self.p = p
         self.name = name
         self._samples = weight.value(grid.x)

@@ -28,7 +28,8 @@ finite x it is merely bounded, not negligible.
 ``ProfileAccumulator(u0)`` is the probe for ``solver.run`` that does all
 of this along a run: it holds the datum, its windows and the running
 integrals, makes one ``PROFILE_HEADER`` row per snapshot past t = 0, and
-condenses the rows into the run summary's profile block.
+gives the reconstruction error against the terminal state.  The run
+summary's profile block is read from the rows (``runner.summarize``).
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class ProfileAccumulator:
         self._prev_adv: Optional[np.ndarray] = None
         self.rows: List[Tuple[float, ...]] = []
         self.error: Optional[str] = None
-        try:
-            self.Phi0, self.Psi0 = phi0_psi0(u0)
+        try:  # the run summary recomputes Phi0 and Psi0 from u0
+            phi0_psi0(u0)
         except ValueError as exc:
             self.error = f"profiles stopped at t=0: {exc}"
 
@@ -149,35 +150,14 @@ class ProfileAccumulator:
                           max(c2, Phi, Psi), eps_plus, eps_minus))
         return ()
 
-    def summary(self, u: Field) -> dict:
-        """The profile block of the run summary, read from the last row;
-        ``u`` is the run's terminal state.  c1_positive is the two-sided
-        time-uniform positivity c1 > 0 that pins the tail profiles.  The
-        reconstruction error compares the evolution identity with u, so
-        it is None when the rows stopped before the run did."""
-        if not self.rows:
-            return {"snapshots": 0,
-                    "error": self.error or "no snapshots past t=0"}
-        _, Phi, Psi, c1, c2, eps_plus, eps_minus = self.rows[-1]
-        recon_err = None
-        if self.error is None:
-            recon = reconstruct(self).values
-            recon_err = float(np.max(np.abs(recon - u.values))
-                              / max(np.max(np.abs(u.values)), 1e-300))
-        return {
-            "Phi0": self.Phi0,
-            "Psi0": self.Psi0,
-            "snapshots": len(self.rows),
-            "c1": c1,
-            "c2": c2,
-            "c1_positive": c1 > 0.0,
-            "Phi_final": Phi,
-            "Psi_final": Psi,
-            "max_eps_plus": eps_plus,
-            "max_eps_minus": eps_minus,
-            "reconstruction_error_rel": recon_err,
-            "error": self.error,
-        }
+    def reconstruction_error(self, u: Field) -> Optional[float]:
+        """max|reconstruct(self) - u| / max|u| against the run's terminal
+        state u; None when the rows stopped before the run did."""
+        if self.error is not None or not self.rows:
+            return None
+        recon = reconstruct(self).values
+        return float(np.max(np.abs(recon - u.values))
+                     / max(np.max(np.abs(u.values)), 1e-300))
 
 
 def _weighted_half_integral(values: np.ndarray, grid: Grid,

@@ -2,11 +2,10 @@
 
 ``run_scenario`` hands the solver one probe per diagnostic layer the
 scenario enables — weighted-norm traces, the critical-decay rate cap,
-tail-profile accumulation — adds the breakdown predictors, and condenses
-the outcome, each block computed from the run log, the profile rows or
-the terminal state, into a single JSON-able summary.  Terminal statuses
-(wave breaking included) are results, not errors: the function only
-raises for genuinely broken inputs.
+tail-profile accumulation — and ``summarize`` builds every block of the
+JSON-able summary from the datum and the tables the run records: the run
+log and the profile rows.  Terminal statuses (wave breaking included) are
+results, not errors: a run only raises for genuinely broken inputs.
 
 ``sweep`` repeats a base scenario across values of one config field.
 Every value, at any ``workers`` count, runs in a child process of its own,
@@ -31,13 +30,14 @@ from .config import (CertificationWarning, ConfigError, Scenario,
                      content_digest, scenario_from_dict)
 from .diagnostics import (PersistenceTrace, RateCapTrace, persistence_check,
                           predictor_table, rate_cap_check)
+from .field import Field
 from .io import (PROFILE_CSV, RUN_CSV, SCHEMA_VERSION, SNAPSHOT_CSV,
                  SUMMARY_JSON, format_number, write_profile_csv,
                  write_run_csv, write_snapshot_csv, write_summary)
-from .profiles import ProfileAccumulator
+from .profiles import ProfileAccumulator, phi0_psi0
 from .solver import RunLog, SolverState, Status, run
 
-__all__ = ["run_scenario", "sweep", "apply_axis"]
+__all__ = ["run_scenario", "summarize", "sweep", "apply_axis"]
 
 #: Statuses that mark finite-time breakdown of the computed solution.  The
 #: last two rows of the run log then give ``t_star_bracket``: they bracket
@@ -66,41 +66,78 @@ def _drift(column: np.ndarray, scale: float) -> float:
 
 def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
                  ) -> ScenarioResult:
-    """Execute one scenario and assemble its run summary.
+    """Execute one scenario: build its probes, ``run``, ``summarize``.
 
     ``seed`` is recorded for provenance; the integration itself is
     deterministic, so identical effective config and seed reproduce every
     CSV byte-for-byte.  When ``out_root`` is given, artifacts are written
-    under ``out_root/<name>-<content hash>/``.  The conservation drifts
-    are divided by the initial energy and by ||u0||_1; mass(0) would not
-    do, since it is roundoff for odd data.
+    under ``out_root/<name>-<content hash>/``, a directory made before the
+    run starts, so an unusable ``out_root`` fails before any integration.
     """
     t_wall = time.perf_counter()
     u0 = scenario.build_initial()
 
     traces = [PersistenceTrace(tw.weight, tw.p, u0.grid, name=f"W_{i}")
               for i, tw in enumerate(scenario.weights_to_track)]
-    factor = scenario.rate_cap_factor
-    rate_cap = RateCapTrace() if factor is not None else None
+    rate_cap = RateCapTrace() if scenario.rate_cap_factor is not None else None
     profiles = ProfileAccumulator(u0) if scenario.profiles_enabled else None
     probes = traces + [p for p in (rate_cap, profiles) if p is not None]
 
+    outdir: Optional[Path] = None
+    if out_root is not None:
+        outdir = Path(out_root) / scenario.run_dirname()
+        outdir.mkdir(parents=True, exist_ok=True)
+
     state, log = run(u0, scenario.solver, probes)
 
+    rows = profiles.rows if profiles is not None else None
+    summary = summarize(
+        scenario, u0, log, rows, state.status, state.step_count,
+        (profiles.error, profiles.reconstruction_error(state.u))
+        if profiles is not None else (None, None))
+    summary["seed"] = int(seed)
+    summary["timing_seconds"] = round(time.perf_counter() - t_wall, 6)
+
+    if outdir is not None:
+        artifacts = {"run_csv": RUN_CSV, "snapshot_csv": SNAPSHOT_CSV,
+                     "summary_json": SUMMARY_JSON}
+        write_run_csv(outdir / RUN_CSV, log)
+        write_snapshot_csv(outdir / SNAPSHOT_CSV, scenario.grid, u0.values,
+                           state.u.values)
+        if rows is not None:
+            write_profile_csv(outdir / PROFILE_CSV, rows)
+            artifacts["profile_csv"] = PROFILE_CSV
+        summary["artifacts"] = artifacts
+        write_summary(outdir / SUMMARY_JSON, summary)
+
+    return ScenarioResult(scenario=scenario, summary=summary, state=state,
+                          log=log, profile_rows=rows, outdir=outdir)
+
+
+def summarize(scenario: Scenario, u0: Field, log: RunLog,
+              profile_rows: Optional[Sequence[Sequence[float]]],
+              status: Status, steps: int,
+              profile_end: Tuple[Optional[str], Optional[float]]) -> dict:
+    """The run summary bar ``seed``, ``timing_seconds`` and ``artifacts``.
+    Each block is read from the datum and the run's tables (no profile
+    rows: None), but for the facts no table records: ``status``, ``steps``
+    and ``profile_end``, the profile block's (``error``,
+    ``reconstruction_error_rel``).  Drifts are relative to the initial
+    energy and to ||u0||_1 (mass(0) is roundoff for odd data)."""
     config = scenario.effective_config()
-    breakdown = state.status in _BREAKDOWN_STATUSES and len(log.rows) >= 2
+    breakdown = status in _BREAKDOWN_STATUSES and len(log.rows) >= 2
     energy = log.column("energy")
     times, M = log.column("t"), log.column("u_inf") + log.column("ux_inf")
     u0_l1 = float(np.sum(np.abs(u0.values)) * u0.grid.dx)
-    summary: dict = {
+    factor = scenario.rate_cap_factor
+    return {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario.name,
         "config": config,
         "config_hash": scenario.content_hash(),
-        "seed": int(seed),
-        "status": state.status.value,
-        "t_final": state.t,
-        "steps": state.step_count,
+        "status": status.value,
+        "t_final": log.rows[-1][0],
+        "steps": steps,
         "conservation": {
             "energy_drift_rel": _drift(energy, energy[0]),
             "mass_drift_rel": _drift(log.column("mass"), u0_l1),
@@ -110,36 +147,32 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
                            if breakdown else None),
         "predictors": predictor_table(u0),
         # the config echo gives each tracked weight's "weight" and "p"
-        "persistence": [{**echo, "weight_str": str(trace.weight),
-                         **persistence_check(times, log.column(trace.name), M)}
-                        for echo, trace in zip(config["weights_to_track"],
-                                               traces)],
+        "persistence": [
+            {**echo, "weight_str": str(tw.weight),
+             **persistence_check(times, log.column(f"W_{i}"), M)}
+            for i, (echo, tw) in enumerate(zip(config["weights_to_track"],
+                                               scenario.weights_to_track))],
         "rate_cap": (rate_cap_check(times, log.column("rate_cap_sup"), factor)
                      if factor is not None else None),
-        "profiles": profiles.summary(state.u) if profiles is not None else None,
+        "profiles": (_profile_block(u0, profile_rows, *profile_end)
+                     if profile_rows is not None else None),
     }
-    summary["timing_seconds"] = round(time.perf_counter() - t_wall, 6)
 
-    # --- artifacts ---------------------------------------------------------
-    outdir: Optional[Path] = None
-    if out_root is not None:
-        outdir = Path(out_root) / scenario.run_dirname()
-        outdir.mkdir(parents=True, exist_ok=True)
-        artifacts = {"run_csv": RUN_CSV, "snapshot_csv": SNAPSHOT_CSV,
-                     "summary_json": SUMMARY_JSON}
-        write_run_csv(outdir / RUN_CSV, log)
-        write_snapshot_csv(outdir / SNAPSHOT_CSV, scenario.grid, u0.values,
-                           state.u.values)
-        if profiles is not None:
-            write_profile_csv(outdir / PROFILE_CSV, profiles.rows)
-            artifacts["profile_csv"] = PROFILE_CSV
-        summary["artifacts"] = artifacts
-        write_summary(outdir / SUMMARY_JSON, summary)
 
-    return ScenarioResult(
-        scenario=scenario, summary=summary, state=state, log=log,
-        profile_rows=profiles.rows if profiles is not None else None,
-        outdir=outdir)
+def _profile_block(u0: Field, rows: Sequence[Sequence[float]],
+                   error: Optional[str], recon_err: Optional[float]) -> dict:
+    """The profile block, read from the last profile row.  c1_positive is
+    the two-sided time-uniform positivity c1 > 0 that pins the tail
+    profiles."""
+    if not rows:
+        return {"snapshots": 0, "error": error or "no snapshots past t=0"}
+    _, Phi, Psi, c1, c2, eps_plus, eps_minus = rows[-1]
+    Phi0, Psi0 = phi0_psi0(u0)
+    return {"Phi0": Phi0, "Psi0": Psi0, "snapshots": len(rows),
+            "c1": c1, "c2": c2, "c1_positive": c1 > 0.0,
+            "Phi_final": Phi, "Psi_final": Psi,
+            "max_eps_plus": eps_plus, "max_eps_minus": eps_minus,
+            "reconstruction_error_rel": recon_err, "error": error}
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +285,9 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
     A run that raises, and a child process that dies (out of memory, a
     crash), each become an error row; the other values complete.  When
     ``out_root`` is given, each run writes its usual artifact directory and
-    the sweep table lands in ``out_root/<name>-sweep-<hash>/``.  A value
-    that is not an int or a float (a bool is not one) raises ConfigError
-    first.
+    the sweep table lands in ``out_root/<name>-sweep-<hash>/``, made before
+    any child starts.  A value that is not an int or a float (a bool is
+    not one) raises ConfigError first.
     """
     values = list(values)
     if not values:
@@ -272,6 +305,12 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
         for config in configs:
             scenario_from_dict(config, check_initial=False)
 
+    sweep_hash = content_digest(dict(base=base_dict, axis=axis, values=values))
+    sweep_dir: Optional[Path] = None
+    if out_root is not None:  # an unusable out_root fails before any child
+        sweep_dir = Path(out_root) / f"{base.name}-sweep-{sweep_hash}"
+        sweep_dir.mkdir(parents=True, exist_ok=True)
+
     out_root_str = str(out_root) if out_root is not None else None
     jobs = [(config, out_root_str, seed) for config in configs]
     sent = _run_children(jobs, workers or min(len(jobs), os.cpu_count() or 1))
@@ -288,14 +327,11 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
         "values": values,
         "seed": int(seed),
         "base_config": base_dict,
-        "sweep_hash": content_digest(
-            {"base": base_dict, "axis": axis, "values": values}),
+        "sweep_hash": sweep_hash,
         "rows": rows,
     }
 
-    if out_root is not None:
-        sweep_dir = Path(out_root) / f"{base.name}-sweep-{summary['sweep_hash']}"
-        sweep_dir.mkdir(parents=True, exist_ok=True)
+    if sweep_dir is not None:
         _write_sweep_csv(sweep_dir / "sweep.csv", rows)
         write_summary(sweep_dir / "sweep.json", summary)
         summary["dir"] = str(sweep_dir)

@@ -13,6 +13,8 @@
   sweep uses them, and it imports them itself.
 * The CLI's module docstring and README's quick start name exactly the
   commands its parser dispatches.
+* README's ``summary.json`` row names exactly the keys a written summary
+  has.
 
 The first three are checked from the syntax tree alone, so a module that
 fails to import still gets its hygiene checked.  The next two run a fresh
@@ -227,3 +229,18 @@ def test_docs_name_exactly_the_cli_commands():
     assert "weights certify" in commands
     assert _named_commands(docstring, groups) == commands
     assert _named_commands(quick_start, groups) == commands
+
+
+def test_readme_names_exactly_the_summary_keys(tmp_path):
+    from chlab.config import scenario_from_dict
+    from chlab.runner import run_scenario
+
+    scenario = scenario_from_dict({"name": "keys",
+                                   "grid": {"L": 20.0, "N": 512},
+                                   "initial_data": {"kind": "gaussian"},
+                                   "solver": {"t_end": 0.01}})
+    outdir = run_scenario(scenario, out_root=tmp_path).outdir
+    keys = set(json.loads((outdir / "summary.json").read_text()))
+    [row] = [line for line in (ROOT / "README.md").read_text().splitlines()
+             if line.startswith("| `summary.json` |")]
+    assert set(re.findall(r"`([^`]+)`", row.split(" | ", 1)[1])) == keys

@@ -1,6 +1,7 @@
 """Tail-profile machinery: time-averaged source, amplitude pair,
 automatic asymptotic windows, the ProfileAccumulator rows with their
-running bounds and residual extremes, and the evolution identity."""
+running bounds and residual extremes, the run summary's profile block
+read from them, and the evolution identity."""
 
 import copy
 import math
@@ -19,6 +20,7 @@ from chlab.profiles import (
     reconstruct,
     tail_windows,
 )
+from chlab.runner import _profile_block
 from chlab.scenarios import builtin_scenario
 from chlab.solver import SolverConfig, run
 from helpers import count_transforms
@@ -199,6 +201,12 @@ def evolved():
     return trace, state
 
 
+def _block(trace, u):
+    """The run summary's profile block of a trace whose run ended in u."""
+    return _profile_block(trace.u0, trace.rows, trace.error,
+                          trace.reconstruction_error(u))
+
+
 def _observe(trace, u, times):
     for t in times:
         trace.observe(SimpleNamespace(t=t, u=u))
@@ -208,13 +216,13 @@ def _observe(trace, u, times):
 class TestEvolutionRun:
     def test_amplitudes_stay_pinned_between_positive_bounds(self, evolved):
         trace, state = evolved
-        summary = trace.summary(state.u)
+        summary = _block(trace, state.u)
         assert summary["c1_positive"]
         assert summary["c1"] == pytest.approx(1.0310717598, rel=1e-9)
         assert summary["c2"] == pytest.approx(1.3017917083, rel=1e-9)
         assert trace.rows[-1][3:5] == (summary["c1"], summary["c2"])
         # the lower bound stays a healthy fraction of the initial amplitude
-        assert summary["c1"] > 0.75 * trace.Phi0
+        assert summary["c1"] > 0.75 * summary["Phi0"]
 
     def test_first_interval_amplitudes(self, evolved):
         trace, _ = evolved
@@ -229,6 +237,8 @@ class TestEvolutionRun:
         err = float(np.max(np.abs(recon.values - state.u.values)))
         assert err < 1e-4
         assert err == pytest.approx(2.84182026e-05, rel=1e-6)
+        assert trace.reconstruction_error(state.u) == (
+            err / float(np.max(np.abs(state.u.values))))
 
     def test_residuals_are_small_against_the_amplitude(self, evolved):
         trace, state = evolved
@@ -243,8 +253,9 @@ class TestEvolutionRun:
         trace, state = evolved
         t, Phi, Psi, _, _, eps_plus, eps_minus = trace.rows[-1]
         assert t == state.t
-        assert (trace.Phi0, trace.Psi0) == phi0_psi0(GAUSSIAN)
-        assert trace.Phi0 == pytest.approx(1.1539050833, rel=1e-9)
+        summary = _block(trace, state.u)
+        assert (summary["Phi0"], summary["Psi0"]) == phi0_psi0(GAUSSIAN)
+        assert summary["Phi0"] == pytest.approx(1.1539050833, rel=1e-9)
         assert (eps_plus, eps_minus) == profile_report(trace, state.u,
                                                        (Phi, Psi))
         assert eps_plus == pytest.approx(7.035067e-4, rel=1e-5)
@@ -275,7 +286,7 @@ class TestBoundsCheck:
         # a trace with no snapshot past t = 0 has no bounds to report
         trace = _observe(ProfileAccumulator(GAUSSIAN), GAUSSIAN, [0.0])
         assert trace.rows == []
-        assert trace.summary(GAUSSIAN) == {"snapshots": 0,
+        assert _block(trace, GAUSSIAN) == {"snapshots": 0,
                                            "error": "no snapshots past t=0"}
 
     def test_refused_datum_is_the_error_of_an_empty_block(self):
@@ -283,7 +294,7 @@ class TestBoundsCheck:
         # and observes nothing, so the run still ends with a block
         u = _slow_tail(0.4)
         trace = _observe(ProfileAccumulator(u), u, [0.0, 0.1])
-        summary = trace.summary(u)
+        summary = _block(trace, u)
         assert trace.rows == [] and trace.n_snapshots == 0
         assert summary["snapshots"] == 0
         assert summary["error"].startswith(
@@ -303,8 +314,8 @@ class TestBoundsCheck:
 
     def test_positivity_is_the_pass_rule(self, evolved):
         trace, state = evolved
-        assert trace.summary(state.u)["c1_positive"]
+        assert _block(trace, state.u)["c1_positive"]
         zero = Field(GRID, np.zeros(GRID.N))
-        summary = _observe(ProfileAccumulator(zero), zero,
-                           [0.0, 0.1]).summary(zero)
+        summary = _block(_observe(ProfileAccumulator(zero), zero, [0.0, 0.1]),
+                         zero)
         assert summary["c1"] == 0.0 and not summary["c1_positive"]

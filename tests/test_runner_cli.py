@@ -1000,6 +1000,23 @@ class TestCli:
         assert lines[2].startswith(
             "  initial_data.amplitude = 1          ReachedTEnd at t=0.1")
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["profile"],
+        ["sweep", "--axis", "solver.t_end", "--values", "0.05,0.1"]],
+        ids=["simulate", "profile", "sweep"])
+    def test_out_that_is_a_file_exits_2_before_any_run(
+            self, command, tiny_yaml, tmp_path, monkeypatch, capsys):
+        # the run and sweep directories are made first: a file in the
+        # place of --out fails before any integration or child
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for name in ("run", "_run_children"):
+            monkeypatch.setattr(runner, name, lambda *args, _name=name:
+                                pytest.fail(f"runner.{_name} was called"))
+        assert main([command[0], str(tiny_yaml), *command[1:], "--out",
+                     str(blocker), "--quiet"]) == 2
+        assert "Not a directory" in capsys.readouterr().err
+
     def test_sweep_workers_below_one_exit_2(self, tiny_yaml, capsys):
         assert main(["sweep", str(tiny_yaml), "--axis", "solver.t_end",
                      "--values", "0.05", "--workers", "-1", "--quiet"]) == 2
