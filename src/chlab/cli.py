@@ -181,12 +181,10 @@ def _print_run_report(summary: dict, outdir, quiet: bool) -> None:
         print(f"  artifacts: {outdir}")
 
 
-def _write_record(out_root, scenario: Scenario, seed: int, filename: str,
-                  body: dict) -> Path:
-    """Write ``body`` as ``filename`` in the scenario's run directory, under
-    the summary schema version, scenario name and seed."""
-    outdir = Path(out_root) / scenario.run_dirname()
-    outdir.mkdir(parents=True, exist_ok=True)
+def _write_record(outdir: Path, scenario: Scenario, seed: int,
+                  filename: str, body: dict) -> Path:
+    """Write ``body`` as ``filename`` in ``outdir``, the scenario's run
+    directory, under the summary schema version, scenario name and seed."""
     path = outdir / filename
     write_summary(path, {"schema_version": SCHEMA_VERSION,
                          "scenario": scenario.name, "seed": seed, **body})
@@ -223,6 +221,8 @@ def _cmd_certify(args, out_root, seed, quiet) -> int:
     if not scenario.weights_to_track:
         _say(quiet, f"{scenario.name}: no weights_to_track in this scenario")
         return _EXIT_OK
+    # an unusable --out fails before any certificate
+    outdir = scenario.make_run_dir(out_root) if out_root is not None else None
     records = []
     echo = scenario.effective_config()["weights_to_track"]
     # a weight tracked at several p gets one certificate, shared by its records
@@ -241,8 +241,8 @@ def _cmd_certify(args, out_root, seed, quiet) -> int:
                     else f"{cert['integral_v_exp']:.12g}")
         _say(quiet, f"  decay integral of v e^-|x|: {integral}")
         _say(quiet, f"  sup v e^-|x| = {cert['lp_v_exp']['inf']:.6g}")
-    if out_root is not None:
-        path = _write_record(out_root, scenario, seed,
+    if outdir is not None:
+        path = _write_record(outdir, scenario, seed,
                              "weight_certificates.json",
                              {"certificates": records})
         _say(quiet, f"certificates: {path}")
@@ -251,7 +251,10 @@ def _cmd_certify(args, out_root, seed, quiet) -> int:
 
 def _cmd_classify(args, out_root, seed, quiet) -> int:
     scenario = _resolve_scenario(args.config)
-    table = predictor_table(scenario.build_initial())
+    u0 = scenario.build_initial()
+    # an unusable --out fails before any verdict
+    outdir = scenario.make_run_dir(out_root) if out_root is not None else None
+    table = predictor_table(u0)
     mc = table["momentum_sign"]
     _say(quiet, f"{scenario.name}: a-priori classification of the initial "
                 f"datum")
@@ -263,8 +266,8 @@ def _cmd_classify(args, out_root, seed, quiet) -> int:
         row = table[key]
         verdict = "breakdown guaranteed" if row["fired"] else "silent"
         _say(quiet, f"  {label}: {verdict} (evidence {row['evidence']:.4e})")
-    if out_root is not None:
-        path = _write_record(out_root, scenario, seed, "classification.json",
+    if outdir is not None:
+        path = _write_record(outdir, scenario, seed, "classification.json",
                              {"config_hash": scenario.content_hash(),
                               "predictors": table})
         _say(quiet, f"classification: {path}")

@@ -3,9 +3,13 @@
 A scenario bundles everything one run needs — grid, initial datum, solver
 knobs, weights to track, and which diagnostic layers to enable.  Configs
 arrive as YAML (nested key/value sections, see ``configs/``) or as plain
-dicts; both go through the same validator, which fills every default in
+dicts; both go through the same decoder, which fills every default in
 and echoes the *effective* configuration back, so a run can always be
 reproduced from its summary alone.
+
+Each input check has one owner: ``scenario_from_dict`` judges the grammar,
+``parse_scenario`` warns about weights that cannot be certified, and
+``Scenario.build_initial`` builds the datum and judges it where it is used.
 
 The dataclasses are the schema, ``Scenario`` at the top level included:
 one codec walks their fields, checks each value against the field's
@@ -105,20 +109,10 @@ class TrackedWeight:
     weight: Weight
     p: Exponent = math.inf
 
-    @property
-    def warning(self) -> Optional[str]:
-        """Why no persistence guarantee attaches to this norm, if none does."""
-        obstruction = self.weight.obstruction
-        if obstruction is None:
-            return None
-        return (f"{self.weight} {obstruction}; it is tracked, but it cannot "
-                f"be certified admissible and the tracked norm has no "
-                f"persistence guarantee")
-
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated run description (all defaults resolved)."""
+    """A decoded run description (all defaults resolved)."""
 
     name: str
     grid: Grid
@@ -156,16 +150,45 @@ class Scenario:
         config land in the same place."""
         return f"{self.name}-{self.content_hash()}"
 
+    def make_run_dir(self, out_root) -> Path:
+        """Make and return ``out_root/<run_dirname>/``, before any work."""
+        outdir = Path(out_root) / self.run_dirname()
+        outdir.mkdir(parents=True, exist_ok=True)
+        return outdir
+
     def build_initial(self) -> Field:
-        return self.initial_data.build(self.grid)
+        """Build the datum and judge it: finite, not all zero, and an edge
+        below ``INITIAL_BOUNDARY_TOL`` (or a tighter solver ``boundary_tol``)
+        of the peak; ConfigError under ``initial_data`` otherwise."""
+        where = f"on grid L={self.grid.L}, N={self.grid.N}"
+        try:
+            u0 = self.initial_data.build(self.grid)
+        except ValueError as exc:
+            raise ConfigError("initial_data", str(exc)) from exc
+        if not np.all(np.isfinite(u0.values)):
+            raise ConfigError("initial_data", f"non-finite samples {where}")
+        if not np.any(u0.values):
+            raise ConfigError("initial_data", f"all samples are zero {where}")
+        # the solver would stop at step 0 above its own boundary_tol
+        tol = min(INITIAL_BOUNDARY_TOL, self.solver.boundary_tol)
+        edge = boundary_fraction(u0)
+        if edge > tol:
+            raise ConfigError("initial_data", f"boundary-contaminated {where}: "
+                              f"relative edge magnitude {edge:.3e} exceeds "
+                              f"{tol:.0e} (enlarge L or shrink the tails)")
+        return u0
 
     def with_profiles(self) -> "Scenario":
         return replace(self, profiles_enabled=True)
 
     def weight_warnings(self) -> List[str]:
-        """One message per tracked weight that cannot be certified."""
-        return [f"weights_to_track[{i}]: {tw.warning}"
-                for i, tw in enumerate(self.weights_to_track) if tw.warning]
+        """One message per tracked weight that cannot be certified: why no
+        persistence guarantee attaches to its norm."""
+        return [f"weights_to_track[{i}]: {tw.weight} {tw.weight.obstruction}"
+                f"; it is tracked, but it cannot be certified admissible and "
+                f"the tracked norm has no persistence guarantee"
+                for i, tw in enumerate(self.weights_to_track)
+                if not tw.weight.certifiable]
 
 
 def canonical_json(data: Any) -> str:
@@ -338,51 +361,25 @@ def _encode(obj: Any) -> dict:
     return out
 
 
-def scenario_from_dict(data: Mapping, *, default_name: Optional[str] = None,
-                       check_initial: bool = True) -> Scenario:
-    """Validate a raw config mapping into a Scenario.
+def scenario_from_dict(data: Mapping, *,
+                       default_name: Optional[str] = None) -> Scenario:
+    """Decode a raw config mapping into a Scenario.
 
-    Fills defaults (``default_name`` stands in for an absent ``name``),
-    rejects unknown or ill-typed keys with their dotted path, warns once
-    per uncertifiable tracked weight, and (unless ``check_initial`` is
-    disabled) builds the initial datum once to verify that its samples are
-    finite, not all zero, and not boundary-contaminated on the grid.
+    Fills defaults (``default_name`` stands in for an absent ``name``) and
+    rejects unknown or ill-typed keys with their dotted path.  It judges
+    the grammar only: it builds no datum (``Scenario.build_initial`` judges
+    that) and issues no warning (``parse_scenario`` does).
     """
     data = _mapping(data, "")
     if default_name is not None and "name" not in data:
         data = {**data, "name": default_name}
-    scenario = _decode(Scenario, data, "")
-    for message in scenario.weight_warnings():
-        warnings.warn(message, CertificationWarning, stacklevel=2)
-
-    if check_initial:
-        try:
-            u0 = scenario.build_initial()
-        except ValueError as exc:
-            raise ConfigError("initial_data", str(exc)) from exc
-        grid = scenario.grid
-        if not np.all(np.isfinite(u0.values)):
-            raise ConfigError("initial_data", f"non-finite samples on grid "
-                                              f"L={grid.L}, N={grid.N}")
-        if not np.any(u0.values):
-            raise ConfigError("initial_data", f"all samples are zero on grid "
-                                              f"L={grid.L}, N={grid.N}")
-        # the solver would stop at step 0 above its own boundary_tol
-        tol = min(INITIAL_BOUNDARY_TOL, scenario.solver.boundary_tol)
-        edge = boundary_fraction(u0)
-        if edge > tol:
-            raise ConfigError(
-                "initial_data",
-                f"boundary-contaminated on grid L={grid.L}, N={grid.N}: "
-                f"relative edge magnitude {edge:.3e} exceeds "
-                f"{tol:.0e} (enlarge L or shrink the tails)",
-            )
-    return scenario
+    return _decode(Scenario, data, "")
 
 
 def parse_scenario(text: str, *,
                    default_name: Optional[str] = None) -> Scenario:
-    """Parse YAML text into a validated Scenario."""
+    """Parse YAML text into a decoded Scenario, with one
+    CertificationWarning per tracked weight that cannot be certified."""
     try:
         data = yaml.load(text, Loader=_YAMLLoader)
     except yaml.YAMLError as exc:
@@ -394,7 +391,10 @@ def parse_scenario(text: str, *,
     if not isinstance(data, Mapping):
         raise ConfigError("", f"expected a mapping at top level, got "
                               f"{type(data).__name__}")
-    return scenario_from_dict(data, default_name=default_name)
+    scenario = scenario_from_dict(data, default_name=default_name)
+    for message in scenario.weight_warnings():
+        warnings.warn(message, CertificationWarning, stacklevel=2)
+    return scenario
 
 
 def load_scenario(path) -> Scenario:

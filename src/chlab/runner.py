@@ -7,10 +7,10 @@ JSON-able summary from the datum and the tables the run records: the run
 log and the profile rows.  Terminal statuses (wave breaking included) are
 results, not errors: a run only raises for genuinely broken inputs.
 
-``sweep`` repeats a base scenario across values of one config field.
-Every value, at any ``workers`` count, runs in a child process of its own,
-so a run that raises, or a child that dies, becomes an error row, not an
-aborted sweep.
+``sweep`` repeats a base scenario across values of one config field.  It
+decodes each value's scenario once, in the parent, and hands it to a child
+process of its own at any ``workers`` count, so a run that raises, or a
+child that dies, becomes an error row, not an aborted sweep.
 """
 
 from __future__ import annotations
@@ -19,15 +19,13 @@ import math
 import os
 import signal
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import (CertificationWarning, ConfigError, Scenario,
-                     content_digest, scenario_from_dict)
+from .config import ConfigError, Scenario, content_digest, scenario_from_dict
 from .diagnostics import (PersistenceTrace, RateCapTrace, persistence_check,
                           predictor_table, rate_cap_check)
 from .field import Field
@@ -70,9 +68,11 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
 
     ``seed`` is recorded for provenance; the integration itself is
     deterministic, so identical effective config and seed reproduce every
-    CSV byte-for-byte.  When ``out_root`` is given, artifacts are written
-    under ``out_root/<name>-<content hash>/``, a directory made before the
-    run starts, so an unusable ``out_root`` fails before any integration.
+    CSV byte-for-byte.  The datum is built and judged first
+    (``Scenario.build_initial``).  When ``out_root`` is given, artifacts are
+    written under ``out_root/<name>-<content hash>/``, a directory made
+    before the run starts, so an unusable ``out_root`` fails before any
+    integration.
     """
     t_wall = time.perf_counter()
     u0 = scenario.build_initial()
@@ -83,10 +83,7 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
     profiles = ProfileAccumulator(u0) if scenario.profiles_enabled else None
     probes = traces + [p for p in (rate_cap, profiles) if p is not None]
 
-    outdir: Optional[Path] = None
-    if out_root is not None:
-        outdir = Path(out_root) / scenario.run_dirname()
-        outdir.mkdir(parents=True, exist_ok=True)
+    outdir = scenario.make_run_dir(out_root) if out_root is not None else None
 
     state, log = run(u0, scenario.solver, probes)
 
@@ -203,13 +200,10 @@ def apply_axis(config: Mapping, axis: str, value) -> dict:
     return out
 
 
-def _sweep_worker(conn, config, out_root, seed) -> None:
-    """Run one sweep value's config in a child process and send back the
+def _sweep_worker(conn, scenario: Scenario, out_root, seed) -> None:
+    """Run one sweep value's scenario in a child process and send back the
     run's row fields, or the error of a run that raises."""
     try:
-        with warnings.catch_warnings():  # the base's load already warned
-            warnings.simplefilter("ignore", CertificationWarning)
-            scenario = scenario_from_dict(config)
         s = run_scenario(scenario, out_root=out_root, seed=seed).summary
         outcome = {key: s[key] for key in ("status", "t_final",
                                            "t_star_bracket", "config_hash",
@@ -276,19 +270,22 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
           workers: Optional[int] = None, seed: int = 0) -> dict:
     """Run the base scenario once per axis value.
 
-    The config codec decodes each value's config, built once here, before
-    any child starts: a value its field does not take raises ConfigError
-    naming the field's dotted path.  Every value, at any ``workers`` count,
-    then runs in a child process of its own, with at most ``workers``
-    children alive at a time (default: one per value, capped at the CPU
-    count).  Returns a sweep summary with one row per value in input order.
-    A run that raises, and a child process that dies (out of memory, a
-    crash), each become an error row; the other values complete.  When
+    Before any child starts, the base's datum is built and judged
+    (``Scenario.build_initial``), and the config codec decodes each value's
+    scenario, once: a base datum the judge refuses, or a value its field
+    does not take, raises ConfigError under its dotted path, as does a
+    value that is not an int or a float (a bool is not one).  Each decoded
+    scenario, at any ``workers`` count, then runs in a child process of its
+    own, with at most ``workers`` children alive at a time (default: one
+    per value, capped at the CPU count), and its run judges its own datum.
+    Returns a sweep summary with one row per value in input order.  A run
+    that raises, and a child process that dies (out of memory, a crash),
+    each become an error row; the other values complete.  When
     ``out_root`` is given, each run writes its usual artifact directory and
     the sweep table lands in ``out_root/<name>-sweep-<hash>/``, made before
-    any child starts.  A value that is not an int or a float (a bool is
-    not one) raises ConfigError first.
+    any child starts.
     """
+    base.build_initial()
     values = list(values)
     if not values:
         raise ConfigError("values", "empty sweep value list")
@@ -299,11 +296,8 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
     if workers is not None and workers < 1:
         raise ConfigError("workers", f"need at least 1 worker, got {workers}")
     base_dict = base.effective_config()
-    configs = [apply_axis(base_dict, axis, value) for value in values]
-    with warnings.catch_warnings():  # the base's load already warned
-        warnings.simplefilter("ignore", CertificationWarning)
-        for config in configs:
-            scenario_from_dict(config, check_initial=False)
+    scenarios = [scenario_from_dict(apply_axis(base_dict, axis, value))
+                 for value in values]
 
     sweep_hash = content_digest(dict(base=base_dict, axis=axis, values=values))
     sweep_dir: Optional[Path] = None
@@ -312,7 +306,7 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
         sweep_dir.mkdir(parents=True, exist_ok=True)
 
     out_root_str = str(out_root) if out_root is not None else None
-    jobs = [(config, out_root_str, seed) for config in configs]
+    jobs = [(scenario, out_root_str, seed) for scenario in scenarios]
     sent = _run_children(jobs, workers or min(len(jobs), os.cpu_count() or 1))
     # each child sent its run's fields, or the error that leaves them empty
     rows = [{"axis": axis, "value": value, "status": "Error", "t_final": None,

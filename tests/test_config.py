@@ -170,11 +170,15 @@ class TestValidation:
         assert s.rate_cap_factor == 1.5
 
     def test_noncertifiable_tracked_weight_warns_but_parses(self):
+        # parsing a config warns; decoding a mapping judges the grammar only
         data = tiny(weights_to_track=[
             {"weight": {"kind": "standard", "a": 0.1, "b": 2.0}, "p": 2}])
         with pytest.warns(CertificationWarning, match="faster than exponential"):
-            s = scenario_from_dict(data)
+            s = parse_scenario(yaml.safe_dump(data))
         assert not s.weights_to_track[0].weight.certifiable
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CertificationWarning)
+            assert scenario_from_dict(data) == s
 
     @pytest.mark.parametrize("weight,condition", [
         ({"kind": "standard", "a": -0.5, "b": 1.0}, "(a < 0)"),
@@ -189,7 +193,7 @@ class TestValidation:
                                                               condition):
         data = tiny(weights_to_track=[{"weight": weight}])
         with pytest.warns(CertificationWarning) as record:
-            s = scenario_from_dict(data)
+            s = parse_scenario(yaml.safe_dump(data))
         assert len(record) == 1
         assert f"has a negative exponent {condition}" in str(record[0].message)
         assert not s.weights_to_track[0].weight.certifiable
@@ -200,7 +204,7 @@ class TestValidation:
             {"weight": {"kind": "standard", "a": 0.0, "b": 2.0, "c": 1.0}}])
         with warnings.catch_warnings():
             warnings.simplefilter("error", CertificationWarning)
-            s = scenario_from_dict(data)
+            s = parse_scenario(yaml.safe_dump(data))
         assert s.weights_to_track[0].weight.certifiable
         assert s.weight_warnings() == []
 
@@ -209,26 +213,26 @@ class TestValidation:
         bad = tiny(initial_data={"kind": "mollified_exponential",
                                  "amplitude": 1.0, "rate": 0.1,
                                  "center": 0.0, "mollify_width": 0.1})
-        with pytest.raises(ConfigError, match="boundary-contaminated on grid"):
-            scenario_from_dict(bad)
-        s = scenario_from_dict(bad, check_initial=False)
+        s = scenario_from_dict(bad)  # the decode builds no datum
         assert isinstance(s, Scenario)
+        with pytest.raises(ConfigError, match="boundary-contaminated on grid"):
+            s.build_initial()
 
     def test_boundary_check_honours_a_tighter_solver_tol(self):
         # edge ~1.5e-11: under the 1e-10 default, over boundary_tol 1e-12
         data = tiny(grid={"L": 25.0, "N": 1024},
                     initial_data={"kind": "mollified_exponential", "rate": 1})
-        scenario_from_dict(data)
+        scenario_from_dict(data).build_initial()
         data["solver"] = {"t_end": 0.1, "boundary_tol": 1.0e-12}
         with pytest.raises(ConfigError, match="exceeds 1e-12"):
-            scenario_from_dict(data)
+            scenario_from_dict(data).build_initial()
 
     def test_non_finite_initial_samples_rejected(self):
         bad = tiny(initial_data={"kind": "odd_gaussian_derivative",
                                  "amplitude": 1.0e308})
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ConfigError, match="initial_data: non-finite"):
-            scenario_from_dict(bad)
+            scenario_from_dict(bad).build_initial()
 
     @pytest.mark.parametrize("value", [-1.0, 0.0])
     @pytest.mark.parametrize("initial, path, field", [
@@ -253,7 +257,7 @@ class TestValidation:
         initial = copy.deepcopy(initial)
         initial.get("m0", initial)[field] = value
         with pytest.raises(ConfigError) as err:
-            scenario_from_dict(tiny(initial_data=initial), check_initial=False)
+            scenario_from_dict(tiny(initial_data=initial))
         assert str(err.value) == (f"{path}: {field} must be positive, "
                                   f"got {value}")
 
@@ -262,11 +266,11 @@ class TestValidation:
         # would otherwise fail inside the run
         bad = tiny(grid={"L": 20.0, "N": 256},
                    initial_data={"kind": "gaussian", "amplitude": 0.0})
+        s = scenario_from_dict(bad)
+        assert isinstance(s, Scenario)
         with pytest.raises(ConfigError,
                            match="initial_data: all samples are zero"):
-            scenario_from_dict(bad)
-        assert isinstance(scenario_from_dict(bad, check_initial=False),
-                          Scenario)
+            s.build_initial()
 
     @pytest.mark.parametrize("key, value, match", [
         ("initial_data", "{kind: gaussian, amplitude: true}",
@@ -533,12 +537,14 @@ class TestYamlFront:
     def test_exponent_without_sign_is_a_float(self):
         assert (yaml.load("a: 1.0e308", Loader=config._YAMLLoader)
                 == {"a": 1e308})
+        s = parse_scenario("name: big\ngrid: {L: 20.0, N: 512}\n"
+                           "initial_data: {kind: odd_gaussian_derivative,"
+                           " amplitude: 1.0e308}\n"
+                           "solver: {t_end: 0.1}\n")
+        assert s.initial_data.amplitude == 1e308
         with pytest.raises(ConfigError, match="non-finite samples"):
             with np.errstate(over="ignore", invalid="ignore"):
-                parse_scenario("name: big\ngrid: {L: 20.0, N: 512}\n"
-                               "initial_data: {kind: odd_gaussian_derivative,"
-                               " amplitude: 1.0e308}\n"
-                               "solver: {t_end: 0.1}\n")
+                s.build_initial()
 
     def test_quoted_exponent_stays_a_string(self):
         with pytest.raises(ConfigError,
@@ -624,6 +630,8 @@ class TestBuiltins:
             warnings.simplefilter("error")
             s = builtin_scenario(name)
         assert s.name == name
+        assert s.weight_warnings() == []
+        s.build_initial()  # the datum passes its judge
         # the echo must reparse to the identical scenario
         assert scenario_from_dict(s.effective_config()) == s
 

@@ -211,8 +211,7 @@ class TestSerialization:
 
     def echoed(self, data):
         s = replace(self.base, initial_data=data)
-        return scenario_from_dict(s.effective_config(),
-                                  check_initial=False).initial_data
+        return scenario_from_dict(s.effective_config()).initial_data
 
     def rejects(self, initial_data, match):
         config = self.base.effective_config()

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from chlab.cli import main
-from chlab.config import (CertificationWarning, ConfigError, load_scenario,
-                          scenario_from_dict)
+from chlab.config import (INITIAL_KINDS, CertificationWarning, ConfigError,
+                          load_scenario, parse_scenario, scenario_from_dict)
 from chlab import cli, runner
 from chlab.diagnostics import (decay_blowup_predict, mckean_classify,
                                peakon_rate_cap_check, persistence_check,
@@ -228,19 +228,16 @@ class TestRunScenario:
         assert p["reconstruction_error_rel"] is None
 
     def test_noncertifiable_weight_warning_recorded(self):
-        with pytest.warns(UserWarning):
-            scenario = tiny_scenario(weights_to_track=[
-                {"weight": {"kind": "standard", "a": 0.1, "b": 2.0},
-                 "p": 2},
-            ])
+        scenario = tiny_scenario(weights_to_track=[
+            {"weight": {"kind": "standard", "a": 0.1, "b": 2.0}, "p": 2},
+        ])
         warnings_ = run_scenario(scenario).summary["weight_warnings"]
         assert len(warnings_) == 1 and "certified" in warnings_[0]
 
     def test_weight_warning_text_matches_the_parse_warning(self):
         with pytest.warns(CertificationWarning) as record:
-            scenario = tiny_scenario(weights_to_track=[
-                {"weight": {"kind": "standard", "c": 2.0}},
-                {"weight": {"kind": "standard", "a": 0.1, "b": 2.0}}])
+            scenario = parse_scenario(
+                TINY_YAML + "  - weight: {kind: standard, a: 0.1, b: 2.0}\n")
         assert [str(w.message) for w in record] == scenario.weight_warnings()
         assert scenario.weight_warnings()[0].startswith(
             "weights_to_track[1]: ")
@@ -595,6 +592,36 @@ class TestSweep:
             assert row["status"] == "ReachedTEnd" and row["error"] is None
             assert row["t_final"] == pytest.approx(0.1, abs=1e-12)
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the decoder is patched in forked workers")
+    def test_children_run_the_scenarios_the_parent_decoded(self,
+                                                           monkeypatch):
+        # a child that decoded its value's config would get an error row
+        parent, decode = os.getpid(), runner.scenario_from_dict
+
+        def parent_only(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("a child decoded a config")
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "scenario_from_dict", parent_only)
+        table = sweep(tiny_scenario(), "solver.t_end", [0.05, 0.1],
+                      workers=2)
+        assert [(row["status"], row["error"]) for row in table["rows"]] == [
+            ("ReachedTEnd", None), ("ReachedTEnd", None)]
+
+    def test_bad_base_datum_is_refused_before_any_child(self, monkeypatch,
+                                                        tmp_path):
+        monkeypatch.setattr(runner, "_run_children",
+                            lambda *args: pytest.fail("a child started"))
+        base = tiny_scenario(initial_data={"kind": "gaussian",
+                                           "amplitude": 0.0})
+        with pytest.raises(ConfigError,
+                           match="^initial_data: all samples are zero"):
+            sweep(base, "solver.t_end", [0.05], workers=1,
+                  out_root=tmp_path / "runs")
+        assert not (tmp_path / "runs").exists()
+
     def test_breakdown_rows_carry_brackets(self, tmp_path):
         base = scenario_from_dict(BREAKDOWN)
         table = sweep(base, "initial_data.amplitude", [3.0], workers=1,
@@ -937,6 +964,37 @@ class TestCli:
         for name in ("classification.json", "weight_certificates.json"):
             assert read_summary(rundir / name)["schema_version"] == 2
 
+    @pytest.mark.parametrize("command, builds", [
+        (["simulate"], 1), (["profile"], 1), (["classify"], 1),
+        (["weights", "certify"], 0)],
+        ids=["simulate", "profile", "classify", "weights-certify"])
+    def test_each_command_builds_the_datum_once_or_never(
+            self, command, builds, tiny_yaml, tmp_path, monkeypatch):
+        # the datum is built where it is used, and judged there
+        calls = []
+        for cls in INITIAL_KINDS.values():
+            def counting(self, grid, _build=cls.build):
+                calls.append(type(self).__name__)
+                return _build(self, grid)
+            monkeypatch.setattr(cls, "build", counting)
+        assert main([*command, str(tiny_yaml), "--out", str(tmp_path / "r"),
+                     "--quiet"]) == 0
+        assert calls == ["Gaussian"] * builds
+
+    def test_weights_certify_reads_no_datum(self, tmp_path):
+        # a datum whose tails do not fit in the box does not stop the
+        # certificates, which never read it
+        path = tmp_path / "wide.yaml"
+        path.write_text(TINY_YAML.replace(
+            "{kind: gaussian, amplitude: 1.0, width: 1.0, center: 0.0}",
+            "{kind: gaussian, width: 10.0}"))
+        out = tmp_path / "runs"
+        assert main(["weights", "certify", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+        assert len(list(out.glob("*/weight_certificates.json"))) == 1
+        assert main(["classify", str(path), "--out", str(out),
+                     "--quiet"]) == 2
+
     def test_weights_without_subcommand_exits_2(self, capsys):
         assert main(["weights"]) == 2
         assert "weights certify" in capsys.readouterr().err
@@ -954,8 +1012,9 @@ class TestCli:
 
     def test_sweep_warns_once_for_an_uncertifiable_weight(self, tmp_path,
                                                           capfd):
-        # The load warns; the pre-start decode and the forked children,
-        # whose stderr capfd also sees, stay quiet.  The CLI runs in a
+        # Only the load warns: the sweep decodes each value with
+        # scenario_from_dict, which never warns, and the forked children,
+        # whose stderr capfd also sees, decode nothing.  The CLI runs in a
         # process of its own, where warnings print as they would for a user.
         path = tmp_path / "w.yaml"
         path.write_text(TINY_YAML.replace(
@@ -1001,20 +1060,23 @@ class TestCli:
             "  initial_data.amplitude = 1          ReachedTEnd at t=0.1")
 
     @pytest.mark.parametrize("command", [
-        ["simulate"], ["profile"],
+        ["simulate"], ["profile"], ["classify"], ["weights", "certify"],
         ["sweep", "--axis", "solver.t_end", "--values", "0.05,0.1"]],
-        ids=["simulate", "profile", "sweep"])
+        ids=["simulate", "profile", "classify", "weights-certify", "sweep"])
     def test_out_that_is_a_file_exits_2_before_any_run(
             self, command, tiny_yaml, tmp_path, monkeypatch, capsys):
         # the run and sweep directories are made first: a file in the
-        # place of --out fails before any integration or child
+        # place of --out fails before any integration, child, verdict or
+        # certificate
         blocker = tmp_path / "file"
         blocker.write_text("")
-        for name in ("run", "_run_children"):
-            monkeypatch.setattr(runner, name, lambda *args, _name=name:
-                                pytest.fail(f"runner.{_name} was called"))
-        assert main([command[0], str(tiny_yaml), *command[1:], "--out",
-                     str(blocker), "--quiet"]) == 2
+        for module, name in ((runner, "run"), (runner, "_run_children"),
+                             (cli, "predictor_table"),
+                             (cli, "certify_admissible")):
+            monkeypatch.setattr(module, name, lambda *args, _name=name, **kw:
+                                pytest.fail(f"{_name} was called"))
+        assert main([*command, str(tiny_yaml), "--out", str(blocker),
+                     "--quiet"]) == 2
         assert "Not a directory" in capsys.readouterr().err
 
     def test_sweep_workers_below_one_exit_2(self, tiny_yaml, capsys):
