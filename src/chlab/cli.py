@@ -22,10 +22,12 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import warnings
 from pathlib import Path
 from typing import List, Optional
 
-from .config import ConfigError, Scenario, load_scenario
+from .config import (CertificationWarning, ConfigError, Scenario,
+                     load_scenario)
 from .diagnostics import predictor_table
 from .io import SCHEMA_VERSION, write_summary
 from .runner import run_scenario, sweep
@@ -199,7 +201,10 @@ def _cmd_simulate(args, out_root, seed, quiet, force_profiles=False) -> int:
     if not args.config:
         print("error: missing config (or use --list)", file=sys.stderr)
         return _EXIT_CONFIG
-    scenario = _resolve_scenario(args.config)
+    with warnings.catch_warnings():
+        if not quiet:  # the run report prints each weight warning
+            warnings.simplefilter("ignore", CertificationWarning)
+        scenario = _resolve_scenario(args.config)
     if force_profiles and not scenario.profiles_enabled:
         scenario = scenario.with_profiles()
     result = run_scenario(scenario, out_root=out_root, seed=seed)
@@ -303,13 +308,12 @@ def _cmd_sweep(args, out_root, seed, quiet) -> int:
 
 
 def _cmd_selftest(args, out_root, seed, quiet) -> int:
-    from .acceptance import format_result, run_suite
+    from .acceptance import run_suite
 
     del out_root, seed  # criteria pin their own seeds for reproducibility
     results = run_suite(include_slow=args.slow, numbers=args.criterion,
-                        report=None if quiet else
-                        (lambda r: print(format_result(r))))
-    failed = [r for r in results if not r.passed]
+                        report=None if quiet else print)
+    failed = [c for c, checks in results if not all(k.passed for k in checks)]
     if not quiet:
         print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return _EXIT_SELFTEST if failed else _EXIT_OK

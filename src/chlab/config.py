@@ -376,10 +376,8 @@ def scenario_from_dict(data: Mapping, *,
     return _decode(Scenario, data, "")
 
 
-def parse_scenario(text: str, *,
-                   default_name: Optional[str] = None) -> Scenario:
-    """Parse YAML text into a decoded Scenario, with one
-    CertificationWarning per tracked weight that cannot be certified."""
+def _parse(text: str, default_name: Optional[str]) -> Scenario:
+    """``parse_scenario``, whose warnings name the line calling its caller."""
     try:
         data = yaml.load(text, Loader=_YAMLLoader)
     except yaml.YAMLError as exc:
@@ -393,16 +391,23 @@ def parse_scenario(text: str, *,
                               f"{type(data).__name__}")
     scenario = scenario_from_dict(data, default_name=default_name)
     for message in scenario.weight_warnings():
-        warnings.warn(message, CertificationWarning, stacklevel=2)
+        warnings.warn(message, CertificationWarning, stacklevel=3)
     return scenario
 
 
+def parse_scenario(text: str, *,
+                   default_name: Optional[str] = None) -> Scenario:
+    """Parse YAML text into a decoded Scenario, with one
+    CertificationWarning per tracked weight that cannot be certified."""
+    return _parse(text, default_name)
+
+
 def load_scenario(path) -> Scenario:
-    """Read and validate a scenario config file (YAML)."""
+    """Read a scenario config file (YAML) as ``parse_scenario`` does."""
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as exc:
         raise ConfigError("", f"cannot read config {p}: {exc}") from exc
-    return parse_scenario(text, default_name=p.stem)
+    return _parse(text, p.stem)
 

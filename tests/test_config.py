@@ -4,6 +4,7 @@ echo, content hashing, and YAML loading."""
 import ast
 import copy
 import hashlib
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -179,6 +180,17 @@ class TestValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error", CertificationWarning)
             assert scenario_from_dict(data) == s
+
+    def test_certification_warning_names_the_callers_line(self, tmp_path):
+        path = tmp_path / "w.yaml"
+        path.write_text(yaml.safe_dump(tiny(weights_to_track=[
+            {"weight": {"kind": "standard", "a": -1.0}}])))
+        with pytest.warns(CertificationWarning) as record:
+            parse_scenario(path.read_text())
+            load_scenario(path)
+        here = inspect.currentframe().f_lineno
+        assert [(w.filename, w.lineno) for w in record] == [
+            (__file__, here - 2), (__file__, here - 1)]
 
     @pytest.mark.parametrize("weight,condition", [
         ({"kind": "standard", "a": -0.5, "b": 1.0}, "(a < 0)"),

@@ -835,6 +835,23 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert any(re.fullmatch(line, text) for text in lines), lines
 
+    @pytest.mark.parametrize("flags", [[], ["--quiet"]],
+                             ids=["report", "quiet"])
+    def test_simulate_says_each_weight_warning_once(self, flags, tmp_path,
+                                                    capsys):
+        path = tmp_path / "w.yaml"
+        path.write_text(TINY_YAML.replace("{kind: standard, c: 2.0}",
+                                          "{kind: standard, a: -1.0}"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", str(path), "--out", str(tmp_path / "r"),
+                         *flags]) == 0
+        said = [str(w.message) for w in caught
+                if w.category is CertificationWarning]
+        said += [line for line in capsys.readouterr().out.splitlines()
+                 if "weights_to_track[0]" in line]
+        assert len(said) == 1, said
+
     def test_classify_writes_verdicts_without_integrating(
             self, tiny_yaml, tmp_path, capsys):
         out = tmp_path / "runs"
