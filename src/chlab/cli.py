@@ -14,7 +14,9 @@ Commands::
 ``--out DIR``, ``--seed INT``, and ``--quiet`` are accepted by every
 command.  Exit status is 0 whenever the requested work completed — a run
 that ends in wave breaking is a result, not an error; nonzero is reserved
-for bad configs, unreadable files, and failed selftests.
+for bad configs, unreadable files, and failed selftests.  A tracked weight
+that cannot be certified is said once, as a ``warning: ...`` line: by the
+run report of ``simulate`` and ``profile``, and on stderr otherwise.
 """
 
 from __future__ import annotations
@@ -123,15 +125,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_scenario(token: str) -> Scenario:
+def _resolve_scenario(token: str, report: bool = False) -> Scenario:
+    """The builtin or config file that ``token`` names.  Each tracked
+    weight that cannot be certified is said once: as a ``warning: ...``
+    line on stderr or, with ``report``, by the run report."""
     if token in builtin_names():
-        return builtin_scenario(token)
-    path = Path(token)
-    if path.exists():
-        return load_scenario(path)
-    raise ConfigError(
-        "", f"{token!r} is neither a builtin scenario nor a config file; "
-            f"builtins: {', '.join(builtin_names())}")
+        scenario = builtin_scenario(token)
+    elif Path(token).exists():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CertificationWarning)
+            scenario = load_scenario(token)
+    else:
+        raise ConfigError(
+            "", f"{token!r} is neither a builtin scenario nor a config file; "
+                f"builtins: {', '.join(builtin_names())}")
+    if not report:
+        for message in scenario.weight_warnings():
+            print(f"warning: {message}", file=sys.stderr)
+    return scenario
 
 
 def _say(quiet: bool, *parts) -> None:
@@ -201,10 +212,7 @@ def _cmd_simulate(args, out_root, seed, quiet, force_profiles=False) -> int:
     if not args.config:
         print("error: missing config (or use --list)", file=sys.stderr)
         return _EXIT_CONFIG
-    with warnings.catch_warnings():
-        if not quiet:  # the run report prints each weight warning
-            warnings.simplefilter("ignore", CertificationWarning)
-        scenario = _resolve_scenario(args.config)
+    scenario = _resolve_scenario(args.config, report=not quiet)
     if force_profiles and not scenario.profiles_enabled:
         scenario = scenario.with_profiles()
     result = run_scenario(scenario, out_root=out_root, seed=seed)

@@ -128,32 +128,6 @@ class Grid:
         spectrum[self._kept_band.stop:] = 0.0
         return np.fft.irfft(spectrum, n=self.N)
 
-    @cached_property
-    def _workspace(self) -> "_Workspace":
-        """Scratch arrays of the time step on this grid, made once."""
-        return _Workspace(self.N)
-
-
-class _Workspace:
-    """Scratch arrays that the solver's RK4 step and the inverse transform
-    of spectrum-built Fields read and write in place, one set per grid.
-
-    ``samples`` (2, N) holds a stage input's u and u_x, then their squares;
-    ``spectra`` (2, N/2 + 1) holds the pair (u^, ik u^) of an inverse call,
-    then the forward transform of the squares; ``stage`` (N/2 + 1) holds a
-    stage input u^ + c dt k^.  Every use writes what it reads first, so
-    nothing carries over from one call to the next, and no Field that
-    leaves the solver holds one of these arrays.  One grid is stepped by
-    one thread at a time.
-    """
-
-    __slots__ = ("samples", "spectra", "stage")
-
-    def __init__(self, n: int) -> None:
-        self.samples = np.empty((2, n))
-        self.spectra = np.empty((2, n // 2 + 1), dtype=complex)
-        self.stage = np.empty(n // 2 + 1, dtype=complex)
-
 
 class Field:
     """Real samples of a function of x on a Grid, with their spectrum.
@@ -166,11 +140,12 @@ class Field:
     them from the Field, so a derivative taken by the solver is reused by
     the diagnostics that look at the same state.  A spectrum-built Field
     fills ``values`` and ``derivative_values`` together, on the first read
-    of either, with one irfft call on the pair (u^, ik u^), formed in the
-    grid's workspace rather than stacked anew; this is how the solver's
-    step makes its 16 transforms in 8 batched calls.  The samples and the
-    derivative are the two rows of one (2, N) array the Field owns.  A
-    sample-built Field takes its derivative with one irfft of its own.
+    of either, with one irfft call on the pair (u^, ik u^); the samples
+    and the derivative are the two rows of one (2, N) array the Field
+    owns.  The solver's step makes that call itself, in its own scratch,
+    for its stage inputs and its new state, and passes the samples to
+    ``from_spectrum``, so a Field it returns comes with all three views.
+    A sample-built Field takes its derivative with one irfft of its own.
 
     Fields are value-semantic snapshots: operators return fresh fields and
     never mutate their input.  Writing into ``values`` after the spectrum
@@ -191,9 +166,14 @@ class Field:
         self._derivative: Optional[np.ndarray] = None
 
     @classmethod
-    def from_spectrum(cls, grid: Grid, spectrum: np.ndarray) -> "Field":
-        """The Field whose rfft is ``spectrum`` (N/2 + 1 coefficients);
-        its samples are transformed back only when first read."""
+    def from_spectrum(cls, grid: Grid, spectrum: np.ndarray,
+                      samples: Optional[np.ndarray] = None) -> "Field":
+        """The Field whose rfft is ``spectrum`` (N/2 + 1 coefficients).
+
+        ``samples``, if given, is the irfft of the pair (u^, ik u^), a
+        (2, N) array whose rows become the samples and the derivative;
+        otherwise they are transformed back only when first read.
+        """
         s = np.asarray(spectrum, dtype=complex)
         if s.shape != (grid.N // 2 + 1,):
             raise ValueError(
@@ -201,9 +181,9 @@ class Field:
             )
         field = cls.__new__(cls)
         field.grid = grid
-        field._values = None
         field._spectrum = s
-        field._derivative = None
+        field._values, field._derivative = (
+            (None, None) if samples is None else samples)
         return field
 
     @property
@@ -230,24 +210,15 @@ class Field:
                     self.spectrum * self.grid._sym_derivative, n=self.grid.N)
         return self._derivative
 
-    def _transform_back(self, out: Optional[np.ndarray] = None) -> None:
+    def _transform_back(self) -> None:
         """Samples and derivative of a spectrum-built Field, in one batched
-        irfft of the pair (u^, ik u^); its rows equal the separate calls.
-
-        The pair is formed in the grid's workspace.  The samples go into
-        ``out``, a (2, N) array, which the solver passes only for its stage
-        inputs (the workspace's own samples); otherwise into a new array
-        that the Field owns.
-        """
+        irfft of the pair (u^, ik u^); its rows equal the separate calls."""
         grid = self.grid
-        pair = grid._workspace.spectra
         s = self._spectrum
+        pair = np.empty((2, s.size), dtype=complex)
         pair[0] = s
         np.multiply(s, grid._sym_derivative, out=pair[1])
-        if out is None:
-            out = np.empty((2, grid.N))
-        np.fft.irfft(pair, n=grid.N, out=out)
-        self._values, self._derivative = out
+        self._values, self._derivative = np.fft.irfft(pair, n=grid.N)
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())

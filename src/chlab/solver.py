@@ -24,17 +24,22 @@ of (u^, ik u^) and one forward call of the squares in each of the other
 three, and one inverse call of (u^, ik u^) for the new state.  The rows of
 a batched call equal the separate calls bit for bit.
 
-A step allocates only what it returns: the four stage spectra, which it
-then combines in place, and the new state's spectrum and samples.  The
-pairs of every call and the stage inputs' samples live in one workspace
-per grid (``Grid._workspace``), which the calls read and write with
-``out=``.  The spectral arithmetic runs on the kept band j <= N/3 only:
-above it the rhs is zero, so every stage input and the new state equal
-u^ there, which is copied.  After the step one max |u| serves three
-checks: a non-finite sample (the max propagates NaN and inf), the
-boundary fraction, and the next step's CFL dt; it is kept on the state
-as ``u_inf``.  Classification, the log row, the probes and the next
-step's first stage all read the new state's cached samples.
+A step allocates only what it returns, the new state's spectrum and its
+(2, N) samples.  Everything else lives in one scratch (``_Scratch``),
+which this module owns, kept for the grid size N stepped last; nothing
+carries over in it from one call to the next, so the grids of one size
+share it.  It holds the sample pair and the spectrum pair of every call,
+which the calls read and write with ``out=``, and the stage spectra,
+which ``rhs`` writes into when the step passes them as ``out``.  The
+spectral arithmetic runs on the kept band j <= N/3 only: above it the
+rhs is zero, so every stage input and the new state equal u^ there, and
+their inverse pair holds u^ and ik u^ there, copied from the state.
+After the step one max |u| serves three checks: a non-finite sample (the
+max propagates NaN and inf), the boundary fraction, and the next step's
+CFL dt; it is kept on the state as ``u_inf``.  Classification, the log
+row, the probes and the next step's first stage all read the new state's
+samples, which the step's last irfft wrote into the array the new state
+owns.
 
 Wave breaking (slope -> -infinity while u stays bounded) is detected by a
 slope threshold and reported as a time bracket, never a point estimate.
@@ -44,13 +49,14 @@ Runs never raise on blowup: breaking is an expected terminal status.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .field import Field, energy, integral, min_slope
+from .field import Field, Grid, energy, integral, min_slope
 
 __all__ = [
     "Status",
@@ -135,7 +141,40 @@ class SolverState:
     u_inf: float
 
 
-def rhs(u: Field, dealias: bool = True) -> Field:
+class _Scratch:
+    """The arrays that RK4 steps on grids of N points read and write in
+    place.
+
+    ``samples`` (2, N) holds a stage input's u and u_x, then their squares;
+    ``pair`` (2, N/2 + 1) holds the inverse pair (u^, ik u^) of a stage
+    input or of the new state, then the forward transform of the squares;
+    ``k1`` and ``k`` (N/2 + 1) hold the first stage spectrum, in which the
+    RK4 sum accumulates, and each later one.  Above the kept band k1 and k
+    are zero, and nothing writes there.  Every other use writes what it
+    reads first, so nothing carries over from one call to the next, and
+    nothing in it depends on a grid but its N: every grid of one size
+    shares one scratch.  No Field that leaves the solver holds one of
+    these arrays.  One step runs at a time in a process.
+    """
+
+    __slots__ = ("samples", "pair", "k1", "k")
+
+    def __init__(self, n: int) -> None:
+        self.samples = np.empty((2, n))
+        self.pair = np.empty((2, n // 2 + 1), dtype=complex)
+        self.k1 = np.zeros(n // 2 + 1, dtype=complex)
+        self.k = np.zeros(n // 2 + 1, dtype=complex)
+
+
+@functools.lru_cache(maxsize=1)
+def _scratch(n: int) -> _Scratch:
+    """The step scratch of the grids with n points.  Only the scratch of
+    the size asked for last is kept, so a process holds one at a time."""
+    return _Scratch(n)
+
+
+def rhs(u: Field, dealias: bool = True, *,
+        out: Optional[np.ndarray] = None) -> Field:
     """Right-hand side -(1/2)(u^2)_x - (G * (u^2 + (1/2) u_x^2))_x.
 
     Both terms are applied in Fourier space through the grid's two fused
@@ -143,23 +182,26 @@ def rhs(u: Field, dealias: bool = True) -> Field:
     returned as a Field built from that spectrum.  It reads u and u_x from
     the Field's cache, so its only transforms are the two forward
     transforms of the quadratic products, made in one call on the pair of
-    squares in the grid's workspace.  Dealiased, the returned spectrum, a
-    new array, is zero above the kept band.
+    squares in the step scratch of the grid's size.  Dealiased, the returned spectrum
+    is zero above the kept band.  It is a new array, unless the step
+    passes one of its stage spectra as ``out``, which is zero there.
     """
     grid = u.grid
-    ws = grid._workspace
+    scratch = _scratch(grid.N)
     kept = grid._kept_band if dealias else slice(None)
     a, b = grid._sym_rhs
     v = u.values
     du = u.derivative_values
-    squares = ws.samples
+    squares = scratch.samples
     np.multiply(v, v, out=squares[0])
     np.multiply(du, du, out=squares[1])
-    p = np.fft.rfft(squares, out=ws.spectra)
-    out = np.zeros(grid.N // 2 + 1, dtype=complex)
-    np.multiply(a[kept], p[0, kept], out=out[kept])
-    np.multiply(b[kept], p[1, kept], out=p[1, kept])
-    np.add(out[kept], p[1, kept], out=out[kept])
+    p = np.fft.rfft(squares, out=scratch.pair)
+    if out is None:
+        out = np.zeros(grid.N // 2 + 1, dtype=complex)
+    o, p0, p1 = out[kept], p[0, kept], p[1, kept]
+    np.multiply(a[kept], p0, out=o)
+    np.multiply(b[kept], p1, out=p1)
+    np.add(o, p1, out=o)
     return Field.from_spectrum(grid, out)
 
 
@@ -202,64 +244,77 @@ def _classify(u_new: Field, u_inf: float, t_new: float,
     return Status.RUNNING
 
 
-def _stage_input(grid, u_hat: np.ndarray, c: float, k: np.ndarray) -> Field:
-    """The stage input u^ + c k^ as a Field whose spectrum and samples are
-    the workspace's; rhs overwrites them with the squares, so it serves
-    one rhs call.  Above the kept band the stage spectrum holds u^."""
-    ws = grid._workspace
-    kept = grid._kept_band
-    stage = ws.stage[kept]
-    np.multiply(c, k[kept], out=stage)
-    np.add(u_hat[kept], stage, out=stage)
-    field = Field.from_spectrum(grid, ws.stage)
-    field._transform_back(ws.samples)
-    return field
-
-
 def _add_doubled(acc: np.ndarray, k: np.ndarray) -> None:
     """acc + 2.0 k into acc, with 2.0 k formed in k's own storage."""
     np.multiply(2.0, k, out=k)
     np.add(acc, k, out=acc)
 
 
-def _rk4_spectrum(state: SolverState, dt: float) -> np.ndarray:
-    """u^ + (dt/6)(k1 + 2 k2 + 2 k3 + k4), rounded as that expression is.
+def _pair(grid: Grid, pair: np.ndarray, u_hat: np.ndarray, c: float,
+          k: np.ndarray) -> np.ndarray:
+    """The inverse pair (v^, ik v^) of v^ = u^ + c k^, written into
+    ``pair``.  ``k`` is the kept band of a stage spectrum, which is zero
+    above it, so there the pair is (u^, ik u^)."""
+    kept = grid._kept_band
+    top = slice(kept.stop, None)
+    ik = grid._sym_derivative
+    v = pair[0, kept]
+    np.multiply(c, k, out=v)
+    np.add(u_hat[kept], v, out=v)
+    np.multiply(v, ik[kept], out=pair[1, kept])
+    pair[0, top] = u_hat[top]
+    np.multiply(u_hat[top], ik[top], out=pair[1, top])
+    return pair
 
-    The kept band is computed in place: k1's array accumulates the sum,
-    each later stage spectrum is folded in once the next stage input is
-    formed, and k4's array becomes the result, which holds u^ above the
-    kept band.  So at most three stage spectra are alive at once.
+
+def _stage_input(grid: Grid, scratch: _Scratch, u_hat: np.ndarray,
+                 c: float, k: np.ndarray) -> Field:
+    """The stage input u^ + c k^ as a Field whose spectrum and samples are
+    the scratch's; rhs overwrites them with the squares and their
+    transform, so it serves one rhs call."""
+    pair = _pair(grid, scratch.pair, u_hat, c, k)
+    return Field.from_spectrum(grid, pair[0], samples=np.fft.irfft(
+        pair, n=grid.N, out=scratch.samples))
+
+
+def _rk4(state: SolverState, dt: float, scratch: _Scratch) -> Field:
+    """The Field of u^ + (dt/6)(k1 + 2 k2 + 2 k3 + k4), rounded as that
+    expression is.
+
+    The kept band is computed in place in the scratch: k1 accumulates the
+    sum, and each later stage spectrum is folded in once the next stage
+    input is formed.  The new spectrum is formed in the inverse pair like
+    a stage input, so the step's last irfft gives the new state's samples
+    and derivative, in a new (2, N) array, and the new state's spectrum
+    is a copy of the pair's first row.
     """
     grid = state.u.grid
-    kept = grid._kept_band
     u_hat = state.u.spectrum
-    grid._workspace.stage[...] = u_hat
-    k = rhs(state.u).spectrum                                        # k1
-    acc = k[kept]
-    stage = _stage_input(grid, u_hat, 0.5 * dt, k)
-    k = rhs(stage).spectrum                                          # k2
-    stage = _stage_input(grid, u_hat, 0.5 * dt, k)
-    _add_doubled(acc, k[kept])
-    k = rhs(stage).spectrum                                          # k3
-    stage = _stage_input(grid, u_hat, dt, k)
-    _add_doubled(acc, k[kept])
-    k = rhs(stage).spectrum                                          # k4
-    np.add(acc, k[kept], out=acc)
-    np.multiply(dt / 6.0, acc, out=acc)
-    k[...] = u_hat
-    np.add(u_hat[kept], acc, out=k[kept])
-    return k
+    acc, k = scratch.k1[grid._kept_band], scratch.k[grid._kept_band]
+    rhs(state.u, out=scratch.k1)                                     # k1
+    rhs(_stage_input(grid, scratch, u_hat, 0.5 * dt, acc),
+        out=scratch.k)                                               # k2
+    u_stage = _stage_input(grid, scratch, u_hat, 0.5 * dt, k)
+    _add_doubled(acc, k)
+    rhs(u_stage, out=scratch.k)                                      # k3
+    u_stage = _stage_input(grid, scratch, u_hat, dt, k)
+    _add_doubled(acc, k)
+    rhs(u_stage, out=scratch.k)                                      # k4
+    np.add(acc, k, out=acc)
+    pair = _pair(grid, scratch.pair, u_hat, dt / 6.0, acc)
+    return Field.from_spectrum(grid, pair[0].copy(),
+                               samples=np.fft.irfft(pair, n=grid.N))
 
 
 def step(state: SolverState, config: SolverConfig) -> SolverState:
     """One adaptive classical RK4 step; never steps a terminal state.
 
     The stage inputs and the new state are formed in Fourier space,
-    u^ + c dt k^, from the spectra the stages return (see _rk4_spectrum).
-    The new state is a Field built from its spectrum; one max |u| over
-    its samples classifies it and sets the next step's dt, and its
-    samples and derivative serve the probes and the next step's first
-    stage without another transform.
+    u^ + c dt k^, from the spectra the stages return (see _rk4).  The new
+    state is a Field that holds its spectrum, samples and derivative; one
+    max |u| over its samples classifies it and sets the next step's dt,
+    and its samples and derivative serve the probes and the next step's
+    first stage without another transform.
     """
     if state.status.terminal:
         raise RuntimeError(f"cannot step a terminal state ({state.status.value})")
@@ -269,10 +324,10 @@ def step(state: SolverState, config: SolverConfig) -> SolverState:
     if state.t + dt > config.t_end:
         dt = config.t_end - state.t
 
-    grid = state.u.grid
-    u_new = Field.from_spectrum(grid, _rk4_spectrum(state, dt))
+    scratch = _scratch(state.u.grid.N)
+    u_new = _rk4(state, dt, scratch)
     t_new = state.t + dt
-    u_inf = float(np.max(np.abs(u_new.values, out=grid._workspace.samples[0])))
+    u_inf = float(np.max(np.abs(u_new.values, out=scratch.samples[0])))
     return SolverState(
         t=t_new,
         u=u_new,

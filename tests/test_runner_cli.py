@@ -848,9 +848,37 @@ class TestCli:
                          *flags]) == 0
         said = [str(w.message) for w in caught
                 if w.category is CertificationWarning]
-        said += [line for line in capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        said += [line for line in (captured.out + captured.err).splitlines()
                  if "weights_to_track[0]" in line]
         assert len(said) == 1, said
+
+    @pytest.mark.parametrize("command, flags", [
+        (["weights", "certify"], []),
+        (["classify"], []),
+        (["sweep"], ["--axis", "solver.t_end", "--values", "0.02,0.03",
+                     "--workers", "1"]),
+        (["simulate"], ["--quiet"]),
+    ], ids=["certify", "classify", "sweep", "simulate-quiet"])
+    def test_weight_warning_is_one_stderr_line(self, command, flags,
+                                               tmp_path, capfd):
+        # said once, as the run report says it, and not as a Python warning
+        # that names chlab's own line
+        path = tmp_path / "w.yaml"
+        path.write_text(TINY_YAML.replace("{kind: standard, c: 2.0}",
+                                          "{kind: standard, a: -1.0}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CertificationWarning)
+            [message] = load_scenario(path).weight_warnings()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*command, str(path), *flags,
+                         "--out", str(tmp_path / "r")]) == 0
+        assert not [w for w in caught if w.category is CertificationWarning]
+        captured = capfd.readouterr()
+        assert [line for line in captured.err.splitlines()
+                if "weights_to_track[0]" in line] == [f"warning: {message}"]
+        assert "weights_to_track[0]" not in captured.out
 
     def test_classify_writes_verdicts_without_integrating(
             self, tiny_yaml, tmp_path, capsys):
@@ -1032,7 +1060,8 @@ class TestCli:
         # Only the load warns: the sweep decodes each value with
         # scenario_from_dict, which never warns, and the forked children,
         # whose stderr capfd also sees, decode nothing.  The CLI runs in a
-        # process of its own, where warnings print as they would for a user.
+        # process of its own, where a Python warning would print as it
+        # would for a user.
         path = tmp_path / "w.yaml"
         path.write_text(TINY_YAML.replace(
             "{kind: standard, c: 2.0}", "{kind: standard, a: 0.1, b: 2.0}"))
@@ -1045,7 +1074,9 @@ class TestCli:
                   % (str(Path(cli.__file__).parents[1]), argv))
         done = subprocess.run([sys.executable, "-c", script], timeout=120)
         assert done.returncode == 0
-        assert capfd.readouterr().err.count("CertificationWarning") == 1
+        err = capfd.readouterr().err
+        assert "CertificationWarning" not in err
+        assert err.count("warning: weights_to_track[0]") == 1
         runs = [d for d in out.iterdir() if "sweep" not in d.name]
         assert len(runs) == 3
         for run_dir in runs:

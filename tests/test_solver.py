@@ -75,6 +75,37 @@ class _Probe:
         self.observe = observe
 
 
+def _unbatched_steps(u0, grid, config):
+    """The solver's steps from the samples u0, as (dt, u^, u, u_x) after
+    each: the step works on the kept band j <= N/3 only, in its scratch;
+    this works on the whole band, in fresh arrays, with the symbols times
+    the 2/3-rule mask and one transform per call."""
+    n = grid.N
+    keep = (np.arange(n // 2 + 1) <= n // 3).astype(float)
+    a, b = (symbol * keep for symbol in grid._sym_rhs)
+    ik = grid._sym_derivative
+
+    def samples(u_hat):
+        return (np.fft.irfft(u_hat, n=n), np.fft.irfft(u_hat * ik, n=n))
+
+    def rhs_hat(u, ux):
+        return a * np.fft.rfft(u * u) + b * np.fft.rfft(ux * ux)
+
+    u = u0.copy()
+    u_hat = np.fft.rfft(u)
+    ux = np.fft.irfft(u_hat * ik, n=n)
+    while True:
+        dt = min(config.dt_max,
+                 config.cfl * grid.dx / max(float(np.max(np.abs(u))), 1e-12))
+        k1 = rhs_hat(u, ux)
+        k2 = rhs_hat(*samples(u_hat + 0.5 * dt * k1))
+        k3 = rhs_hat(*samples(u_hat + 0.5 * dt * k2))
+        k4 = rhs_hat(*samples(u_hat + dt * k3))
+        u_hat = u_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u, ux = samples(u_hat)
+        yield dt, u_hat, u, ux
+
+
 class TestSpectralPipeline:
     """RK4 in Fourier space: the transform budget per step, the reuse of
     the state's u_x by the probes, bit-identity with the same step made
@@ -141,34 +172,12 @@ class TestSpectralPipeline:
         FromPotential(m0=GaussianShape(amplitude=1.0, width=0.7, center=-1.0)),
     ], ids=["gaussian", "odd", "from_potential"])
     def test_bit_identical_to_unbatched_stepper(self, datum, n):
-        # the step works on the kept band j <= N/3 only; the reference
-        # works on the whole band with the symbols times the 2/3-rule mask
         grid = Grid(20.0, n)
         config = SolverConfig(t_end=10.0, boundary_tol=1.0)
-        keep = (np.arange(n // 2 + 1) <= n // 3).astype(float)
-        a, b = (symbol * keep for symbol in grid._sym_rhs)
-        ik = grid._sym_derivative
-
-        def samples(u_hat):
-            return (np.fft.irfft(u_hat, n=n), np.fft.irfft(u_hat * ik, n=n))
-
-        def rhs_hat(u, ux):
-            return a * np.fft.rfft(u * u) + b * np.fft.rfft(ux * ux)
-
         state = new_state(datum.build(grid))
-        u = state.u.values.copy()
-        u_hat = np.fft.rfft(u)
-        ux = np.fft.irfft(u_hat * ik, n=n)
+        reference = _unbatched_steps(state.u.values, grid, config)
         for _ in range(50):
-            dt = min(config.dt_max,
-                     config.cfl * grid.dx / max(float(np.max(np.abs(u))),
-                                                1e-12))
-            k1 = rhs_hat(u, ux)
-            k2 = rhs_hat(*samples(u_hat + 0.5 * dt * k1))
-            k3 = rhs_hat(*samples(u_hat + 0.5 * dt * k2))
-            k4 = rhs_hat(*samples(u_hat + dt * k3))
-            u_hat = u_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            u, ux = samples(u_hat)
+            dt, u_hat, u, ux = next(reference)
             state = step(state, config)
             assert state.status is Status.RUNNING
             assert state.dt == dt
@@ -205,9 +214,9 @@ class TestSpectralPipeline:
         assert err <= 1e-12
 
     def test_steady_state_step_allocates_only_what_it_returns(self):
-        # the new state's spectrum and its (2, N) samples, plus at most one
-        # more stage spectrum held while the last stage runs; every pair
-        # and stage input lives in the grid's workspace
+        # the new state's spectrum and its (2, N) samples, and a few small
+        # Python objects; every pair, stage input and stage spectrum lives
+        # in the solver's scratch
         import tracemalloc
 
         n = 4096
@@ -218,7 +227,7 @@ class TestSpectralPipeline:
             state = step(state, config)
         spectrum_bytes = (n // 2 + 1) * 16
         returned_bytes = spectrum_bytes + 2 * n * 8
-        bound = returned_bytes + spectrum_bytes   # 131,104 B at N = 4096
+        bound = returned_bytes + 4096   # 102,416 B at N = 4096
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -239,8 +248,10 @@ class TestSpectralPipeline:
 
 
 def _workspace_arrays(grid):
-    ws = grid._workspace
-    return (ws.samples, ws.spectra, ws.stage)
+    from chlab.solver import _scratch
+
+    ws = _scratch(grid.N)
+    return (ws.samples, ws.pair, ws.k1, ws.k)
 
 
 def _field_arrays(u):
@@ -248,7 +259,7 @@ def _field_arrays(u):
 
 
 class TestWorkspace:
-    """The grid's workspace is scratch: nothing a step or rhs returns
+    """The solver's step scratch is scratch: nothing a step or rhs returns
     lives in it, and nothing carries over from one call to the next."""
 
     def test_alternating_runs_on_one_grid_equal_their_separate_runs(self):
@@ -295,6 +306,70 @@ class TestWorkspace:
         for x in _field_arrays(r1):
             for y in _field_arrays(r2):
                 assert not np.shares_memory(x, y)
+
+    @pytest.mark.parametrize("order", ["alternating", "one-after-the-other"])
+    def test_grids_of_one_size_and_two_boxes_keep_their_own_runs(self,
+                                                                 order):
+        # grids of one N share one scratch, which must carry nothing of one
+        # grid into another's step: not a box's symbols, not a band left by
+        # an earlier step, whether the grids alternate or the first is
+        # dropped before the second is built.  Each run must equal that
+        # datum's run alone, taken by the unbatched stepper, which has no
+        # scratch.
+        import gc
+
+        config = SolverConfig(t_end=10.0, boundary_tol=1.0)
+        runs = ((20.0, Gaussian(1.0, 1.0, 0.0)),
+                (30.0, OddGaussianDerivative(amplitude=1.0, width=1.0)))
+
+        def final(state):
+            return (state.dt, *(a.copy() for a in _field_arrays(state.u)))
+
+        if order == "alternating":
+            states = [new_state(d.build(Grid(box, 512))) for box, d in runs]
+            for _ in range(20):
+                states = [step(s, config) for s in states]
+            finals = [final(s) for s in states]
+        else:
+            finals = []
+            for box, datum in runs:
+                grid = Grid(box, 512)
+                state = new_state(datum.build(grid))
+                for _ in range(20):
+                    state = step(state, config)
+                finals.append(final(state))
+                # the grid goes last, so the next one is often given its id
+                del state
+                gc.collect()
+                del grid
+        for (box, datum), got in zip(runs, finals):
+            grid = Grid(box, 512)
+            reference = _unbatched_steps(datum.build(grid).values, grid,
+                                         config)
+            for _ in range(20):
+                dt, u_hat, u, ux = next(reference)
+            assert got[0] == dt
+            for x, y in zip(got[1:], (u_hat, u, ux)):
+                assert np.array_equal(x, y)
+
+    def test_each_step_evaluates_four_stages_through_rhs(self, monkeypatch):
+        # the benchmark's solver.rhs span wraps this name and reads 4 calls
+        # a step; a stage evaluated around it would read 0
+        import chlab.solver
+
+        calls = []
+        original = chlab.solver.rhs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(chlab.solver, "rhs", counted)
+        config = SolverConfig(t_end=10.0)
+        state = new_state(Gaussian(1.0, 1.0, 0.0).build(GRID))
+        for count in range(1, 4):
+            state = step(state, config)
+            assert len(calls) == 4 * count
 
 
 class TestConfigValidation:
