@@ -24,12 +24,10 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-import warnings
 from pathlib import Path
 from typing import List, Optional
 
-from .config import (CertificationWarning, ConfigError, Scenario,
-                     load_scenario)
+from .config import ConfigError, Scenario, load_scenario
 from .diagnostics import predictor_table
 from .io import SCHEMA_VERSION, write_summary
 from .runner import run_scenario, sweep
@@ -132,9 +130,7 @@ def _resolve_scenario(token: str, report: bool = False) -> Scenario:
     if token in builtin_names():
         scenario = builtin_scenario(token)
     elif Path(token).exists():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CertificationWarning)
-            scenario = load_scenario(token)
+        scenario = load_scenario(token)
     else:
         raise ConfigError(
             "", f"{token!r} is neither a builtin scenario nor a config file; "

@@ -8,8 +8,8 @@ and echoes the *effective* configuration back, so a run can always be
 reproduced from its summary alone.
 
 Each input check has one owner: ``scenario_from_dict`` judges the grammar,
-``parse_scenario`` warns about weights that cannot be certified, and
-``Scenario.build_initial`` builds the datum and judges it where it is used.
+``Scenario.weight_warnings`` names each uncertifiable tracked weight, and
+``Scenario.build_initial`` judges the datum where a command builds it.
 
 The dataclasses are the schema, ``Scenario`` at the top level included:
 one codec walks their fields, checks each value against the field's
@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import warnings
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -54,7 +53,6 @@ except ImportError:
 
 __all__ = [
     "ConfigError",
-    "CertificationWarning",
     "TrackedWeight",
     "Scenario",
     "scenario_from_dict",
@@ -75,7 +73,20 @@ class _YAMLLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     constructor as yaml.SafeLoader, with a C scanner and parser) that also
     reads the plain scalars YAML 1.2 reads as floats and YAML 1.1 as
     strings: an exponent without a dot or without a sign, ``1e-3`` and
-    ``1.0e308``.  A quoted scalar stays a string."""
+    ``1.0e308``.  A quoted scalar stays a string.  A key repeated in a
+    mapping is an error; a key merged in by ``<<`` may be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = {}  # the explicit keys, before flattening adds merged ones
+        for key_node, _ in node.value:
+            if (isinstance(key_node, yaml.ScalarNode)
+                    and key_node.tag != "tag:yaml.org,2002:merge"):
+                key = self.construct_object(key_node)
+                if seen.setdefault(key, key_node) is not key_node:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}",
+                        key_node.start_mark)
+        return super().construct_mapping(node, deep=deep)
 
 
 _YAMLLoader.add_implicit_resolver(
@@ -94,11 +105,6 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
-
-
-class CertificationWarning(UserWarning):
-    """A tracked weight is accepted but lies outside the certifiable range,
-    so no persistence guarantee attaches to its norm."""
 
 
 @dataclass(frozen=True)
@@ -367,8 +373,8 @@ def scenario_from_dict(data: Mapping, *,
 
     Fills defaults (``default_name`` stands in for an absent ``name``) and
     rejects unknown or ill-typed keys with their dotted path.  It judges
-    the grammar only: it builds no datum (``Scenario.build_initial`` judges
-    that) and issues no warning (``parse_scenario`` does).
+    the grammar only: it builds no datum (``Scenario.build_initial`` does)
+    and accepts an uncertifiable weight (``Scenario.weight_warnings``).
     """
     data = _mapping(data, "")
     if default_name is not None and "name" not in data:
@@ -376,8 +382,9 @@ def scenario_from_dict(data: Mapping, *,
     return _decode(Scenario, data, "")
 
 
-def _parse(text: str, default_name: Optional[str]) -> Scenario:
-    """``parse_scenario``, whose warnings name the line calling its caller."""
+def parse_scenario(text: str, *,
+                   default_name: Optional[str] = None) -> Scenario:
+    """Parse YAML text into a decoded Scenario (``scenario_from_dict``)."""
     try:
         data = yaml.load(text, Loader=_YAMLLoader)
     except yaml.YAMLError as exc:
@@ -389,17 +396,7 @@ def _parse(text: str, default_name: Optional[str]) -> Scenario:
     if not isinstance(data, Mapping):
         raise ConfigError("", f"expected a mapping at top level, got "
                               f"{type(data).__name__}")
-    scenario = scenario_from_dict(data, default_name=default_name)
-    for message in scenario.weight_warnings():
-        warnings.warn(message, CertificationWarning, stacklevel=3)
-    return scenario
-
-
-def parse_scenario(text: str, *,
-                   default_name: Optional[str] = None) -> Scenario:
-    """Parse YAML text into a decoded Scenario, with one
-    CertificationWarning per tracked weight that cannot be certified."""
-    return _parse(text, default_name)
+    return scenario_from_dict(data, default_name=default_name)
 
 
 def load_scenario(path) -> Scenario:
@@ -409,5 +406,5 @@ def load_scenario(path) -> Scenario:
         text = p.read_text()
     except OSError as exc:
         raise ConfigError("", f"cannot read config {p}: {exc}") from exc
-    return _parse(text, p.stem)
+    return parse_scenario(text, default_name=p.stem)
 

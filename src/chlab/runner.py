@@ -274,7 +274,8 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
     (``Scenario.build_initial``), and the config codec decodes each value's
     scenario, once: a base datum the judge refuses, or a value its field
     does not take, raises ConfigError under its dotted path, as does a
-    value that is not an int or a float (a bool is not one).  Each decoded
+    value that is not an int or a float (a bool is not one), and two values
+    that decode to the same scenario raise it under ``values``.  Each decoded
     scenario, at any ``workers`` count, then runs in a child process of its
     own, with at most ``workers`` children alive at a time (default: one
     per value, capped at the CPU count), and its run judges its own datum.
@@ -298,6 +299,11 @@ def sweep(base: Scenario, axis: str, values: Sequence[float], out_root=None,
     base_dict = base.effective_config()
     scenarios = [scenario_from_dict(apply_axis(base_dict, axis, value))
                  for value in values]
+    hashes = [scenario.content_hash() for scenario in scenarios]
+    for i, first in enumerate(map(hashes.index, hashes)):  # one run dir each
+        if first != i:
+            raise ConfigError("values", f"{values[first]!r} and {values[i]!r}"
+                                        f" give the same {axis} scenario")
 
     sweep_hash = content_digest(dict(base=base_dict, axis=axis, values=values))
     sweep_dir: Optional[Path] = None

@@ -4,9 +4,7 @@ echo, content hashing, and YAML loading."""
 import ast
 import copy
 import hashlib
-import inspect
 import math
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +17,6 @@ from chlab.config import (
     INITIAL_KINDS,
     POTENTIAL_SHAPES,
     WEIGHT_KINDS,
-    CertificationWarning,
     ConfigError,
     Scenario,
     canonical_json,
@@ -171,26 +168,29 @@ class TestValidation:
         assert s.rate_cap_factor == 1.5
 
     def test_noncertifiable_tracked_weight_warns_but_parses(self):
-        # parsing a config warns; decoding a mapping judges the grammar only
         data = tiny(weights_to_track=[
             {"weight": {"kind": "standard", "a": 0.1, "b": 2.0}, "p": 2}])
-        with pytest.warns(CertificationWarning, match="faster than exponential"):
-            s = parse_scenario(yaml.safe_dump(data))
+        s = parse_scenario(yaml.safe_dump(data))
         assert not s.weights_to_track[0].weight.certifiable
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CertificationWarning)
-            assert scenario_from_dict(data) == s
+        [message] = s.weight_warnings()
+        assert "faster than exponential" in message
+        assert scenario_from_dict(data) == s
 
-    def test_certification_warning_names_the_callers_line(self, tmp_path):
+    def test_every_reader_gives_one_scenario_and_its_warnings(self, tmp_path):
+        # one message per uncertifiable weight, in weights_to_track order
+        data = tiny(name="w", weights_to_track=[
+            {"weight": {"kind": "standard", "a": 0.1, "b": 2.0}},
+            {"weight": {"kind": "standard", "c": 2.0}},
+            {"weight": {"kind": "standard", "c": -1.0}}])
         path = tmp_path / "w.yaml"
-        path.write_text(yaml.safe_dump(tiny(weights_to_track=[
-            {"weight": {"kind": "standard", "a": -1.0}}])))
-        with pytest.warns(CertificationWarning) as record:
-            parse_scenario(path.read_text())
-            load_scenario(path)
-        here = inspect.currentframe().f_lineno
-        assert [(w.filename, w.lineno) for w in record] == [
-            (__file__, here - 2), (__file__, here - 1)]
+        path.write_text(yaml.safe_dump(data))
+        readers = [parse_scenario(path.read_text()), load_scenario(path),
+                   scenario_from_dict(data)]
+        assert readers[0] == readers[1] == readers[2]
+        said = [s.weight_warnings() for s in readers]
+        assert said[0] == said[1] == said[2]
+        assert [m.split(":")[0] for m in said[0]] == [
+            "weights_to_track[0]", "weights_to_track[2]"]
 
     @pytest.mark.parametrize("weight,condition", [
         ({"kind": "standard", "a": -0.5, "b": 1.0}, "(a < 0)"),
@@ -204,19 +204,16 @@ class TestValidation:
     def test_decaying_tracked_weight_warns_with_its_condition(self, weight,
                                                               condition):
         data = tiny(weights_to_track=[{"weight": weight}])
-        with pytest.warns(CertificationWarning) as record:
-            s = parse_scenario(yaml.safe_dump(data))
-        assert len(record) == 1
-        assert f"has a negative exponent {condition}" in str(record[0].message)
+        s = parse_scenario(yaml.safe_dump(data))
+        [message] = s.weight_warnings()
+        assert f"has a negative exponent {condition}" in message
         assert not s.weights_to_track[0].weight.certifiable
 
     def test_growth_exponent_without_exponential_factor_is_quiet(self):
         # a = 0 makes b moot: the weight is (1+|x|)
         data = tiny(weights_to_track=[
             {"weight": {"kind": "standard", "a": 0.0, "b": 2.0, "c": 1.0}}])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CertificationWarning)
-            s = parse_scenario(yaml.safe_dump(data))
+        s = parse_scenario(yaml.safe_dump(data))
         assert s.weights_to_track[0].weight.certifiable
         assert s.weight_warnings() == []
 
@@ -438,9 +435,7 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 @pytest.mark.parametrize("name", ["gaussian-hump", "peakon-rate-cap",
                                   "steepening-breakdown"])
 def test_shipped_config_loads_and_echoes(name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        s = load_scenario(CONFIGS / f"{name}.yaml")
+    s = load_scenario(CONFIGS / f"{name}.yaml")
     assert s.name == name
     again = scenario_from_dict(s.effective_config())
     assert again == s
@@ -465,10 +460,8 @@ HASHED = ([f"builtin/{n}" for n in builtin_names()]
 def test_content_hash_matches_hashlib(source):
     # every run-directory name and config_hash stays where it was
     group, _, name = source.partition("/")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CertificationWarning)
-        s = (builtin_scenario(name) if group == "builtin"
-             else load_scenario(CONFIGS / name))
+    s = (builtin_scenario(name) if group == "builtin"
+         else load_scenario(CONFIGS / name))
     assert s.content_hash() == _hashlib_digest(s.effective_config())
 
 
@@ -574,6 +567,35 @@ class TestYamlFront:
         with pytest.raises(ConfigError, match=r"invalid YAML at line \d+"):
             parse_scenario("name: [unclosed\ngrid: {L: 1}\n: ]]")
 
+    DUPLICATE_FRONT = ("name: dup\ngrid: {L: 20.0, N: 256}\n"
+                       "initial_data: {kind: gaussian, amplitude: 1.0}\n")
+
+    def test_repeated_section_is_refused(self):
+        # the second solver: would drop cfl and t_end without a word
+        text = (self.DUPLICATE_FRONT + "solver:\n  cfl: 0.2\n  t_end: 0.5\n"
+                "solver:\n  snapshot_stride: 2\n")
+        with pytest.raises(ConfigError, match=r"^invalid YAML at line 7, column 1: "
+                           r"found duplicate key 'solver'"):
+            parse_scenario(text)
+
+    def test_repeated_field_is_refused(self):
+        text = self.DUPLICATE_FRONT + "solver:\n  t_end: 0.5\n  t_end: 0.1\n"
+        with pytest.raises(ConfigError, match=r"^invalid YAML at line 6, column 3: "
+                           r"found duplicate key 't_end'"):
+            parse_scenario(text)
+
+    def test_merged_key_may_be_overridden(self):
+        # explicit keys are compared before the merge is flattened in
+        text = (self.DUPLICATE_FRONT + "solver: {t_end: 0.1}\n"
+                "weights_to_track:\n"
+                "  - weight: &w {kind: standard, a: 0.5, c: 2.0}\n"
+                "  - weight: {<<: *w, c: 1.0}\n")
+        assert (yaml.load(text, Loader=config._YAMLLoader)
+                == yaml.safe_load(text))
+        first, second = parse_scenario(text).weights_to_track
+        assert first.weight == StandardFamily(a=0.5, c=2.0)
+        assert second.weight == StandardFamily(a=0.5, c=1.0)
+
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
                         reason="PyYAML built without libyaml")
     @pytest.mark.parametrize("source", sorted(
@@ -638,9 +660,7 @@ class TestBuiltins:
         "steep-odd-breakdown", "tail-profiles",
     ])
     def test_each_builtin_validates(self, name):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s = builtin_scenario(name)
+        s = builtin_scenario(name)
         assert s.name == name
         assert s.weight_warnings() == []
         s.build_initial()  # the datum passes its judge

@@ -7,15 +7,14 @@ import re
 import signal
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chlab.cli import main
-from chlab.config import (INITIAL_KINDS, CertificationWarning, ConfigError,
-                          load_scenario, parse_scenario, scenario_from_dict)
+from chlab.config import (INITIAL_KINDS, ConfigError, load_scenario,
+                          scenario_from_dict)
 from chlab import cli, runner
 from chlab.diagnostics import (decay_blowup_predict, mckean_classify,
                                peakon_rate_cap_check, persistence_check,
@@ -233,14 +232,6 @@ class TestRunScenario:
         ])
         warnings_ = run_scenario(scenario).summary["weight_warnings"]
         assert len(warnings_) == 1 and "certified" in warnings_[0]
-
-    def test_weight_warning_text_matches_the_parse_warning(self):
-        with pytest.warns(CertificationWarning) as record:
-            scenario = parse_scenario(
-                TINY_YAML + "  - weight: {kind: standard, a: 0.1, b: 2.0}\n")
-        assert [str(w.message) for w in record] == scenario.weight_warnings()
-        assert scenario.weight_warnings()[0].startswith(
-            "weights_to_track[1]: ")
 
 
 class TestDiagnosticBlocks:
@@ -524,6 +515,20 @@ class TestSweep:
         assert err.value.path == "values"
         assert str(err.value) == (
             f"values: sweep values must be ints or floats, got {bad}")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("axis, values, same", [
+        ("solver.t_end", [0.05, 0.1, 5e-2], "0.05 and 0.05"),
+        ("grid.N", [512, 512.0], "512 and 512.0")], ids=["t_end", "N"])
+    def test_repeated_values_are_rejected(self, monkeypatch, tmp_path, axis,
+                                          values, same):
+        # two runs of one scenario would write one directory
+        monkeypatch.setattr(runner, "_run_children",
+                            lambda *args: pytest.fail("a child started"))
+        with pytest.raises(ConfigError) as err:
+            sweep(tiny_scenario(), axis, values, workers=1,
+                  out_root=tmp_path / "runs")
+        assert str(err.value) == f"values: {same} give the same {axis} scenario"
         assert not (tmp_path / "runs").exists()
 
     def test_artifacts_and_reproducibility(self, tmp_path):
@@ -828,10 +833,8 @@ class TestCli:
         path = tmp_path / "report.yaml"
         path.write_text("name: report\ngrid: {L: 60.0, N: 1024}\n"
                         "solver: {t_end: 0.05}\n" + config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CertificationWarning)
-            assert main(["simulate", str(path), "--out",
-                         str(tmp_path / "r")]) == 0
+        assert main(["simulate", str(path), "--out",
+                     str(tmp_path / "r")]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert any(re.fullmatch(line, text) for text in lines), lines
 
@@ -842,15 +845,11 @@ class TestCli:
         path = tmp_path / "w.yaml"
         path.write_text(TINY_YAML.replace("{kind: standard, c: 2.0}",
                                           "{kind: standard, a: -1.0}"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["simulate", str(path), "--out", str(tmp_path / "r"),
-                         *flags]) == 0
-        said = [str(w.message) for w in caught
-                if w.category is CertificationWarning]
+        assert main(["simulate", str(path), "--out", str(tmp_path / "r"),
+                     *flags]) == 0
         captured = capsys.readouterr()
-        said += [line for line in (captured.out + captured.err).splitlines()
-                 if "weights_to_track[0]" in line]
+        said = [line for line in (captured.out + captured.err).splitlines()
+                if "weights_to_track[0]" in line]
         assert len(said) == 1, said
 
     @pytest.mark.parametrize("command, flags", [
@@ -862,19 +861,13 @@ class TestCli:
     ], ids=["certify", "classify", "sweep", "simulate-quiet"])
     def test_weight_warning_is_one_stderr_line(self, command, flags,
                                                tmp_path, capfd):
-        # said once, as the run report says it, and not as a Python warning
-        # that names chlab's own line
+        # said once, as the run report says it
         path = tmp_path / "w.yaml"
         path.write_text(TINY_YAML.replace("{kind: standard, c: 2.0}",
                                           "{kind: standard, a: -1.0}"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CertificationWarning)
-            [message] = load_scenario(path).weight_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main([*command, str(path), *flags,
-                         "--out", str(tmp_path / "r")]) == 0
-        assert not [w for w in caught if w.category is CertificationWarning]
+        [message] = load_scenario(path).weight_warnings()
+        assert main([*command, str(path), *flags,
+                     "--out", str(tmp_path / "r")]) == 0
         captured = capfd.readouterr()
         assert [line for line in captured.err.splitlines()
                 if "weights_to_track[0]" in line] == [f"warning: {message}"]
@@ -1057,11 +1050,10 @@ class TestCli:
 
     def test_sweep_warns_once_for_an_uncertifiable_weight(self, tmp_path,
                                                           capfd):
-        # Only the load warns: the sweep decodes each value with
-        # scenario_from_dict, which never warns, and the forked children,
-        # whose stderr capfd also sees, decode nothing.  The CLI runs in a
-        # process of its own, where a Python warning would print as it
-        # would for a user.
+        # The CLI says it once, before the sweep starts; the forked
+        # children, whose stderr capfd also sees, say nothing.  The CLI runs
+        # in a process of its own, where a stray Python warning would print
+        # on stderr as it would for a user.
         path = tmp_path / "w.yaml"
         path.write_text(TINY_YAML.replace(
             "{kind: standard, c: 2.0}", "{kind: standard, a: 0.1, b: 2.0}"))
@@ -1074,14 +1066,23 @@ class TestCli:
                   % (str(Path(cli.__file__).parents[1]), argv))
         done = subprocess.run([sys.executable, "-c", script], timeout=120)
         assert done.returncode == 0
-        err = capfd.readouterr().err
-        assert "CertificationWarning" not in err
-        assert err.count("warning: weights_to_track[0]") == 1
+        [line] = capfd.readouterr().err.splitlines()
+        assert line.startswith("warning: weights_to_track[0]: ")
         runs = [d for d in out.iterdir() if "sweep" not in d.name]
         assert len(runs) == 3
         for run_dir in runs:
             summary = read_summary(run_dir / "summary.json")
             assert len(summary["weight_warnings"]) == 1
+
+    def test_sweep_cli_refuses_repeated_values(self, tiny_yaml, tmp_path,
+                                               capsys):
+        out = tmp_path / "runs"
+        assert main(["sweep", str(tiny_yaml), "--axis", "solver.t_end",
+                     "--values", "0.05,0.05,5e-2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: values: 0.05 and 0.05 give the same solver.t_end "
+            "scenario\n")
+        assert not out.exists()
 
     def test_sweep_cli(self, tiny_yaml, tmp_path, capsys):
         out = tmp_path / "runs"
