@@ -81,7 +81,7 @@ def _random_band_limited(grid: Grid, rng: np.random.Generator) -> Field:
     scale = rng.standard_normal((grid.N // 8) - 1)
     phase = rng.uniform(0.0, 2.0 * np.pi, (grid.N // 8) - 1)
     coeff[band] = scale * np.exp(1j * phase)
-    values = np.fft.irfft(coeff, n=grid.N)
+    values = Field.from_spectrum(grid, coeff).values
     peak = np.max(np.abs(values))
     return Field(grid, values / peak)
 

@@ -22,6 +22,7 @@ typo in a config file points at the line that caused it, not at a traceback.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -382,9 +383,12 @@ def scenario_from_dict(data: Mapping, *,
     return _decode(Scenario, data, "")
 
 
-def parse_scenario(text: str, *,
+def parse_scenario(text: Union[str, io.StringIO], *,
                    default_name: Optional[str] = None) -> Scenario:
-    """Parse YAML text into a decoded Scenario (``scenario_from_dict``)."""
+    """Parse YAML text into a decoded Scenario (``scenario_from_dict``).
+
+    ``text`` may also be a text stream; a YAML error then names the
+    stream's ``name``, as a config file's path."""
     try:
         data = yaml.load(text, Loader=_YAMLLoader)
     except yaml.YAMLError as exc:
@@ -406,5 +410,7 @@ def load_scenario(path) -> Scenario:
         text = p.read_text()
     except OSError as exc:
         raise ConfigError("", f"cannot read config {p}: {exc}") from exc
-    return parse_scenario(text, default_name=p.stem)
+    stream = io.StringIO(text)
+    stream.name = str(p)
+    return parse_scenario(stream, default_name=p.stem)
 

@@ -110,7 +110,7 @@ class Grid:
     @cached_property
     def _kept_band(self) -> slice:
         """The modes j <= N/3 the 2/3 rule keeps, as an rfft slice; the
-        solver, ``dealias_values`` and the profile integrands zero the rest."""
+        solver and the profile integrands zero the rest."""
         return slice(0, self.N // 3 + 1)
 
     @cached_property
@@ -121,12 +121,6 @@ class Grid:
         a = -(0.5 * self._sym_derivative + self._sym_helmholtz_dx)
         b = -0.5 * self._sym_helmholtz_dx
         return a, b
-
-    def dealias_values(self, values: np.ndarray) -> np.ndarray:
-        """Project sample values onto the 2/3-rule band."""
-        spectrum = np.fft.rfft(values)
-        spectrum[self._kept_band.stop:] = 0.0
-        return np.fft.irfft(spectrum, n=self.N)
 
 
 class Field:
@@ -255,18 +249,15 @@ def helmholtz_inverse_dx(f: Field) -> Field:
     return _apply_symbol(f, f.grid._sym_helmholtz_dx)
 
 
-def source_term(u: Field, dealias: bool = True) -> Field:
+def source_term(u: Field) -> Field:
     """Quadratic source F(u) = u^2 + u_x^2 / 2 driving the nonlocal term.
 
-    The products are formed pointwise from the spectral derivative; with
-    ``dealias`` (the default) the result is projected onto the 2/3-rule
-    band, the standard guard against quadratic aliasing.
+    The products are formed pointwise from the spectral derivative and
+    returned raw: the t = 0 amplitudes weigh F(u0) itself, and the rhs
+    and the profile integrands apply the 2/3 rule in their own transforms.
     """
     ux = u.derivative_values
-    f = u.values * u.values + 0.5 * ux * ux
-    if dealias:
-        f = u.grid.dealias_values(f)
-    return Field(u.grid, f)
+    return Field(u.grid, u.values * u.values + 0.5 * ux * ux)
 
 
 def momentum_of(u: Field) -> Field:

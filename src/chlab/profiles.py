@@ -119,15 +119,14 @@ class ProfileAccumulator:
         return self
 
     def _integrands(self, u: Field) -> Tuple[np.ndarray, np.ndarray]:
-        """F(u) as ``source_term`` gives it and (1/2) d/dx (u^2), both
-        with the rhs's dealiasing.  The rhs applies the same advection
-        symbol fused with the nonlocal one, so the two agree to rounding
-        error, not bit for bit.  The two forward and the two inverse
-        transforms are one batched call each."""
+        """F(u) from ``source_term`` and (1/2) d/dx (u^2), both with the
+        rhs's dealiasing: the package's one dealiased F.  The rhs applies
+        the same advection symbol fused with the nonlocal one, so the two
+        agree to rounding error, not bit for bit.  The two forward and the
+        two inverse transforms are one batched call each."""
         grid = self.grid
         v = u.values
-        ux = u.derivative_values
-        p = np.fft.rfft(np.stack((v * v + 0.5 * ux * ux, v * v)))
+        p = np.fft.rfft(np.stack((source_term(u).values, v * v)))
         p[:, grid._kept_band.stop:] = 0.0
         p[1] *= 0.5 * grid._sym_derivative
         F, adv = np.fft.irfft(p, n=grid.N)
@@ -216,15 +215,16 @@ def phi_psi(acc: ProfileAccumulator) -> Tuple[float, float]:
     )
 
 
-def phi0_psi0(u0: Field, dealias: bool = False) -> Tuple[float, float]:
+def phi0_psi0(u0: Field) -> Tuple[float, float]:
     """(Phi(0), Psi(0)): the t -> 0 limits, i.e. the weighted integrals of
-    F(u0) itself; positive whenever u0 is not identically zero.
+    the raw source F(u0) = ``source_term(u0)``; positive whenever u0 is
+    not identically zero.
 
-    Dealiasing is off by default: the two-thirds mask rings on data with
+    F(u0) is not dealiased: the two-thirds mask rings on data with
     derivative kinks, and the exponential weight amplifies that ringing at
-    the domain edge.  For smooth band-limited data the two settings agree.
+    the domain edge.
     """
-    F0 = source_term(u0, dealias=dealias).values
+    F0 = source_term(u0).values
     return (
         _weighted_half_integral(F0, u0.grid, +1.0),
         _weighted_half_integral(F0, u0.grid, -1.0),

@@ -12,13 +12,22 @@ from chlab.field import Field, Grid
 
 # the random fields are the verification suite's own draws
 __all__ = ["band_limited", "compact_random", "field_from_seed",
-           "count_transforms", "read_csv", "read_summary"]
+           "dealiased_source", "count_transforms", "read_csv", "read_summary"]
 
 
 def field_from_seed(grid: Grid, seed: int) -> Field:
     """Deterministic band-limited field keyed by an integer seed (the shape
     hypothesis draws; shrinking a seed shrinks to simpler RNG streams)."""
     return band_limited(grid, np.random.default_rng(seed))
+
+
+def dealiased_source(u: Field) -> np.ndarray:
+    """F(u) = u^2 + u_x^2 / 2 projected onto the 2/3-rule band by its own
+    rfft and irfft: an independent reference for the profile integrands."""
+    ux = u.derivative_values
+    spectrum = np.fft.rfft(u.values * u.values + 0.5 * ux * ux)
+    spectrum[u.grid.N // 3 + 1:] = 0.0
+    return np.fft.irfft(spectrum, n=u.grid.N)
 
 
 class TransformCounter:

@@ -250,15 +250,8 @@ class TestSourceTerm:
         u = Field(GRID, np.exp(-GRID.x**2))
         ux = -2.0 * GRID.x * np.exp(-GRID.x**2)
         expected = u.values**2 + 0.5 * ux**2
-        got = source_term(u, dealias=False).values
+        got = source_term(u).values
         assert np.max(np.abs(got - expected)) < 1e-12
-
-    def test_dealias_projection_changes_nothing_for_narrow_band(self):
-        # data in the lowest quarter band keeps u^2 inside the 2/3 band
-        u = field_from_seed(GRID, 7)
-        on = source_term(u, dealias=True).values
-        off = source_term(u, dealias=False).values
-        assert np.max(np.abs(on - off)) < 1e-12
 
     @given(seeds)
     def test_nonnegative(self, seed):

@@ -6,6 +6,9 @@
 * Every name in a ``chlab`` module's ``__all__`` is bound in that module,
   and named by another module of the package, the tests or the
   benchmark: an export nothing uses is not public API.
+* Only ``field.py``, ``solver.py`` and ``profiles.py`` reach an FFT
+  module: every other module transforms through their operators, so the
+  package has one spectral pipeline.
 * The CLI path loads no scipy module: scipy is a test-only dependency.
   Nor does it load OpenSSL's hashlib backend (``_hashlib``), which maps
   3.4 MB into every process: configs hash with CPython's own SHA-256.
@@ -16,7 +19,7 @@
 * README's ``summary.json`` row names exactly the keys a written summary
   has.
 
-The first three are checked from the syntax tree alone, so a module that
+The first four are checked from the syntax tree alone, so a module that
 fails to import still gets its hygiene checked.  The next two run a fresh
 interpreter.
 """
@@ -146,6 +149,34 @@ def test_all_names_are_used_elsewhere(path):
     named = set().union(*(_named(p) for p in READERS if p != path))
     unused = [name for name in _exported(_tree(path)) if name not in named]
     assert not unused, f"{path.name} exports names nothing else uses: {unused}"
+
+
+TRANSFORMING = {"field.py", "solver.py", "profiles.py"}
+
+
+def _reaches_fft(tree: ast.Module) -> bool:
+    """Whether a module names an FFT module: as an attribute
+    (``np.fft.rfft``) or in an import (``from numpy import fft``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any("fft" in name.split(".") for name in names):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_ids(MODULES))
+def test_only_the_spectral_modules_transform(path):
+    transforms = _reaches_fft(_tree(path))
+    assert transforms == (path.name in TRANSFORMING), (
+        f"{path.name} {'names' if transforms else 'no longer names'} an FFT "
+        f"module; the modules that transform are {sorted(TRANSFORMING)}")
 
 
 # Imports the CLI, builds both erfc-based initial-data kinds, runs the

@@ -10,10 +10,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chlab.field import Field, Grid, peakon, source_term
+from chlab.field import Field, Grid, peakon
 from chlab.initial_data import Gaussian, MollifiedExponential, MollifiedPeakon
 from chlab.profiles import (
     ProfileAccumulator,
+    _weighted_half_integral,
     phi0_psi0,
     phi_psi,
     profile_report,
@@ -23,7 +24,7 @@ from chlab.profiles import (
 from chlab.runner import _profile_block
 from chlab.scenarios import builtin_scenario
 from chlab.solver import SolverConfig, run
-from helpers import count_transforms
+from helpers import count_transforms, dealiased_source
 
 GRID = Grid(20.0, 1024)
 GAUSSIAN = Gaussian(1.0, 1.0, 0.0).build(GRID)
@@ -55,7 +56,7 @@ class TestAccumulator:
         # accumulator knows, so a constant snapshot keeps h = F(u) as the
         # integral grows
         acc = ProfileAccumulator(GAUSSIAN)
-        F = source_term(GAUSSIAN, dealias=True).values
+        F = dealiased_source(GAUSSIAN)
         acc.accumulate(GAUSSIAN, 0.0).accumulate(GAUSSIAN, 1.0)
         assert np.array_equal(acc.H / acc.t_last, F)
         acc.accumulate(GAUSSIAN, 4.0)
@@ -64,12 +65,13 @@ class TestAccumulator:
 
     def test_stationary_average_is_the_source_itself(self):
         # trapezoid over a constant-in-time field: h = F(u) exactly, so the
-        # running amplitudes equal the t -> 0 values computed directly
+        # running amplitudes are the weighted integrals of dealiased F(u)
         acc = ProfileAccumulator(GAUSSIAN)
         acc.accumulate(GAUSSIAN, 0.0).accumulate(GAUSSIAN, 2.0)
-        F = source_term(GAUSSIAN, dealias=True).values
+        F = dealiased_source(GAUSSIAN)
         assert np.array_equal(acc.H / acc.t_last, F)
-        assert phi_psi(acc) == phi0_psi0(GAUSSIAN, dealias=True)
+        assert phi_psi(acc) == (_weighted_half_integral(F, GRID, +1.0),
+                                _weighted_half_integral(F, GRID, -1.0))
 
     def test_integrands_equal_the_separate_transforms(self):
         # batched transforms give the unbatched layer's F(u) and
@@ -81,7 +83,7 @@ class TestAccumulator:
         keep = np.arange(GRID.N // 2 + 1) <= GRID.N // 3
         u2_hat = np.fft.rfft(u.values * u.values) * keep
         adv = np.fft.irfft(0.5 * GRID._sym_derivative * u2_hat, n=GRID.N)
-        F = source_term(u, dealias=True).values
+        F = dealiased_source(u)
         assert np.array_equal(acc.H, F + F)
         assert np.array_equal(acc.UUx, adv + adv)
 
@@ -116,14 +118,22 @@ class TestInitialAmplitudes:
         assert Phi0 == pytest.approx(1.0, abs=1e-3)
         assert Phi0 == pytest.approx(1.0000840375, rel=1e-9)
 
-    def test_smooth_crest_dealias_invariance(self):
+    def test_smooth_crest_value(self):
         u = MollifiedPeakon(c=1.0, x0=0.0, mollify_width=0.05).build(
             Grid(10.0, 8192)
         )
-        raw = phi0_psi0(u, dealias=False)
-        masked = phi0_psi0(u, dealias=True)
-        assert raw[0] == pytest.approx(0.9728001786, rel=1e-9)
-        assert abs(raw[0] - masked[0]) < 1e-9
+        Phi0, _ = phi0_psi0(u)
+        assert Phi0 == pytest.approx(0.9728001786, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [64, -96])
+    def test_shifted_datum_scales_by_the_weights(self, k):
+        # F(u0(. - c)) weighs in at e^{c} Phi(0) and e^{-c} Psi(0) of the
+        # centred datum; swapped weights would miss by a factor e^{2c}
+        c = k * GRID.dx
+        Phi0, Psi0 = phi0_psi0(GAUSSIAN)
+        Phi, Psi = phi0_psi0(Gaussian(1.0, 1.0, c).build(GRID))
+        assert Phi == pytest.approx(math.exp(c) * Phi0, rel=1e-12)
+        assert Psi == pytest.approx(math.exp(-c) * Psi0, rel=1e-12)
 
     def test_zero_field(self):
         assert phi0_psi0(Field(GRID, np.zeros(GRID.N))) == (0.0, 0.0)

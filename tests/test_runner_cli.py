@@ -731,6 +731,16 @@ class TestCli:
         assert main(["simulate", str(path), "--quiet"]) == 2
         assert "power of two" in capsys.readouterr().err
 
+    def test_yaml_error_names_the_config_file(self, tmp_path, capsys):
+        path = tmp_path / "dup.yaml"
+        path.write_text("name: dup\ngrid: {L: 20.0, N: 256}\n"
+                        "solver: {t_end: 0.1}\ninitial_data: {kind: gaussian}"
+                        "\nsolver: {t_end: 0.2}\n")
+        assert main(["classify", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "found duplicate key 'solver'" in err
+        assert f'in "{path}", line 5, column 1' in err
+
     @pytest.mark.parametrize("command, grid, initial, message", [
         ("simulate", "{L: 20.0, N: 512}",
          "{kind: odd_gaussian_derivative, amplitude: 1.0e+308}",

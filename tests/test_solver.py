@@ -62,7 +62,7 @@ class TestRhs:
         u = Gaussian(1.0, 1.0, 0.0).build(GRID)
         u2 = Field(GRID, u.values**2)
         manual = (-0.5 * derivative(u2).values
-                  - helmholtz_inverse_dx(source_term(u, dealias=False)).values)
+                  - helmholtz_inverse_dx(source_term(u)).values)
         got = rhs(u, dealias=False).values
         assert np.max(np.abs(got - manual)) < 1e-13
 
@@ -152,10 +152,11 @@ class TestSpectralPipeline:
         assert counter.calls == 2 + 8 * state.step_count
         assert counter.transforms == 2 + 16 * state.step_count
 
-    @pytest.mark.parametrize("n", [1024, 2048, 4096, 8192])
+    @pytest.mark.parametrize("n", [512, 1024, 2048, 4096, 8192])
     def test_batched_numpy_fft_rows_equal_separate_calls(self, n):
         # the pipeline batches each pair of transforms into one call and
-        # relies on numpy returning the rows bit for bit
+        # relies on numpy returning the rows bit for bit; the verification
+        # suite's random fields take that route at N = 512 and 1024
         pair = np.random.default_rng(n).standard_normal((2, n))
         forward = np.fft.rfft(pair)
         for row, samples in zip(forward, pair):
