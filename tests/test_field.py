@@ -21,7 +21,7 @@ from chlab.field import (
     shift_samples,
     source_term,
 )
-from helpers import count_transforms, field_from_seed
+from helpers import count_transforms, dealiased_source, field_from_seed
 
 GRID = Grid(20.0, 512)
 
@@ -255,8 +255,10 @@ class TestSourceTerm:
 
     @given(seeds)
     def test_nonnegative(self, seed):
+        # raw F is a sum of squares; its 2/3-band projection, which the
+        # profile accumulator integrates, may dip below zero by roundoff
         u = field_from_seed(GRID, seed)
-        assert float(np.min(source_term(u).values)) > -1e-10
+        assert float(np.min(dealiased_source(u))) > -1e-10
 
 
 class TestSymmetryOps:

@@ -124,6 +124,9 @@ class TestInitialAmplitudes:
         )
         Phi0, _ = phi0_psi0(u)
         assert Phi0 == pytest.approx(0.9728001786, rel=1e-9)
+        # the profile rows integrate the dealiased F: same Phi(0) here
+        masked = _weighted_half_integral(dealiased_source(u), u.grid, +1.0)
+        assert abs(Phi0 - masked) < 1e-9
 
     @pytest.mark.parametrize("k", [64, -96])
     def test_shifted_datum_scales_by_the_weights(self, k):
