@@ -22,7 +22,7 @@ Conventions that matter numerically:
 from __future__ import annotations
 
 import math
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -152,13 +152,12 @@ def predictor_table(u0: Field) -> dict:
     }
 
 
-def weighted_pair_norm(u: Field, weight: Union[Weight, np.ndarray],
-                       p: float) -> float:
+def weighted_pair_norm(u: Field, phi_x: np.ndarray, p: float) -> float:
     """W = ||u phi||_p + ||u_x phi||_p with u_x by local central
     differences (growing weights would amplify the spectral noise floor).
-    ``weight`` is the weight or its samples on u's grid."""
+    ``phi_x`` holds the weight's samples on u's grid."""
     du = Field(u.grid, local_derivative(u))
-    return weighted_lp_norm(u, weight, p) + weighted_lp_norm(du, weight, p)
+    return weighted_lp_norm(u, phi_x, p) + weighted_lp_norm(du, phi_x, p)
 
 
 class PersistenceTrace:

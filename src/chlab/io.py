@@ -34,7 +34,7 @@ __all__ = [
 #: Version of the JSON artifact layout (``summary.json``,
 #: ``classification.json``, ``weight_certificates.json``); bump on any
 #: backwards-incompatible change to field names or meanings.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 RUN_CSV = "run.csv"
 PROFILE_CSV = "profile.csv"

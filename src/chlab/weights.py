@@ -31,21 +31,20 @@ and the seed is the only one a caller chooses (``chlab weights certify
   per seed and shared, read-only, by every certificate of that seed; each
   sampled or scanned extremum (``C0``, ``inf_v``, the overflow test, the
   sup of v(x) e^{-|x|}) is a max or min of log values, exponentiated once;
-* the decay integrals of v(x) e^{-|x|} and of its square by adaptive
-  Gauss-Kronrod quadrature on [-R, R], R starting at 32 and doubling at
-  most 12 times until the added tails fall below 1e-10 (else it is reported
-  divergent, the correct verdict for weights growing at least like
-  e^{|x|}), each fixed-R piece ([-R, 0], [0, R], each added [-2R, -R] and
-  [R, 2R]) to the absolute tolerance 1e-9.  The pieces of both integrals
-  advance together: log v is evaluated once per round, on every live
-  subinterval;
+* the one decay integral, of v(x) e^{-|x|}, by adaptive Gauss-Kronrod
+  quadrature on [-R, R], R starting at 32 and doubling at most 12 times
+  until the added tails fall below 1e-10 (else it is reported divergent,
+  the correct verdict for weights growing at least like e^{|x|}), each
+  fixed-R piece ([-R, 0], [0, R], each added [-2R, -R] and [R, 2R]) to the
+  absolute tolerance 1e-9.  The pieces of each range advance together: log
+  v is evaluated once per round, on every live subinterval;
 * an even weight (log v a function of |x|: the standard family, and a
-  truncation of it) is scanned and integrated on x >= 0 only, each of its
-  integrals twice the half-line one.
+  truncation of it) is scanned and integrated on x >= 0 only, its integral
+  twice the half-line one.
 
 ``certify_admissible`` returns the certificate as the plain record that
-``weight_certificates.json`` stores, with the L^2 and L^infinity norms of
-v(x) e^{-|x|} keyed "2.0" and "inf".  Evaluations that overflow float
+``weight_certificates.json`` stores, with the L^infinity norm of
+v(x) e^{-|x|} keyed "inf".  Evaluations that overflow float
 range are reported as ``+inf`` and poison the certificate rather than
 silently saturating.
 """
@@ -55,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -277,8 +276,8 @@ _G7_WEIGHTS_HALF = np.array([
 _G7_WEIGHTS = np.concatenate(
     [_G7_WEIGHTS_HALF, [0.417959183673469387755102040816327],
      _G7_WEIGHTS_HALF[::-1]])
-#: Both rules, shaped to weigh samples of shape (powers, subintervals, 15).
-_GK_RULES = np.stack([_K15_WEIGHTS, _G7_WEIGHTS])[:, None, None, :]
+#: Both rules, shaped to weigh samples of shape (subintervals, 15).
+_GK_RULES = np.stack([_K15_WEIGHTS, _G7_WEIGHTS])[:, None, :]
 
 
 #: Work bounds of one adaptive quadrature, per piece: rounds, and live
@@ -289,106 +288,86 @@ _GK_MAX_LIVE = 2048
 
 def _gauss_kronrod(log_f: Callable[[np.ndarray], np.ndarray],
                    pieces: Sequence[Tuple[float, float]],
-                   powers: Sequence[float], tol: float) -> np.ndarray:
-    """Adaptive G7/K15 quadrature of e^{p log_f} for each p in ``powers``
-    on each piece (lo, hi), to absolute tolerance tol, all advanced together.
+                   tol: float) -> np.ndarray:
+    """Adaptive G7/K15 quadrature of e^{log_f} on each piece (lo, hi), to
+    absolute tolerance tol, all pieces advanced together.
 
     Each round evaluates log_f once, on the 15 Kronrod nodes of every live
-    subinterval of every piece, and takes each integrand from the same
-    values.  A subinterval is accepted for an integrand when |K15 - G7| is
-    at most its share tol * width / (hi - lo) of its piece's tolerance; it
-    is bisected while some integrand still needs it.  The work is bounded
-    per piece and integrand: after ``_GK_MAX_ROUNDS`` rounds, or when
-    bisection would exceed ``_GK_MAX_LIVE`` subintervals, the K15 values of
-    the live ones are taken as they are.  Each integral is the math.fsum of
-    its accepted K15 values, or +inf once one of them is not finite (a
-    sample that is not, or a sum that overflows).  A piece and power get
-    the value they get when integrated alone.  Returns the integrals as an
-    array of shape (len(pieces), len(powers))."""
-    n_powers = len(powers)
+    subinterval of every piece.  A subinterval is accepted when
+    |K15 - G7| is at most its share tol * width / (hi - lo) of its piece's
+    tolerance, and bisected otherwise.  The work is bounded per piece:
+    after ``_GK_MAX_ROUNDS`` rounds, or when bisection would exceed
+    ``_GK_MAX_LIVE`` subintervals, the K15 values of the live ones are
+    taken as they are.  Each integral is the math.fsum of its accepted K15
+    values, or +inf once one of them is not finite (a sample that is not,
+    or a sum that overflows).  A piece gets the value it gets when
+    integrated alone.  Returns the integrals, one per piece."""
     lo, hi = np.array(pieces, dtype=float).T
     a, b, owner = lo, hi, np.arange(lo.size)
-    # key[q, i]: the (piece, power) that row q of subinterval i serves
-    column = np.arange(n_powers)[:, None]
-    needed = np.ones((n_powers, lo.size), dtype=bool)
-    exponent = np.asarray(powers, dtype=float)[:, None, None]
-    poisoned = np.zeros(lo.size * n_powers, dtype=bool)
-    keys, values = [], []
+    poisoned = np.zeros(lo.size, dtype=bool)
+    owners, values = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for round_ in range(_GK_MAX_ROUNDS):
             centre = 0.5 * (a + b)
             half = 0.5 * (b - a)
-            g = log_f((centre[:, None] + half[:, None] * _K15_NODES).ravel())
-            ys = np.exp(exponent * g.reshape(a.size, _K15_NODES.size))
+            ys = np.exp(log_f((centre[:, None] + half[:, None]
+                               * _K15_NODES).ravel()))
             # each row summed on its own: its value is the same in any batch
-            kronrod, gauss = half * (ys * _GK_RULES).sum(axis=-1)
-            key = owner * n_powers + column
-            if not np.isfinite(kronrod).all():
-                poisoned[key[needed & ~np.isfinite(kronrod)]] = True
-                needed &= ~poisoned[key]
+            kronrod, gauss = half * (ys.reshape(a.size, _K15_NODES.size)
+                                     * _GK_RULES).sum(axis=-1)
+            poisoned[owner[~np.isfinite(kronrod)]] = True
+            needed = ~poisoned[owner]
             take = needed & (np.abs(kronrod - gauss)
                              <= tol * (b - a) / (hi - lo)[owner])
             needed &= ~take
-            # no (piece, power) passes the live cap while all together don't
+            # no piece passes the live cap while all together don't
             last = round_ == _GK_MAX_ROUNDS - 1
             if last or 2 * np.count_nonzero(needed) > _GK_MAX_LIVE:
-                live = np.bincount(key[needed], minlength=poisoned.size)
-                take |= needed & (last | (2 * live > _GK_MAX_LIVE))[key]
+                live = np.bincount(owner[needed], minlength=lo.size)
+                take |= needed & (last | (2 * live > _GK_MAX_LIVE))[owner]
                 needed &= ~take
-            keys.append(key[take])
+            owners.append(owner[take])
             values.append(kronrod[take])
-            rows = needed.any(axis=0)
-            if not rows.any():
+            if not needed.any():
                 break
-            a, centre, b = a[rows], centre[rows], b[rows]
+            a, centre, b = a[needed], centre[needed], b[needed]
             a, b = np.concatenate([a, centre]), np.concatenate([centre, b])
-            owner = np.concatenate([owner[rows], owner[rows]])
-            needed = np.concatenate([needed[:, rows], needed[:, rows]], axis=1)
-    keys, values = np.concatenate(keys), np.concatenate(values)
-    sums = [math.fsum(values[keys == k]) for k in range(poisoned.size)]
-    return np.where(poisoned, math.inf, sums).reshape(lo.size, n_powers)
+            owner = np.tile(owner[needed], 2)
+    owners, values = np.concatenate(owners), np.concatenate(values)
+    sums = [math.fsum(values[owners == k]) for k in range(lo.size)]
+    return np.where(poisoned, math.inf, sums)
 
 
-#: The integrands of a certificate: v e^{-|x|} and its square.
-_POWERS = (1.0, 2.0)
-
-
-def _decay_integrals(weight: Weight) -> List[Tuple[float, bool, float]]:
-    """integrals over the line of (v e^{-|x|})^p for each p in _POWERS:
-    adaptive Gauss-Kronrod on [-R, R] with R doubling until the increment
-    is below QUAD_TOL.  The line is split at 0 (weights usually kink there),
-    each fixed-R piece is integrated to the absolute tolerance
-    QUAD_INNER_TOL, and the pieces of both integrands advance together.
-    An even weight is integrated on x >= 0 only, and each piece counts
-    twice.  Returns (value, converged, R) per integrand."""
+def _decay_integral(weight: Weight) -> Tuple[float, bool, float]:
+    """integral over the line of v e^{-|x|}: adaptive Gauss-Kronrod on
+    [-R, R] with R doubling until the increment is below QUAD_TOL.  The
+    line is split at 0 (weights usually kink there), and each fixed-R piece
+    is integrated to the absolute tolerance QUAD_INNER_TOL.  An even weight
+    is integrated on x >= 0 only, and each piece counts twice.  Returns
+    (value, converged, R)."""
 
     def log_f(x):
         return weight._log_value(x) - np.abs(x)
 
-    def over(lo, hi, powers):
-        """integrals over lo <= |x| <= hi"""
+    def over(lo, hi):
+        """integral over lo <= |x| <= hi"""
         if weight.even:
-            return 2.0 * _gauss_kronrod(log_f, [(lo, hi)], powers,
-                                        QUAD_INNER_TOL)[0]
-        left, right = _gauss_kronrod(log_f, [(-hi, -lo), (lo, hi)], powers,
+            return 2.0 * _gauss_kronrod(log_f, [(lo, hi)], QUAD_INNER_TOL)[0]
+        left, right = _gauss_kronrod(log_f, [(-hi, -lo), (lo, hi)],
                                      QUAD_INNER_TOL)
         return left + right
 
     R = QUAD_RANGE0
-    total = over(0.0, R, _POWERS)
-    ranges = np.full(len(_POWERS), R)
-    converged = np.zeros(len(_POWERS), dtype=bool)
+    total = over(0.0, R)
     for _ in range(MAX_DOUBLINGS):
-        going = np.isfinite(total) & ~converged
-        if not going.any():
+        if not math.isfinite(total):
             break
-        increment = over(R, 2 * R, np.compress(going, _POWERS))
+        increment = over(R, 2 * R)
         R *= 2
-        ranges[going] = R
-        total[going] += increment
-        converged[going] = np.abs(increment) < QUAD_TOL
-    return [(float(t) if c else math.inf, bool(c), float(r))
-            for t, c, r in zip(total, converged, ranges)]
+        total += increment
+        if abs(increment) < QUAD_TOL:
+            return float(total), True, R
+    return math.inf, False, R
 
 
 #: Points per block of a blockwise maximum: each block's temporaries stay
@@ -455,12 +434,12 @@ def certify_admissible(weight: Weight, seed: int = 0) -> dict:
 
     Checks, over the seeded sample set and by quadrature:
     its log-derivative bound ``A`` = sup |phi'|/phi, moderateness constant
-    ``C0`` = sup phi(x+y)/(v(x)phi(y)), ``inf_v``, sub-multiplicativity of
-    v (``v_submultiplicative_ratio``, equal to ``C0``), and the decay integral
+    ``C0`` = sup phi(x+y)/(v(x)phi(y)) (v = phi, so it is also the
+    sub-multiplicativity ratio of v), ``inf_v``, and the one decay integral
     ``integral_v_exp`` of v(x) e^{-|x|} (divergence reported honestly —
     e.g. v = e^{|x|} diverges but still offers the L^infinity route since
-    sup v(x) e^{-|x|} = 1).  ``lp_v_exp`` holds the L^2 and L^infinity
-    norms of v(x) e^{-|x|}, keyed "2.0" and "inf".  The record also carries
+    sup v(x) e^{-|x|} = 1).  ``lp_v_exp`` holds the L^infinity norm of
+    v(x) e^{-|x|}, keyed "inf".  The record also carries
     the sample set (``sample_range``, ``sample_count``, ``seed``), so
     certificates reproduce bit-for-bit.
 
@@ -486,10 +465,7 @@ def certify_admissible(weight: Weight, seed: int = 0) -> dict:
         points[[np.argmin(log_v), np.argmax(log_v)]]))
     overflowed = not (math.isfinite(sup_v) and math.isfinite(C0))
 
-    ((integral, converged, R_final),
-     (sq_integral, sq_converged, _)) = _decay_integrals(weight)
-    lp = {"2.0": float(sq_integral ** 0.5) if sq_converged else math.inf,
-          "inf": _sup_v_exp(weight)}
+    integral, converged, R_final = _decay_integral(weight)
 
     admissible = (
         weight.certifiable
@@ -505,27 +481,24 @@ def certify_admissible(weight: Weight, seed: int = 0) -> dict:
         "A": A,
         "inf_v": inf_v,
         "integral_v_exp": integral,
-        "lp_v_exp": lp,
+        "lp_v_exp": {"inf": _sup_v_exp(weight)},
         "admissible": admissible,
         "sample_range": SAMPLE_RANGE,
         "sample_count": SAMPLE_COUNT,
         "seed": seed,
-        "v_submultiplicative_ratio": C0,
         "quadrature_converged": converged,
         "quadrature_range": R_final,
         "overflowed": overflowed,
     }
 
 
-def weighted_lp_norm(u: Field, phi: Union[Weight, np.ndarray],
-                     p: float) -> float:
+def weighted_lp_norm(u: Field, phi_x: np.ndarray, p: float) -> float:
     """Rectangle-rule weighted norm: (sum |u_i phi(x_i)|^p dx)^(1/p), or
     max_i |u_i phi(x_i)| for p = infinity; evaluated with max-rescaling so
-    large p does not overflow.  ``phi`` is the weight, or its samples
-    phi(x_i) on u's grid when the caller evaluates it once for many norms."""
+    large p does not overflow.  ``phi_x`` holds the weight's samples
+    phi(x_i) on u's grid, evaluated once by the caller for many norms."""
     if not (p >= 1.0):
         raise ValueError(f"p must be >= 1 (or inf), got {p}")
-    phi_x = phi if isinstance(phi, np.ndarray) else phi.value(u.grid.x)
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = np.abs(u.values) * phi_x
     peak = float(np.max(weighted)) if weighted.size else 0.0
@@ -565,8 +538,10 @@ def check_weighted_young(f1: Field, f2: Field, phi: Weight, p: float,
     """
     if f1.grid is not f2.grid and f1.grid != f2.grid:
         raise ValueError("fields must share a grid")
-    lhs = weighted_lp_norm(convolve(f1, f2), phi, p)
-    rhs = C0 * weighted_lp_norm(f1, phi, 1.0) * weighted_lp_norm(f2, phi, p)
+    phi_x = phi.value(f1.grid.x)
+    lhs = weighted_lp_norm(convolve(f1, f2), phi_x, p)
+    rhs = (C0 * weighted_lp_norm(f1, phi_x, 1.0)
+           * weighted_lp_norm(f2, phi_x, p))
     passed = lhs <= rhs * (1.0 + _YOUNG_SLACK)
     return YoungReport(lhs=lhs, rhs=rhs, passed=passed)
 

@@ -246,12 +246,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match="empty"):
             persistence_check(np.array([]), np.array([]), np.array([]))
 
+    def test_zero_start_of_a_nonzero_trace_rejected(self):
+        # no bound W0 e^{C int M} lets W leave 0
+        with pytest.raises(ValueError, match="W0 must be positive"):
+            persistence_check(np.array([0.0, 0.5, 1.0]),
+                              np.array([0.0, 1.0, 2.0]), np.ones(3))
+
     def test_weighted_pair_norm_sup_matches_direct(self):
-        w = StandardFamily(c=2.0)
+        w = StandardFamily(c=2.0).value(GRID.x)
         u = GAUSSIAN
         direct = float(
-            np.max(np.abs(u.values) * w.value(GRID.x))
-            + np.max(np.abs(local_derivative(u)) * w.value(GRID.x))
+            np.max(np.abs(u.values) * w)
+            + np.max(np.abs(local_derivative(u)) * w)
         )
         assert weighted_pair_norm(u, w, math.inf) == pytest.approx(
             direct, rel=1e-12

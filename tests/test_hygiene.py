@@ -19,7 +19,8 @@
 * The CLI's module docstring and README's quick start name exactly the
   commands its parser dispatches.
 * README's ``summary.json`` row names exactly the keys a written summary
-  has.
+  has, and its ``weight_certificates.json`` and ``classification.json``
+  rows the keys of the records the CLI writes.
 
 The first four are checked from the syntax tree alone, so a module that
 fails to import still gets its hygiene checked.  The next two run a fresh
@@ -269,6 +270,14 @@ def test_docs_name_exactly_the_cli_commands():
     assert _named_commands(quick_start, groups) == commands
 
 
+def _readme_row_names(artifact):
+    """The backticked names in README's table row of ``artifact``, past
+    its first cell."""
+    [row] = [line for line in (ROOT / "README.md").read_text().splitlines()
+             if line.startswith(f"| `{artifact}` |")]
+    return set(re.findall(r"`([^`]+)`", row.split(" | ", 1)[1]))
+
+
 def test_readme_names_exactly_the_summary_keys(tmp_path):
     from chlab.config import scenario_from_dict
     from chlab.runner import run_scenario
@@ -279,6 +288,21 @@ def test_readme_names_exactly_the_summary_keys(tmp_path):
                                    "solver": {"t_end": 0.01}})
     outdir = run_scenario(scenario, out_root=tmp_path).outdir
     keys = set(json.loads((outdir / "summary.json").read_text()))
-    [row] = [line for line in (ROOT / "README.md").read_text().splitlines()
-             if line.startswith("| `summary.json` |")]
-    assert set(re.findall(r"`([^`]+)`", row.split(" | ", 1)[1])) == keys
+    assert _readme_row_names("summary.json") == keys
+
+
+def test_readme_names_exactly_the_record_keys(tmp_path):
+    # a certificate file's keys: its own, each record's, each certificate's
+    from chlab.cli import main
+
+    for command in (["weights", "certify"], ["classify"]):
+        assert main(command + ["algebraic-persistence", "--out",
+                               str(tmp_path), "--quiet"]) == 0
+    [certificates] = tmp_path.glob("*/weight_certificates.json")
+    [classification] = tmp_path.glob("*/classification.json")
+    doc = json.loads(certificates.read_text())
+    keys = set(doc).union(*({*record, *record["certificate"]}
+                            for record in doc["certificates"]))
+    assert _readme_row_names("weight_certificates.json") == keys
+    assert _readme_row_names("classification.json") == set(
+        json.loads(classification.read_text()))

@@ -88,7 +88,7 @@ class TestRunScenario:
             "schema_version", "seed", "status", "steps", "t_final",
             "t_star_bracket", "timing_seconds", "weight_warnings",
         ]
-        assert s["schema_version"] == 1
+        assert s["schema_version"] == 2
         assert s["scenario"] == "tiny"
         assert s["seed"] == 3
         assert s["status"] == "ReachedTEnd"
@@ -1001,16 +1001,26 @@ class TestCli:
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "abc"])
+    def test_bad_seed_is_a_usage_error(self, seed, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["classify", "steep-odd-breakdown", "--seed", seed,
+                  "--out", str(tmp_path / "runs")])
+        assert exit_.value.code == 2
+        assert ("argument --seed: expected a non-negative integer, "
+                f"got '{seed}'" in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
+
     def test_records_carry_the_schema_version(self, tiny_yaml, tmp_path,
                                               monkeypatch):
-        monkeypatch.setattr(cli, "SCHEMA_VERSION", 2)
+        monkeypatch.setattr(cli, "SCHEMA_VERSION", 3)
         out = tmp_path / "runs"
         for command in (["classify"], ["weights", "certify"]):
             assert main(command + [str(tiny_yaml), "--out", str(out),
                                    "--quiet"]) == 0
         rundir = out / tiny_scenario().run_dirname()
         for name in ("classification.json", "weight_certificates.json"):
-            assert read_summary(rundir / name)["schema_version"] == 2
+            assert read_summary(rundir / name)["schema_version"] == 3
 
     @pytest.mark.parametrize("command, builds", [
         (["simulate"], 1), (["profile"], 1), (["classify"], 1),

@@ -496,6 +496,14 @@ class TestTerminalStatuses:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                              ids=["nan", "+inf", "-inf"])
+    def test_non_finite_initial_datum_raises(self, bad):
+        values = Gaussian(1.0, 1.0, 0.0).build(GRID).values.copy()
+        values[3] = bad
+        with pytest.raises(ValueError, match="non-finite samples"):
+            run(Field(GRID, values), SolverConfig(t_end=1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "+inf", "-inf"])
     def test_non_finite_state_is_flagged(self, bad):
         u0 = Gaussian(1.0, 1.0, 0.0).build(GRID)
         state = new_state(u0)

@@ -169,11 +169,8 @@ class TestCertification:
         assert cert["admissible"]
         assert cert["C0"] == pytest.approx(1.0, abs=1e-9)
         assert cert["A"] == pytest.approx(0.5, abs=1e-9)
-        assert cert["v_submultiplicative_ratio"] <= 1.0 + 1e-12
         # integral of e^{|x|/2} e^{-|x|} = integral of e^{-|x|/2} = 4
         assert cert["integral_v_exp"] == pytest.approx(4.0, abs=1e-8)
-        assert cert["lp_v_exp"]["2.0"] == pytest.approx(math.sqrt(2.0),
-                                                        abs=1e-8)
         assert cert["lp_v_exp"]["inf"] == pytest.approx(1.0, abs=1e-12)
         assert cert["quadrature_converged"] and not cert["overflowed"]
 
@@ -224,21 +221,21 @@ class TestCertification:
         assert a == b
 
 
-# (v, integral of v(x) e^{-|x|} dx, L^2 norm of v(x) e^{-|x|}) in closed form
+# (v, integral of v(x) e^{-|x|} dx) in closed form
 CLOSED_FORMS = [
-    (StandardFamily(c=2.0), 10.0, math.sqrt(10.5)),
-    (StandardFamily(a=0.5, b=1.0), 4.0, math.sqrt(2.0)),
-    (OneSided(a=0.5), 3.0, math.sqrt(1.5)),
+    (StandardFamily(c=2.0), 10.0),
+    (StandardFamily(a=0.5, b=1.0), 4.0),
+    (OneSided(a=0.5), 3.0),
     (Truncated(StandardFamily(a=1.0, b=1.0), 1e4),
-     2.0 * (math.log(1e4) + 1.0), math.sqrt(2.0 * math.log(1e4) + 1.0)),
+     2.0 * (math.log(1e4) + 1.0)),
     # 2 + (a/2) sqrt(pi) e^{a^2/4} (1 + erf(a/2)) at a = 1/2
     (StandardFamily(a=0.5, b=0.5),
      2.0 + 0.5 * math.sqrt(math.pi) * math.exp(1.0 / 16.0)
-     * (1.0 + math.erf(0.25)), None),
+     * (1.0 + math.erf(0.25))),
     # the threshold weights have no closed form: these are the integrals
     # computed with mpmath at 30 digits, rounded to double
-    (threshold_weight(1.0), 10.534874382931908, None),
-    (threshold_weight(0.75), 9.329665613964913, None),
+    (threshold_weight(1.0), 10.534874382931908),
+    (threshold_weight(0.75), 9.329665613964913),
 ]
 
 
@@ -270,15 +267,15 @@ class CountingWeight(Delegate):
         return self.base._log_value(x)
 
 
-def rounds_alone(log_f, piece, p):
-    """Rounds the adaptive quadrature needs on one piece and one power."""
+def rounds_alone(log_f, piece):
+    """Rounds the adaptive quadrature needs on one piece."""
     calls = []
 
     def counted(x):
         calls.append(x.size)
         return log_f(x)
 
-    _gauss_kronrod(counted, [piece], (p,), QUAD_INNER_TOL)
+    _gauss_kronrod(counted, [piece], QUAD_INNER_TOL)
     return len(calls)
 
 
@@ -320,8 +317,7 @@ def cusp(x):
 
 
 # (log_f, pieces of one batch): pieces that converge, hit the live cap
-# (e^x on [0, 700], x^{-1/2} next to 0) or overflow (e^x on [0, 1000], and
-# e^{2x} on [0, 700])
+# (e^x on [0, 700], x^{-1/2} next to 0) or overflow (e^x on [0, 1000])
 BATCHES = [
     (identity, [(-5.0, 0.0), (0.0, 700.0), (0.0, 1000.0), (1.0, 3.0)]),
     (cusp, [(-1.0, 0.0), (0.0, 1.0), (1.0, 4.0)]),
@@ -331,14 +327,12 @@ BATCHES = [
 
 
 class TestQuadrature:
-    @pytest.mark.parametrize("v,integral,l2", CLOSED_FORMS,
+    @pytest.mark.parametrize("v,integral", CLOSED_FORMS,
                              ids=[str(row[0]) for row in CLOSED_FORMS])
-    def test_certificate_matches_closed_form(self, v, integral, l2):
+    def test_certificate_matches_closed_form(self, v, integral):
         cert = certify_admissible(v)
         assert cert["quadrature_converged"]
         assert cert["integral_v_exp"] == pytest.approx(integral, rel=1e-12)
-        if l2 is not None:
-            assert cert["lp_v_exp"]["2.0"] == pytest.approx(l2, rel=1e-12)
 
     def test_cusp_certificate_does_bounded_work(self):
         # e^{|x|^{1/2}/2} has a |x|^{1/2} cusp at 0: only the subintervals
@@ -357,8 +351,8 @@ class TestQuadrature:
         quadrature = counting.sizes[5:-blocks]
         assert sum(counting.sizes[-blocks:]) == half
         assert 0 < sum(quadrature) <= 10**5
-        # one log evaluation per round: no more than the costliest piece and
-        # power of each doubling need alone
+        # one log evaluation per round: as many as the piece of each
+        # doubling needs alone
 
         def log_f(x):
             return base._log_value(x) - np.abs(x)
@@ -367,45 +361,41 @@ class TestQuadrature:
         pieces = [(0.0, QUAD_RANGE0)] + [
             (r, 2 * r) for r in QUAD_RANGE0 * 2.0 ** np.arange(
                 round(math.log2(R / QUAD_RANGE0)))]
-        rounds = sum(max(rounds_alone(log_f, piece, p) for p in (1.0, 2.0))
-                     for piece in pieces)
-        assert len(quadrature) <= rounds
+        assert len(quadrature) == sum(rounds_alone(log_f, piece)
+                                      for piece in pieces)
 
     @pytest.mark.parametrize("log_f,pieces", BATCHES,
                              ids=["overflow-and-caps", "cusp", "threshold"])
     def test_each_piece_of_a_batch_equals_it_alone(self, log_f, pieces):
-        batch = _gauss_kronrod(log_f, pieces, (1.0, 2.0), QUAD_INNER_TOL)
-        assert batch.shape == (len(pieces), 2)
+        batch = _gauss_kronrod(log_f, pieces, QUAD_INNER_TOL)
+        assert batch.shape == (len(pieces),)
         for i, piece in enumerate(pieces):
-            for j, p in enumerate((1.0, 2.0)):
-                alone = _gauss_kronrod(log_f, [piece], (p,), QUAD_INNER_TOL)
-                assert batch[i, j] == alone[0, 0]
+            alone = _gauss_kronrod(log_f, [piece], QUAD_INNER_TOL)
+            assert batch[i] == alone[0]
 
     @pytest.mark.parametrize("log_f,pieces", BATCHES,
                              ids=["overflow-and-caps", "cusp", "threshold"])
     def test_batch_matches_the_plain_loop(self, log_f, pieces):
         # the rows are summed in another order than the loop's dot products
-        batch = _gauss_kronrod(log_f, pieces, (1.0, 2.0), QUAD_INNER_TOL)
+        batch = _gauss_kronrod(log_f, pieces, QUAD_INNER_TOL)
         for i, (lo, hi) in enumerate(pieces):
-            for j, p in enumerate((1.0, 2.0)):
-                with np.errstate(over="ignore"):
-                    ref = reference_gauss_kronrod(
-                        lambda x: np.exp(p * log_f(x)), lo, hi, QUAD_INNER_TOL)
-                assert batch[i, j] == pytest.approx(ref, rel=1e-13)
+            with np.errstate(over="ignore"):
+                ref = reference_gauss_kronrod(
+                    lambda x: np.exp(log_f(x)), lo, hi, QUAD_INNER_TOL)
+            assert batch[i] == pytest.approx(ref, rel=1e-13)
 
     def test_non_finite_piece_poisons_only_its_own_integral(self):
-        # e^x overflows on [0, 1000] and e^{2x} on [0, 700]; e^x does not
+        # e^x overflows on [0, 1000], and stays finite on [0, 700] and
+        # [-5, 0]
         batch = _gauss_kronrod(identity, [(0.0, 1000.0), (0.0, 700.0),
-                                          (-5.0, 0.0)], (1.0, 2.0), 1e-9)
-        assert batch[0, 0] == batch[0, 1] == batch[1, 1] == math.inf
-        assert batch[1, 0] == pytest.approx(math.expm1(700.0), rel=1e-12)
-        assert batch[2, 0] == pytest.approx(-math.expm1(-5.0), rel=1e-12)
-        assert batch[2, 1] == pytest.approx(-0.5 * math.expm1(-10.0),
-                                            rel=1e-12)
+                                          (-5.0, 0.0)], 1e-9)
+        assert batch[0] == math.inf
+        assert batch[1] == pytest.approx(math.expm1(700.0), rel=1e-12)
+        assert batch[2] == pytest.approx(-math.expm1(-5.0), rel=1e-12)
 
     def test_overflowing_sample_gives_inf(self):
-        value = _gauss_kronrod(identity, [(0.0, 1000.0)], (1.0,), 1e-9)
-        assert value[0, 0] == math.inf
+        value = _gauss_kronrod(identity, [(0.0, 1000.0)], 1e-9)
+        assert value[0] == math.inf
 
     def test_live_interval_cap_bounds_the_work(self):
         # e^x reaches 1e304 on [0, 700]: an absolute tolerance of 1e-9 is
@@ -416,7 +406,7 @@ class TestQuadrature:
             sizes.append(x.size)
             return x
 
-        value = _gauss_kronrod(log_f, [(0.0, 700.0)], (1.0,), 1e-9)[0, 0]
+        value = _gauss_kronrod(log_f, [(0.0, 700.0)], 1e-9)[0]
         assert value == pytest.approx(math.expm1(700.0), rel=1e-12)
         assert max(sizes) <= _GK_MAX_LIVE * 15
         assert len(sizes) < _GK_MAX_ROUNDS
@@ -432,7 +422,7 @@ class TestQuadrature:
             calls.append(x.size)
             return cusp(x)
 
-        value = _gauss_kronrod(log_f, [(0.0, 1.0)], (1.0,), 1e-3)[0, 0]
+        value = _gauss_kronrod(log_f, [(0.0, 1.0)], 1e-3)[0]
         assert len(calls) == _GK_MAX_ROUNDS
         assert max(calls) < _GK_MAX_LIVE
         assert value == pytest.approx(2.0, rel=1e-9)
@@ -450,8 +440,6 @@ class TestEvenWeights:
         assert half["lp_v_exp"]["inf"] == whole["lp_v_exp"]["inf"]
         assert half["integral_v_exp"] == pytest.approx(
             whole["integral_v_exp"], rel=1e-12)
-        assert half["lp_v_exp"]["2.0"] == pytest.approx(
-            whole["lp_v_exp"]["2.0"], rel=1e-12)
 
     def test_which_weights_are_even(self):
         assert threshold_weight(1.0) in EVEN
@@ -537,7 +525,7 @@ class TestSubmultiplicativeRatio:
         pairs = np.random.default_rng(0).uniform(
             -SAMPLE_RANGE, SAMPLE_RANGE, size=(SAMPLE_COUNT, 2))
         ratio = float(np.max(moderate_ratio(v, pairs[:, 0], pairs[:, 1])))
-        assert cert["v_submultiplicative_ratio"] == cert["C0"] == ratio
+        assert cert["C0"] == ratio
 
 
 def point_space_extrema(v, seed):
@@ -662,21 +650,21 @@ class TestWeightedNorms:
 
     def test_sup_norm_matches_direct_maximum(self):
         u = Field(self.grid, np.exp(-self.grid.x**2))
-        w = StandardFamily(c=2.0)
-        direct = float(np.max(np.abs(u.values) * w.value(self.grid.x)))
+        w = StandardFamily(c=2.0).value(self.grid.x)
+        direct = float(np.max(np.abs(u.values) * w))
         assert weighted_lp_norm(u, w, math.inf) == pytest.approx(direct)
 
     def test_l2_norm_matches_direct_sum(self):
         u = Field(self.grid, np.exp(-self.grid.x**2))
-        w = StandardFamily(a=0.25, b=1.0)
-        weighted = np.abs(u.values) * w.value(self.grid.x)
+        w = StandardFamily(a=0.25, b=1.0).value(self.grid.x)
+        weighted = np.abs(u.values) * w
         direct = math.sqrt(float(np.sum(weighted**2)) * self.grid.dx)
         assert weighted_lp_norm(u, w, 2.0) == pytest.approx(direct, rel=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.floats(1.0, 8.0))
     def test_absolutely_homogeneous(self, seed, p):
         u = compact_random(self.grid, np.random.default_rng(seed))
-        w = StandardFamily(c=1.0)
+        w = StandardFamily(c=1.0).value(self.grid.x)
         assert weighted_lp_norm(Field(self.grid, 3.0 * u.values), w, p) == (
             pytest.approx(3.0 * weighted_lp_norm(u, w, p), rel=1e-12)
         )
@@ -685,7 +673,7 @@ class TestWeightedNorms:
     def test_triangle_inequality(self, s1, s2):
         u = compact_random(self.grid, np.random.default_rng(s1))
         v = compact_random(self.grid, np.random.default_rng(s2))
-        w = StandardFamily(a=0.5, b=1.0)
+        w = StandardFamily(a=0.5, b=1.0).value(self.grid.x)
         for p in (1.0, 2.0, math.inf):
             lhs = weighted_lp_norm(Field(self.grid, u.values + v.values), w, p)
             rhs = weighted_lp_norm(u, w, p) + weighted_lp_norm(v, w, p)
@@ -694,7 +682,14 @@ class TestWeightedNorms:
     def test_exponent_below_one_rejected(self):
         u = Field(self.grid, np.zeros(self.grid.N))
         with pytest.raises(ValueError, match="p must be"):
-            weighted_lp_norm(u, StandardFamily(), 0.5)
+            weighted_lp_norm(u, np.ones(self.grid.N), 0.5)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_zero_field_has_zero_norm(self, p):
+        # no rescaling by a zero peak: the norm of 0 is exactly 0
+        u = Field(self.grid, np.zeros(self.grid.N))
+        w = StandardFamily(a=0.5, b=1.0).value(self.grid.x)
+        assert weighted_lp_norm(u, w, p) == 0.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -727,6 +722,13 @@ class TestWeightedYoung:
         report = check_weighted_young(f1, f2, phi, p, C0=cert["C0"])
         assert report.passed, (report.lhs, report.rhs)
         assert report.lhs <= report.rhs + _YOUNG_SLACK
+
+    def test_fields_on_different_grids_are_refused(self):
+        rng = np.random.default_rng(0)
+        f1 = compact_random(self.grid, rng)
+        f2 = compact_random(Grid(16.0, 256), rng)
+        with pytest.raises(ValueError, match="fields must share a grid"):
+            check_weighted_young(f1, f2, StandardFamily(c=2.0), 2.0, C0=1.0)
 
 
 class TestSerialization:
