@@ -34,7 +34,7 @@ from .solver import SolverConfig, rhs, run
 from .weights import (StandardFamily, certify_admissible,
                       check_weighted_young, threshold_weight)
 
-__all__ = ["CRITERIA", "run_suite", "format_result"]
+__all__ = ["run_suite"]
 
 _RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
               ">=": operator.ge, "==": operator.eq}

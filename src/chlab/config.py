@@ -54,12 +54,9 @@ except ImportError:
 
 __all__ = [
     "ConfigError",
-    "TrackedWeight",
     "Scenario",
     "scenario_from_dict",
-    "parse_scenario",
     "load_scenario",
-    "canonical_json",
     "content_digest",
 ]
 

@@ -30,18 +30,11 @@ from .field import Field, Grid, energy, min_slope, momentum_of
 from .weights import Weight, weighted_lp_norm
 
 __all__ = [
-    "local_derivative",
-    "h1_norm",
-    "mckean_classify",
-    "slope_criterion_predict",
-    "decay_blowup_predict",
     "predictor_table",
     "PersistenceTrace",
     "persistence_check",
-    "peakon_rate_cap_check",
     "RateCapTrace",
     "rate_cap_check",
-    "weighted_pair_norm",
 ]
 
 # The decay predictor fires below this fraction of ||u0||_inf.

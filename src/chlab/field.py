@@ -8,11 +8,11 @@ with G(x) = exp(-|x|)/2 the Green's function of the Helmholtz operator
 (1 - d_xx).  This module provides the spatial machinery: Fourier
 differentiation, the Helmholtz solve G*, its gradient (G*)_x, the quadratic
 source F(u), the momentum density m = u - u_xx and its inverse, plus exact
-reference profiles (peakons), small structural helpers (reflection,
-grid-aligned shifts, discrete line convolution), and the integrals the
-run log records (mass, energy) with its slope monitor.  A Field carries its
-samples, its spectrum and its spectral derivative, each computed once on
-first use, so the solver and the diagnostics share one set of transforms.
+reference profiles (peakons), discrete line convolution, and the
+integrals the run log records (mass, energy) with its slope monitor.  A
+Field carries its samples, its spectrum and its spectral derivative, each
+computed once on first use, so the solver and the diagnostics share one
+set of transforms.
 
 The line is truncated to a periodic box [-L, L).  Every reference scenario
 uses data decaying at least exponentially, so for L >= 20 the mismatch
@@ -48,8 +48,6 @@ __all__ = [
     "momentum_of",
     "peakon",
     "convolve",
-    "reflect",
-    "shift_samples",
     "integral",
     "energy",
     "min_slope",
@@ -292,17 +290,6 @@ def convolve(f: Field, g: Field) -> Field:
     n = f.grid.N
     h = np.fft.irfft(np.fft.rfft(f.values) * np.fft.rfft(g.values), n=n) * f.grid.dx
     return Field(f.grid, np.roll(h, -(n // 2)))
-
-
-def reflect(u: Field) -> Field:
-    """Samples of x -> u(-x) on the same grid (periodic index reversal)."""
-    n = u.grid.N
-    return Field(u.grid, u.values[(-np.arange(n)) % n])
-
-
-def shift_samples(u: Field, steps: int) -> Field:
-    """Samples of x -> u(x - steps*dx): exact grid-aligned translation."""
-    return Field(u.grid, np.roll(u.values, int(steps)))
 
 
 def integral(u: Field) -> float:

@@ -44,7 +44,6 @@ import numpy as np
 from .field import Field, Grid, helmholtz_inverse
 
 __all__ = [
-    "smoothed_exponential",
     "MollifiedPeakon",
     "MollifiedExponential",
     "Gaussian",

@@ -44,11 +44,7 @@ from .field import Field, Grid, helmholtz_inverse_dx, source_term
 
 __all__ = [
     "ProfileAccumulator",
-    "phi_psi",
     "phi0_psi0",
-    "tail_windows",
-    "reconstruct",
-    "profile_report",
 ]
 
 #: Columns of a profile row, as ``profile.csv`` writes them.

@@ -64,7 +64,6 @@ __all__ = [
     "SolverState",
     "RunLog",
     "rhs",
-    "new_state",
     "step",
     "run",
     "boundary_fraction",

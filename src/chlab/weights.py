@@ -65,7 +65,6 @@ __all__ = [
     "StandardFamily",
     "OneSided",
     "Truncated",
-    "moderate_ratio",
     "certify_admissible",
     "weighted_lp_norm",
     "check_weighted_young",
@@ -231,16 +230,6 @@ class Truncated(Weight):
 
     def __str__(self):
         return f"min({self.base}, {self.cap})"
-
-
-def moderate_ratio(v: Weight, x, y):
-    """v(x+y) / (v(x) v(y)), evaluated in log space: the moderateness
-    ratio of v against itself, which is its submultiplicativity ratio."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore"):
-        out = np.exp(v._log_value(x + y) - v._log_value(x) - v._log_value(y))
-    return float(out) if out.ndim == 0 else out
 
 
 # The fixed certification settings, as the module docstring states them.

@@ -1,4 +1,5 @@
-"""Shared field builders and artifact readers for the test suite."""
+"""Shared field builders, grid and weight helpers, and artifact readers
+for the test suite."""
 
 import csv
 import json
@@ -9,10 +10,12 @@ import numpy as np
 from chlab.acceptance import _compact_random as compact_random
 from chlab.acceptance import _random_band_limited as band_limited
 from chlab.field import Field, Grid
+from chlab.weights import Weight
 
 # the random fields are the verification suite's own draws
 __all__ = ["band_limited", "compact_random", "field_from_seed",
-           "dealiased_source", "count_transforms", "read_csv", "read_summary"]
+           "dealiased_source", "reflect", "shift_samples", "moderate_ratio",
+           "count_transforms", "read_csv", "read_summary"]
 
 
 def field_from_seed(grid: Grid, seed: int) -> Field:
@@ -28,6 +31,27 @@ def dealiased_source(u: Field) -> np.ndarray:
     spectrum = np.fft.rfft(u.values * u.values + 0.5 * ux * ux)
     spectrum[u.grid.N // 3 + 1:] = 0.0
     return np.fft.irfft(spectrum, n=u.grid.N)
+
+
+def reflect(u: Field) -> Field:
+    """Samples of x -> u(-x) on the same grid (periodic index reversal)."""
+    n = u.grid.N
+    return Field(u.grid, u.values[(-np.arange(n)) % n])
+
+
+def shift_samples(u: Field, steps: int) -> Field:
+    """Samples of x -> u(x - steps*dx): exact grid-aligned translation."""
+    return Field(u.grid, np.roll(u.values, int(steps)))
+
+
+def moderate_ratio(v: Weight, x, y):
+    """v(x+y) / (v(x) v(y)), evaluated in log space: the moderateness
+    ratio of v against itself, which is its submultiplicativity ratio."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore"):
+        out = np.exp(v._log_value(x + y) - v._log_value(x) - v._log_value(y))
+    return float(out) if out.ndim == 0 else out
 
 
 class TransformCounter:

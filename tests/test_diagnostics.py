@@ -23,7 +23,7 @@ from chlab.diagnostics import (
     weighted_pair_norm,
 )
 from chlab.field import (Field, Grid, energy, integral, min_slope,
-                         momentum_of, peakon, shift_samples)
+                         momentum_of, peakon)
 from chlab.initial_data import (
     FromPotential,
     Gaussian,
@@ -35,7 +35,7 @@ from chlab.initial_data import (
 )
 from chlab.solver import SolverConfig, new_state, run
 from chlab.weights import StandardFamily
-from helpers import field_from_seed
+from helpers import field_from_seed, shift_samples
 
 GRID = Grid(20.0, 4096)
 GAUSSIAN = Gaussian(1.0, 1.0, 0.0).build(GRID)

@@ -17,11 +17,10 @@ from chlab.field import (
     integral,
     momentum_of,
     peakon,
-    reflect,
-    shift_samples,
     source_term,
 )
-from helpers import count_transforms, dealiased_source, field_from_seed
+from helpers import (count_transforms, dealiased_source, field_from_seed,
+                     reflect, shift_samples)
 
 GRID = Grid(20.0, 512)
 

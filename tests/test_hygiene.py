@@ -4,8 +4,10 @@
   A name counts as used when it is read anywhere in the module, listed
   in its ``__all__``, or named in a string annotation.
 * Every name in a ``chlab`` module's ``__all__`` is bound in that module,
-  and named by another module of the package, the tests or the
-  benchmark: an export nothing uses is not public API.
+  and is named by another module of the package, cited in README, or
+  named by ``pyproject.toml``'s console script: the public surface is what
+  the program itself composes.  A name only the tests or the benchmark
+  use stays a module attribute, out of ``__all__``.
 * Only ``field.py``, ``solver.py`` and ``profiles.py`` reach an FFT
   module: every other module transforms through their operators, so the
   package has one spectral pipeline.  The one exception is
@@ -129,7 +131,7 @@ def test_all_names_exist(path):
 @functools.lru_cache(maxsize=None)
 def _named(path: Path) -> frozenset:
     """Every name a module reads, imports, takes as an attribute, or
-    spells as a (dotted) string, as the benchmark's span table does."""
+    spells as a (dotted) string."""
     named = set()
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Name):
@@ -143,15 +145,21 @@ def _named(path: Path) -> frozenset:
     return frozenset(named)
 
 
-READERS = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
-                  *(ROOT / "perfbench").glob("*.py")])
+README_WORDS = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+# (module file, function) of each console script pyproject.toml declares
+SCRIPTS = {(f"{module}.py", name) for module, name in re.findall(
+    r'^\w+ = "chlab\.(\w+):(\w+)"$', (ROOT / "pyproject.toml").read_text(),
+    re.M)}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=_ids(MODULES))
 def test_all_names_are_used_elsewhere(path):
-    named = set().union(*(_named(p) for p in READERS if p != path))
-    unused = [name for name in _exported(_tree(path)) if name not in named]
-    assert not unused, f"{path.name} exports names nothing else uses: {unused}"
+    named = set().union(*(_named(p) for p in MODULES if p != path))
+    unused = [name for name in _exported(_tree(path))
+              if name not in named | README_WORDS
+              and (path.name, name) not in SCRIPTS]
+    assert not unused, (f"{path.name} exports names no other package module,"
+                        f" README or console script uses: {unused}")
 
 
 TRANSFORMING = {"field.py", "solver.py", "profiles.py"}

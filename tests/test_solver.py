@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chlab.field import Field, Grid, derivative, reflect, shift_samples
+from chlab.field import Field, Grid, derivative
 from chlab.initial_data import (FromPotential, Gaussian, GaussianShape,
                                 MollifiedPeakon, OddGaussianDerivative)
 from chlab.solver import (
@@ -20,7 +20,7 @@ from chlab.solver import (
     run,
     step,
 )
-from helpers import count_transforms, field_from_seed
+from helpers import count_transforms, field_from_seed, reflect, shift_samples
 
 GRID = Grid(20.0, 512)
 

@@ -35,11 +35,10 @@ from chlab.weights import (
     _sup_v_exp,
     certify_admissible,
     check_weighted_young,
-    moderate_ratio,
     threshold_weight,
     weighted_lp_norm,
 )
-from helpers import compact_random
+from helpers import compact_random, moderate_ratio
 
 # admissible corner of the family: growth at most exponential
 admissible_params = {
