@@ -64,7 +64,6 @@ __all__ = [
     "SolverState",
     "RunLog",
     "rhs",
-    "step",
     "run",
     "boundary_fraction",
 ]

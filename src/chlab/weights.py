@@ -36,8 +36,8 @@ and the seed is the only one a caller chooses (``chlab weights certify
   until the added tails fall below 1e-10 (else it is reported divergent,
   the correct verdict for weights growing at least like e^{|x|}), each
   fixed-R piece ([-R, 0], [0, R], each added [-2R, -R] and [R, 2R]) to the
-  absolute tolerance 1e-9.  The pieces of each range advance together: log
-  v is evaluated once per round, on every live subinterval;
+  absolute tolerance 1e-9, one interval per quadrature, whose rounds each
+  evaluate log v once, on every live subinterval;
 * an even weight (log v a function of |x|: the standard family, and a
   truncation of it) is scanned and integrated on x >= 0 only, its integral
   twice the half-line one.
@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class Weight:
     weight) and ``_log_derivative`` (vectorized a.e. value of phi'/phi).
     Working in log space keeps ratios of enormous weights finite; plain
     ``value`` may overflow to ``+inf``, which downstream certification
-    treats as a poisoned evaluation, never a saturated one.
+    reports as overflow, never as a saturated value.
     """
 
     #: Whether log phi depends on |x| alone; certificates then scan and
@@ -103,13 +103,11 @@ class Weight:
 
     def value(self, x):
         with np.errstate(over="ignore"):
-            arr = np.exp(self._log_value(np.asarray(x, dtype=float)))
-        return float(arr) if np.isscalar(x) else arr
+            return np.exp(self._log_value(np.asarray(x, dtype=float)))
 
     def log_derivative(self, x):
         """a.e. value of phi'(x)/phi(x); may be +-inf at isolated points."""
-        arr = self._log_derivative(np.asarray(x, dtype=float))
-        return float(arr) if np.isscalar(x) else arr
+        return self._log_derivative(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -219,10 +217,9 @@ class Truncated(Weight):
     def value(self, x):
         # exact clamp (exp(min(log)) can be off by an ulp)
         with np.errstate(over="ignore"):
-            arr = np.minimum(
+            return np.minimum(
                 np.exp(self.base._log_value(np.asarray(x, dtype=float))), self.cap
             )
-        return float(arr) if np.isscalar(x) else arr
 
     def _log_derivative(self, x):
         clamped = self.base._log_value(x) >= math.log(self.cap)
@@ -269,71 +266,54 @@ _G7_WEIGHTS = np.concatenate(
 _GK_RULES = np.stack([_K15_WEIGHTS, _G7_WEIGHTS])[:, None, :]
 
 
-#: Work bounds of one adaptive quadrature, per piece: rounds, and live
-#: subintervals.
+#: Work bounds of one adaptive quadrature: rounds, and live subintervals.
 _GK_MAX_ROUNDS = 80
 _GK_MAX_LIVE = 2048
 
 
 def _gauss_kronrod(log_f: Callable[[np.ndarray], np.ndarray],
-                   pieces: Sequence[Tuple[float, float]],
-                   tol: float) -> np.ndarray:
-    """Adaptive G7/K15 quadrature of e^{log_f} on each piece (lo, hi), to
-    absolute tolerance tol, all pieces advanced together.
+                   lo: float, hi: float, tol: float) -> float:
+    """Adaptive G7/K15 quadrature of e^{log_f} on [lo, hi], to absolute
+    tolerance tol.
 
     Each round evaluates log_f once, on the 15 Kronrod nodes of every live
-    subinterval of every piece.  A subinterval is accepted when
-    |K15 - G7| is at most its share tol * width / (hi - lo) of its piece's
-    tolerance, and bisected otherwise.  The work is bounded per piece:
-    after ``_GK_MAX_ROUNDS`` rounds, or when bisection would exceed
-    ``_GK_MAX_LIVE`` subintervals, the K15 values of the live ones are
-    taken as they are.  Each integral is the math.fsum of its accepted K15
-    values, or +inf once one of them is not finite (a sample that is not,
-    or a sum that overflows).  A piece gets the value it gets when
-    integrated alone.  Returns the integrals, one per piece."""
-    lo, hi = np.array(pieces, dtype=float).T
-    a, b, owner = lo, hi, np.arange(lo.size)
-    poisoned = np.zeros(lo.size, dtype=bool)
-    owners, values = [], []
+    subinterval.  A subinterval is accepted when |K15 - G7| is at most its
+    share tol * width / (hi - lo) of the tolerance, and bisected otherwise.
+    The work is bounded: after ``_GK_MAX_ROUNDS`` rounds, or when bisection
+    would exceed ``_GK_MAX_LIVE`` subintervals, the K15 values of the live
+    ones are taken as they are.  The integral is the math.fsum of the
+    accepted K15 values, or +inf as soon as one of them is not finite (a
+    sample that is not, or a sum that overflows)."""
+    a, b = np.array([lo]), np.array([hi])
+    accepted = []
     with np.errstate(over="ignore", invalid="ignore"):
         for round_ in range(_GK_MAX_ROUNDS):
             centre = 0.5 * (a + b)
             half = 0.5 * (b - a)
             ys = np.exp(log_f((centre[:, None] + half[:, None]
                                * _K15_NODES).ravel()))
-            # each row summed on its own: its value is the same in any batch
             kronrod, gauss = half * (ys.reshape(a.size, _K15_NODES.size)
                                      * _GK_RULES).sum(axis=-1)
-            poisoned[owner[~np.isfinite(kronrod)]] = True
-            needed = ~poisoned[owner]
-            take = needed & (np.abs(kronrod - gauss)
-                             <= tol * (b - a) / (hi - lo)[owner])
-            needed &= ~take
-            # no piece passes the live cap while all together don't
-            last = round_ == _GK_MAX_ROUNDS - 1
-            if last or 2 * np.count_nonzero(needed) > _GK_MAX_LIVE:
-                live = np.bincount(owner[needed], minlength=lo.size)
-                take |= needed & (last | (2 * live > _GK_MAX_LIVE))[owner]
-                needed &= ~take
-            owners.append(owner[take])
-            values.append(kronrod[take])
-            if not needed.any():
+            if not np.isfinite(kronrod).all():
+                return math.inf
+            needed = np.abs(kronrod - gauss) > tol * (b - a) / (hi - lo)
+            if (not needed.any() or round_ == _GK_MAX_ROUNDS - 1
+                    or 2 * np.count_nonzero(needed) > _GK_MAX_LIVE):
+                accepted.append(kronrod)
                 break
+            accepted.append(kronrod[~needed])
             a, centre, b = a[needed], centre[needed], b[needed]
             a, b = np.concatenate([a, centre]), np.concatenate([centre, b])
-            owner = np.tile(owner[needed], 2)
-    owners, values = np.concatenate(owners), np.concatenate(values)
-    sums = [math.fsum(values[owners == k]) for k in range(lo.size)]
-    return np.where(poisoned, math.inf, sums)
+    return math.fsum(np.concatenate(accepted))
 
 
 def _decay_integral(weight: Weight) -> Tuple[float, bool, float]:
     """integral over the line of v e^{-|x|}: adaptive Gauss-Kronrod on
     [-R, R] with R doubling until the increment is below QUAD_TOL.  The
     line is split at 0 (weights usually kink there), and each fixed-R piece
-    is integrated to the absolute tolerance QUAD_INNER_TOL.  An even weight
-    is integrated on x >= 0 only, and each piece counts twice.  Returns
-    (value, converged, R)."""
+    is one quadrature to the absolute tolerance QUAD_INNER_TOL.  An even
+    weight is integrated on x >= 0 only, and each piece counts twice.
+    Returns (value, converged, R)."""
 
     def log_f(x):
         return weight._log_value(x) - np.abs(x)
@@ -341,10 +321,9 @@ def _decay_integral(weight: Weight) -> Tuple[float, bool, float]:
     def over(lo, hi):
         """integral over lo <= |x| <= hi"""
         if weight.even:
-            return 2.0 * _gauss_kronrod(log_f, [(lo, hi)], QUAD_INNER_TOL)[0]
-        left, right = _gauss_kronrod(log_f, [(-hi, -lo), (lo, hi)],
-                                     QUAD_INNER_TOL)
-        return left + right
+            return 2.0 * _gauss_kronrod(log_f, lo, hi, QUAD_INNER_TOL)
+        return (_gauss_kronrod(log_f, -hi, -lo, QUAD_INNER_TOL)
+                + _gauss_kronrod(log_f, lo, hi, QUAD_INNER_TOL))
 
     R = QUAD_RANGE0
     total = over(0.0, R)

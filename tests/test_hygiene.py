@@ -6,8 +6,14 @@
 * Every name in a ``chlab`` module's ``__all__`` is bound in that module,
   and is named by another module of the package, cited in README, or
   named by ``pyproject.toml``'s console script: the public surface is what
-  the program itself composes.  A name only the tests or the benchmark
-  use stays a module attribute, out of ``__all__``.
+  the program itself composes.  README cites a name in inline code
+  outside fenced blocks, bare or dotted (`` `summarize` ``,
+  `` `runner.summarize` ``); a word of its prose cites nothing.  A name
+  only the tests or the benchmark use stays a module attribute, out of
+  ``__all__``.
+* Every function, class and name a ``chlab`` module defines at top level
+  (dunders aside) is read somewhere in the package, its own module
+  included: a route that another replaces leaves no helper behind.
 * Only ``field.py``, ``solver.py`` and ``profiles.py`` reach an FFT
   module: every other module transforms through their operators, so the
   package has one spectral pipeline.  The one exception is
@@ -110,22 +116,49 @@ def test_no_unused_imports(path):
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=_ids(MODULES))
-def test_all_names_exist(path):
-    tree = _tree(path)
-    bound = set(_imported(tree))
+def _defined(tree: ast.Module) -> set:
+    """The names a module's top-level def, class and assignment statements
+    bind."""
+    defined = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            bound.add(node.name)
+            defined.add(node.name)
         elif isinstance(node, ast.Assign):
-            bound.update(t.id for t in node.targets
-                         if isinstance(t, ast.Name))
+            defined.update(t.id for t in node.targets
+                           if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
                                                             ast.Name):
-            bound.add(node.target.id)
+            defined.add(node.target.id)
+    return defined
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_ids(MODULES))
+def test_all_names_exist(path):
+    tree = _tree(path)
+    bound = set(_imported(tree)) | _defined(tree)
     missing = [name for name in _exported(tree) if name not in bound]
     assert not missing, f"{path.name} __all__ lists unbound names: {missing}"
+
+
+@functools.lru_cache(maxsize=None)
+def _loaded(path: Path) -> frozenset:
+    """Every name a module reads, as a variable or as an attribute."""
+    return frozenset(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_ids(MODULES))
+def test_no_orphan_definitions(path):
+    loaded = set().union(*map(_loaded, MODULES))
+    orphans = sorted(name for name in _defined(_tree(path))
+                     if name not in loaded
+                     and not (name.startswith("__") and name.endswith("__")))
+    assert not orphans, (f"{path.name} defines names the package never "
+                         f"reads: {orphans}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,7 +178,16 @@ def _named(path: Path) -> frozenset:
     return frozenset(named)
 
 
-README_WORDS = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+def _readme_citations(text: str) -> set:
+    """The names README cites: the last part of each inline code span,
+    outside fenced blocks, that is a bare or dotted name."""
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    return {span.rpartition(".")[2]
+            for span in re.findall(r"`([^`]+)`", prose)
+            if re.fullmatch(r"[\w.]+", span)}
+
+
+README_CITATIONS = _readme_citations((ROOT / "README.md").read_text())
 # (module file, function) of each console script pyproject.toml declares
 SCRIPTS = {(f"{module}.py", name) for module, name in re.findall(
     r'^\w+ = "chlab\.(\w+):(\w+)"$', (ROOT / "pyproject.toml").read_text(),
@@ -156,7 +198,7 @@ SCRIPTS = {(f"{module}.py", name) for module, name in re.findall(
 def test_all_names_are_used_elsewhere(path):
     named = set().union(*(_named(p) for p in MODULES if p != path))
     unused = [name for name in _exported(_tree(path))
-              if name not in named | README_WORDS
+              if name not in named | README_CITATIONS
               and (path.name, name) not in SCRIPTS]
     assert not unused, (f"{path.name} exports names no other package module,"
                         f" README or console script uses: {unused}")

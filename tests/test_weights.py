@@ -266,21 +266,21 @@ class CountingWeight(Delegate):
         return self.base._log_value(x)
 
 
-def rounds_alone(log_f, piece):
-    """Rounds the adaptive quadrature needs on one piece."""
+def rounds_alone(log_f, lo, hi):
+    """Rounds the adaptive quadrature needs on [lo, hi]."""
     calls = []
 
     def counted(x):
         calls.append(x.size)
         return log_f(x)
 
-    _gauss_kronrod(counted, [piece], QUAD_INNER_TOL)
+    _gauss_kronrod(counted, lo, hi, QUAD_INNER_TOL)
     return len(calls)
 
 
 def reference_gauss_kronrod(f, lo, hi, tol):
-    """One piece and one integrand, one subinterval product at a time: the
-    adaptive G7/K15 quadrature as a plain loop."""
+    """One subinterval product at a time: the adaptive G7/K15 quadrature as
+    a plain loop."""
     live, accepted = [(lo, hi)], []
     for round_ in range(_GK_MAX_ROUNDS):
         bisected = []
@@ -315,9 +315,9 @@ def cusp(x):
     return -0.5 * np.log(np.abs(x))
 
 
-# (log_f, pieces of one batch): pieces that converge, hit the live cap
-# (e^x on [0, 700], x^{-1/2} next to 0) or overflow (e^x on [0, 1000])
-BATCHES = [
+# (log_f, intervals): intervals that converge, hit the live cap (e^x on
+# [0, 700], x^{-1/2} next to 0) or overflow (e^x on [0, 1000])
+INTERVALS = [
     (identity, [(-5.0, 0.0), (0.0, 700.0), (0.0, 1000.0), (1.0, 3.0)]),
     (cusp, [(-1.0, 0.0), (0.0, 1.0), (1.0, 4.0)]),
     (threshold_weight(1.0)._log_value, [(-32.0, 0.0), (0.0, 32.0),
@@ -351,7 +351,7 @@ class TestQuadrature:
         assert sum(counting.sizes[-blocks:]) == half
         assert 0 < sum(quadrature) <= 10**5
         # one log evaluation per round: as many as the piece of each
-        # doubling needs alone
+        # doubling needs
 
         def log_f(x):
             return base._log_value(x) - np.abs(x)
@@ -360,41 +360,33 @@ class TestQuadrature:
         pieces = [(0.0, QUAD_RANGE0)] + [
             (r, 2 * r) for r in QUAD_RANGE0 * 2.0 ** np.arange(
                 round(math.log2(R / QUAD_RANGE0)))]
-        assert len(quadrature) == sum(rounds_alone(log_f, piece)
+        assert len(quadrature) == sum(rounds_alone(log_f, *piece)
                                       for piece in pieces)
 
-    @pytest.mark.parametrize("log_f,pieces", BATCHES,
+    @pytest.mark.parametrize("log_f,intervals", INTERVALS,
                              ids=["overflow-and-caps", "cusp", "threshold"])
-    def test_each_piece_of_a_batch_equals_it_alone(self, log_f, pieces):
-        batch = _gauss_kronrod(log_f, pieces, QUAD_INNER_TOL)
-        assert batch.shape == (len(pieces),)
-        for i, piece in enumerate(pieces):
-            alone = _gauss_kronrod(log_f, [piece], QUAD_INNER_TOL)
-            assert batch[i] == alone[0]
-
-    @pytest.mark.parametrize("log_f,pieces", BATCHES,
-                             ids=["overflow-and-caps", "cusp", "threshold"])
-    def test_batch_matches_the_plain_loop(self, log_f, pieces):
-        # the rows are summed in another order than the loop's dot products
-        batch = _gauss_kronrod(log_f, pieces, QUAD_INNER_TOL)
-        for i, (lo, hi) in enumerate(pieces):
+    def test_batch_matches_the_plain_loop(self, log_f, intervals):
+        # the rows of a round are summed in another order than the loop's
+        # dot products
+        for lo, hi in intervals:
+            value = _gauss_kronrod(log_f, lo, hi, QUAD_INNER_TOL)
             with np.errstate(over="ignore"):
                 ref = reference_gauss_kronrod(
                     lambda x: np.exp(log_f(x)), lo, hi, QUAD_INNER_TOL)
-            assert batch[i] == pytest.approx(ref, rel=1e-13)
+            assert isinstance(value, float)
+            assert value == pytest.approx(ref, rel=1e-13)
 
     def test_non_finite_piece_poisons_only_its_own_integral(self):
         # e^x overflows on [0, 1000], and stays finite on [0, 700] and
         # [-5, 0]
-        batch = _gauss_kronrod(identity, [(0.0, 1000.0), (0.0, 700.0),
-                                          (-5.0, 0.0)], 1e-9)
-        assert batch[0] == math.inf
-        assert batch[1] == pytest.approx(math.expm1(700.0), rel=1e-12)
-        assert batch[2] == pytest.approx(-math.expm1(-5.0), rel=1e-12)
+        assert _gauss_kronrod(identity, 0.0, 1000.0, 1e-9) == math.inf
+        assert _gauss_kronrod(identity, 0.0, 700.0, 1e-9) == pytest.approx(
+            math.expm1(700.0), rel=1e-12)
+        assert _gauss_kronrod(identity, -5.0, 0.0, 1e-9) == pytest.approx(
+            -math.expm1(-5.0), rel=1e-12)
 
     def test_overflowing_sample_gives_inf(self):
-        value = _gauss_kronrod(identity, [(0.0, 1000.0)], 1e-9)
-        assert value[0] == math.inf
+        assert _gauss_kronrod(identity, 0.0, 1000.0, 1e-9) == math.inf
 
     def test_live_interval_cap_bounds_the_work(self):
         # e^x reaches 1e304 on [0, 700]: an absolute tolerance of 1e-9 is
@@ -405,7 +397,7 @@ class TestQuadrature:
             sizes.append(x.size)
             return x
 
-        value = _gauss_kronrod(log_f, [(0.0, 700.0)], 1e-9)[0]
+        value = _gauss_kronrod(log_f, 0.0, 700.0, 1e-9)
         assert value == pytest.approx(math.expm1(700.0), rel=1e-12)
         assert max(sizes) <= _GK_MAX_LIVE * 15
         assert len(sizes) < _GK_MAX_ROUNDS
@@ -421,7 +413,7 @@ class TestQuadrature:
             calls.append(x.size)
             return cusp(x)
 
-        value = _gauss_kronrod(log_f, [(0.0, 1.0)], 1e-3)[0]
+        value = _gauss_kronrod(log_f, 0.0, 1.0, 1e-3)
         assert len(calls) == _GK_MAX_ROUNDS
         assert max(calls) < _GK_MAX_LIVE
         assert value == pytest.approx(2.0, rel=1e-9)
