@@ -36,7 +36,7 @@ import numpy as np
 import yaml
 
 from .field import Field, Grid
-from .initial_data import (FromPotential, Gaussian, GaussianShape, InitialData,
+from .initial_data import (FromPotential, Gaussian, InitialData,
                            MollifiedExponential, MollifiedPeakon,
                            OddGaussianDerivative, TanhGaussianShape)
 from .solver import SolverConfig, boundary_fraction
@@ -142,7 +142,7 @@ class Scenario:
     def effective_config(self) -> dict:
         """Complete config echo: parsing this dict again reproduces the
         scenario exactly (every default is spelled out)."""
-        return _encode(self)
+        return _encode(self, Scenario)
 
     def content_hash(self) -> str:
         """Digest of the effective configuration (``content_digest``)."""
@@ -268,7 +268,9 @@ def _sequence(raw: Any, path: str, noun: str) -> Sequence:
 
 
 # kind (or shape) -> class: the only per-family tables.  Each class's
-# dataclass fields are its schema.
+# dataclass fields are its schema.  One class may serve two families
+# (``Gaussian`` is a datum and a potential shape): its tag is read from the
+# annotation of the field it fills, both ways.
 INITIAL_KINDS = {
     "mollified_peakon": MollifiedPeakon,
     "mollified_exponential": MollifiedExponential,
@@ -276,7 +278,7 @@ INITIAL_KINDS = {
     "odd_gaussian_derivative": OddGaussianDerivative,
     "from_potential": FromPotential,
 }
-POTENTIAL_SHAPES = {"gaussian": GaussianShape, "tanh_gaussian": TanhGaussianShape}
+POTENTIAL_SHAPES = {"gaussian": Gaussian, "tanh_gaussian": TanhGaussianShape}
 WEIGHT_KINDS = {
     "standard": StandardFamily,
     "one_sided": OneSided,
@@ -290,8 +292,6 @@ _FAMILIES = {
                                               POTENTIAL_SHAPES),
     Weight: ("kind", "weight kind", WEIGHT_KINDS),
 }
-_TAGS = {cls: (tag, name) for tag, _, registry in _FAMILIES.values()
-         for name, cls in registry.items()}
 _SCALARS = {float: _number, int: _integer, bool: _boolean, str: _string,
             Exponent: _exponent}
 
@@ -348,20 +348,24 @@ def _decode(cls: type, raw: Any, path: str, tag: Optional[str] = None) -> Any:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _encode_value(value: Any) -> Any:
+def _encode_value(hint: Any, value: Any) -> Any:
     if isinstance(value, tuple):
-        return [_encode_value(v) for v in value]
+        return [_encode_value(get_args(hint)[0], v) for v in value]
     if is_dataclass(value):
-        return _encode(value)
+        return _encode(value, hint)
     return "inf" if value == math.inf else value
 
 
-def _encode(obj: Any) -> dict:
-    """Inverse of ``_decode``: every field spelled out, family tag first."""
-    tag = _TAGS.get(type(obj))
-    out = {tag[0]: tag[1]} if tag else {}
-    out.update((f.name, _encode_value(getattr(obj, f.name)))
-               for f in fields(obj))
+def _encode(obj: Any, hint: Any) -> dict:
+    """Inverse of ``_decode``: every field spelled out, and first the family
+    tag that the annotation ``hint`` names for the object's class."""
+    out = {}
+    if hint in _FAMILIES:
+        tag, _, registry = _FAMILIES[hint]
+        out[tag] = next(name for name, cls in registry.items()
+                        if cls is type(obj))
+    out.update((name, _encode_value(field_hint, getattr(obj, name)))
+               for name, field_hint, _ in _schema(type(obj)))
     return out
 
 

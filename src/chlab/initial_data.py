@@ -1,5 +1,10 @@
 """Initial-data families for the solver scenarios.
 
+Each closed-form datum states its formula once, as ``sample(x)``, and
+inherits ``InitialData.build(grid)``, which samples it on the grid.
+``FromPotential`` alone builds otherwise: u0 = G * m0, with m0 sampled from
+a potential shape (``Gaussian`` serves as one too).
+
 Everything here is sampled from closed forms (no FFT-based smoothing):
 the mollified exponential e^{-a|.|} * N_w (N_w a Gaussian density of
 standard deviation w) evaluates via scaled complementary error functions,
@@ -48,7 +53,6 @@ __all__ = [
     "MollifiedExponential",
     "Gaussian",
     "OddGaussianDerivative",
-    "GaussianShape",
     "TanhGaussianShape",
     "FromPotential",
     "InitialData",
@@ -130,10 +134,11 @@ def smoothed_exponential(
 
 
 class InitialData:
-    """Base: build a Field on a grid; subclasses are small dataclasses."""
+    """Base: subclasses are small dataclasses, each stating its closed form
+    once as ``sample(x)``; ``FromPotential`` builds through the kernel."""
 
     def build(self, grid: Grid) -> Field:
-        raise NotImplementedError
+        return Field(grid, self.sample(grid.x))
 
 
 def _require_positive(params, *names: str) -> None:
@@ -157,9 +162,9 @@ class MollifiedPeakon(InitialData):
     def __post_init__(self):
         _require_positive(self, "mollify_width")
 
-    def build(self, grid: Grid) -> Field:
-        values, _ = smoothed_exponential(grid.x - self.x0, 1.0, self.mollify_width)
-        return Field(grid, self.c * values)
+    def sample(self, x: np.ndarray) -> np.ndarray:
+        values, _ = smoothed_exponential(x - self.x0, 1.0, self.mollify_width)
+        return self.c * values
 
 
 @dataclass(frozen=True)
@@ -175,15 +180,16 @@ class MollifiedExponential(InitialData):
     def __post_init__(self):
         _require_positive(self, "rate", "mollify_width")
 
-    def build(self, grid: Grid) -> Field:
-        values, _ = smoothed_exponential(grid.x - self.center, self.rate,
+    def sample(self, x: np.ndarray) -> np.ndarray:
+        values, _ = smoothed_exponential(x - self.center, self.rate,
                                          self.mollify_width)
-        return Field(grid, self.amplitude * values)
+        return self.amplitude * values
 
 
 @dataclass(frozen=True)
 class Gaussian(InitialData):
-    """amplitude * exp(-((x - center)/width)^2)."""
+    """amplitude * exp(-((x - center)/width)^2): a datum, and a potential
+    shape for ``FromPotential``."""
 
     amplitude: float = 1.0
     width: float = 1.0
@@ -192,9 +198,9 @@ class Gaussian(InitialData):
     def __post_init__(self):
         _require_positive(self, "width")
 
-    def build(self, grid: Grid) -> Field:
-        z = (grid.x - self.center) / self.width
-        return Field(grid, self.amplitude * np.exp(-z * z))
+    def sample(self, x: np.ndarray) -> np.ndarray:
+        z = (x - self.center) / self.width
+        return self.amplitude * np.exp(-z * z)
 
 
 @dataclass(frozen=True)
@@ -208,25 +214,9 @@ class OddGaussianDerivative(InitialData):
     def __post_init__(self):
         _require_positive(self, "width")
 
-    def build(self, grid: Grid) -> Field:
-        z = grid.x / self.width
-        return Field(grid, -self.amplitude * grid.x * np.exp(-z * z))
-
-
-@dataclass(frozen=True)
-class GaussianShape:
-    """Closed-form shape for potentials: amplitude*exp(-((x-center)/width)^2)."""
-
-    amplitude: float = 1.0
-    width: float = 1.0
-    center: float = 0.0
-
-    def __post_init__(self):
-        _require_positive(self, "width")
-
     def sample(self, x: np.ndarray) -> np.ndarray:
-        z = (x - self.center) / self.width
-        return self.amplitude * np.exp(-z * z)
+        z = x / self.width
+        return -self.amplitude * x * np.exp(-z * z)
 
 
 @dataclass(frozen=True)
@@ -251,7 +241,7 @@ class FromPotential(InitialData):
     """u0 = G * m0 for a prescribed potential shape m0 = u0 - u0'' — the
     way to guarantee a sign pattern of the potential exactly."""
 
-    m0: Union[GaussianShape, TanhGaussianShape]
+    m0: Union[Gaussian, TanhGaussianShape]
 
     def build(self, grid: Grid) -> Field:
         m_field = Field(grid, self.m0.sample(grid.x))

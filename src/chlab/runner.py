@@ -33,7 +33,7 @@ from .io import (PROFILE_CSV, RUN_CSV, SCHEMA_VERSION, SNAPSHOT_CSV,
                  SUMMARY_JSON, format_number, write_profile_csv,
                  write_run_csv, write_snapshot_csv, write_summary)
 from .profiles import ProfileAccumulator, phi0_psi0
-from .solver import RunLog, SolverState, Status, run
+from .solver import RunLog, Status, run
 
 __all__ = ["run_scenario", "summarize", "sweep", "apply_axis"]
 
@@ -50,7 +50,6 @@ class ScenarioResult:
 
     scenario: Scenario
     summary: dict
-    state: SolverState
     log: RunLog
     profile_rows: Optional[List[Tuple[float, ...]]]
     outdir: Optional[Path]
@@ -107,8 +106,8 @@ def run_scenario(scenario: Scenario, out_root=None, seed: int = 0
         summary["artifacts"] = artifacts
         write_summary(outdir / SUMMARY_JSON, summary)
 
-    return ScenarioResult(scenario=scenario, summary=summary, state=state,
-                          log=log, profile_rows=rows, outdir=outdir)
+    return ScenarioResult(scenario=scenario, summary=summary, log=log,
+                          profile_rows=rows, outdir=outdir)
 
 
 def summarize(scenario: Scenario, u0: Field, log: RunLog,

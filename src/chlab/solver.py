@@ -61,7 +61,6 @@ from .field import Field, Grid, energy, integral, min_slope
 __all__ = [
     "Status",
     "SolverConfig",
-    "SolverState",
     "RunLog",
     "rhs",
     "run",

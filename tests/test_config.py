@@ -429,6 +429,25 @@ def test_every_registered_kind_echoes_exactly(family, name):
         assert np.array_equal(ours.weight.value(x), theirs.weight.value(x))
 
 
+def test_one_class_serves_two_families_under_its_own_tag():
+    # one Gaussian formula is both a datum kind and a potential shape; each
+    # echo spells the tag of the field it fills
+    datum = {"kind": "gaussian", "amplitude": 2.0, "width": 0.7,
+             "center": -1.0}
+    shape = {"shape": "gaussian", "amplitude": 2.0, "width": 0.7,
+             "center": -1.0}
+    direct = scenario_from_dict(tiny(initial_data=datum))
+    potential = scenario_from_dict(tiny(
+        initial_data={"kind": "from_potential", "m0": shape}))
+    assert type(direct.initial_data) is type(potential.initial_data.m0)
+    assert direct.initial_data == potential.initial_data.m0
+    assert direct.effective_config()["initial_data"] == datum
+    assert potential.effective_config()["initial_data"] == {
+        "kind": "from_potential", "m0": shape}
+    for s in (direct, potential):
+        assert scenario_from_dict(s.effective_config()) == s
+
+
 CONFIGS = Path(__file__).parent.parent / "configs"
 
 

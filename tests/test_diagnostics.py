@@ -27,7 +27,6 @@ from chlab.field import (Field, Grid, energy, integral, min_slope,
 from chlab.initial_data import (
     FromPotential,
     Gaussian,
-    GaussianShape,
     MollifiedExponential,
     MollifiedPeakon,
     OddGaussianDerivative,
@@ -89,14 +88,14 @@ class TestNorms:
 
 class TestMcKeanClassification:
     def test_nonnegative_potential(self):
-        u = FromPotential(m0=GaussianShape(1.0, 1.0, 0.0)).build(Grid(30.0, 4096))
+        u = FromPotential(m0=Gaussian(1.0, 1.0, 0.0)).build(Grid(30.0, 4096))
         verdict = mckean_classify(momentum_of(u))
         assert verdict["verdict"] == "ConstantSignNonneg"
         assert verdict["x0"] is None
         assert verdict["predicts_global"]
 
     def test_nonpositive_potential(self):
-        u = FromPotential(m0=GaussianShape(1.0, 1.0, 0.0)).build(Grid(30.0, 4096))
+        u = FromPotential(m0=Gaussian(1.0, 1.0, 0.0)).build(Grid(30.0, 4096))
         flipped = Field(u.grid, -u.values)
         verdict = mckean_classify(momentum_of(flipped))
         assert verdict["verdict"] == "ConstantSignNonpos"

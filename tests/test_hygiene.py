@@ -19,6 +19,9 @@
   package has one spectral pipeline.  The one exception is
   ``acceptance.py``'s single irfft that draws its random fields, which
   stay independent of the operators they check.
+* Only ``InitialData`` and ``FromPotential`` define ``build``: every other
+  datum states its closed form once, as ``sample(x)``, and inherits the
+  base's ``build``, so each formula has one build path.
 * The CLI path loads no scipy module: scipy is a test-only dependency.
   Nor does it load OpenSSL's hashlib backend (``_hashlib``), which maps
   3.4 MB into every process: configs hash with CPython's own SHA-256.
@@ -31,8 +34,8 @@
   rows the keys of the records the CLI writes.
 
 The first four are checked from the syntax tree alone, so a module that
-fails to import still gets its hygiene checked.  The next two run a fresh
-interpreter.
+fails to import still gets its hygiene checked.  The fifth imports
+``chlab.initial_data``; the next two run a fresh interpreter.
 """
 
 import argparse
@@ -235,6 +238,21 @@ def test_only_the_spectral_modules_transform(path):
         assert found == OWN_DRAWS.get(path.name, 0), (
             f"{path.name} names an FFT module {found} times; the modules "
             f"that transform are {sorted(TRANSFORMING)}")
+
+
+def test_only_the_base_and_from_potential_build():
+    from chlab.initial_data import InitialData
+
+    stack, classes = [InitialData], []
+    while stack:
+        cls = stack.pop()
+        classes.append(cls)
+        stack.extend(cls.__subclasses__())
+    builders = {cls.__name__ for cls in classes if "build" in vars(cls)}
+    assert builders == {"InitialData", "FromPotential"}
+    unsampled = [cls.__name__ for cls in classes
+                 if cls.__name__ not in builders and "sample" not in vars(cls)]
+    assert not unsampled, f"data with no closed form of their own: {unsampled}"
 
 
 # Imports the CLI, builds both erfc-based initial-data kinds, runs the

@@ -15,7 +15,6 @@ from chlab.field import Grid, derivative, momentum_of
 from chlab.initial_data import (
     FromPotential,
     Gaussian,
-    GaussianShape,
     MollifiedExponential,
     MollifiedPeakon,
     OddGaussianDerivative,
@@ -184,7 +183,7 @@ class TestClosedFormData:
 class TestFromPotential:
     def test_momentum_of_build_recovers_gaussian_potential(self):
         grid = Grid(30.0, 2048)
-        shape = GaussianShape(amplitude=1.0, width=1.0, center=0.0)
+        shape = Gaussian(amplitude=1.0, width=1.0, center=0.0)
         u = FromPotential(m0=shape).build(grid)
         recovered = momentum_of(u).values
         assert np.max(np.abs(recovered - shape.sample(grid.x))) < 1e-10
@@ -225,7 +224,7 @@ class TestSerialization:
                              mollify_width=0.2),
         Gaussian(amplitude=2.0, width=0.7, center=-1.0),
         OddGaussianDerivative(amplitude=3.0, width=1.1),
-        FromPotential(m0=GaussianShape(amplitude=1.0, width=2.0, center=0.0)),
+        FromPotential(m0=Gaussian(amplitude=1.0, width=2.0, center=0.0)),
         FromPotential(m0=TanhGaussianShape(amplitude=1.0, slope_width=0.5,
                                            envelope_width=4.0)),
     ]

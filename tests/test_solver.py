@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chlab.field import Field, Grid, derivative
-from chlab.initial_data import (FromPotential, Gaussian, GaussianShape,
-                                MollifiedPeakon, OddGaussianDerivative)
+from chlab.initial_data import (FromPotential, Gaussian, MollifiedPeakon,
+                                OddGaussianDerivative)
 from chlab.solver import (
     RunLog,
     SolverConfig,
@@ -169,7 +169,7 @@ class TestSpectralPipeline:
     @pytest.mark.parametrize("datum", [
         Gaussian(1.0, 1.0, 0.0),
         OddGaussianDerivative(amplitude=1.0, width=1.0),
-        FromPotential(m0=GaussianShape(amplitude=1.0, width=0.7, center=-1.0)),
+        FromPotential(m0=Gaussian(amplitude=1.0, width=0.7, center=-1.0)),
     ], ids=["gaussian", "odd", "from_potential"])
     def test_bit_identical_to_unbatched_stepper(self, datum, n):
         grid = Grid(20.0, n)
@@ -188,7 +188,7 @@ class TestSpectralPipeline:
     @pytest.mark.parametrize("datum", [
         Gaussian(1.0, 1.0, 0.0),
         OddGaussianDerivative(amplitude=1.0, width=1.0),
-        FromPotential(m0=GaussianShape(amplitude=1.0, width=0.7, center=-1.0)),
+        FromPotential(m0=Gaussian(amplitude=1.0, width=0.7, center=-1.0)),
     ], ids=["gaussian", "odd", "from_potential"])
     def test_matches_physical_space_rk4(self, datum):
         u0 = datum.build(GRID)

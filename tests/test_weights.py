@@ -266,7 +266,7 @@ class CountingWeight(Delegate):
         return self.base._log_value(x)
 
 
-def rounds_alone(log_f, lo, hi):
+def quadrature_rounds(log_f, lo, hi):
     """Rounds the adaptive quadrature needs on [lo, hi]."""
     calls = []
 
@@ -360,12 +360,12 @@ class TestQuadrature:
         pieces = [(0.0, QUAD_RANGE0)] + [
             (r, 2 * r) for r in QUAD_RANGE0 * 2.0 ** np.arange(
                 round(math.log2(R / QUAD_RANGE0)))]
-        assert len(quadrature) == sum(rounds_alone(log_f, *piece)
+        assert len(quadrature) == sum(quadrature_rounds(log_f, *piece)
                                       for piece in pieces)
 
     @pytest.mark.parametrize("log_f,intervals", INTERVALS,
                              ids=["overflow-and-caps", "cusp", "threshold"])
-    def test_batch_matches_the_plain_loop(self, log_f, intervals):
+    def test_vectorised_rounds_match_the_plain_loop(self, log_f, intervals):
         # the rows of a round are summed in another order than the loop's
         # dot products
         for lo, hi in intervals:
@@ -376,7 +376,7 @@ class TestQuadrature:
             assert isinstance(value, float)
             assert value == pytest.approx(ref, rel=1e-13)
 
-    def test_non_finite_piece_poisons_only_its_own_integral(self):
+    def test_inf_only_where_the_integrand_overflows(self):
         # e^x overflows on [0, 1000], and stays finite on [0, 700] and
         # [-5, 0]
         assert _gauss_kronrod(identity, 0.0, 1000.0, 1e-9) == math.inf
@@ -384,9 +384,6 @@ class TestQuadrature:
             math.expm1(700.0), rel=1e-12)
         assert _gauss_kronrod(identity, -5.0, 0.0, 1e-9) == pytest.approx(
             -math.expm1(-5.0), rel=1e-12)
-
-    def test_overflowing_sample_gives_inf(self):
-        assert _gauss_kronrod(identity, 0.0, 1000.0, 1e-9) == math.inf
 
     def test_live_interval_cap_bounds_the_work(self):
         # e^x reaches 1e304 on [0, 700]: an absolute tolerance of 1e-9 is
