@@ -42,8 +42,8 @@ _EXIT_SELFTEST = 1
 
 
 def _seed(text: str) -> int:
-    """The ``--seed`` type: a non-negative integer, as numpy's seeding
-    takes it."""
+    """The ``--seed`` type: a non-negative integer, as numpy's
+    ``SeedSequence`` does."""
     if not re.fullmatch(r"\+?\d+", text.strip()):
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")

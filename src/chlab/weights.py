@@ -28,7 +28,10 @@ and the seed is the only one a caller chooses (``chlab weights certify
 --seed``):
 
 * 20,000 seeded pairs and 20,000 seeded points on [-32, 32], drawn once
-  per seed and shared, read-only, by every certificate of that seed; each
+  per seed and shared, read-only, by every certificate of that seed: the
+  draws of numpy's PCG64 ``default_rng(seed)``, bit for bit, from a PCG64
+  stream of this module's own, so certifying never imports
+  ``numpy.random`` (whose ``secrets`` import maps OpenSSL); each
   sampled or scanned extremum (``C0``, ``inf_v``, the overflow test, the
   sup of v(x) e^{-|x|}) is a max or min of log values, exponentiated once;
 * the one decay integral, of v(x) e^{-|x|}, by adaptive Gauss-Kronrod
@@ -380,15 +383,131 @@ def _sup_v_exp(v: Weight) -> float:
         return float(np.exp(peak))
 
 
+_MASK32 = 2**32 - 1
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
+# PCG64's LCG multiplier (O'Neill 2014, as numpy's pcg64.h states it)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: States per chunk of a draw: the chunk's temporaries stay small enough to
+#: be reused from the allocator, as _SCAN_BLOCK's do.
+_DRAW_CHUNK = 1024
+
+
+def _hasher(const: int, mult: int) -> Callable[[int], int]:
+    """numpy SeedSequence's 32-bit hashmix, whose constant steps by mult
+    on every call (numpy/random/bit_generator.pyx)."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_sequence(seed: int) -> Tuple[int, int]:
+    """numpy's ``SeedSequence(seed).generate_state(4, uint64)`` as PCG64
+    reads it: (initstate, initseq), from words 0-1 and 2-3, the first word
+    of each pair the high one.
+
+    The seed is split into 32-bit words, least significant first; the
+    first four are hashed into the pool, the pool words are mixed with
+    each other, and any further seed word is mixed into each of them.
+    A negative seed raises ValueError, as numpy's does."""
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer, got {seed}")
+    entropy = [seed >> shift & _MASK32
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (entropy + [0] * 3)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    output = _hasher(0x8B51F9DD, 0x58F38DED)
+    halves = [output(pool[i % 4]) for i in range(8)]
+    # each uint64 word is two output words, low first
+    w0, w1, w2, w3 = (halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2))
+    return w0 << 64 | w1, w2 << 64 | w3
+
+
+def _words(values: list) -> Tuple[np.ndarray, np.ndarray]:
+    """The low and the high 64-bit words of 128-bit ints, as uint64
+    arrays."""
+    raw = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values),
+                        dtype="<u8")
+    return raw[0::2].astype(np.uint64), raw[1::2].astype(np.uint64)
+
+
+def _uniform_draws(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` doubles of numpy's
+    ``default_rng(seed).uniform(-SAMPLE_RANGE, SAMPLE_RANGE, ...)``, bit for
+    bit, drawn without ``numpy.random``.
+
+    PCG64 is seeded as numpy seeds it: state 0, inc = 2 initseq + 1, a
+    step, initstate added, a step.  Each draw steps s -> a s + inc mod
+    2^128, takes the XSL-RR output of the new state (its two words xored,
+    rotated right by its top 6 bits), d = (out >> 11) 2^-53, and returns
+    -SAMPLE_RANGE + 2 SAMPLE_RANGE d.
+
+    The states come one chunk of _DRAW_CHUNK at a time from the chunk's
+    start s, by the jump table s_{j+1} = a_j s + c_j mod 2^128, with
+    a_j = a^{j+1} and c_j = inc (a^{j+1} - 1) / (a - 1).  It runs in 64-bit
+    words: the low word is lo(a_j) lo(s) + lo(c_j) mod 2^64, and the high
+    word the high half of lo(a_j) lo(s), from 32-bit limbs, plus
+    hi(a_j) lo(s) + lo(a_j) hi(s) + hi(c_j) and the low word's carry."""
+    initstate, initseq = _seed_sequence(seed)
+    inc = (initseq << 1 | 1) & _MASK128
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
+    mults, adds = [_PCG64_MULT], [inc]
+    for _ in range(min(_DRAW_CHUNK, count) - 1):
+        mults.append(mults[-1] * _PCG64_MULT & _MASK128)
+        adds.append((adds[-1] * _PCG64_MULT + inc) & _MASK128)
+    (a_lo, a_hi), (c_lo, c_hi) = _words(mults), _words(adds)
+    a0, a1 = a_lo & _MASK32, a_lo >> 32
+    draws = np.empty(count)
+    for start in range(0, count, _DRAW_CHUNK):
+        n = min(_DRAW_CHUNK, count - start)
+        s_lo, s_hi = state & _MASK64, state >> 64
+        s0, s1 = s_lo & _MASK32, s_lo >> 32
+        p01, p10 = a0[:n] * s1, a1[:n] * s0
+        mid = (a0[:n] * s0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+        hi = (a1[:n] * s1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+              + a_hi[:n] * s_lo + a_lo[:n] * s_hi + c_hi[:n])
+        lo = a_lo[:n] * s_lo + c_lo[:n]
+        hi += lo < c_lo[:n]
+        state = int(hi[-1]) << 64 | int(lo[-1])
+        out = hi ^ lo
+        rot = hi >> 58
+        out = out >> rot | out << ((64 - rot) & 63)
+        np.multiply(out >> 11, 2.0**-53, out=draws[start:start + n])
+    draws *= 2 * SAMPLE_RANGE
+    draws -= SAMPLE_RANGE
+    return draws
+
+
 @lru_cache(maxsize=4)
 def _sample_set(seed: int) -> Tuple[np.ndarray, ...]:
     """The seeded sample set of a certificate, drawn once per seed and kept
     read-only (the last few seeds; one command certifies under one): x + y,
     x and y of the SAMPLE_COUNT pairs, each contiguous, then the
-    SAMPLE_COUNT single points."""
-    rng = np.random.default_rng(seed)
-    pairs = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=(SAMPLE_COUNT, 2))
-    points = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=SAMPLE_COUNT)
+    SAMPLE_COUNT single points.  They are the draws of numpy's
+    ``default_rng(seed)``: ``uniform(-SAMPLE_RANGE, SAMPLE_RANGE,
+    (SAMPLE_COUNT, 2))`` for the pairs, in C order, then ``uniform`` of
+    SAMPLE_COUNT points."""
+    draws = _uniform_draws(seed, 3 * SAMPLE_COUNT)
+    pairs = draws[:2 * SAMPLE_COUNT].reshape(SAMPLE_COUNT, 2)
+    points = draws[2 * SAMPLE_COUNT:].copy()
     x, y = np.ascontiguousarray(pairs.T)
     samples = (x + y, x, y, points)
     for arr in samples:

@@ -25,6 +25,8 @@
 * The CLI path loads no scipy module: scipy is a test-only dependency.
   Nor does it load OpenSSL's hashlib backend (``_hashlib``), which maps
   3.4 MB into every process: configs hash with CPython's own SHA-256.
+  Nor, certifying a weight, ``numpy.random``, whose import pulls
+  ``secrets`` and with it ``_hashlib``: the sample set is drawn without it.
 * Importing the CLI loads neither ``multiprocessing`` nor ``csv``: only a
   sweep uses them, and it imports them itself.
 * The CLI's module docstring and README's quick start name exactly the
@@ -256,9 +258,9 @@ def test_only_the_base_and_from_potential_build():
 
 
 # Imports the CLI, builds both erfc-based initial-data kinds, runs the
-# second with artifacts and tail profiles, and sweeps it, as the CLI's
-# commands do; then prints every scipy module loaded and whether OpenSSL's
-# hashlib backend is.
+# second with artifacts and tail profiles, sweeps it, and certifies the
+# weight a builtin tracks, as the CLI's commands do; then prints every scipy
+# and numpy.random module loaded and whether OpenSSL's hashlib backend is.
 _CLI_PATH = f"""
 import json, sys
 sys.path.insert(0, {str(PACKAGE.parent)!r})
@@ -273,8 +275,12 @@ for kind in ("mollified_peakon", "mollified_exponential"):
     scenario.build_initial()
 run_scenario(scenario.with_profiles(), out_root=sys.argv[1])
 sweep(scenario, "solver.t_end", [0.01], out_root=sys.argv[1], workers=1)
+assert chlab.cli.main(["weights", "certify", "tail-profiles",
+                       "--out", sys.argv[1], "--quiet"]) == 0
 print(json.dumps({{"scipy": sorted(m for m in sys.modules
                                   if m.partition(".")[0] == "scipy"),
+                  "numpy.random": sorted(m for m in sys.modules
+                                         if m.startswith("numpy.random")),
                   "_hashlib": "_hashlib" in sys.modules}}))
 """
 
@@ -285,6 +291,8 @@ def test_cli_path_loads_no_scipy_and_no_openssl(tmp_path):
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
     assert loaded["scipy"] == [], f"scipy loaded: {loaded['scipy']}"
+    assert loaded["numpy.random"] == [], (
+        f"numpy.random loaded: {loaded['numpy.random']}")
     if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
         pytest.skip("no built-in SHA-256 module: configs hash with OpenSSL")
     assert not loaded["_hashlib"], "OpenSSL's hashlib backend loaded"

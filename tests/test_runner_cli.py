@@ -15,7 +15,7 @@ import pytest
 from chlab.cli import main
 from chlab.config import (INITIAL_KINDS, ConfigError, load_scenario,
                           scenario_from_dict)
-from chlab import cli, runner
+from chlab import cli, runner, weights
 from chlab.diagnostics import (decay_blowup_predict, mckean_classify,
                                peakon_rate_cap_check, persistence_check,
                                rate_cap_check, slope_criterion_predict)
@@ -963,14 +963,14 @@ class TestCli:
                                                     monkeypatch):
         # 4 distinct weights, one seed: one draw of the sample set
         draws = []
-        default_rng = np.random.default_rng
+        uniform_draws = weights._uniform_draws
 
-        def counting(seed):
+        def counting(seed, count):
             draws.append(seed)
-            return default_rng(seed)
+            return uniform_draws(seed, count)
 
         _sample_set.cache_clear()
-        monkeypatch.setattr(np.random, "default_rng", counting)
+        monkeypatch.setattr(weights, "_uniform_draws", counting)
         path = tmp_path / "four.yaml"
         path.write_text(
             TINY_YAML

@@ -33,6 +33,7 @@ from chlab.weights import (
     _sample_set,
     _sup_scan_grid,
     _sup_v_exp,
+    _uniform_draws,
     certify_admissible,
     check_weighted_young,
     threshold_weight,
@@ -510,18 +511,22 @@ class TestSubmultiplicativeRatio:
         # ratio is C0, the largest v(x+y)/(v(x) v(y)) over the seed's pairs
         v = threshold_weight(1.0)
         cert = certify_admissible(v)
-        pairs = np.random.default_rng(0).uniform(
-            -SAMPLE_RANGE, SAMPLE_RANGE, size=(SAMPLE_COUNT, 2))
+        pairs = numpy_draws(0)[0]
         ratio = float(np.max(moderate_ratio(v, pairs[:, 0], pairs[:, 1])))
         assert cert["C0"] == ratio
+
+
+def numpy_draws(seed):
+    """The pairs and the points as numpy's default_rng(seed) draws them."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=(SAMPLE_COUNT, 2))
+    return pairs, rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=SAMPLE_COUNT)
 
 
 def point_space_extrema(v, seed):
     """C0, inf_v and overflowed as the samples' exponentiated values give
     them: drawn afresh, every ratio and value exponentiated, then reduced."""
-    rng = np.random.default_rng(seed)
-    pairs = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=(SAMPLE_COUNT, 2))
-    singles = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=SAMPLE_COUNT)
+    pairs, singles = numpy_draws(seed)
     C0 = float(np.max(moderate_ratio(v, pairs[:, 0], pairs[:, 1])))
     v_vals = v.value(singles)
     inf_v = float(np.min(v_vals))
@@ -601,10 +606,7 @@ class TestLogSpaceExtrema:
     # and the overflow test)
     @pytest.mark.parametrize("column", [0, 2], ids=["pair", "point"])
     def test_nan_at_one_sample_propagates(self, column):
-        rng = np.random.default_rng(0)
-        pairs = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE,
-                            size=(SAMPLE_COUNT, 2))
-        singles = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=SAMPLE_COUNT)
+        pairs, singles = numpy_draws(0)
         at = (pairs[:, 0] if column == 0 else singles)[SAMPLE_COUNT // 3]
         v = NaNAtSample(at)
         cert = certify_admissible(v)
@@ -619,10 +621,7 @@ class TestLogSpaceExtrema:
     def test_sample_set_is_kept_read_only(self):
         sums, xs, ys, points = _sample_set(5)
         assert _sample_set(5)[0] is sums
-        rng = np.random.default_rng(5)
-        pairs = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE,
-                            size=(SAMPLE_COUNT, 2))
-        singles = rng.uniform(-SAMPLE_RANGE, SAMPLE_RANGE, size=SAMPLE_COUNT)
+        pairs, singles = numpy_draws(5)
         assert np.array_equal(xs, pairs[:, 0])
         assert np.array_equal(ys, pairs[:, 1])
         assert np.array_equal(sums, pairs[:, 0] + pairs[:, 1])
@@ -631,6 +630,49 @@ class TestLogSpaceExtrema:
             assert arr.flags.c_contiguous and not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+
+# seeds of one to five 32-bit words; the fifth word of the last one runs
+# SeedSequence's loop that mixes the words past its 4-word pool
+STREAM_SEEDS = [*range(64), 2**32 - 1, 2**32, 2**64 + 1,
+                2**128 + 2**97 + 12345]
+
+
+class TestUniformDraws:
+    """The sample set is numpy's PCG64 default_rng(seed) stream, drawn
+    without numpy.random; numpy itself is the reference."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_equals_numpy_to_the_bit(self, seed):
+        pairs, points = numpy_draws(seed)
+        expected = np.concatenate([pairs.ravel(), points])
+        drawn = _uniform_draws(seed, 3 * SAMPLE_COUNT)
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("count", [1, 1023, 1024, 1025])
+    def test_short_draws_are_the_stream_s_head(self, count):
+        expected = np.random.default_rng(7).uniform(
+            -SAMPLE_RANGE, SAMPLE_RANGE, size=count)
+        assert np.array_equal(_uniform_draws(7, count).view(np.uint64),
+                              expected.view(np.uint64))
+
+    def test_negative_seed_is_refused_as_numpy_refuses_it(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            _uniform_draws(-1, 1)
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**32])
+    def test_sample_set_splits_numpy_s_two_calls(self, seed):
+        sums, xs, ys, points = _sample_set(seed)
+        pairs, singles = numpy_draws(seed)
+        for got, expected in [(xs, pairs[:, 0]), (ys, pairs[:, 1]),
+                              (sums, pairs[:, 0] + pairs[:, 1]),
+                              (points, singles)]:
+            assert np.array_equal(got.view(np.uint64),
+                                  expected.view(np.uint64))
+        # the points own their memory: no view keeps the whole draw alive
+        assert points.base is None
 
 
 class TestWeightedNorms:
